@@ -106,9 +106,14 @@ class RungContext:
             raise ScenarioError(str(exc)) from exc
 
     @functools.cached_property
+    def octonion_lift(self):
+        """(q, TwistorField) from `octo.canonical_lift`."""
+        return octo.canonical_lift(self.field)
+
+    @functools.cached_property
     def tw(self):
         if self.field.ambient_dim == 8:
-            return octo.canonical_lift(self.field)[1]
+            return self.octonion_lift[1]
         return immersion.twistor_lift(self.field, self.scenario.get("lift_sign", +1))
 
     @functools.cached_property
@@ -162,15 +167,15 @@ def _check_zero_curvature_scan(ctx):
 
 
 def _check_vertical_harmonicity(ctx):
-    return immersion.vertical_harmonicity_residual(ctx.field, ctx.tw, ctx.space)
+    return immersion.vertical_harmonicity_residual(ctx.field, ctx.tw)
 
 
 def _check_holomorphic_H(ctx):
-    return immersion.holomorphic_H_residual(ctx.field, ctx.tw, ctx.space)
+    return immersion.holomorphic_H_residual(ctx.field, ctx.tw)
 
 
 def _check_divergence_identity(ctx):
-    return immersion.divergence_identity_residual(ctx.field, ctx.tw, ctx.space)
+    return immersion.divergence_identity_residual(ctx.field, ctx.tw)
 
 
 def _check_codazzi(ctx):
@@ -201,7 +206,7 @@ def _check_hamiltonian_stationary(ctx):
 
 
 def _check_octonion_lift(ctx):
-    q, tw = octo.canonical_lift(ctx.field)
+    q = ctx.octonion_lift[0]
     drift = 0.0
     rng = np.random.default_rng(7)
     for _ in range(16):
@@ -292,15 +297,16 @@ def write_reports(scen, results, out_dir, deterministic=False):
         import datetime
         payload["timestamp"] = datetime.datetime.now().isoformat()
     for name, rep, verdict, ok in results:
-        slope = rep.estimated_order
+        d = rep.as_dict()
+        slope = d["estimated_order"]
         slope_str = "" if slope is None else _fmt(slope)
-        for e in rep.entries:
-            lines.append(",".join([scen["name"], name, _fmt(e.h), _fmt(e.sup),
-                                   _fmt(e.l2), slope_str, verdict]))
+        for e in d["entries"]:
+            lines.append(",".join([scen["name"], name, _fmt(e["h"]), _fmt(e["sup"]),
+                                   _fmt(e["l2"]), slope_str, verdict]))
         payload["checks"].append({
             "name": name, "verdict": verdict, "ok": ok,
             "slope": slope,
-            "entries": [{"h": e.h, "sup": e.sup, "l2": e.l2} for e in rep.entries],
+            "entries": d["entries"],
             "meta": {k: v for k, v in rep.meta.items() if isinstance(v, (int, float, bool, str))},
         })
     csv_path = out_dir / f"{scen['name']}.csv"

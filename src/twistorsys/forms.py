@@ -206,17 +206,16 @@ class ResidualReport:
                 "estimated_order": self.estimated_order}
 
 
-def masked_norms(grid: SurfaceGrid, pointwise, margin: int = 1):
-    mask = grid.interior_mask(margin)
+def masked_report(name, h, pointwise, mask) -> ResidualReport:
+    """One-rung report of the sup and root-mean-square of `pointwise` over `mask`."""
     vals = np.asarray(pointwise)[mask]
     if vals.size == 0:
         raise GridTooSmall("empty interior after masking")
-    return float(np.max(vals)), float(np.sqrt(np.mean(vals ** 2)))
+    return ResidualReport(name).add(h, float(np.max(vals)), float(np.sqrt(np.mean(vals ** 2))))
 
 
-def report_from_pointwise(name, grid, pointwise, margin: int = 1, h=None) -> ResidualReport:
-    sup, l2 = masked_norms(grid, pointwise, margin)
-    return ResidualReport(name).add(grid.h if h is None else h, sup, l2)
+def report_from_pointwise(name, grid, pointwise, margin: int = 1) -> ResidualReport:
+    return masked_report(name, grid.h, pointwise, grid.interior_mask(margin))
 
 
 # ------------------------------------------------------------- decompositions

@@ -10,6 +10,7 @@ slot.  Hodge star on 1-forms: *du = dv, *dv = -du.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -17,7 +18,7 @@ import numpy as np
 import scipy.ndimage
 
 from . import symspace
-from .forms import ResidualReport, SurfaceGrid, partial_u, partial_v
+from .forms import ResidualReport, SurfaceGrid, masked_report, partial_u, partial_v
 
 
 class ImmersionError(Exception):
@@ -40,12 +41,16 @@ class FrameDiscontinuity(ImmersionError):
     pass
 
 
-class MaskedPoint(ImmersionError):
-    pass
-
-
 @dataclass
 class ImmersionField:
+    """A sampled conformal immersion with adapted frames.
+
+    Derived geometry (II, H, the frame connection and nabla_perp H) is
+    computed on first access and cached on the field, so every check on
+    the same field shares one copy.  A field must therefore not be mutated
+    after `build_immersion` returns it.
+    """
+
     grid: SurfaceGrid
     space: symspace.ModelSpace
     phi: np.ndarray            # (nu, nv, m)
@@ -81,6 +86,24 @@ class ImmersionField:
     @property
     def n2(self):
         return self.normal_frame[..., 1, :]
+
+    @functools.cached_property
+    def II(self) -> SecondFundamentalForm:
+        return second_fundamental_form(self)
+
+    @functools.cached_property
+    def H(self):
+        return mean_curvature(self.II)
+
+    @functools.cached_property
+    def connection(self):
+        """(om_u, om_v, wn_u, wn_v) as returned by `frame_connection`."""
+        return frame_connection(self)
+
+    @functools.cached_property
+    def grad_H(self):
+        """(nabla_perp_du H, nabla_perp_dv H) as returned by `normal_connection_derivative`."""
+        return normal_connection_derivative(self, self.H)
 
     def report_mask(self, margin: int = 1):
         mask = self.grid.interior_mask(margin)
@@ -495,7 +518,7 @@ def _max_neighbor_jump(f):
 
 # ---------------------------------------------------------- second fundamental
 
-def second_fundamental_form(field: ImmersionField, space=None) -> SecondFundamentalForm:
+def second_fundamental_form(field: ImmersionField) -> SecondFundamentalForm:
     """II(e_a, e_b) in normal-frame coefficients by centered differences.
 
     For the sphere target the ambient covariant derivative is the R^5
@@ -503,7 +526,6 @@ def second_fundamental_form(field: ImmersionField, space=None) -> SecondFundamen
     frame is orthogonal to the position, taking normal components of the
     raw derivative is exactly that projection.
     """
-    space = space or field.space
     grid = field.grid
     D11 = partial_u(grid, field.dphi_u)
     D12 = 0.5 * (partial_u(grid, field.dphi_v) + partial_v(grid, field.dphi_u))
@@ -550,25 +572,30 @@ def twistor_lift(field: ImmersionField, sign: int = +1) -> TwistorField:
     vals = np.unique(eps_field[mask])
     if vals.size != 1:
         raise FrameDiscontinuity("orientation flips across the grid")
-    eps = int(vals[0])
-
-    e1, e2, n1, n2 = field.e1, field.e2, field.n1, field.n2
-    j = (np.einsum("uvi,uvj->uvij", e2, e1) - np.einsum("uvi,uvj->uvij", e1, e2)
-         + eps * (np.einsum("uvi,uvj->uvij", n2, n1) - np.einsum("uvi,uvj->uvij", n1, n2)))
-    nu, nv = field.grid.nu, field.grid.nv
-    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    j_T = np.broadcast_to(rot, (nu, nv, 2, 2)).copy()
-    j_N = np.broadcast_to(eps * rot, (nu, nv, 2, 2)).copy()
-    return TwistorField(grid=field.grid, sign=sign, j_ambient=j, j_T=j_T, j_N=j_N, eps=eps)
+    return _frame_rotation_lift(field, sign, +1, int(vals[0]))
 
 
 def flip_tangent_orientation(field: ImmersionField, tw: TwistorField) -> TwistorField:
     """The anti-holomorphic twin: reverse the tangent rotation, keep the normal."""
-    e1, e2, n1, n2 = field.e1, field.e2, field.n1, field.n2
-    j = (-np.einsum("uvi,uvj->uvij", e2, e1) + np.einsum("uvi,uvj->uvij", e1, e2)
-         + tw.eps * (np.einsum("uvi,uvj->uvij", n2, n1) - np.einsum("uvi,uvj->uvij", n1, n2)))
-    return TwistorField(grid=tw.grid, sign=tw.sign, j_ambient=j,
-                        j_T=-tw.j_T, j_N=tw.j_N, eps=tw.eps)
+    return _frame_rotation_lift(field, tw.sign, -1, tw.eps)
+
+
+def _outer(a, b):
+    return np.einsum("uvi,uvj->uvij", a, b)
+
+
+def _frame_rotation_lift(field: ImmersionField, sign, s, eps) -> TwistorField:
+    """j = s (e2 x e1 - e1 x e2) + eps (n2 x n1 - n1 x n2): a +/-pi/2 frame
+    rotation on each factor.  s = -1 swaps the operands of the tangent
+    difference instead of negating it, which gives the same bits."""
+    t_a, t_b = (field.e2, field.e1) if s > 0 else (field.e1, field.e2)
+    n1, n2 = field.n1, field.n2
+    j = _outer(t_a, t_b) - _outer(t_b, t_a) + eps * (_outer(n2, n1) - _outer(n1, n2))
+    nu, nv = field.grid.nu, field.grid.nv
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    j_T = np.broadcast_to(s * rot, (nu, nv, 2, 2)).copy()
+    j_N = np.broadcast_to(eps * rot, (nu, nv, 2, 2)).copy()
+    return TwistorField(grid=field.grid, sign=sign, j_ambient=j, j_T=j_T, j_N=j_N, eps=eps)
 
 
 def lift_from_octonion_structure(field: ImmersionField, j_ambient) -> TwistorField:
@@ -626,7 +653,7 @@ def _hom_covariant_divergence(field: ImmersionField, hom_slots):
     of d^(nabla, nabla_perp) of the Hodge-starred form on (du, dv).
     """
     grid = field.grid
-    om_u, om_v, wn_u, wn_v = frame_connection(field)
+    om_u, om_v, wn_u, wn_v = field.connection
     lam = field.lam[..., None, None]
     B_u = lam * hom_slots[..., 0, :, :]
     B_v = lam * hom_slots[..., 1, :, :]
@@ -639,61 +666,53 @@ def _frobenius(Mfield):
     return np.linalg.norm(Mfield, axis=(-2, -1))
 
 
-def _masked_report(name, field, pointwise, margin):
-    mask = field.report_mask(margin)
-    vals = np.asarray(pointwise)[mask]
-    if vals.size == 0:
-        raise MaskedPoint("no interior points survive the mask")
-    rep = ResidualReport(name)
-    return rep.add(field.grid.h, float(np.max(vals)), float(np.sqrt(np.mean(vals ** 2))))
-
-
 def normal_connection_derivative(field: ImmersionField, H):
     """(nabla_perp_du H, nabla_perp_dv H) in normal coefficients."""
     grid = field.grid
-    _, _, wn_u, wn_v = frame_connection(field)
+    _, _, wn_u, wn_v = field.connection
     G_u = partial_u(grid, H) + np.einsum("uvpq,uvq->uvp", wn_u, H)
     G_v = partial_v(grid, H) + np.einsum("uvpq,uvq->uvp", wn_v, H)
     return G_u, G_v
 
 
 def vertical_harmonicity_residual(field: ImmersionField, tw: TwistorField,
-                                  space=None, margin: int = 2) -> ResidualReport:
+                                  margin: int = 2) -> ResidualReport:
     """Norm of d^(nabla, nabla_perp) * II_minus over the interior."""
-    II = second_fundamental_form(field, space)
-    sp = split_II(II, tw)
-    div = _hom_covariant_divergence(field, sp.minus)
-    return _masked_report("vertical_harmonicity", field, _frobenius(div), margin)
+    div = _hom_covariant_divergence(field, split_II(field.II, tw).minus)
+    return masked_report("vertical_harmonicity", field.grid.h, _frobenius(div),
+                         field.report_mask(margin))
 
 
 def holomorphic_H_residual(field: ImmersionField, tw: TwistorField,
-                           space=None, margin: int = 2) -> ResidualReport:
+                           margin: int = 2) -> ResidualReport:
     """Norm of nabla_perp_du H + j nabla_perp_dv H (the anti-holomorphic part)."""
-    II = second_fundamental_form(field, space)
-    H = mean_curvature(II)
-    G_u, G_v = normal_connection_derivative(field, H)
+    G_u, G_v = field.grad_H
     resid = G_u + np.einsum("uvpq,uvq->uvp", tw.j_N, G_v)
-    return _masked_report("holomorphic_H", field, np.linalg.norm(resid, axis=-1), margin)
+    return masked_report("holomorphic_H", field.grid.h, np.linalg.norm(resid, axis=-1),
+                         field.report_mask(margin))
+
+
+def _grad_H_hom(field: ImmersionField):
+    """nabla_perp H as a Hom(T, N)-valued 1-form in frame slots: (nu, nv, q, 2)."""
+    G_u, G_v = field.grad_H
+    inv = 1.0 / np.maximum(field.lam, 1e-30)
+    return np.stack([G_u * inv[..., None], G_v * inv[..., None]], axis=-1)
 
 
 def divergence_identity_residual(field: ImmersionField, tw: TwistorField,
-                                 space=None, margin: int = 2) -> ResidualReport:
+                                 margin: int = 2) -> ResidualReport:
     """Pointwise identity  * d * II_minus = 2 pi_minus(nabla_perp H).
 
     Holds for every conformal immersion into the shipped space forms,
     solutions and non-solutions alike.
     """
-    II = second_fundamental_form(field, space)
-    sp = split_II(II, tw)
     inv2 = 1.0 / np.maximum(field.conformal_factor, 1e-30)
-    lhs = inv2[..., None, None] * _hom_covariant_divergence(field, sp.minus)
-    H = mean_curvature(II)
-    G_u, G_v = normal_connection_derivative(field, H)
-    inv = 1.0 / np.maximum(field.lam, 1e-30)
-    Ghom = np.stack([G_u * inv[..., None], G_v * inv[..., None]], axis=-1)
+    lhs = inv2[..., None, None] * _hom_covariant_divergence(field, split_II(field.II, tw).minus)
+    Ghom = _grad_H_hom(field)
     conj = np.einsum("uvpq,uvqb,uvbc->uvpc", tw.j_N, Ghom, tw.j_T)
     rhs = Ghom + conj  # = 2 pi_minus(Ghom)
-    return _masked_report("divergence_identity", field, _frobenius(lhs - rhs), margin)
+    return masked_report("divergence_identity", field.grid.h, _frobenius(lhs - rhs),
+                         field.report_mask(margin))
 
 
 def codazzi_identity_residual(field: ImmersionField, space=None,
@@ -702,25 +721,21 @@ def codazzi_identity_residual(field: ImmersionField, space=None,
     (* d * II)(X) = (R(e_i, X) e_i)^perp + 2 nabla_perp_X H, X in (e1, e2).
     """
     space = space or field.space
-    II = second_fundamental_form(field, space)
-    M = II.hom()
     inv2 = 1.0 / np.maximum(field.conformal_factor, 1e-30)
-    lhs = inv2[..., None, None] * _hom_covariant_divergence(field, M)
-    H = mean_curvature(II)
-    G_u, G_v = normal_connection_derivative(field, H)
-    inv = 1.0 / np.maximum(field.lam, 1e-30)
-    Ghom = np.stack([G_u * inv[..., None], G_v * inv[..., None]], axis=-1)
+    lhs = inv2[..., None, None] * _hom_covariant_divergence(field, field.II.hom())
+    Ghom = _grad_H_hom(field)
     N = field.normal_frame
     Rterm = np.zeros_like(Ghom)
     for b, Xb in enumerate((field.e1, field.e2)):
         acc = None
         for ei in (field.e1, field.e2):
-            Rop = symspace.curvature_operator(space, ei, Xb)
-            vec = np.einsum("uvij,uvj->uvi", Rop, ei)
+            # one (nu, nv, m, m) operator alive at a time: it sets the peak memory
+            vec =np.einsum("uvij,uvj->uvi", symspace.curvature_operator(space, ei, Xb), ei)
             acc = vec if acc is None else acc + vec
         Rterm[..., :, b] = np.einsum("uvpm,uvm->uvp", N, acc)
     rhs = Rterm + 2.0 * Ghom
-    return _masked_report("codazzi_identity", field, _frobenius(lhs - rhs), margin)
+    return masked_report("codazzi_identity", field.grid.h, _frobenius(lhs - rhs),
+                         field.report_mask(margin))
 
 
 def curvature_commutator_residual(field: ImmersionField, tw: TwistorField,
@@ -729,4 +744,5 @@ def curvature_commutator_residual(field: ImmersionField, tw: TwistorField,
     space = space or field.space
     Rop = symspace.curvature_operator(space, field.e1, field.e2)
     comm = Rop @ tw.j_ambient - tw.j_ambient @ Rop
-    return _masked_report("curvature_commutator", field, _frobenius(comm), margin)
+    return masked_report("curvature_commutator", field.grid.h, _frobenius(comm),
+                         field.report_mask(margin))

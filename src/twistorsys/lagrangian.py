@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import immersion, symspace
-from .forms import ResidualReport, partial_u, partial_v
+from .forms import ResidualReport, masked_report, partial_u, partial_v
 
 
 class NotKahler(Exception):
@@ -42,10 +42,7 @@ def lagrangian_residual(field: immersion.ImmersionField, space=None,
     space = space or field.space
     J = _require_kahler(space)
     pw = np.abs(_pullback_omega(field, J))
-    mask = field.report_mask(margin)
-    rep = ResidualReport("lagrangian")
-    return rep.add(field.grid.h, float(np.max(pw[mask])),
-                   float(np.sqrt(np.mean(pw[mask] ** 2))))
+    return masked_report("lagrangian", field.grid.h, pw, field.report_mask(margin))
 
 
 def lagrangian_twistor_check(field: immersion.ImmersionField, tw: immersion.TwistorField,
@@ -78,9 +75,7 @@ def maslov_form(field: immersion.ImmersionField, space=None, tol: float = 1e-6):
     J = _require_kahler(space)
     if lagrangian_residual(field, space).final_sup > tol:
         raise NotLagrangian("Maslov form needs a Lagrangian immersion")
-    II = immersion.second_fundamental_form(field, space)
-    Hc = immersion.mean_curvature(II)
-    H_amb = np.einsum("uvq,uvqm->uvm", Hc, field.normal_frame)
+    H_amb = np.einsum("uvq,uvqm->uvm", field.H, field.normal_frame)
     JH = np.einsum("ij,uvj->uvi", J, H_amb)
     beta_u = np.sum(JH * field.dphi_u, axis=-1)
     beta_v = np.sum(JH * field.dphi_v, axis=-1)
@@ -95,18 +90,14 @@ def maslov_identity_residual(field: immersion.ImmersionField, tw: immersion.Twis
     space = space or field.space
     J = _require_kahler(space)
     beta_u, beta_v = maslov_form(field, space)
-    II = immersion.second_fundamental_form(field, space)
-    minus = immersion.split_II(II, tw).minus            # (nu, nv, 2, q, 2)
+    minus = immersion.split_II(field.II, tw).minus      # (nu, nv, 2, q, 2)
     E = np.stack([field.e1, field.e2], axis=-2)
     JNT = np.einsum("uvpm,mk,uvbk->uvpb", field.normal_frame, J, E)
     inv = 1.0 / np.maximum(field.lam, 1e-30)
     beta_frame = np.stack([beta_u * inv, beta_v * inv], axis=-1)  # beta(e_a)
     resid = minus + beta_frame[..., :, None, None] * JNT[..., None, :, :]
     pw = np.max(np.linalg.norm(resid, axis=(-2, -1)), axis=-1)
-    mask = field.report_mask(margin)
-    rep = ResidualReport("maslov_identity")
-    return rep.add(field.grid.h, float(np.max(pw[mask])),
-                   float(np.sqrt(np.mean(pw[mask] ** 2))))
+    return masked_report("maslov_identity", field.grid.h, pw, field.report_mask(margin))
 
 
 def hamiltonian_stationary_residual(field: immersion.ImmersionField, space=None,
@@ -115,7 +106,5 @@ def hamiltonian_stationary_residual(field: immersion.ImmersionField, space=None,
     space = space or field.space
     beta_u, beta_v = maslov_form(field, space)
     div = partial_u(field.grid, beta_u) + partial_v(field.grid, beta_v)
-    mask = field.report_mask(margin)
-    rep = ResidualReport("hamiltonian_stationary")
-    return rep.add(field.grid.h, float(np.max(np.abs(div)[mask])),
-                   float(np.sqrt(np.mean(div[mask] ** 2))))
+    return masked_report("hamiltonian_stationary", field.grid.h, np.abs(div),
+                         field.report_mask(margin))

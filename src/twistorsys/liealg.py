@@ -50,11 +50,9 @@ class NonFinite(LieAlgebraError):
 GRADES = (0, 1, 2, -1)
 
 
-def matrix_exp(X, tol: float = 1e-12):
+def matrix_exp(X):
     """Matrix exponential (scaling-and-squaring Pade via scipy).
 
-    `tol` is accepted for interface stability; the underlying routine is
-    accurate to machine precision for the small matrices used here.
     exp(0) is the exact identity.
     """
     X = np.asarray(X, dtype=float)
@@ -127,17 +125,6 @@ class LieAlgebraRep:
         """Coordinate matrix of ad(xi): eta -> [xi, eta]."""
         xi = np.asarray(xi)
         return np.einsum("i,ijk->kj", xi, self.structure)
-
-    def closure_residual(self) -> float:
-        """Max relative residual of expanding all basis brackets in the basis."""
-        worst = 0.0
-        for i in range(self.dim):
-            for j in range(self.dim):
-                B = self.bracket_matrix(self.basis[i], self.basis[j])
-                recon = self.matrix(self.bracket_coords(_unit(self.dim, i), _unit(self.dim, j)))
-                scale = max(np.linalg.norm(B), 1.0)
-                worst = max(worst, np.linalg.norm(B - recon) / scale)
-        return worst
 
 
 def _unit(d, i):

@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
+from twistorsys import cli
 from twistorsys import immersion as im
+from twistorsys import lagrangian as lg
 from twistorsys import symspace
 from twistorsys.forms import ResidualReport
 
@@ -304,3 +306,66 @@ def test_curvature_commutator_space_forms():
     for kind in ("plane", "clifford_torus", "round_sphere", "clifford_torus_s4"):
         rep = run_residual(kind, im.curvature_commutator_residual, 16)
         assert rep.final_sup <= 1e-10, kind
+
+
+# ------------------------------------------------------ per-field geometry cache
+
+def test_cached_geometry_matches_public_functions():
+    fld = im.build_immersion("round_sphere", n=32)
+    ref = im.build_immersion("round_sphere", n=32)
+    II = im.second_fundamental_form(ref)
+    H = im.mean_curvature(II)
+    assert np.array_equal(fld.II.coeffs, II.coeffs)
+    assert np.array_equal(fld.II.crosscheck_12, II.crosscheck_12)
+    assert np.array_equal(fld.H, H)
+    for cached, fresh in zip(fld.connection, im.frame_connection(ref)):
+        assert np.array_equal(cached, fresh)
+    for cached, fresh in zip(fld.grad_H, im.normal_connection_derivative(ref, H)):
+        assert np.array_equal(cached, fresh)
+    assert fld.II is fld.II and fld.connection is fld.connection
+
+
+def test_residuals_independent_of_cache_state():
+    # every check gives the same bits on a fresh field and on one whose
+    # cache the other checks have filled; the sphere has a nonzero discrete
+    # nabla_perp H in both directions, the cubic graph is Lagrangian
+    surface = {
+        "vertical_harmonicity": im.vertical_harmonicity_residual,
+        "holomorphic_H": im.holomorphic_H_residual,
+        "divergence_identity": im.divergence_identity_residual,
+        "codazzi_identity": lambda f, t: im.codazzi_identity_residual(f),
+    }
+    maslov = {
+        "maslov_identity": lg.maslov_identity_residual,
+        "hamiltonian_stationary": lambda f, t: lg.hamiltonian_stationary_residual(f),
+    }
+    cases = [("round_sphere", {}, surface),
+             ("lagrangian_graph", {"potential": "cubic"}, {**surface, **maslov})]
+    for kind, params, checks in cases:
+        def fresh():
+            fld = im.build_immersion(kind, params, n=32)
+            return fld, im.twistor_lift(fld, +1)
+
+        for name, fn in checks.items():
+            first = fn(*fresh())
+            fld, tw = fresh()
+            for other, other_fn in checks.items():
+                if other != name:
+                    other_fn(fld, tw)
+            assert fn(fld, tw).as_dict() == first.as_dict(), (kind, name)
+
+
+def test_geometry_computed_once_per_rung(monkeypatch):
+    calls = {"second_fundamental_form": 0, "frame_connection": 0}
+    for fname in calls:
+        def counted(*args, _orig=getattr(im, fname), _name=fname, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(im, fname, counted)
+    ladder = [16, 24, 32]
+    scen = {"name": "round_sphere", "fixture": {"kind": "round_sphere", "params": {}},
+            "model_space": {"kind": "euclidean4"}, "grid_ladder": ladder,
+            "checks": ["vertical_harmonicity", "holomorphic_H", "divergence_identity",
+                       "codazzi_identity"], "expect": "converge"}
+    cli.run_scenario(scen)
+    assert calls == {"second_fundamental_form": len(ladder), "frame_connection": len(ladder)}

@@ -54,7 +54,6 @@ def test_su2_killing_negative_definite(su2):
 def test_so5_closed_with_bracket_table(so5):
     a = so5.algebra
     assert a.dim == 10
-    assert a.closure_residual() <= TOL
     # oracle: brute-force bracket table against structure constants
     for i in range(a.dim):
         for j in range(a.dim):
