@@ -247,12 +247,28 @@ def list_fixtures():
     return sorted(immersion.list_fixture_kinds() + ["exp_frame"])
 
 
+SCENARIO_KEYS = {"name", "fixture", "model_space", "grid_ladder", "checks", "expect",
+                 "tolerances", "lambda_samples", "lift_sign"}
+
+
 def load_scenario(path):
     path = pathlib.Path(path)
     try:
         scen = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot parse scenario {path}: {exc}") from exc
+    if not isinstance(scen, dict):
+        raise ScenarioError(f"scenario {path} is not a JSON object")
+    unknown = sorted(set(scen) - SCENARIO_KEYS)
+    if unknown:
+        raise ScenarioError(f"scenario {path} has unknown fields {unknown}")
+    raw = scen.get("lambda_samples")
+    if raw is not None and not (isinstance(raw, list) and raw):
+        raise ScenarioError("lambda_samples must be a non-empty list")
+    for d in raw or []:
+        if not (isinstance(d, dict) and set(d) == {"re", "im"}
+                and all(type(x) in (int, float) for x in d.values()) and (d["re"] or d["im"])):
+            raise ScenarioError(f"lambda sample {d!r} is not a nonzero {{'re': x, 'im': y}}")
     scen.setdefault("name", path.stem)
     for key in ("fixture", "grid_ladder", "checks", "expect"):
         if key not in scen:

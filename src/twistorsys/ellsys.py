@@ -81,9 +81,8 @@ def exp_frame(grid: SurfaceGrid, fixture: AlgebraFixture, xi, eta) -> FrameField
     """The two-parameter frame g(u, v) = exp(u X) exp(v Y), X, Y in coordinates."""
     X = fixture.algebra.matrix(np.asarray(xi, dtype=float))
     Y = fixture.algebra.matrix(np.asarray(eta, dtype=float))
-    us, vs = grid.u_coords(), grid.v_coords()
-    gu = np.stack([liealg.matrix_exp(u * X) for u in us])
-    gv = np.stack([liealg.matrix_exp(v * Y) for v in vs])
+    gu = liealg.matrix_exp(grid.u_coords()[:, None, None] * X)
+    gv = liealg.matrix_exp(grid.v_coords()[:, None, None] * Y)
     g = np.einsum("uij,vjk->uvik", gu, gv)
     return FrameField(grid=grid, fixture=fixture, g=g,
                       meta={"kind": "exp_frame", "X": np.asarray(xi), "Y": np.asarray(eta)})
@@ -95,9 +94,8 @@ def exp_frame_form(grid: SurfaceGrid, fixture: AlgebraFixture, xi, eta) -> LieVa
     alg = fixture.algebra
     X = alg.matrix(np.asarray(xi, dtype=float))
     Y = alg.matrix(np.asarray(eta, dtype=float))
-    vs = grid.v_coords()
-    rows = np.stack([alg.coords(liealg.matrix_exp(-v * Y) @ X @ liealg.matrix_exp(v * Y))
-                     for v in vs])  # (nv, d)
+    vY = grid.v_coords()[:, None, None] * Y
+    rows = alg.coords(liealg.matrix_exp(-vY) @ X @ liealg.matrix_exp(vY))  # (nv, d)
     a_u = np.broadcast_to(rows[None, :, :], (grid.nu, grid.nv, alg.dim)).astype(complex)
     a_v = np.broadcast_to(np.asarray(eta, dtype=complex), (grid.nu, grid.nv, alg.dim))
     return LieValuedOneForm(grid, alg, a_u.copy(), a_v.copy())
@@ -126,6 +124,21 @@ def _avg(a, b):
     return 0.5 * (a + b)
 
 
+def _step_exponentials(grid: SurfaceGrid, A_u, A_v):
+    """Trapezoidal steps exp(h * (A_i + A_(i+1)) / 2): E_u[i, j] from (i, j) to
+    (i+1, j), E_v[i, j] from (i, j) to (i, j+1); the last edge of a line wraps."""
+    E_u = liealg.matrix_exp(grid.hu * _avg(A_u, np.roll(A_u, -1, axis=0)))
+    E_v = liealg.matrix_exp(grid.hv * _avg(A_v, np.roll(A_v, -1, axis=1)))
+    return E_u, E_v
+
+
+def _frobenius(M):
+    """Frobenius norms of a stack of matrices, each summed as np.linalg.norm
+    sums a single matrix (a dot product of the flattened entries)."""
+    flat = M.reshape(M.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(flat, flat))
+
+
 def develop_frame(alpha: LieValuedOneForm, fixture: AlgebraFixture, g0=None,
                   flatness_warn: float = 1e-3) -> FrameField:
     """Integrate d + alpha along row-major paths (u first, then v).
@@ -134,6 +147,8 @@ def develop_frame(alpha: LieValuedOneForm, fixture: AlgebraFixture, g0=None,
     recovers smooth frames to second order.  Periodic directions report
     the holonomy defect |g_return - g_start| instead of wrapping.
     """
+    if not (np.all(np.isfinite(alpha.a_u)) and np.all(np.isfinite(alpha.a_v))):
+        raise NonFiniteExp("non-finite connection coefficient during development")
     rep = flatness_residual(alpha, margin=min(2, (alpha.grid.nu - 1) // 3))
     if rep.final_sup > flatness_warn * max(1.0, float(np.max(alpha.pointwise_norm()))):
         warnings.warn(f"developing a connection with flatness residual {rep.final_sup:.3e}; "
@@ -142,34 +157,23 @@ def develop_frame(alpha: LieValuedOneForm, fixture: AlgebraFixture, g0=None,
     grid = alpha.grid
     if np.max(np.abs(alpha.a_u.imag)) > 1e-12 or np.max(np.abs(alpha.a_v.imag)) > 1e-12:
         raise ValueError("can only develop real forms")
-    A_u = alg.matrix(alpha.a_u.real)
-    A_v = alg.matrix(alpha.a_v.real)
-    n = alg.ambient_dim
-    nu, nv, hu, hv = grid.nu, grid.nv, grid.hu, grid.hv
-    g = np.zeros((nu, nv, n, n))
-    g[0, 0] = np.eye(n) if g0 is None else np.asarray(g0, dtype=float)
-
-    def step(gcur, Aavg, h):
-        if not np.all(np.isfinite(Aavg)):
-            raise NonFiniteExp("non-finite connection coefficient during development")
-        return gcur @ liealg.matrix_exp(h * Aavg)
-
-    for i in range(1, nu):
-        g[i, 0] = step(g[i - 1, 0], _avg(A_u[i - 1, 0], A_u[i, 0]), hu)
-    for j in range(1, nv):
-        for i in range(nu):
-            g[i, j] = step(g[i, j - 1], _avg(A_v[i, j - 1], A_v[i, j]), hv)
+    # the path leaves row v = 0 only along u, so only that row needs u-steps
+    E_u, E_v = _step_exponentials(grid, alg.matrix(alpha.a_u[:, :1].real),
+                                  alg.matrix(alpha.a_v.real))
+    g = np.zeros(E_v.shape)
+    g[0, 0] = np.eye(alg.ambient_dim) if g0 is None else np.asarray(g0, dtype=float)
+    for i in range(1, grid.nu):
+        g[i, 0] = g[i - 1, 0] @ E_u[i - 1, 0]
+    for j in range(1, grid.nv):
+        g[:, j] = g[:, j - 1] @ E_v[:, j - 1]
 
     meta = {}
     if grid.periodic_u:
-        ret = step(g[-1, 0], _avg(A_u[-1, 0], A_u[0, 0]), hu)
+        ret = g[-1, 0] @ E_u[-1, 0]
         meta["holonomy_u"] = float(np.linalg.norm(ret - g[0, 0]))
     if grid.periodic_v:
-        defects = []
-        for i in range(nu):
-            ret = step(g[i, -1], _avg(A_v[i, -1], A_v[i, 0]), hv)
-            defects.append(np.linalg.norm(ret - g[i, 0]))
-        meta["holonomy_v"] = float(np.max(defects))
+        ret = g[:, -1] @ E_v[:, -1]
+        meta["holonomy_v"] = float(np.max(_frobenius(ret - g[:, 0])))
     return FrameField(grid=grid, fixture=fixture, g=g, meta=meta)
 
 
@@ -177,22 +181,12 @@ def plaquette_defects(alpha: LieValuedOneForm, fixture: AlgebraFixture) -> float
     """Max over elementary cells of |exp-step path A - path B| (u-then-v vs v-then-u)."""
     alg = fixture.algebra
     grid = alpha.grid
-    A_u = alg.matrix(alpha.a_u.real)
-    A_v = alg.matrix(alpha.a_v.real)
-    nu, nv, hu, hv = grid.nu, grid.nv, grid.hu, grid.hv
-    iu = range(nu) if grid.periodic_u else range(nu - 1)
-    iv = range(nv) if grid.periodic_v else range(nv - 1)
-    worst = 0.0
-    for i in iu:
-        i2 = (i + 1) % nu
-        for j in iv:
-            j2 = (j + 1) % nv
-            bot = liealg.matrix_exp(hu * _avg(A_u[i, j], A_u[i2, j]))
-            right = liealg.matrix_exp(hv * _avg(A_v[i2, j], A_v[i2, j2]))
-            left = liealg.matrix_exp(hv * _avg(A_v[i, j], A_v[i, j2]))
-            top = liealg.matrix_exp(hu * _avg(A_u[i, j2], A_u[i2, j2]))
-            worst = max(worst, float(np.linalg.norm(bot @ right - left @ top)))
-    return worst
+    E_u, E_v = _step_exponentials(grid, alg.matrix(alpha.a_u.real), alg.matrix(alpha.a_v.real))
+    # cell (i, j): bottom then right edge against left then top edge; along a
+    # non-periodic direction the last cell would close through the wrapped step
+    D = E_u @ np.roll(E_v, -1, axis=0) - E_v @ np.roll(E_u, -1, axis=1)
+    D = D[:None if grid.periodic_u else -1, :None if grid.periodic_v else -1]
+    return float(np.max(_frobenius(D)))
 
 
 # -------------------------------------------------------------- gauge action
@@ -233,11 +227,7 @@ def stabilizer_gauge_field(fixture: AlgebraFixture, grid: SurfaceGrid, f, xi=Non
         xi = fixture.h_basis[0]
     X = fixture.algebra.matrix(np.asarray(xi, dtype=float))
     f = np.asarray(f, dtype=float)
-    out = np.zeros((grid.nu, grid.nv) + X.shape)
-    for i in range(grid.nu):
-        for j in range(grid.nv):
-            out[i, j] = liealg.matrix_exp(f[i, j] * X)
-    return out
+    return liealg.matrix_exp(f[..., None, None] * X)
 
 
 # ------------------------------------------------------- frames from geometry

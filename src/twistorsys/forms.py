@@ -194,12 +194,6 @@ class ResidualReport:
         out.entries.sort(key=lambda e: -e.h)
         return out
 
-    def csv_rows(self):
-        rows = ["name,h,sup,l2"]
-        for e in self.entries:
-            rows.append(f"{self.name},{e.h:.17g},{e.sup:.17g},{e.l2:.17g}")
-        return rows
-
     def as_dict(self):
         return {"name": self.name,
                 "entries": [{"h": e.h, "sup": e.sup, "l2": e.l2} for e in self.entries],

@@ -53,13 +53,13 @@ GRADES = (0, 1, 2, -1)
 def matrix_exp(X):
     """Matrix exponential (scaling-and-squaring Pade via scipy).
 
+    X is one (n, n) matrix or a stack (..., n, n); each slice is
+    exponentiated on its own, exactly as a single matrix would be.
     exp(0) is the exact identity.
     """
     X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
         raise NonFinite("matrix_exp: input has non-finite entries")
-    if not X.any():
-        return np.eye(X.shape[0])
     return scipy.linalg.expm(X)
 
 
@@ -113,9 +113,6 @@ class LieAlgebraRep:
             if err > atol * scale:
                 raise NotClosed(f"matrix not in span of basis (residual {err:.3e})")
         return xi
-
-    def bracket_matrix(self, X, Y):
-        return X @ Y - Y @ X
 
     def bracket_coords(self, xi, eta):
         """Bracket of coordinate vectors via structure constants (any leading axes)."""

@@ -1,6 +1,8 @@
 """Scenario runner: parsing, exit codes, reports, determinism."""
 import json
 
+import pytest
+
 from twistorsys import cli
 
 
@@ -51,6 +53,8 @@ def test_parse_error_exit_two(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
     assert cli.run(bad, out_dir=tmp_path / "rep", echo=quiet) == 2
+    bad.write_text("[1, 2]")  # valid JSON, but not an object
+    assert cli.run(bad, out_dir=tmp_path / "rep", echo=quiet) == 2
 
 
 def test_unknown_fixture_exit_two(tmp_path):
@@ -79,6 +83,18 @@ def test_empty_checks_empty_report(tmp_path):
 def test_missing_field_exit_two(tmp_path):
     path = tmp_path / "scen.json"
     path.write_text(json.dumps({"fixture": {"kind": "plane"}}))
+    assert cli.run(path, out_dir=tmp_path / "rep", echo=quiet) == 2
+
+
+@pytest.mark.parametrize("overrides", [
+    {"lambda_samples": [{"re": 0.0}]},
+    {"lambda_samples": [{"re": 0, "im": 0}]},
+    {"lambda_samples": []},
+    {"tolerance": {"slope_min": 1.5}},
+    {"lambda_sample": [{"re": 0.0, "im": 1.0}]},
+])
+def test_malformed_or_misspelt_field_exit_two(tmp_path, overrides):
+    path = write_scenario(tmp_path, checks=["zero_curvature_scan"], **overrides)
     assert cli.run(path, out_dir=tmp_path / "rep", echo=quiet) == 2
 
 

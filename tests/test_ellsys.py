@@ -223,6 +223,87 @@ def test_holonomy_defect_small_on_torus_frame():
     assert dev.meta["holonomy_v"] <= 10 * h ** 2
 
 
+# per-point loop references: the batched development, plaquette and gauge
+# paths do the same arithmetic, so they must agree bit for bit
+
+def _avg(a, b):
+    return 0.5 * (a + b)
+
+
+def loop_develop_frame(alpha, fixture):
+    alg, grid = fixture.algebra, alpha.grid
+    A_u, A_v = alg.matrix(alpha.a_u.real), alg.matrix(alpha.a_v.real)
+    nu, nv, hu, hv = grid.nu, grid.nv, grid.hu, grid.hv
+    g = np.zeros((nu, nv) + A_u.shape[-2:])
+    g[0, 0] = np.eye(alg.ambient_dim)
+
+    def step(gcur, Aavg, h):
+        return gcur @ liealg.matrix_exp(h * Aavg)
+
+    for i in range(1, nu):
+        g[i, 0] = step(g[i - 1, 0], _avg(A_u[i - 1, 0], A_u[i, 0]), hu)
+    for j in range(1, nv):
+        for i in range(nu):
+            g[i, j] = step(g[i, j - 1], _avg(A_v[i, j - 1], A_v[i, j]), hv)
+    meta = {}
+    if grid.periodic_u:
+        ret = step(g[-1, 0], _avg(A_u[-1, 0], A_u[0, 0]), hu)
+        meta["holonomy_u"] = float(np.linalg.norm(ret - g[0, 0]))
+    if grid.periodic_v:
+        defects = [np.linalg.norm(step(g[i, -1], _avg(A_v[i, -1], A_v[i, 0]), hv) - g[i, 0])
+                   for i in range(nu)]
+        meta["holonomy_v"] = float(np.max(defects))
+    return g, meta
+
+
+def loop_plaquette_defects(alpha, fixture):
+    alg, grid = fixture.algebra, alpha.grid
+    A_u, A_v = alg.matrix(alpha.a_u.real), alg.matrix(alpha.a_v.real)
+    nu, nv, hu, hv = grid.nu, grid.nv, grid.hu, grid.hv
+    worst = 0.0
+    for i in range(nu) if grid.periodic_u else range(nu - 1):
+        i2 = (i + 1) % nu
+        for j in range(nv) if grid.periodic_v else range(nv - 1):
+            j2 = (j + 1) % nv
+            bot = liealg.matrix_exp(hu * _avg(A_u[i, j], A_u[i2, j]))
+            right = liealg.matrix_exp(hv * _avg(A_v[i2, j], A_v[i2, j2]))
+            left = liealg.matrix_exp(hv * _avg(A_v[i, j], A_v[i, j2]))
+            top = liealg.matrix_exp(hu * _avg(A_u[i, j2], A_u[i2, j2]))
+            worst = max(worst, float(np.linalg.norm(bot @ right - left @ top)))
+    return worst
+
+
+def loop_stabilizer_gauge_field(fixture, grid, f):
+    X = fixture.algebra.matrix(fixture.h_basis[0])
+    out = np.zeros((grid.nu, grid.nv) + X.shape)
+    for i in range(grid.nu):
+        for j in range(grid.nv):
+            out[i, j] = liealg.matrix_exp(f[i, j] * X)
+    return out
+
+
+def test_batched_paths_equal_loop_references():
+    import warnings
+    _, _, _, torus, fx_torus = geometry("clifford_torus", 24)
+    fx = load_algebra_fixture("so5_s4")
+    rng = np.random.default_rng(2)
+    chart = ellsys.exp_frame_form(unit_grid(20), fx, rng.standard_normal(10),
+                                  rng.standard_normal(10))
+    for alpha, fixture in ((torus, fx_torus), (chart, fx)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the sampled torus frame is O(h^2) off flat
+            dev = ellsys.develop_frame(alpha, fixture)
+        g, meta = loop_develop_frame(alpha, fixture)
+        assert np.array_equal(dev.g, g)
+        assert dev.meta == meta
+        assert ("holonomy_v" in meta) == alpha.grid.periodic_v
+        assert ellsys.plaquette_defects(alpha, fixture) == loop_plaquette_defects(alpha, fixture)
+        U, V = alpha.grid.mesh()
+        f = 0.3 * np.sin(U) * np.cos(2 * V)
+        assert np.array_equal(ellsys.stabilizer_gauge_field(fixture, alpha.grid, f),
+                              loop_stabilizer_gauge_field(fixture, alpha.grid, f))
+
+
 def test_develop_nonfinite():
     fx = load_algebra_fixture("so5_s4")
     g = unit_grid(10)

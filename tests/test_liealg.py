@@ -331,6 +331,22 @@ def test_stabilizer_identity_tau(so5):
 
 def test_matrix_exp_zero_exact():
     assert np.array_equal(liealg.matrix_exp(np.zeros((3, 3))), np.eye(3))
+    for zeros in (np.zeros((4, 3, 3)), -np.zeros((2, 2, 5, 5))):
+        assert np.array_equal(liealg.matrix_exp(zeros),
+                              np.broadcast_to(np.eye(zeros.shape[-1]), zeros.shape))
+
+
+def test_matrix_exp_stack_equals_loop():
+    # generic, zero, diagonal and nilpotent slices take different scipy paths
+    rng = np.random.default_rng(5)
+    scales = np.array([0.01, 0.3, 1.0, 4.0, 1.0, 1.0])
+    stack = rng.standard_normal((6, 5, 5)) * scales[:, None, None]
+    stack[4] = 0.0
+    stack[5] = np.diag(rng.standard_normal(5))
+    stack = np.concatenate([stack, np.triu(rng.standard_normal((1, 5, 5)), 1)])
+    batched = liealg.matrix_exp(stack)
+    assert np.array_equal(batched, np.stack([liealg.matrix_exp(X) for X in stack]))
+    assert np.array_equal(liealg.matrix_exp(stack.reshape(7, 1, 5, 5)), batched[:, None])
 
 
 def test_matrix_exp_rotation():
@@ -348,3 +364,7 @@ def test_matrix_exp_nilpotent_polynomial():
 def test_matrix_exp_nonfinite():
     with pytest.raises(liealg.NonFinite):
         liealg.matrix_exp(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+    stack = np.zeros((3, 2, 2))
+    stack[1, 0, 1] = np.nan
+    with pytest.raises(liealg.NonFinite):
+        liealg.matrix_exp(stack)
