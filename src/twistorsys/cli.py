@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import pathlib
 import sys
 from dataclasses import dataclass
@@ -50,9 +51,14 @@ class Tolerances:
     @classmethod
     def from_dict(cls, d):
         t = cls()
-        for k, v in (d or {}).items():
+        d = {} if d is None else d
+        if not isinstance(d, dict):
+            raise ScenarioError("tolerances must be an object")
+        for k, v in d.items():
             if not hasattr(t, k):
                 raise ScenarioError(f"unknown tolerance {k!r}")
+            if type(v) not in (int, float) or not math.isfinite(v):
+                raise ScenarioError(f"tolerance {k!r} is not a finite number: {v!r}")
             setattr(t, k, float(v))
         return t
 
@@ -273,6 +279,10 @@ def load_scenario(path):
     for key in ("fixture", "grid_ladder", "checks", "expect"):
         if key not in scen:
             raise ScenarioError(f"scenario {path} misses field {key!r}")
+    ladder = scen["grid_ladder"]
+    if not (isinstance(ladder, list) and ladder
+            and all(type(n) is int and n >= 8 for n in ladder)):
+        raise ScenarioError(f"grid_ladder {ladder!r} is not a non-empty list of integers >= 8")
     scen.setdefault("model_space", {"kind": "euclidean4"})
     kind = scen["fixture"].get("kind")
     if kind != "exp_frame" and kind not in immersion.FIXTURE_BUILDERS:

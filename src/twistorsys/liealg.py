@@ -9,6 +9,7 @@ idempotents and carry no eigenvalue-ordering ambiguity.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +64,59 @@ def matrix_exp(X):
     return scipy.linalg.expm(X)
 
 
+def _nonzero_terms(table):
+    """The nonzeros of a bilinear table (i, j, k) as {k: [(i, j, c), ...]}.
+
+    np.nonzero walks the table in C order, so the terms of each k come in
+    (i, j) order, the order in which np.einsum("...i,...j,ijk->...k") sums
+    them.
+    """
+    terms = {}
+    for i, j, k in zip(*np.nonzero(table)):
+        terms.setdefault(int(k), []).append((int(i), int(j), float(table[i, j, k])))
+    return terms
+
+
+def _axis_first_parts(x, dtype):
+    """x cast to dtype, last axis first, as (real,) or (real, imaginary) arrays."""
+    x = np.moveaxis(np.asarray(x, dtype=dtype), -1, 0)
+    parts = (x.real, x.imag) if dtype.kind == "c" else (x,)
+    return tuple(np.ascontiguousarray(p) for p in parts)
+
+
+def _bilinear(x, y, table, terms):
+    """sum_ij x[..., i] y[..., j] table[i, j, k] from the nonzero `terms` of `table`.
+
+    x and y broadcast over their leading axes.  The result equals
+    np.einsum("...i,...j,ijk->...k", x, y, table) bit for bit: each k sums
+    its terms in the einsum's order, and a complex product is formed from
+    real and imaginary parts the way the einsum forms it (numpy's complex
+    multiply rounds differently).
+    """
+    dtype = np.result_type(x, y, table)
+    xs = _axis_first_parts(x, dtype)
+    ys = _axis_first_parts(y, dtype)
+    out = np.zeros(np.broadcast_shapes(xs[0].shape[1:], ys[0].shape[1:]) + (table.shape[2],),
+                   dtype)
+    if dtype.kind == "c":
+        (xr, xi), (yr, yi) = xs, ys
+
+        def product(i, j):
+            return xr[i] * yr[j] - xi[i] * yi[j], xr[i] * yi[j] + xi[i] * yr[j]
+    else:
+        def product(i, j):
+            return (xs[0][i] * ys[0][j],)
+
+    out_parts = (out.real, out.imag)[:len(xs)]
+    for k, row in terms.items():
+        acc = [0.0] * len(xs)
+        for i, j, c in row:
+            acc = [a + p * c for a, p in zip(acc, product(i, j))]
+        for part, a in zip(out_parts, acc):
+            part[..., k] = a
+    return out
+
+
 def _vec(mats):
     mats = np.asarray(mats, dtype=float)
     return mats.reshape(mats.shape[0], -1)
@@ -114,9 +168,17 @@ class LieAlgebraRep:
                 raise NotClosed(f"matrix not in span of basis (residual {err:.3e})")
         return xi
 
+    @functools.cached_property
+    def _structure_terms(self):
+        return _nonzero_terms(self.structure)
+
     def bracket_coords(self, xi, eta):
-        """Bracket of coordinate vectors via structure constants (any leading axes)."""
-        return np.einsum("...i,...j,ijk->...k", xi, eta, self.structure)
+        """Bracket of coordinate vectors via structure constants (any leading axes).
+
+        Loops over the nonzero structure constants (52 of 1000 for se4_r4,
+        60 for so5_s4), found once per algebra.
+        """
+        return _bilinear(xi, eta, self.structure, self._structure_terms)
 
     def ad(self, xi):
         """Coordinate matrix of ad(xi): eta -> [xi, eta]."""

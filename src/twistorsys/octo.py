@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import immersion
+from . import immersion, liealg
 
 
 class NotUnitImaginary(Exception):
@@ -60,13 +60,14 @@ def _cayley_dickson(T):
 
 
 OCTONION_TABLE = _cayley_dickson(_quaternion_table())
+_OCTONION_TERMS = liealg._nonzero_terms(OCTONION_TABLE)
 
 
 def multiply(a, b):
     """Octonion product; supports leading broadcast axes on 8-vectors."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return np.einsum("...i,...j,ijk->...k", a, b, OCTONION_TABLE)
+    return liealg._bilinear(a, b, OCTONION_TABLE, _OCTONION_TERMS)
 
 
 def conjugate(a):

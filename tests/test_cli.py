@@ -1,8 +1,13 @@
 """Scenario runner: parsing, exit codes, reports, determinism."""
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import twistorsys
 from twistorsys import cli
 
 
@@ -92,6 +97,11 @@ def test_missing_field_exit_two(tmp_path):
     {"lambda_samples": []},
     {"tolerance": {"slope_min": 1.5}},
     {"lambda_sample": [{"re": 0.0, "im": 1.0}]},
+    {"tolerances": {"slope_min": "steep"}},
+    {"grid_ladder": [4]},
+    {"tolerances": {"final_sup_max": float("nan")}},
+    {"grid_ladder": []},
+    {"grid_ladder": [16, 24.0]},
 ])
 def test_malformed_or_misspelt_field_exit_two(tmp_path, overrides):
     path = write_scenario(tmp_path, checks=["zero_curvature_scan"], **overrides)
@@ -123,6 +133,17 @@ def test_main_subcommands(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "clifford_torus" in out and "flatness" in out
     assert cli.main([]) == 2  # no subcommand: usage, exit 2
+
+
+def test_module_entry_point_imports_cli_once():
+    # the package imports cli lazily, so running it as a module does not warn
+    # that twistorsys.cli was already in sys.modules
+    src = str(pathlib.Path(twistorsys.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "twistorsys.cli",
+                          "list-checks"], capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == cli.list_checks()
 
 
 def test_main_run(tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistorsys import ellsys, forms
+from twistorsys import immersion as im
 from twistorsys.fixtures import load_algebra_fixture
 
 
@@ -346,6 +347,88 @@ def test_scan_empty_samples(so5):
     alpha = random_form(unit_grid(8), so5.algebra, 0)
     with pytest.raises(forms.ZeroLambda):
         forms.zero_curvature_scan(alpha, so5.aut, [])
+    with pytest.raises(forms.ZeroLambda):
+        forms.zero_curvature_scan(alpha, so5.aut, [1.0, 0.0])
+
+
+def sampled_scan(alpha, aut, lams, margin=2):
+    """Oracle: the curvature of `loop_form` rebuilt at every sample."""
+    entries = [forms.curvature_residual(forms.loop_form(alpha, aut, lam), margin=margin).entries[0]
+               for lam in lams]
+    return max(e.sup for e in entries), max(e.l2 for e in entries)
+
+
+def assert_scan_matches_oracle(alpha, aut, lams=None):
+    rep = forms.zero_curvature_scan(alpha, aut, lams)
+    lams = forms.default_lambda_samples() if lams is None else lams
+    assert rep.meta["n_lambda"] == len(lams)
+    got = (rep.entries[0].sup, rep.entries[0].l2)
+    for value, oracle in zip(got, sampled_scan(alpha, aut, lams)):
+        # relative above the roundoff floor, absolute at it
+        assert abs(value - oracle) <= (1e-12 * oracle if oracle > 1e-10 else 1e-14), (value, oracle)
+    return rep
+
+
+def adapted_frame_form(kind, n):
+    fld = im.build_immersion(kind, {}, n=n)
+    _, alpha = ellsys.frame_from_geometry(fld, im.twistor_lift(fld))
+    return alpha, fld.space.algebra_fixture().aut
+
+
+@pytest.mark.parametrize("kind", ["clifford_torus", "clifford_torus_s4"])
+def test_scan_equals_sampled_oracle_on_clifford_tori(kind):
+    alpha, aut = adapted_frame_form(kind, 32)
+    rep = assert_scan_matches_oracle(alpha, aut)
+    assert rep.final_sup <= 1e-10
+
+
+def test_scan_equals_sampled_oracle_on_exp_frame(so5):
+    rng = np.random.default_rng(4)
+    xi, eta = rng.standard_normal(10), rng.standard_normal(10)
+    alpha = ellsys.exp_frame_form(unit_grid(24), so5, xi / np.linalg.norm(xi),
+                                  eta / np.linalg.norm(eta))
+    assert_scan_matches_oracle(alpha, so5.aut)
+    assert assert_scan_matches_oracle(alpha, so5.aut, [1j]).final_sup >= 1e-2
+
+
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.complex_numbers(min_magnitude=0.25, max_magnitude=4.0,
+                                   allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=4))
+@settings(max_examples=20, deadline=None)
+def test_scan_equals_sampled_oracle_on_drawn_forms(seed, lams):
+    fx = load_algebra_fixture("so5_s4" if seed % 2 else "se4_r4")
+    alpha = random_form(unit_grid(10), fx.algebra, seed)
+    assert_scan_matches_oracle(alpha, fx.aut, lams)
+
+
+@pytest.mark.parametrize("source", ["clifford_torus", "drawn"])
+def test_laurent_top_slot_is_covariant_closure(so5, source):
+    if source == "drawn":
+        alpha, aut = random_form(unit_grid(12), so5.algebra, 7), so5.aut
+    else:
+        alpha, aut = adapted_frame_form(source, 24)
+    g = forms.grade_decompose(alpha, aut)
+    a2_10, _ = forms.type_decompose(g[2])
+    closure = (forms.exterior_derivative(a2_10).value
+               + forms.wedge_bracket(g[0], a2_10).value)
+    F2 = forms.laurent_curvature(alpha, aut)[2]
+    assert np.max(np.abs(F2 - closure)) <= 1e-14 * max(1.0, np.max(np.abs(closure)))
+    meta = forms.zero_curvature_scan(alpha, aut).meta
+    assert meta["laurent_sup_2"] == ellsys.covariant_closure_residual(alpha, aut).final_sup
+
+
+def test_scan_meta_names_the_failing_slot(so5):
+    # the flat k-valued frame of test_scan_flat_but_graded_violation has no
+    # grade +-1 part, so only the even slots can carry the violation
+    kb = so5.split.k_basis
+    xi, eta = kb[0] + kb[3], kb[1] + kb[4]
+    alpha = ellsys.exp_frame_form(unit_grid(24), so5, xi / np.linalg.norm(xi),
+                                  eta / np.linalg.norm(eta))
+    meta = forms.zero_curvature_scan(alpha, so5.aut).meta
+    assert sorted(meta) == sorted(["n_lambda"] + [f"laurent_sup_{k}" for k in (2, 1, 0, -1, -2)])
+    assert meta["laurent_sup_1"] <= 1e-14 and meta["laurent_sup_-1"] <= 1e-14
+    assert min(meta["laurent_sup_2"], meta["laurent_sup_-2"]) >= 1e-2
 
 
 # -------------------------------------------------------------- residual report

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistorsys import liealg
+from twistorsys import liealg, octo
 from twistorsys.fixtures import load_algebra_fixture
 
 TOL = 1e-10
@@ -91,6 +91,35 @@ def test_jacobi_identity(so5, su2, se4):
                  + a.bracket_coords(y, a.bracket_coords(z, x))
                  + a.bracket_coords(z, a.bracket_coords(x, y)))
             assert np.max(np.abs(s)) <= TOL
+
+
+@pytest.mark.parametrize("table", ["se4_r4", "so5_s4", "su2_order4", "octonion"])
+def test_sparse_bracket_kernel_equals_einsum(table):
+    # oracle: the dense three-operand einsum the kernel replaces, bit for bit,
+    # for real, complex and mixed operands with 1 to 3 leading axes, some of
+    # them broadcast
+    if table == "octonion":
+        T, call = octo.OCTONION_TABLE, None
+    else:
+        alg = load_algebra_fixture(table).algebra
+        T, call = alg.structure, alg.bracket_coords
+    terms = liealg._nonzero_terms(T)
+    assert sum(len(row) for row in terms.values()) == np.count_nonzero(T)
+    d = T.shape[0]
+    rng = np.random.default_rng(11)
+    shapes = [((), ()), ((5,), (5,)), ((7, 6), (7, 6)), ((3, 4, 5), (3, 4, 5)),
+              ((4, 1), (1, 6)), ((), (3, 5)), ((2, 3, 1), (4,))]
+    for xs, ys in shapes:
+        for cx, cy in ((False, False), (True, True), (False, True), (True, False)):
+            x = rng.standard_normal(xs + (d,)) + (1j * rng.standard_normal(xs + (d,)) if cx else 0)
+            y = rng.standard_normal(ys + (d,)) + (1j * rng.standard_normal(ys + (d,)) if cy else 0)
+            oracle = np.einsum("...i,...j,ijk->...k", x, y, T)
+            for out in [liealg._bilinear(x, y, T, terms)] + ([call(x, y)] if call else []):
+                assert out.dtype == oracle.dtype and out.shape == oracle.shape
+                assert np.array_equal(out, oracle), (xs, ys, cx, cy)
+    if table == "octonion":
+        x, y = rng.standard_normal((2, 9, 8)), rng.standard_normal((9, 8))
+        assert np.array_equal(octo.multiply(x, y), np.einsum("...i,...j,ijk->...k", x, y, T))
 
 
 # ------------------------------------------------- automorphisms and projectors
