@@ -96,8 +96,6 @@ class RungContext:
     @functools.cached_property
     def space(self):
         ms = self.scenario["model_space"]
-        if isinstance(ms, str):
-            ms = {"kind": ms}
         return symspace.model_space(ms["kind"], **ms.get("params", {}))
 
     @functools.cached_property
@@ -255,6 +253,8 @@ def list_fixtures():
 
 SCENARIO_KEYS = {"name", "fixture", "model_space", "grid_ladder", "checks", "expect",
                  "tolerances", "lambda_samples", "lift_sign"}
+EXPECTATIONS = ("converge", "stay_large", "exact")
+EXP_FRAME_PARAMS = {"algebra", "seed", "xi", "eta"}
 
 
 def load_scenario(path):
@@ -283,10 +283,31 @@ def load_scenario(path):
     if not (isinstance(ladder, list) and ladder
             and all(type(n) is int and n >= 8 for n in ladder)):
         raise ScenarioError(f"grid_ladder {ladder!r} is not a non-empty list of integers >= 8")
+    if scen["expect"] not in EXPECTATIONS:
+        raise ScenarioError(f"unknown expectation {scen['expect']!r}, expected one of {EXPECTATIONS}")
     scen.setdefault("model_space", {"kind": "euclidean4"})
+    for key in ("fixture", "model_space"):
+        if not isinstance(scen[key], dict):
+            raise ScenarioError(f"{key} must be an object, not {scen[key]!r}")
+    ms = scen["model_space"]
+    try:
+        symspace.model_space(ms.get("kind"), **ms.get("params", {}))
+    except (KeyError, TypeError) as exc:
+        raise ScenarioError(f"unusable model_space {ms!r}: {exc}") from exc
     kind = scen["fixture"].get("kind")
-    if kind != "exp_frame" and kind not in immersion.FIXTURE_BUILDERS:
+    params = scen["fixture"].get("params", {})
+    if not isinstance(params, dict):
+        raise ScenarioError(f"fixture params must be an object, not {params!r}")
+    if kind == "exp_frame":
+        known = EXP_FRAME_PARAMS
+    elif kind in immersion.FIXTURE_BUILDERS:
+        known = immersion.fixture_params(kind)
+    else:
         raise ScenarioError(f"unknown fixture {kind!r}")
+    unknown = sorted(set(params) - known)
+    if unknown:
+        raise ScenarioError(f"fixture {kind!r} does not take params {unknown}; "
+                            f"it takes {sorted(known)}")
     for c in scen["checks"]:
         if c not in CHECKS:
             raise ScenarioError(f"unknown check {c!r}")

@@ -411,26 +411,32 @@ def _default_grid(kind, params, n):
     return _grid(n, -1.0, 1.0, -1.0, 1.0)
 
 
+# kind -> (builder, default model space, the params the builder and its grid read)
 FIXTURE_BUILDERS = {
-    "plane": (_plane, "euclidean4"),
-    "graph": (_graph, "euclidean4"),
-    "round_sphere": (_round_sphere, "euclidean4"),
-    "clifford_torus": (_clifford_torus, "euclidean4"),
-    "clifford_torus_s4": (_clifford_torus_s4, "sphere4"),
-    "product_torus": (_product_torus, "complex2"),
-    "perturbed_torus": (_perturbed_torus, "euclidean4"),
-    "helicoid": (_helicoid, "euclidean4"),
-    "lagrangian_plane": (_lagrangian_plane, "complex2"),
-    "lagrangian_graph": (_lagrangian_graph, "complex2"),
-    "complex_line": (_complex_line, "complex2"),
-    "branched_disk": (_branched_disk, "euclidean4"),
-    "octonion_plane": (_octonion_plane, "euclidean8"),
-    "octonion_graph": (_octonion_graph, "euclidean8"),
+    "plane": (_plane, "euclidean4", ()),
+    "graph": (_graph, "euclidean4", ("amplitude",)),
+    "round_sphere": (_round_sphere, "euclidean4", ("r",)),
+    "clifford_torus": (_clifford_torus, "euclidean4", ("a",)),
+    "clifford_torus_s4": (_clifford_torus_s4, "sphere4", ()),
+    "product_torus": (_product_torus, "complex2", ("r1", "r2")),
+    "perturbed_torus": (_perturbed_torus, "euclidean4", ("eps",)),
+    "helicoid": (_helicoid, "euclidean4", ()),
+    "lagrangian_plane": (_lagrangian_plane, "complex2", ()),
+    "lagrangian_graph": (_lagrangian_graph, "complex2", ("potential",)),
+    "complex_line": (_complex_line, "complex2", ()),
+    "branched_disk": (_branched_disk, "euclidean4", ()),
+    "octonion_plane": (_octonion_plane, "euclidean8", ("axes",)),
+    "octonion_graph": (_octonion_graph, "euclidean8", ()),
 }
 
 
 def list_fixture_kinds():
     return sorted(FIXTURE_BUILDERS)
+
+
+def fixture_params(kind):
+    """Names of the params `build_immersion(kind, params)` reads."""
+    return set(FIXTURE_BUILDERS[kind][2]) | {"allow_nonconformal"}
 
 
 def build_immersion(kind, params=None, grid=None, n=32, space=None,
@@ -445,7 +451,7 @@ def build_immersion(kind, params=None, grid=None, n=32, space=None,
     params = dict(params or {})
     if kind not in FIXTURE_BUILDERS:
         raise KeyError(f"unknown fixture kind {kind!r}")
-    builder, default_space = FIXTURE_BUILDERS[kind]
+    builder, default_space, _ = FIXTURE_BUILDERS[kind]
     if grid is None:
         grid = _default_grid(kind, params, n)
     U, V = grid.mesh()
@@ -532,11 +538,10 @@ def second_fundamental_form(field: ImmersionField) -> SecondFundamentalForm:
     D12_alt = partial_v(grid, field.dphi_u)
     D22 = partial_v(grid, field.dphi_v)
     inv = 1.0 / np.maximum(field.conformal_factor, 1e-30)
-    N = field.normal_frame
-    coeffs = np.stack([np.einsum("uvqm,uvm,uv->uvq", N, D, inv)
-                       for D in (D11, D12, D22)], axis=-2)
-    cross = np.einsum("uvqm,uvm,uv->uvq", N, D12_alt, inv)
-    return SecondFundamentalForm(grid=grid, coeffs=coeffs, crosscheck_12=cross)
+    # normal components of all four derivatives at once: (nu, nv, q, 4)
+    P = field.normal_frame @ np.stack([D11, D12, D22, D12_alt], axis=-1) * inv[..., None, None]
+    coeffs = np.swapaxes(P[..., :3], -1, -2)
+    return SecondFundamentalForm(grid=grid, coeffs=coeffs, crosscheck_12=P[..., 3])
 
 
 def mean_curvature(II: SecondFundamentalForm):
@@ -602,8 +607,8 @@ def lift_from_octonion_structure(field: ImmersionField, j_ambient) -> TwistorFie
     """Wrap an ambient orthogonal complex structure as a TwistorField in frames."""
     e = np.stack([field.e1, field.e2], axis=-2)
     N = field.normal_frame
-    j_T = np.einsum("uvam,uvmk,uvbk->uvab", e, j_ambient, e)
-    j_N = np.einsum("uvpm,uvmk,uvqk->uvpq", N, j_ambient, N)
+    j_T = e @ j_ambient @ np.swapaxes(e, -1, -2)
+    j_N = N @ j_ambient @ np.swapaxes(N, -1, -2)
     return TwistorField(grid=field.grid, sign=+1, j_ambient=np.asarray(j_ambient),
                         j_T=j_T, j_N=j_N, eps=0)
 
@@ -621,7 +626,7 @@ def frame_connection(field: ImmersionField):
     N = field.normal_frame
 
     def coeff(F, dF):
-        raw = np.einsum("uvam,uvbm->uvab", F, dF)
+        raw = F @ np.swapaxes(dF, -1, -2)
         return 0.5 * (raw - np.swapaxes(raw, -1, -2))
 
     om_u = coeff(E, partial_u(grid, E))
@@ -638,7 +643,7 @@ def split_II(II: SecondFundamentalForm, tw: TwistorField) -> SplitII:
     the conjugation C(A) = j_N A j_T is an involution on Hom(T, N).
     """
     M = II.hom()
-    conj = np.einsum("uvpq,uvxqb,uvbc->uvxpc", tw.j_N, M, tw.j_T)
+    conj = tw.j_N[:, :, None] @ M @ tw.j_T[:, :, None]
     minus = 0.5 * (M + conj)
     plus = 0.5 * (M - conj)
     return SplitII(plus=plus, minus=minus)
@@ -670,8 +675,8 @@ def normal_connection_derivative(field: ImmersionField, H):
     """(nabla_perp_du H, nabla_perp_dv H) in normal coefficients."""
     grid = field.grid
     _, _, wn_u, wn_v = field.connection
-    G_u = partial_u(grid, H) + np.einsum("uvpq,uvq->uvp", wn_u, H)
-    G_v = partial_v(grid, H) + np.einsum("uvpq,uvq->uvp", wn_v, H)
+    G_u = partial_u(grid, H) + (wn_u @ H[..., None])[..., 0]
+    G_v = partial_v(grid, H) + (wn_v @ H[..., None])[..., 0]
     return G_u, G_v
 
 
@@ -687,7 +692,7 @@ def holomorphic_H_residual(field: ImmersionField, tw: TwistorField,
                            margin: int = 2) -> ResidualReport:
     """Norm of nabla_perp_du H + j nabla_perp_dv H (the anti-holomorphic part)."""
     G_u, G_v = field.grad_H
-    resid = G_u + np.einsum("uvpq,uvq->uvp", tw.j_N, G_v)
+    resid = G_u + (tw.j_N @ G_v[..., None])[..., 0]
     return masked_report("holomorphic_H", field.grid.h, np.linalg.norm(resid, axis=-1),
                          field.report_mask(margin))
 
@@ -709,8 +714,7 @@ def divergence_identity_residual(field: ImmersionField, tw: TwistorField,
     inv2 = 1.0 / np.maximum(field.conformal_factor, 1e-30)
     lhs = inv2[..., None, None] * _hom_covariant_divergence(field, split_II(field.II, tw).minus)
     Ghom = _grad_H_hom(field)
-    conj = np.einsum("uvpq,uvqb,uvbc->uvpc", tw.j_N, Ghom, tw.j_T)
-    rhs = Ghom + conj  # = 2 pi_minus(Ghom)
+    rhs = Ghom + tw.j_N @ Ghom @ tw.j_T  # = 2 pi_minus(Ghom)
     return masked_report("divergence_identity", field.grid.h, _frobenius(lhs - rhs),
                          field.report_mask(margin))
 
@@ -724,15 +728,15 @@ def codazzi_identity_residual(field: ImmersionField, space=None,
     inv2 = 1.0 / np.maximum(field.conformal_factor, 1e-30)
     lhs = inv2[..., None, None] * _hom_covariant_divergence(field, field.II.hom())
     Ghom = _grad_H_hom(field)
-    N = field.normal_frame
-    Rterm = np.zeros_like(Ghom)
-    for b, Xb in enumerate((field.e1, field.e2)):
+    cols = []   # sum_i R(e_i, X) e_i for X in (e1, e2), as (nu, nv, m, 1) columns
+    for Xb in (field.e1, field.e2):
         acc = None
         for ei in (field.e1, field.e2):
             # one (nu, nv, m, m) operator alive at a time: it sets the peak memory
-            vec =np.einsum("uvij,uvj->uvi", symspace.curvature_operator(space, ei, Xb), ei)
+            vec = symspace.curvature_operator(space, ei, Xb) @ ei[..., None]
             acc = vec if acc is None else acc + vec
-        Rterm[..., :, b] = np.einsum("uvpm,uvm->uvp", N, acc)
+        cols.append(acc)
+    Rterm = field.normal_frame @ np.concatenate(cols, axis=-1)
     rhs = Rterm + 2.0 * Ghom
     return masked_report("codazzi_identity", field.grid.h, _frobenius(lhs - rhs),
                          field.report_mask(margin))

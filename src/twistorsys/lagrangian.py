@@ -32,7 +32,7 @@ def _require_kahler(space: symspace.ModelSpace):
 
 
 def _pullback_omega(field: immersion.ImmersionField, J):
-    JX = np.einsum("ij,uvj->uvi", J, field.dphi_u)
+    JX = field.dphi_u @ J.T
     return np.sum(JX * field.dphi_v, axis=-1)
 
 
@@ -54,7 +54,7 @@ def lagrangian_twistor_check(field: immersion.ImmersionField, tw: immersion.Twis
     """
     space = space or field.space
     J = _require_kahler(space)
-    anti = np.einsum("uvij,jk->uvik", tw.j_ambient, J) + np.einsum("ij,uvjk->uvik", J, tw.j_ambient)
+    anti = tw.j_ambient @ J + J @ tw.j_ambient
     mask = field.report_mask(0)
     anti_sup = float(np.max(np.linalg.norm(anti, axis=(-2, -1))[mask]))
     lag_sup = lagrangian_residual(field, space).final_sup
@@ -75,12 +75,12 @@ def maslov_form(field: immersion.ImmersionField, space=None, tol: float = 1e-6):
     J = _require_kahler(space)
     if lagrangian_residual(field, space).final_sup > tol:
         raise NotLagrangian("Maslov form needs a Lagrangian immersion")
-    H_amb = np.einsum("uvq,uvqm->uvm", field.H, field.normal_frame)
-    JH = np.einsum("ij,uvj->uvi", J, H_amb)
+    H_amb = (field.H[..., None, :] @ field.normal_frame)[..., 0, :]
+    JH = H_amb @ J.T
     beta_u = np.sum(JH * field.dphi_u, axis=-1)
     beta_v = np.sum(JH * field.dphi_v, axis=-1)
     # closed-form cross-check (symmetry of the metric): beta(X) = <dphi X, J^N H>
-    assert np.max(np.abs(beta_u - np.einsum("uvm,uvm->uv", field.dphi_u, JH))) <= 1e-10
+    assert np.max(np.abs(beta_u - np.vecdot(field.dphi_u, JH))) <= 1e-10
     return beta_u, beta_v
 
 
@@ -92,7 +92,7 @@ def maslov_identity_residual(field: immersion.ImmersionField, tw: immersion.Twis
     beta_u, beta_v = maslov_form(field, space)
     minus = immersion.split_II(field.II, tw).minus      # (nu, nv, 2, q, 2)
     E = np.stack([field.e1, field.e2], axis=-2)
-    JNT = np.einsum("uvpm,mk,uvbk->uvpb", field.normal_frame, J, E)
+    JNT = field.normal_frame @ J @ np.swapaxes(E, -1, -2)
     inv = 1.0 / np.maximum(field.lam, 1e-30)
     beta_frame = np.stack([beta_u * inv, beta_v * inv], axis=-1)  # beta(e_a)
     resid = minus + beta_frame[..., :, None, None] * JNT[..., None, :, :]

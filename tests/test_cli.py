@@ -102,10 +102,35 @@ def test_missing_field_exit_two(tmp_path):
     {"tolerances": {"final_sup_max": float("nan")}},
     {"grid_ladder": []},
     {"grid_ladder": [16, 24.0]},
+    {"fixture": "plane"},
+    {"model_space": "euclidean4"},
+    {"model_space": {"kind": "hyperbolic4"}},
+    {"fixture": {"kind": "clifford_torus", "params": [1.0]}},
+    {"fixture": {"kind": "round_sphere", "params": {"radius": 2.0}}},
+    {"fixture": {"kind": "exp_frame", "params": {"algebra": "so5_s4", "sead": 1}}},
 ])
 def test_malformed_or_misspelt_field_exit_two(tmp_path, overrides):
     path = write_scenario(tmp_path, checks=["zero_curvature_scan"], **overrides)
     assert cli.run(path, out_dir=tmp_path / "rep", echo=quiet) == 2
+
+
+def test_unknown_expectation_rejected_before_any_rung(tmp_path, monkeypatch):
+    def no_geometry(*args, **kwargs):
+        raise AssertionError("a rung ran before the expectation was checked")
+    monkeypatch.setattr(cli.immersion, "build_immersion", no_geometry)
+    path = write_scenario(tmp_path, fixture={"kind": "round_sphere", "params": {}},
+                          checks=["vertical_harmonicity"], expect="converg")
+    assert cli.run(path, out_dir=tmp_path / "rep", echo=quiet) == 2
+
+
+def test_declared_fixture_params_load(tmp_path):
+    # every fixture takes allow_nonconformal besides the params its builder reads
+    for kind in cli.immersion.list_fixture_kinds():
+        params = {name: None for name in cli.immersion.fixture_params(kind)}
+        assert "allow_nonconformal" in params
+        cli.load_scenario(write_scenario(tmp_path, fixture={"kind": kind, "params": params}))
+    params = {"algebra": "so5_s4", "seed": 2, "xi": [1.0] * 10, "eta": [1.0] * 10}
+    cli.load_scenario(write_scenario(tmp_path, fixture={"kind": "exp_frame", "params": params}))
 
 
 def test_deterministic_reports_byte_identical(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from twistorsys import cli
 from twistorsys import immersion as im
 from twistorsys import lagrangian as lg
+from twistorsys import octo
 from twistorsys import symspace
 from twistorsys.forms import ResidualReport
 
@@ -369,3 +370,85 @@ def test_geometry_computed_once_per_rung(monkeypatch):
                        "codazzi_identity"], "expect": "converge"}
     cli.run_scenario(scen)
     assert calls == {"second_fundamental_form": len(ladder), "frame_connection": len(ladder)}
+
+
+# ------------------------------------------- batched contractions vs einsum
+
+ORACLE_FIXTURES = ["round_sphere", "clifford_torus_s4", "product_torus", "octonion_graph"]
+
+
+def _einsum_reference(fld, tw):
+    """The per-point einsum formulas the batched @ contractions replaced."""
+    grid = fld.grid
+    D11 = im.partial_u(grid, fld.dphi_u)
+    D12 = 0.5 * (im.partial_u(grid, fld.dphi_v) + im.partial_v(grid, fld.dphi_u))
+    D22 = im.partial_v(grid, fld.dphi_v)
+    inv = 1.0 / np.maximum(fld.conformal_factor, 1e-30)
+    N = fld.normal_frame
+    coeffs = np.stack([np.einsum("uvqm,uvm,uv->uvq", N, D, inv) for D in (D11, D12, D22)],
+                      axis=-2)
+    cross = np.einsum("uvqm,uvm,uv->uvq", N, im.partial_v(grid, fld.dphi_u), inv)
+    E = np.stack([fld.e1, fld.e2], axis=-2)
+
+    def coeff(F, dF):
+        raw = np.einsum("uvam,uvbm->uvab", F, dF)
+        return 0.5 * (raw - np.swapaxes(raw, -1, -2))
+
+    connection = (coeff(E, im.partial_u(grid, E)), coeff(E, im.partial_v(grid, E)),
+                  coeff(N, im.partial_u(grid, N)), coeff(N, im.partial_v(grid, N)))
+    M = fld.II.hom()
+    split_conj = np.einsum("uvpq,uvxqb,uvbc->uvxpc", tw.j_N, M, tw.j_T)
+    H = fld.H
+    grad_H = tuple(d(grid, H) + np.einsum("uvpq,uvq->uvp", w, H)
+                   for d, w in ((im.partial_u, fld.connection[2]), (im.partial_v, fld.connection[3])))
+    Ghom = im._grad_H_hom(fld)
+    div_conj = np.einsum("uvpq,uvqb,uvbc->uvpc", tw.j_N, Ghom, tw.j_T)
+    return dict(coeffs=coeffs, cross=cross, connection=connection, split_conj=split_conj,
+                grad_H=grad_H, Ghom=Ghom, div_conj=div_conj)
+
+
+def _close(new, ref, scale=None):
+    """Within 1e-14 of the reference, relative to the scale of the field it belongs to."""
+    scale = np.max(np.abs(ref)) if scale is None else scale
+    return np.max(np.abs(new - ref)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("kind", ORACLE_FIXTURES)
+def test_batched_contractions_match_einsum(kind, monkeypatch):
+    fld = im.build_immersion(kind, n=32)
+    if kind == "octonion_graph":
+        _, tw = octo.canonical_lift(fld)
+        e = np.stack([fld.e1, fld.e2], axis=-2)
+        N = fld.normal_frame
+        assert fld.normal_rank == 6
+        assert _close(tw.j_T, np.einsum("uvam,uvmk,uvbk->uvab", e, tw.j_ambient, e))
+        assert _close(tw.j_N, np.einsum("uvpm,uvmk,uvqk->uvpq", N, tw.j_ambient, N))
+    else:
+        tw = im.twistor_lift(fld, +1)
+    ref = _einsum_reference(fld, tw)
+    assert _close(fld.II.coeffs, ref["coeffs"])
+    # the mixed slot of an umbilic sphere is ~0: measure it against all of II
+    assert _close(fld.II.crosscheck_12, ref["cross"], scale=np.max(np.abs(ref["coeffs"])))
+    for new, old in zip(fld.connection, ref["connection"]):
+        assert _close(new, old)
+    for new, old in zip(fld.grad_H, ref["grad_H"]):
+        assert _close(new, old)
+    split = im.split_II(fld.II, tw)
+    M = fld.II.hom()
+    # on canonical lifts j_T and j_N are exact rotations, so the split is exact
+    same = np.array_equal if kind != "octonion_graph" else _close
+    assert same(split.minus, 0.5 * (M + ref["split_conj"]))
+    assert same(split.plus, 0.5 * (M - ref["split_conj"]))
+
+    captured = {}
+
+    def capture(name, h, pointwise, mask):
+        captured[name] = pointwise
+        return ResidualReport(name)
+    monkeypatch.setattr(im, "masked_report", capture)
+    im.divergence_identity_residual(fld, tw)
+    inv2 = 1.0 / np.maximum(fld.conformal_factor, 1e-30)
+    lhs = inv2[..., None, None] * im._hom_covariant_divergence(fld, split.minus)
+    oracle = np.linalg.norm(lhs - (ref["Ghom"] + ref["div_conj"]), axis=(-2, -1))
+    scale = max(np.max(np.abs(lhs)), np.max(np.abs(ref["Ghom"])))
+    assert _close(captured["divergence_identity"], oracle, scale)
