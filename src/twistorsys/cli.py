@@ -13,6 +13,10 @@ Scenario files are JSON:
       "tolerances": {"slope_min": 1.5}
     }
 
+An omitted model_space is the fixture's own.  `load_scenario` checks a scenario
+against the declarations (`immersion.FIXTURES`, `EXP_FRAME_PARAMS`, `CHECKS`)
+and raises ScenarioError (exit 2) before the first rung for anything they rule out.
+
 Classifier: a ladder converges when the log-log slope of the sup norms is
 at least slope_min and the finest sup is below final_sup_max, or when the
 finest sup sits at the roundoff floor (homogeneous fixtures discretise
@@ -40,6 +44,34 @@ class ScenarioError(Exception):
     """Raised for malformed scenarios, unknown fixtures or unusable checks."""
 
 
+def _number(x, types=(int, float)):
+    """Whether x is a finite JSON number of one of `types`; booleans are not numbers."""
+    return type(x) in types and math.isfinite(x)
+
+
+def _has_type_of(value, default):
+    """Whether a JSON value has the type of a declared default: a float takes any
+    number, an int an integer, a tuple or None (drawn from a seed) a list of numbers."""
+    if type(default) in (int, float):
+        return _number(value, (int, type(default)))
+    if default is None or type(default) is tuple:
+        return type(value) is list and all(_number(x) for x in value)
+    return type(value) is type(default)
+
+
+def _check_params(what, params, declared):
+    """Check a JSON object against declared defaults: its names, and each value's type."""
+    if not isinstance(params, dict):
+        raise ScenarioError(f"{what} must be an object, not {params!r}")
+    unknown = sorted(set(params) - set(declared))
+    if unknown:
+        raise ScenarioError(f"{what} has unknown names {unknown}; it takes {sorted(declared)}")
+    for name, value in params.items():
+        if not _has_type_of(value, declared[name]):
+            raise ScenarioError(f"{what}: {name} = {value!r} does not have the type of "
+                                f"its default {declared[name]!r}")
+
+
 @dataclass
 class Tolerances:
     slope_min: float = 1.5
@@ -50,17 +82,9 @@ class Tolerances:
 
     @classmethod
     def from_dict(cls, d):
-        t = cls()
         d = {} if d is None else d
-        if not isinstance(d, dict):
-            raise ScenarioError("tolerances must be an object")
-        for k, v in d.items():
-            if not hasattr(t, k):
-                raise ScenarioError(f"unknown tolerance {k!r}")
-            if type(v) not in (int, float) or not math.isfinite(v):
-                raise ScenarioError(f"tolerance {k!r} is not a finite number: {v!r}")
-            setattr(t, k, float(v))
-        return t
+        _check_params("tolerances", d, vars(cls()))
+        return cls(**{k: float(v) for k, v in d.items()})
 
 
 def classify(report: ResidualReport, expect: str, tol: Tolerances):
@@ -100,14 +124,9 @@ class RungContext:
 
     @functools.cached_property
     def field(self):
-        kind = self.scenario["fixture"]["kind"]
-        if kind == "exp_frame":
-            raise ScenarioError("this check needs a surface fixture, not exp_frame")
-        params = self.scenario["fixture"].get("params", {})
-        try:
-            return immersion.build_immersion(kind, params, n=self.n, space=self.space)
-        except KeyError as exc:
-            raise ScenarioError(str(exc)) from exc
+        fixture = self.scenario["fixture"]
+        return immersion.build_immersion(fixture["kind"], fixture.get("params", {}), n=self.n,
+                                         space=self.space)
 
     @functools.cached_property
     def octonion_lift(self):
@@ -122,16 +141,9 @@ class RungContext:
 
     @functools.cached_property
     def frame_and_form(self):
-        kind = self.scenario["fixture"]["kind"]
-        if kind == "exp_frame":
-            params = self.scenario["fixture"].get("params", {})
-            fx = load_algebra_fixture(params.get("algebra", "so5_s4"))
-            d = fx.algebra.dim
-            rng = np.random.default_rng(int(params.get("seed", 1)))
-            xi = np.asarray(params.get("xi", rng.standard_normal(d)), dtype=float)
-            eta = np.asarray(params.get("eta", rng.standard_normal(d)), dtype=float)
-            xi /= np.linalg.norm(xi)
-            eta /= np.linalg.norm(eta)
+        fixture = self.scenario["fixture"]
+        if fixture["kind"] == "exp_frame":
+            fx, xi, eta = exp_frame_inputs(fixture.get("params", {}))
             grid = forms.SurfaceGrid(nu=self.n, nv=self.n, hu=1.0 / (self.n - 1),
                                      hv=1.0 / (self.n - 1))
             alpha = ellsys.exp_frame_form(grid, fx, xi, eta)
@@ -149,49 +161,25 @@ class RungContext:
 
     def lambda_samples(self):
         raw = self.scenario.get("lambda_samples")
-        if raw is None:
-            return None
-        return [complex(d["re"], d["im"]) for d in raw]
+        return None if raw is None else [complex(d["re"], d["im"]) for d in raw]
 
 
-def _check_holomorphicity(ctx):
-    return ellsys.holomorphicity_residual(ctx.alpha, ctx.aut)
+# exp_frame's params with their defaults; None is a vector drawn from the seed
+EXP_FRAME_PARAMS = {"algebra": "so5_s4", "seed": 1, "xi": None, "eta": None}
 
 
-def _check_covariant_closure(ctx):
-    return ellsys.covariant_closure_residual(ctx.alpha, ctx.aut)
-
-
-def _check_flatness(ctx):
-    return ellsys.flatness_residual(ctx.alpha)
-
-
-def _check_zero_curvature_scan(ctx):
-    return forms.zero_curvature_scan(ctx.alpha, ctx.aut, ctx.lambda_samples())
-
-
-def _check_vertical_harmonicity(ctx):
-    return immersion.vertical_harmonicity_residual(ctx.field, ctx.tw)
-
-
-def _check_holomorphic_H(ctx):
-    return immersion.holomorphic_H_residual(ctx.field, ctx.tw)
-
-
-def _check_divergence_identity(ctx):
-    return immersion.divergence_identity_residual(ctx.field, ctx.tw)
-
-
-def _check_codazzi(ctx):
-    return immersion.codazzi_identity_residual(ctx.field, ctx.space)
-
-
-def _check_curvature_commutator(ctx):
-    return immersion.curvature_commutator_residual(ctx.field, ctx.tw, ctx.space)
-
-
-def _check_lagrangian(ctx):
-    return lagrangian.lagrangian_residual(ctx.field, ctx.space)
+def exp_frame_inputs(params):
+    """(algebra fixture, unit xi, unit eta) of exp_frame with `params` over EXP_FRAME_PARAMS;
+    KeyError for an unknown algebra, ValueError for a bad seed or vector."""
+    p = {**EXP_FRAME_PARAMS, **params}
+    fx = load_algebra_fixture(p["algebra"])
+    d = fx.algebra.dim
+    rng = np.random.default_rng(p["seed"])
+    drawn = {"xi": rng.standard_normal(d), "eta": rng.standard_normal(d)}
+    xi, eta = (np.asarray(drawn[k] if p[k] is None else p[k], dtype=float) for k in drawn)
+    if any(v.shape != (d,) or not np.linalg.norm(v) > 0 for v in (xi, eta)):
+        raise ValueError(f"xi and eta must be nonzero vectors of length {d}")
+    return fx, xi / np.linalg.norm(xi), eta / np.linalg.norm(eta)
 
 
 def _check_lagrangian_twistor(ctx):
@@ -199,14 +187,6 @@ def _check_lagrangian_twistor(ctx):
     rep = ResidualReport("lagrangian_twistor", meta={"consistent": res["consistent"]})
     sup = max(res["anticommutator_sup"], res["lagrangian_sup"])
     return rep.add(ctx.field.grid.h, sup, sup)
-
-
-def _check_maslov_identity(ctx):
-    return lagrangian.maslov_identity_residual(ctx.field, ctx.tw, ctx.space)
-
-
-def _check_hamiltonian_stationary(ctx):
-    return lagrangian.hamiltonian_stationary_residual(ctx.field, ctx.space)
 
 
 def _check_octonion_lift(ctx):
@@ -225,21 +205,34 @@ def _check_octonion_lift(ctx):
     return rep.add(ctx.field.grid.h, sup, sup)
 
 
+# What a check needs: the model spaces of the surface fixtures it serves, and
+# "exp_frame" if it serves that fixture.  Only complex2 is Kahler.
+FRAME = {"exp_frame", *symspace.FRAME_GROUPS}
+SURFACE = set(symspace.MODEL_SPACES)
+KAHLER = {"complex2"}
+
+# check name -> (check of a RungContext, what it needs)
 CHECKS = {
-    "holomorphicity": _check_holomorphicity,
-    "covariant_closure": _check_covariant_closure,
-    "flatness": _check_flatness,
-    "zero_curvature_scan": _check_zero_curvature_scan,
-    "vertical_harmonicity": _check_vertical_harmonicity,
-    "holomorphic_H": _check_holomorphic_H,
-    "divergence_identity": _check_divergence_identity,
-    "codazzi_identity": _check_codazzi,
-    "curvature_commutator": _check_curvature_commutator,
-    "lagrangian": _check_lagrangian,
-    "lagrangian_twistor": _check_lagrangian_twistor,
-    "maslov_identity": _check_maslov_identity,
-    "hamiltonian_stationary": _check_hamiltonian_stationary,
-    "octonion_lift": _check_octonion_lift,
+    "holomorphicity": (lambda c: ellsys.holomorphicity_residual(c.alpha, c.aut), FRAME),
+    "covariant_closure": (lambda c: ellsys.covariant_closure_residual(c.alpha, c.aut), FRAME),
+    "flatness": (lambda c: ellsys.flatness_residual(c.alpha), FRAME),
+    "zero_curvature_scan": (
+        lambda c: forms.zero_curvature_scan(c.alpha, c.aut, c.lambda_samples()), FRAME),
+    "vertical_harmonicity": (
+        lambda c: immersion.vertical_harmonicity_residual(c.field, c.tw), SURFACE),
+    "holomorphic_H": (lambda c: immersion.holomorphic_H_residual(c.field, c.tw), SURFACE),
+    "divergence_identity": (
+        lambda c: immersion.divergence_identity_residual(c.field, c.tw), SURFACE),
+    "codazzi_identity": (lambda c: immersion.codazzi_identity_residual(c.field, c.space), SURFACE),
+    "curvature_commutator": (
+        lambda c: immersion.curvature_commutator_residual(c.field, c.tw, c.space), SURFACE),
+    "lagrangian": (lambda c: lagrangian.lagrangian_residual(c.field, c.space), KAHLER),
+    "lagrangian_twistor": (_check_lagrangian_twistor, KAHLER),
+    "maslov_identity": (
+        lambda c: lagrangian.maslov_identity_residual(c.field, c.tw, c.space), KAHLER),
+    "hamiltonian_stationary": (
+        lambda c: lagrangian.hamiltonian_stationary_residual(c.field, c.space), KAHLER),
+    "octonion_lift": (_check_octonion_lift, {"euclidean8"}),
 }
 
 
@@ -251,66 +244,74 @@ def list_fixtures():
     return sorted(immersion.list_fixture_kinds() + ["exp_frame"])
 
 
-SCENARIO_KEYS = {"name", "fixture", "model_space", "grid_ladder", "checks", "expect",
-                 "tolerances", "lambda_samples", "lift_sign"}
+# the fields of a scenario, with values of the JSON type each must have
+SCENARIO_FIELDS = {"name": "", "fixture": {}, "model_space": {}, "grid_ladder": [], "checks": [],
+                   "expect": "", "tolerances": {}, "lambda_samples": [], "lift_sign": 1}
 EXPECTATIONS = ("converge", "stay_large", "exact")
-EXP_FRAME_PARAMS = {"algebra", "seed", "xi", "eta"}
+KIND_AND_PARAMS = {"kind": "", "params": {}}   # the fields of fixture and model_space
 
 
 def load_scenario(path):
+    """Parse a scenario file and check it against the declarations of its fixture,
+    model space and checks: ScenarioError here, before the first rung."""
     path = pathlib.Path(path)
     try:
         scen = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot parse scenario {path}: {exc}") from exc
-    if not isinstance(scen, dict):
-        raise ScenarioError(f"scenario {path} is not a JSON object")
-    unknown = sorted(set(scen) - SCENARIO_KEYS)
-    if unknown:
-        raise ScenarioError(f"scenario {path} has unknown fields {unknown}")
+    _check_params(f"scenario {path}", scen, SCENARIO_FIELDS)
     raw = scen.get("lambda_samples")
-    if raw is not None and not (isinstance(raw, list) and raw):
-        raise ScenarioError("lambda_samples must be a non-empty list")
+    if raw == []:
+        raise ScenarioError("lambda_samples must not be empty")
     for d in raw or []:
         if not (isinstance(d, dict) and set(d) == {"re", "im"}
-                and all(type(x) in (int, float) for x in d.values()) and (d["re"] or d["im"])):
-            raise ScenarioError(f"lambda sample {d!r} is not a nonzero {{'re': x, 'im': y}}")
+                and all(_number(x) for x in d.values()) and (d["re"] or d["im"])):
+            raise ScenarioError(f"lambda sample {d!r} is not a nonzero finite {{'re': x, 'im': y}}")
     scen.setdefault("name", path.stem)
     for key in ("fixture", "grid_ladder", "checks", "expect"):
         if key not in scen:
             raise ScenarioError(f"scenario {path} misses field {key!r}")
     ladder = scen["grid_ladder"]
-    if not (isinstance(ladder, list) and ladder
-            and all(type(n) is int and n >= 8 for n in ladder)):
+    if not (ladder and all(_number(n, (int,)) and n >= 8 for n in ladder)):
         raise ScenarioError(f"grid_ladder {ladder!r} is not a non-empty list of integers >= 8")
     if scen["expect"] not in EXPECTATIONS:
         raise ScenarioError(f"unknown expectation {scen['expect']!r}, expected one of {EXPECTATIONS}")
-    scen.setdefault("model_space", {"kind": "euclidean4"})
-    for key in ("fixture", "model_space"):
-        if not isinstance(scen[key], dict):
-            raise ScenarioError(f"{key} must be an object, not {scen[key]!r}")
-    ms = scen["model_space"]
-    try:
-        symspace.model_space(ms.get("kind"), **ms.get("params", {}))
-    except (KeyError, TypeError) as exc:
-        raise ScenarioError(f"unusable model_space {ms!r}: {exc}") from exc
-    kind = scen["fixture"].get("kind")
-    params = scen["fixture"].get("params", {})
-    if not isinstance(params, dict):
-        raise ScenarioError(f"fixture params must be an object, not {params!r}")
-    if kind == "exp_frame":
-        known = EXP_FRAME_PARAMS
-    elif kind in immersion.FIXTURE_BUILDERS:
-        known = immersion.fixture_params(kind)
+    if abs(scen.get("lift_sign", 1)) != 1:
+        raise ScenarioError(f"lift_sign must be 1 or -1, not {scen['lift_sign']!r}")
+
+    _check_params("fixture", scen["fixture"], KIND_AND_PARAMS)
+    kind, params = scen["fixture"].get("kind"), scen["fixture"].get("params", {})
+    surface = kind in immersion.FIXTURES
+    if surface:
+        declared, own = immersion.fixture_params(kind), immersion.FIXTURES[kind].space
+    elif kind == "exp_frame":
+        # exp_frame reads no model space; euclidean4 stands in for an omitted one
+        declared, own = EXP_FRAME_PARAMS, "euclidean4"
     else:
         raise ScenarioError(f"unknown fixture {kind!r}")
-    unknown = sorted(set(params) - known)
-    if unknown:
-        raise ScenarioError(f"fixture {kind!r} does not take params {unknown}; "
-                            f"it takes {sorted(known)}")
+    _check_params(f"fixture {kind!r} params", params, declared)
+    try:
+        immersion.check_param_values(kind, params) if surface else exp_frame_inputs(params)
+    except (LookupError, ValueError, ArithmeticError, OSError) as exc:
+        raise ScenarioError(f"fixture {kind!r} cannot take params {params!r}: {exc}") from exc
+
+    ms = scen.setdefault("model_space", {"kind": own})
+    _check_params("model_space", ms, KIND_AND_PARAMS)
+    ms_kind = ms.get("kind")
+    try:
+        space = symspace.model_space(ms_kind, **ms.get("params", {}))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"unusable model_space {ms!r}: {exc}") from exc
+    if surface and space.ambient_dim != symspace.model_space(own).ambient_dim:
+        raise ScenarioError(f"fixture {kind!r} lives in {own!r}, not in the "
+                            f"{space.ambient_dim}-dimensional {ms_kind!r}")
     for c in scen["checks"]:
-        if c not in CHECKS:
+        if type(c) is not str or c not in CHECKS:
             raise ScenarioError(f"unknown check {c!r}")
+        where = ms_kind if surface else kind
+        if where not in CHECKS[c][1]:
+            raise ScenarioError(f"check {c!r} runs on {sorted(CHECKS[c][1])}, not on "
+                                f"fixture {kind!r} in {ms_kind!r}")
     return scen
 
 
@@ -322,7 +323,7 @@ def run_scenario(scen):
     for n in scen["grid_ladder"]:
         ctx = RungContext(scen, int(n))
         for name in scen["checks"]:
-            rep = CHECKS[name](ctx)
+            rep = CHECKS[name][0](ctx)
             reports[name] = reports[name].merged(rep) if name in reports else rep
     for name in scen["checks"]:
         rep = reports[name]

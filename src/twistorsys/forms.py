@@ -339,6 +339,8 @@ def zero_curvature_scan(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism,
         raise ZeroLambda("need at least one spectral sample")
     if 0 in lam_samples:
         raise ZeroLambda("spectral parameter must be nonzero")
+    if not np.isfinite(lam_samples).all():
+        raise ValueError(f"spectral parameters must be finite: {lam_samples}")
     grid, algebra = alpha.grid, alpha.algebra
     mask = grid.interior_mask(margin)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.ndimage
@@ -163,24 +164,17 @@ class SplitII:
 
 # --------------------------------------------------------------------- fixtures
 
-def _grid(n, lo_u, hi_u, lo_v, hi_v, periodic_u=False, periodic_v=False):
-    if periodic_u:
-        hu = (hi_u - lo_u) / n
-    else:
-        hu = (hi_u - lo_u) / (n - 1)
-    if periodic_v:
-        hv = (hi_v - lo_v) / n
-    else:
-        hv = (hi_v - lo_v) / (n - 1)
-    return SurfaceGrid(nu=n, nv=n, hu=hu, hv=hv, periodic_u=periodic_u,
-                       periodic_v=periodic_v, u0=lo_u, v0=lo_v)
+def _grid(n, lo_u, hi_u, lo_v, hi_v, periodic=False):
+    cells = n if periodic else n - 1
+    return SurfaceGrid(nu=n, nv=n, hu=(hi_u - lo_u) / cells, hv=(hi_v - lo_v) / cells,
+                       periodic_u=periodic, periodic_v=periodic, u0=lo_u, v0=lo_v)
 
 
 def _stack(*comps):
     return np.stack(np.broadcast_arrays(*comps), axis=-1)
 
 
-def _plane(params, U, V):
+def _plane(p, U, V):
     Z = np.zeros_like(U)
     O = np.ones_like(U)
     phi = _stack(U, V, Z, Z)
@@ -189,12 +183,7 @@ def _plane(params, U, V):
                 normals=[_stack(Z, Z, O, Z), _stack(Z, Z, Z, O)])
 
 
-def _complex_line(params, U, V):
-    # a holomorphic curve in the Kahler plane: maximally non-Lagrangian
-    return _plane(params, U, V)
-
-
-def _lagrangian_plane(params, U, V):
+def _lagrangian_plane(p, U, V):
     Z = np.zeros_like(U)
     O = np.ones_like(U)
     phi = _stack(U, Z, V, Z)
@@ -203,9 +192,9 @@ def _lagrangian_plane(params, U, V):
                 normals=[_stack(Z, O, Z, Z), _stack(Z, Z, Z, O)])
 
 
-def _round_sphere(params, U, V):
+def _round_sphere(p, U, V):
     # stereographic chart of the round 2-sphere of radius r inside R^3 x {0}
-    r = params.get("r", 1.0)
+    r = p["r"]
     D = 1.0 + U ** 2 + V ** 2
     Z = np.zeros_like(U)
     phi = _stack(2 * r * U / D, 2 * r * V / D, r * (U ** 2 + V ** 2 - 1) / D, Z)
@@ -219,8 +208,8 @@ def _round_sphere(params, U, V):
                 normals=[phi / r, _stack(Z, Z, Z, np.ones_like(U))])
 
 
-def _clifford_torus(params, U, V):
-    a = params.get("a", 1.0 / math.sqrt(2.0))
+def _clifford_torus(p, U, V):
+    a = p["a"]
     cu, su, cv, sv = np.cos(U), np.sin(U), np.cos(V), np.sin(V)
     Z = np.zeros_like(U)
     phi = a * _stack(cu, su, cv, sv)
@@ -232,7 +221,7 @@ def _clifford_torus(params, U, V):
                 normals=[s2 * _stack(cu, su, cv, sv), s2 * _stack(-cu, -su, cv, sv)])
 
 
-def _clifford_torus_s4(params, U, V):
+def _clifford_torus_s4(p, U, V):
     # the same torus as a minimal surface of the unit 4-sphere in R^5
     cu, su, cv, sv = np.cos(U), np.sin(U), np.cos(V), np.sin(V)
     Z = np.zeros_like(U)
@@ -246,9 +235,9 @@ def _clifford_torus_s4(params, U, V):
                 normals=[s2 * _stack(cu, su, -cv, -sv, Z), _stack(Z, Z, Z, Z, O)])
 
 
-def _product_torus(params, U, V):
-    r1 = params.get("r1", 1.0)
-    r2 = params.get("r2", 0.6)
+def _product_torus(p, U, V):
+    r1 = p["r1"]
+    r2 = p["r2"]
     cu, su = np.cos(U / r1), np.sin(U / r1)
     cv, sv = np.cos(V / r2), np.sin(V / r2)
     Z = np.zeros_like(U)
@@ -258,7 +247,7 @@ def _product_torus(params, U, V):
                 normals=[_stack(cu, su, Z, Z), _stack(Z, Z, cv, sv)])
 
 
-def _helicoid(params, U, V):
+def _helicoid(p, U, V):
     Z = np.zeros_like(U)
     ch, sh = np.cosh(U), np.sinh(U)
     cv, sv = np.cos(V), np.sin(V)
@@ -281,10 +270,10 @@ def _revolution_torus_chart(eps):
     return R, r, s, k, period_u
 
 
-def _perturbed_torus(params, U, V):
+def _perturbed_torus(p, U, V):
     # non-CMC torus of revolution in R^3 x {0}; u is the flat isothermal
     # coordinate along the profile, v the azimuth
-    eps = params.get("eps", 0.1)
+    eps = p["eps"]
     R, r, s, k, _ = _revolution_torus_chart(eps)
     theta = 2.0 * np.arctan2(k * np.sin(s * U), np.cos(s * U))
     ct, st = np.cos(theta), np.sin(theta)
@@ -313,8 +302,8 @@ def _invert_arclength(svals):
     return x
 
 
-def _lagrangian_graph(params, U, V):
-    potential = params.get("potential", "saddle")
+def _lagrangian_graph(p, U, V):
+    potential = p["potential"]
     Z = np.zeros_like(U)
     O = np.ones_like(U)
     if potential == "saddle":
@@ -337,9 +326,9 @@ def _lagrangian_graph(params, U, V):
     raise KeyError(f"unknown potential {potential!r}")
 
 
-def _graph(params, U, V):
+def _graph(p, U, V):
     # generic graph over the plane: a non-conformal negative control
-    amp = params.get("amplitude", 0.3)
+    amp = p["amplitude"]
     Z = np.zeros_like(U)
     O = np.ones_like(U)
     phi = _stack(U, V, amp * np.sin(U) * np.sin(V), Z)
@@ -348,7 +337,7 @@ def _graph(params, U, V):
     return dict(phi=phi, dphi_u=dphi_u, dphi_v=dphi_v, gram_schmidt=True)
 
 
-def _branched_disk(params, U, V):
+def _branched_disk(p, U, V):
     # image of z -> z^2: conformal with a branch point at the origin
     Z = np.zeros_like(U)
     phi = _stack(U ** 2 - V ** 2, 2 * U * V, Z, Z)
@@ -357,29 +346,18 @@ def _branched_disk(params, U, V):
     return dict(phi=phi, dphi_u=dphi_u, dphi_v=dphi_v, gram_schmidt=True)
 
 
-def _octonion_plane(params, U, V):
-    Z = np.zeros_like(U)
-    O = np.ones_like(U)
-    i, j = params.get("axes", (0, 1))
-    comps_phi = [Z] * 8
-    comps_phi[i] = U
-    comps_phi[j] = V
-    du = [Z] * 8
-    du[i] = O
-    dv = [Z] * 8
-    dv[j] = O
-    normals = []
-    for k in range(8):
-        if k in (i, j):
-            continue
-        nk = [Z] * 8
-        nk[k] = O
-        normals.append(_stack(*nk))
-    return dict(phi=_stack(*comps_phi), dphi_u=_stack(*du), dphi_v=_stack(*dv),
-                e1=_stack(*du), e2=_stack(*dv), normals=normals)
+def _octonion_plane(p, U, V):
+    i, j = p["axes"]
+    if i == j or not {i, j} <= set(range(8)):
+        raise ValueError(f"axes {p['axes']!r} are not two distinct coordinates 0..7")
+    phi = np.zeros(U.shape + (8,))
+    unit = [phi + axis for axis in np.eye(8)]   # the constant coordinate fields
+    phi[..., i], phi[..., j] = U, V
+    return dict(phi=phi, dphi_u=unit[i], dphi_v=unit[j], e1=unit[i], e2=unit[j],
+                normals=[unit[k] for k in range(8) if k not in (i, j)])
 
 
-def _octonion_graph(params, U, V):
+def _octonion_graph(p, U, V):
     # the holomorphic curve (z, z^2) inside the first two complex slots of R^8
     Z = np.zeros_like(U)
     O = np.ones_like(U)
@@ -389,75 +367,87 @@ def _octonion_graph(params, U, V):
     return dict(phi=phi, dphi_u=dphi_u, dphi_v=dphi_v, gram_schmidt=True)
 
 
-def _default_grid(kind, params, n):
-    if kind in ("clifford_torus", "clifford_torus_s4"):
-        return _grid(n, 0.0, 2 * math.pi, 0.0, 2 * math.pi, True, True)
-    if kind == "product_torus":
-        r1 = params.get("r1", 1.0)
-        r2 = params.get("r2", 0.6)
-        return _grid(n, 0.0, 2 * math.pi * r1, 0.0, 2 * math.pi * r2, True, True)
-    if kind == "perturbed_torus":
-        period_u = _revolution_torus_chart(params.get("eps", 0.1))[4]
-        return _grid(n, 0.0, period_u, 0.0, 2 * math.pi, True, True)
-    if kind == "round_sphere":
-        return _grid(n, -0.8, 0.8, -0.8, 0.8)
-    if kind == "helicoid":
-        return _grid(n, -0.7, 0.7, -0.7, 0.7)
-    if kind == "lagrangian_graph" and params.get("potential", "saddle") == "cubic":
-        s_lo, s_hi = _saddle_arclength(np.array([0.15, 0.75]))
-        return _grid(n, float(s_lo), float(s_hi), 0.0, 0.6)
-    if kind in ("octonion_graph",):
-        return _grid(n, -0.6, 0.6, -0.6, 0.6)
-    return _grid(n, -1.0, 1.0, -1.0, 1.0)
+class SurfaceFixture(NamedTuple):
+    builder: Callable   # (p, U, V) -> sampled chart, derivatives and frames
+    space: str          # the model space the fixture lives in
+    params: dict        # name -> default; builder and domain read p[name]
+    domain: Callable    # p -> (lo_u, hi_u, lo_v, hi_v[, periodic]) of the chart
 
 
-# kind -> (builder, default model space, the params the builder and its grid read)
-FIXTURE_BUILDERS = {
-    "plane": (_plane, "euclidean4", ()),
-    "graph": (_graph, "euclidean4", ("amplitude",)),
-    "round_sphere": (_round_sphere, "euclidean4", ("r",)),
-    "clifford_torus": (_clifford_torus, "euclidean4", ("a",)),
-    "clifford_torus_s4": (_clifford_torus_s4, "sphere4", ()),
-    "product_torus": (_product_torus, "complex2", ("r1", "r2")),
-    "perturbed_torus": (_perturbed_torus, "euclidean4", ("eps",)),
-    "helicoid": (_helicoid, "euclidean4", ()),
-    "lagrangian_plane": (_lagrangian_plane, "complex2", ()),
-    "lagrangian_graph": (_lagrangian_graph, "complex2", ("potential",)),
-    "complex_line": (_complex_line, "complex2", ()),
-    "branched_disk": (_branched_disk, "euclidean4", ()),
-    "octonion_plane": (_octonion_plane, "euclidean8", ("axes",)),
-    "octonion_graph": (_octonion_graph, "euclidean8", ()),
+def _box(a):
+    return lambda p: (-a, a, -a, a)
+
+
+def _torus(p):
+    return 0.0, 2 * math.pi, 0.0, 2 * math.pi, True
+
+
+# the cubic graph's chart: the profile arclength between x = 0.15 and 0.75
+_CUBIC_ARCLENGTH = tuple(float(s) for s in _saddle_arclength(np.array([0.15, 0.75])))
+
+
+FIXTURES = {
+    "plane": SurfaceFixture(_plane, "euclidean4", {}, _box(1.0)),
+    "graph": SurfaceFixture(_graph, "euclidean4", {"amplitude": 0.3}, _box(1.0)),
+    "round_sphere": SurfaceFixture(_round_sphere, "euclidean4", {"r": 1.0}, _box(0.8)),
+    "clifford_torus": SurfaceFixture(_clifford_torus, "euclidean4",
+                                     {"a": 1.0 / math.sqrt(2.0)}, _torus),
+    "clifford_torus_s4": SurfaceFixture(_clifford_torus_s4, "sphere4", {}, _torus),
+    "product_torus": SurfaceFixture(
+        _product_torus, "complex2", {"r1": 1.0, "r2": 0.6},
+        lambda p: (0.0, 2 * math.pi * p["r1"], 0.0, 2 * math.pi * p["r2"], True)),
+    "perturbed_torus": SurfaceFixture(
+        _perturbed_torus, "euclidean4", {"eps": 0.1},
+        lambda p: (0.0, _revolution_torus_chart(p["eps"])[4], 0.0, 2 * math.pi, True)),
+    "helicoid": SurfaceFixture(_helicoid, "euclidean4", {}, _box(0.7)),
+    "lagrangian_plane": SurfaceFixture(_lagrangian_plane, "complex2", {}, _box(1.0)),
+    "lagrangian_graph": SurfaceFixture(
+        _lagrangian_graph, "complex2", {"potential": "saddle"},
+        lambda p: ((*_CUBIC_ARCLENGTH, 0.0, 0.6) if p["potential"] == "cubic"
+                   else (-1.0, 1.0, -1.0, 1.0))),
+    # the plane as a holomorphic curve in the Kahler plane: maximally non-Lagrangian
+    "complex_line": SurfaceFixture(_plane, "complex2", {}, _box(1.0)),
+    "branched_disk": SurfaceFixture(_branched_disk, "euclidean4", {}, _box(1.0)),
+    "octonion_plane": SurfaceFixture(_octonion_plane, "euclidean8", {"axes": (0, 1)}, _box(1.0)),
+    "octonion_graph": SurfaceFixture(_octonion_graph, "euclidean8", {}, _box(0.6)),
 }
 
 
 def list_fixture_kinds():
-    return sorted(FIXTURE_BUILDERS)
+    return sorted(FIXTURES)
 
 
-def fixture_params(kind):
-    """Names of the params `build_immersion(kind, params)` reads."""
-    return set(FIXTURE_BUILDERS[kind][2]) | {"allow_nonconformal"}
+def fixture_params(kind, params=None):
+    """The params `build_immersion(kind, params)` reads: `params` over their defaults."""
+    return {**FIXTURES[kind].params, "allow_nonconformal": False, **(params or {})}
 
 
-def build_immersion(kind, params=None, grid=None, n=32, space=None,
-                    tol_conf=1e-6) -> ImmersionField:
-    """Sample a named fixture surface with adapted frames.
+def check_param_values(kind, params=None):
+    """Sample the fixture at the first point of its chart, so that a param value
+    it cannot take raises (ValueError, KeyError, ArithmeticError) before any grid."""
+    p = fixture_params(kind, params)
+    lo_u, _, lo_v, *_ = FIXTURES[kind].domain(p)
+    with np.errstate(divide="raise", invalid="raise"):
+        FIXTURES[kind].builder(p, np.full((1, 1), lo_u), np.full((1, 1), lo_v))
+
+
+def build_immersion(kind, params=None, n=32, space=None) -> ImmersionField:
+    """Sample a named fixture surface with adapted frames on an n x n grid
+    of its chart domain, with the params `fixture_params(kind, params)`.
 
     Analytic fixtures carry exact derivatives and frames; graph-type
     fixtures fall back to deterministic Gram-Schmidt frames.  Raises
-    NotConformal above `tol_conf` unless params allow_nonconformal,
-    BranchPoint when degenerate points dominate the grid.
+    NotConformal above a conformality residual of 1e-6 unless params
+    allow_nonconformal, BranchPoint when degenerate points dominate the grid.
     """
-    params = dict(params or {})
-    if kind not in FIXTURE_BUILDERS:
+    if kind not in FIXTURES:
         raise KeyError(f"unknown fixture kind {kind!r}")
-    builder, default_space, _ = FIXTURE_BUILDERS[kind]
-    if grid is None:
-        grid = _default_grid(kind, params, n)
+    p = fixture_params(kind, params)
+    grid = _grid(n, *FIXTURES[kind].domain(p))
     U, V = grid.mesh()
-    data = builder(params, U, V)
+    data = FIXTURES[kind].builder(p, U, V)
     if space is None:
-        space = symspace.model_space(default_space)
+        space = symspace.model_space(FIXTURES[kind].space)
     if space.ambient_dim != data["phi"].shape[-1]:
         raise ValueError(f"fixture {kind!r} is {data['phi'].shape[-1]}-dimensional, "
                          f"model space expects {space.ambient_dim}")
@@ -478,12 +468,12 @@ def build_immersion(kind, params=None, grid=None, n=32, space=None,
                          dphi_u=data["dphi_u"], dphi_v=data["dphi_v"],
                          conformal_factor=conf, e1=e1, e2=e2,
                          normal_frame=normal_frame, branch_mask=branch,
-                         meta={"kind": kind, "params": params,
+                         meta={"kind": kind, "params": p,
                                "frame_discontinuity": disc})
     resid = out.conformality_residual()
     out.meta["conformality_residual"] = resid
-    if resid > tol_conf and not params.get("allow_nonconformal"):
-        raise NotConformal(f"fixture {kind!r} conformality residual {resid:.3e} > {tol_conf:.1e}")
+    if resid > 1e-6 and not p["allow_nonconformal"]:
+        raise NotConformal(f"fixture {kind!r} conformality residual {resid:.3e} > 1.0e-06")
     return out
 
 

@@ -14,6 +14,10 @@ import numpy as np
 from . import fixtures, liealg
 
 
+# model space -> algebra fixture of its frame group; none is shipped for euclidean8
+FRAME_GROUPS = {"sphere4": "so5_s4", "euclidean4": "se4_r4", "complex2": "se4_r4"}
+
+
 class DimensionMismatch(Exception):
     pass
 
@@ -42,11 +46,8 @@ class ModelSpace:
 
     @property
     def frame_fixture(self) -> str:
-        if self.kind == "sphere4":
-            return "so5_s4"
-        if self.kind in ("euclidean4", "complex2"):
-            return "se4_r4"
-        raise KeyError(f"no frame group shipped for model space {self.kind!r}")
+        """The algebra fixture of the frame group; KeyError where none is shipped."""
+        return FRAME_GROUPS[self.kind]
 
     def algebra_fixture(self) -> fixtures.AlgebraFixture:
         return fixtures.load_algebra_fixture(self.frame_fixture)
@@ -57,6 +58,8 @@ def euclidean4() -> ModelSpace:
 
 
 def sphere4(r: float = 1.0) -> ModelSpace:
+    if not 0 < r < np.inf:
+        raise ValueError(f"sphere radius must be positive and finite, not {r!r}")
     return ModelSpace(kind="sphere4", ambient_dim=5, curvature_constant=1.0 / r ** 2, radius=r)
 
 
@@ -71,16 +74,13 @@ def euclidean8() -> ModelSpace:
     return ModelSpace(kind="euclidean8", ambient_dim=8, curvature_constant=0.0)
 
 
+MODEL_SPACES = {"euclidean4": euclidean4, "sphere4": sphere4, "complex2": complex2,
+                "euclidean8": euclidean8}
+
+
 def model_space(kind: str, **params) -> ModelSpace:
-    if kind == "euclidean4":
-        return euclidean4()
-    if kind == "sphere4":
-        return sphere4(params.get("r", 1.0))
-    if kind == "complex2":
-        return complex2()
-    if kind == "euclidean8":
-        return euclidean8()
-    raise KeyError(f"unknown model space {kind!r}")
+    """KeyError for an unknown kind, TypeError for a param its constructor does not take."""
+    return MODEL_SPACES[kind](**params)
 
 
 def curvature_operator(space: ModelSpace, X, Y):

@@ -91,7 +91,7 @@ def test_missing_field_exit_two(tmp_path):
     assert cli.run(path, out_dir=tmp_path / "rep", echo=quiet) == 2
 
 
-@pytest.mark.parametrize("overrides", [
+MALFORMED = [
     {"lambda_samples": [{"re": 0.0}]},
     {"lambda_samples": [{"re": 0, "im": 0}]},
     {"lambda_samples": []},
@@ -108,10 +108,67 @@ def test_missing_field_exit_two(tmp_path):
     {"fixture": {"kind": "clifford_torus", "params": [1.0]}},
     {"fixture": {"kind": "round_sphere", "params": {"radius": 2.0}}},
     {"fixture": {"kind": "exp_frame", "params": {"algebra": "so5_s4", "sead": 1}}},
-])
+    # checks the fixture and model space cannot serve
+    {"fixture": {"kind": "exp_frame"}, "checks": ["codazzi_identity"]},
+    {"fixture": {"kind": "plane"}, "checks": ["lagrangian"]},
+    {"fixture": {"kind": "octonion_graph"}, "model_space": {"kind": "euclidean8"},
+     "checks": ["holomorphicity"]},
+    {"fixture": {"kind": "round_sphere"}, "checks": ["octonion_lift"]},
+    # values the types cannot express
+    {"lift_sign": 2},
+    {"fixture": {"kind": "clifford_torus_s4"},
+     "model_space": {"kind": "sphere4", "params": {"r": 0}}},
+    {"fixture": {"kind": "octonion_plane", "params": {"axes": [0, 9]}},
+     "model_space": {"kind": "euclidean8"}, "checks": ["octonion_lift"]},
+    {"fixture": {"kind": "exp_frame", "params": {"algebra": "so7"}}},
+    {"fixture": {"kind": "exp_frame", "params": {"xi": [1, 2]}}},
+    {"lambda_samples": [{"re": float("nan"), "im": 1.0}]},
+    # param values of the wrong type, model-space params and dimensions
+    {"fixture": {"kind": "round_sphere", "params": {"r": "two"}}},
+    {"fixture": {"kind": "round_sphere", "params": {"r": True}}},
+    {"fixture": {"kind": "perturbed_torus", "params": {"eps": "0.1"}}},
+    {"fixture": {"kind": "clifford_torus_s4"},
+     "model_space": {"kind": "sphere4", "params": {"radius": 2}}},
+    {"model_space": {"kind": "euclidean8"}, "checks": ["vertical_harmonicity"]},
+    # fields of the wrong type, a misspelt fixture field, a chart the params break
+    {"checks": [["flatness"]]},
+    {"lift_sign": True},
+    {"fixture": {"kind": "plane", "param": {}}},
+    {"fixture": {"kind": "round_sphere", "params": {"r": 0}}},
+]
+
+
+@pytest.mark.parametrize("overrides", MALFORMED)
 def test_malformed_or_misspelt_field_exit_two(tmp_path, overrides):
-    path = write_scenario(tmp_path, checks=["zero_curvature_scan"], **overrides)
+    path = write_scenario(tmp_path, **{"checks": ["zero_curvature_scan"], **overrides})
     assert cli.run(path, out_dir=tmp_path / "rep", echo=quiet) == 2
+
+
+@pytest.mark.parametrize("overrides", MALFORMED)
+def test_malformed_rejected_before_any_rung(tmp_path, monkeypatch, overrides):
+    def no_rung(*args, **kwargs):
+        raise AssertionError("a rung ran before the scenario was rejected")
+    monkeypatch.setattr(cli, "RungContext", no_rung)
+    path = write_scenario(tmp_path, **{"checks": ["zero_curvature_scan"], **overrides})
+    assert cli.run(path, out_dir=tmp_path / "rep", echo=quiet) == 2
+
+
+@pytest.mark.parametrize("kind, check", [("clifford_torus_s4", "covariant_closure"),
+                                         ("product_torus", "maslov_identity")])
+def test_omitted_model_space_is_the_fixtures_own(tmp_path, kind, check):
+    path = tmp_path / "own.json"
+    path.write_text(json.dumps({"fixture": {"kind": kind}, "grid_ladder": [16, 24, 32],
+                                "checks": [check], "expect": "converge"}))
+    own = cli.immersion.FIXTURES[kind].space
+    assert cli.load_scenario(path)["model_space"] == {"kind": own}
+    assert cli.run(path, out_dir=tmp_path / "rep", echo=quiet) == 0
+
+
+def test_vertical_harmonicity_runs_in_euclidean8(tmp_path):
+    path = write_scenario(tmp_path, fixture={"kind": "octonion_graph"},
+                          model_space={"kind": "euclidean8"}, grid_ladder=[16],
+                          checks=["vertical_harmonicity"], expect="exact")
+    assert cli.run(path, out_dir=tmp_path / "rep", echo=quiet) == 0
 
 
 def test_unknown_expectation_rejected_before_any_rung(tmp_path, monkeypatch):
@@ -124,11 +181,14 @@ def test_unknown_expectation_rejected_before_any_rung(tmp_path, monkeypatch):
 
 
 def test_declared_fixture_params_load(tmp_path):
-    # every fixture takes allow_nonconformal besides the params its builder reads
+    # every fixture takes allow_nonconformal besides the params its builder reads,
+    # and loads with its declared defaults in its own model space
     for kind in cli.immersion.list_fixture_kinds():
-        params = {name: None for name in cli.immersion.fixture_params(kind)}
+        params = cli.immersion.fixture_params(kind)
         assert "allow_nonconformal" in params
-        cli.load_scenario(write_scenario(tmp_path, fixture={"kind": kind, "params": params}))
+        cli.load_scenario(write_scenario(tmp_path, fixture={"kind": kind, "params": params},
+                                         model_space={"kind": cli.immersion.FIXTURES[kind].space},
+                                         checks=["vertical_harmonicity"]))
     params = {"algebra": "so5_s4", "seed": 2, "xi": [1.0] * 10, "eta": [1.0] * 10}
     cli.load_scenario(write_scenario(tmp_path, fixture={"kind": "exp_frame", "params": params}))
 

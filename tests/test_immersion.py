@@ -72,6 +72,34 @@ def test_branched_disk_masks_origin():
     assert fld.report_mask(1).any()
 
 
+class ReadRecorder(dict):
+    """A params mapping that records every key read from it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("kind", im.list_fixture_kinds())
+def test_fixture_reads_exactly_its_declared_params(kind):
+    # build_immersion itself reads allow_nonconformal; builder and domain read the rest
+    fixture = im.FIXTURES[kind]
+    p = ReadRecorder(fixture.params)
+    lo_u, hi_u, lo_v, hi_v = fixture.domain(p)[:4]
+    U, V = np.meshgrid(np.linspace(lo_u, hi_u, 8), np.linspace(lo_v, hi_v, 8), indexing="ij")
+    fixture.builder(p, U, V)
+    assert p.read == set(fixture.params)
+    assert set(im.fixture_params(kind)) == set(fixture.params) | {"allow_nonconformal"}
+
+
 def test_unknown_kind():
     with pytest.raises(KeyError):
         im.build_immersion("moebius", n=16)
