@@ -14,8 +14,10 @@ Scenario files are JSON:
     }
 
 An omitted model_space is the fixture's own.  `load_scenario` checks a scenario
-against the declarations (`immersion.FIXTURES`, `EXP_FRAME_PARAMS`, `CHECKS`)
-and raises ScenarioError (exit 2) before the first rung for anything they rule out.
+against the declarations (`immersion.FIXTURES`, `EXP_FRAME_PARAMS`, the model-space
+constructors' defaults, `CHECKS`) and raises ScenarioError (exit 2) before the first
+rung for anything they rule out.  A geometry error (an `immersion.ImmersionError` or
+`lagrangian.NotLagrangian`) shows only at the first rung; it also exits 2.
 
 Classifier: a ladder converges when the log-log slope of the sup norms is
 at least slope_min and the finest sup is below final_sup_max, or when the
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import pathlib
@@ -183,7 +186,7 @@ def exp_frame_inputs(params):
 
 
 def _check_lagrangian_twistor(ctx):
-    res = lagrangian.lagrangian_twistor_check(ctx.field, ctx.tw, ctx.space)
+    res = lagrangian.lagrangian_twistor_check(ctx.field, ctx.tw)
     rep = ResidualReport("lagrangian_twistor", meta={"consistent": res["consistent"]})
     sup = max(res["anticommutator_sup"], res["lagrangian_sup"])
     return rep.add(ctx.field.grid.h, sup, sup)
@@ -223,15 +226,14 @@ CHECKS = {
     "holomorphic_H": (lambda c: immersion.holomorphic_H_residual(c.field, c.tw), SURFACE),
     "divergence_identity": (
         lambda c: immersion.divergence_identity_residual(c.field, c.tw), SURFACE),
-    "codazzi_identity": (lambda c: immersion.codazzi_identity_residual(c.field, c.space), SURFACE),
+    "codazzi_identity": (lambda c: immersion.codazzi_identity_residual(c.field), SURFACE),
     "curvature_commutator": (
-        lambda c: immersion.curvature_commutator_residual(c.field, c.tw, c.space), SURFACE),
-    "lagrangian": (lambda c: lagrangian.lagrangian_residual(c.field, c.space), KAHLER),
+        lambda c: immersion.curvature_commutator_residual(c.field, c.tw), SURFACE),
+    "lagrangian": (lambda c: lagrangian.lagrangian_residual(c.field), KAHLER),
     "lagrangian_twistor": (_check_lagrangian_twistor, KAHLER),
-    "maslov_identity": (
-        lambda c: lagrangian.maslov_identity_residual(c.field, c.tw, c.space), KAHLER),
+    "maslov_identity": (lambda c: lagrangian.maslov_identity_residual(c.field, c.tw), KAHLER),
     "hamiltonian_stationary": (
-        lambda c: lagrangian.hamiltonian_stationary_residual(c.field, c.space), KAHLER),
+        lambda c: lagrangian.hamiltonian_stationary_residual(c.field), KAHLER),
     "octonion_lift": (_check_octonion_lift, {"euclidean8"}),
 }
 
@@ -268,6 +270,8 @@ def load_scenario(path):
                 and all(_number(x) for x in d.values()) and (d["re"] or d["im"])):
             raise ScenarioError(f"lambda sample {d!r} is not a nonzero finite {{'re': x, 'im': y}}")
     scen.setdefault("name", path.stem)
+    if scen["name"] in ("", ".", "..") or any(sep in scen["name"] for sep in "/\\"):
+        raise ScenarioError(f"scenario name {scen['name']!r} is not a plain file name")
     for key in ("fixture", "grid_ladder", "checks", "expect"):
         if key not in scen:
             raise ScenarioError(f"scenario {path} misses field {key!r}")
@@ -298,9 +302,14 @@ def load_scenario(path):
     ms = scen.setdefault("model_space", {"kind": own})
     _check_params("model_space", ms, KIND_AND_PARAMS)
     ms_kind = ms.get("kind")
+    if ms_kind not in symspace.MODEL_SPACES:
+        raise ScenarioError(f"unknown model_space {ms_kind!r}")
+    _check_params(f"model_space {ms_kind!r} params", ms.get("params", {}),
+                  {k: v.default for k, v in
+                   inspect.signature(symspace.MODEL_SPACES[ms_kind]).parameters.items()})
     try:
         space = symspace.model_space(ms_kind, **ms.get("params", {}))
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ScenarioError(f"unusable model_space {ms!r}: {exc}") from exc
     if surface and space.ambient_dim != symspace.model_space(own).ambient_dim:
         raise ScenarioError(f"fixture {kind!r} lives in {own!r}, not in the "
@@ -365,10 +374,13 @@ def write_reports(scen, results, out_dir, deterministic=False):
 
 
 def run(path, out_dir="reports", deterministic=False, echo=print):
+    """Run a scenario file and write its reports; returns the exit code: 0 when
+    every check meets the expectation, 1 when one does not, 2 for a scenario that
+    `load_scenario` rejects or whose geometry fails at a rung (no report then)."""
     try:
         scen = load_scenario(path)
         results = run_scenario(scen)
-    except ScenarioError as exc:
+    except (ScenarioError, immersion.ImmersionError, lagrangian.NotLagrangian) as exc:
         echo(f"error: {exc}")
         return 2
     write_reports(scen, results, out_dir, deterministic)

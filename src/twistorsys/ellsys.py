@@ -44,27 +44,27 @@ class FrameField:
 
 # ----------------------------------------------------------------- residuals
 
-def holomorphicity_residual(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism,
-                            margin: int = 1) -> ResidualReport:
+def holomorphicity_residual(alpha: LieValuedOneForm,
+                            aut: liealg.GradedAutomorphism) -> ResidualReport:
     """Norms of the (0,1) part of the grade-1 component of alpha."""
     g1 = forms.grade_decompose(alpha, aut)[1]
     _, a01 = forms.type_decompose(g1)
     return forms.report_from_pointwise("holomorphicity", alpha.grid,
-                                       a01.pointwise_norm(), margin=margin)
+                                       a01.pointwise_norm(), margin=1)
 
 
-def covariant_closure_residual(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism,
-                               margin: int = 2) -> ResidualReport:
+def covariant_closure_residual(alpha: LieValuedOneForm,
+                               aut: liealg.GradedAutomorphism) -> ResidualReport:
     """Norms of d a2^(1,0) + [a0 ^ a2^(1,0)] over the interior."""
     g = forms.grade_decompose(alpha, aut)
     a2_10, _ = forms.type_decompose(g[2])
     two = forms.exterior_derivative(a2_10).value + forms.wedge_bracket(g[0], a2_10).value
     pw = np.sqrt(np.sum(np.abs(two) ** 2, axis=-1))
-    return forms.report_from_pointwise("covariant_closure", alpha.grid, pw, margin=margin)
+    return forms.report_from_pointwise("covariant_closure", alpha.grid, pw, margin=2)
 
 
-def flatness_residual(alpha: LieValuedOneForm, margin: int = 2) -> ResidualReport:
-    return forms.curvature_residual(alpha, margin=margin, name="flatness")
+def flatness_residual(alpha: LieValuedOneForm) -> ResidualReport:
+    return forms.curvature_residual(alpha)
 
 
 def system_residuals(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism) -> dict:
@@ -101,20 +101,20 @@ def exp_frame_form(grid: SurfaceGrid, fixture: AlgebraFixture, xi, eta) -> LieVa
     return LieValuedOneForm(grid, alg, a_u.copy(), a_v.copy())
 
 
-def frame_to_connection(frame: FrameField, atol: float | None = None) -> LieValuedOneForm:
+def frame_to_connection(frame: FrameField) -> LieValuedOneForm:
     """alpha = g^-1 dg by centered differences, projected to the fixture basis.
 
     The discrete logarithmic derivative of exact group frames sits O(h^2)
-    off the algebra, so the projection is unchecked by default; that error
-    is part of the overall stencil error.
+    off the algebra, so the projection is unchecked; that error is part of
+    the overall stencil error.
     """
     grid = frame.grid
     ginv = frame.inverse()
     M_u = ginv @ forms.partial_u(grid, frame.g)
     M_v = ginv @ forms.partial_v(grid, frame.g)
     alg = frame.fixture.algebra
-    a_u = alg.coords(M_u, atol=atol)
-    a_v = alg.coords(M_v, atol=atol)
+    a_u = alg.coords(M_u, atol=None)
+    a_v = alg.coords(M_v, atol=None)
     return LieValuedOneForm(grid, alg, a_u.astype(complex), a_v.astype(complex))
 
 
@@ -139,8 +139,7 @@ def _frobenius(M):
     return np.sqrt(np.vecdot(flat, flat))
 
 
-def develop_frame(alpha: LieValuedOneForm, fixture: AlgebraFixture, g0=None,
-                  flatness_warn: float = 1e-3) -> FrameField:
+def develop_frame(alpha: LieValuedOneForm, fixture: AlgebraFixture, g0=None) -> FrameField:
     """Integrate d + alpha along row-major paths (u first, then v).
 
     Steps use the trapezoidal exponent exp(h * (a_i + a_(i+1)) / 2), which
@@ -149,8 +148,8 @@ def develop_frame(alpha: LieValuedOneForm, fixture: AlgebraFixture, g0=None,
     """
     if not (np.all(np.isfinite(alpha.a_u)) and np.all(np.isfinite(alpha.a_v))):
         raise NonFiniteExp("non-finite connection coefficient during development")
-    rep = flatness_residual(alpha, margin=min(2, (alpha.grid.nu - 1) // 3))
-    if rep.final_sup > flatness_warn * max(1.0, float(np.max(alpha.pointwise_norm()))):
+    rep = flatness_residual(alpha)
+    if rep.final_sup > 1e-3 * max(1.0, float(np.max(alpha.pointwise_norm()))):
         warnings.warn(f"developing a connection with flatness residual {rep.final_sup:.3e}; "
                       "the frame will be path-dependent", stacklevel=2)
     alg = fixture.algebra
@@ -191,8 +190,7 @@ def plaquette_defects(alpha: LieValuedOneForm, fixture: AlgebraFixture) -> float
 
 # -------------------------------------------------------------- gauge action
 
-def gauge_transform(alpha: LieValuedOneForm, h_field, fixture: AlgebraFixture,
-                    atol: float = 1e-8) -> LieValuedOneForm:
+def gauge_transform(alpha: LieValuedOneForm, h_field, fixture: AlgebraFixture) -> LieValuedOneForm:
     """alpha -> Ad(h^-1) alpha + h^-1 dh for a field h valued in the stabiliser.
 
     Raises NotInH when pointwise conjugation either leaves the algebra or
@@ -203,13 +201,13 @@ def gauge_transform(alpha: LieValuedOneForm, h_field, fixture: AlgebraFixture,
     h = np.asarray(h_field, dtype=float)
     hinv = np.linalg.inv(h)
     try:
-        ad_coords = alg.coords(h[..., None, :, :] @ alg.basis @ hinv[..., None, :, :],
-                               atol=atol)  # (nu, nv, d, d) rows=source basis
+        # (nu, nv, d, d) rows=source basis
+        ad_coords = alg.coords(h[..., None, :, :] @ alg.basis @ hinv[..., None, :, :])
     except liealg.NotClosed as exc:
         raise NotInH(f"conjugation leaves the algebra: {exc}") from exc
     C = np.swapaxes(ad_coords, -1, -2)  # columns = images of basis vectors
     comm = np.max(np.abs(C @ fixture.aut.tau - fixture.aut.tau @ C))
-    if comm > atol:
+    if comm > 1e-8:
         raise NotInH(f"conjugation does not commute with tau (residual {comm:.3e})")
 
     M_u = alg.matrix(alpha.a_u)

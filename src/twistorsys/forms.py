@@ -125,7 +125,7 @@ class LieValuedOneForm:
     def same_layout(self, other: "LieValuedOneForm"):
         if self.grid != other.grid:
             raise GridMismatch("forms live on different grids")
-        if self.algebra is not other.algebra and self.algebra.dim != other.algebra.dim:
+        if self.algebra is not other.algebra:
             raise AlgebraMismatch("forms valued in different algebras")
 
     def __add__(self, other):
@@ -224,7 +224,7 @@ def type_decompose(alpha: LieValuedOneForm):
 
 def grade_decompose(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism):
     """Componentwise projector application; returns {grade: form}."""
-    if aut.algebra.dim != alpha.algebra.dim:
+    if aut.algebra is not alpha.algebra:
         raise AlgebraMismatch("automorphism acts on a different algebra")
     out = {}
     for k in liealg.GRADES:
@@ -255,10 +255,10 @@ def curvature_two_form(alpha: LieValuedOneForm) -> LieValuedTwoForm:
     return LieValuedTwoForm(alpha.grid, alpha.algebra, d.value + 0.5 * w.value)
 
 
-def curvature_residual(alpha: LieValuedOneForm, margin: int = 2, name: str = "flatness") -> ResidualReport:
+def curvature_residual(alpha: LieValuedOneForm) -> ResidualReport:
     """Norms of d alpha + (1/2)[alpha ^ alpha] over the interior."""
     F = curvature_two_form(alpha)
-    return report_from_pointwise(name, alpha.grid, F.pointwise_norm(), margin=margin)
+    return report_from_pointwise("flatness", alpha.grid, F.pointwise_norm(), margin=2)
 
 
 # ------------------------------------------------------------------ loop family
@@ -324,7 +324,7 @@ def laurent_curvature(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism) -
 
 
 def zero_curvature_scan(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism,
-                        lam_samples=None, margin: int = 2) -> ResidualReport:
+                        lam_samples=None) -> ResidualReport:
     """Max curvature residual of the loop family over the sample set.
 
     Each F(lam) is evaluated exactly as sum_k lam^k F_k from
@@ -342,7 +342,7 @@ def zero_curvature_scan(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism,
     if not np.isfinite(lam_samples).all():
         raise ValueError(f"spectral parameters must be finite: {lam_samples}")
     grid, algebra = alpha.grid, alpha.algebra
-    mask = grid.interior_mask(margin)
+    mask = grid.interior_mask(2)
 
     def report(value):
         return masked_report("zero_curvature_scan", grid.h,

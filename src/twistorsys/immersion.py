@@ -670,21 +670,19 @@ def normal_connection_derivative(field: ImmersionField, H):
     return G_u, G_v
 
 
-def vertical_harmonicity_residual(field: ImmersionField, tw: TwistorField,
-                                  margin: int = 2) -> ResidualReport:
+def vertical_harmonicity_residual(field: ImmersionField, tw: TwistorField) -> ResidualReport:
     """Norm of d^(nabla, nabla_perp) * II_minus over the interior."""
     div = _hom_covariant_divergence(field, split_II(field.II, tw).minus)
     return masked_report("vertical_harmonicity", field.grid.h, _frobenius(div),
-                         field.report_mask(margin))
+                         field.report_mask(2))
 
 
-def holomorphic_H_residual(field: ImmersionField, tw: TwistorField,
-                           margin: int = 2) -> ResidualReport:
+def holomorphic_H_residual(field: ImmersionField, tw: TwistorField) -> ResidualReport:
     """Norm of nabla_perp_du H + j nabla_perp_dv H (the anti-holomorphic part)."""
     G_u, G_v = field.grad_H
     resid = G_u + (tw.j_N @ G_v[..., None])[..., 0]
     return masked_report("holomorphic_H", field.grid.h, np.linalg.norm(resid, axis=-1),
-                         field.report_mask(margin))
+                         field.report_mask(2))
 
 
 def _grad_H_hom(field: ImmersionField):
@@ -694,8 +692,7 @@ def _grad_H_hom(field: ImmersionField):
     return np.stack([G_u * inv[..., None], G_v * inv[..., None]], axis=-1)
 
 
-def divergence_identity_residual(field: ImmersionField, tw: TwistorField,
-                                 margin: int = 2) -> ResidualReport:
+def divergence_identity_residual(field: ImmersionField, tw: TwistorField) -> ResidualReport:
     """Pointwise identity  * d * II_minus = 2 pi_minus(nabla_perp H).
 
     Holds for every conformal immersion into the shipped space forms,
@@ -706,15 +703,13 @@ def divergence_identity_residual(field: ImmersionField, tw: TwistorField,
     Ghom = _grad_H_hom(field)
     rhs = Ghom + tw.j_N @ Ghom @ tw.j_T  # = 2 pi_minus(Ghom)
     return masked_report("divergence_identity", field.grid.h, _frobenius(lhs - rhs),
-                         field.report_mask(margin))
+                         field.report_mask(2))
 
 
-def codazzi_identity_residual(field: ImmersionField, space=None,
-                              margin: int = 2) -> ResidualReport:
-    """Traced Codazzi identity:
+def codazzi_identity_residual(field: ImmersionField) -> ResidualReport:
+    """Traced Codazzi identity in the field's model space:
     (* d * II)(X) = (R(e_i, X) e_i)^perp + 2 nabla_perp_X H, X in (e1, e2).
     """
-    space = space or field.space
     inv2 = 1.0 / np.maximum(field.conformal_factor, 1e-30)
     lhs = inv2[..., None, None] * _hom_covariant_divergence(field, field.II.hom())
     Ghom = _grad_H_hom(field)
@@ -723,20 +718,19 @@ def codazzi_identity_residual(field: ImmersionField, space=None,
         acc = None
         for ei in (field.e1, field.e2):
             # one (nu, nv, m, m) operator alive at a time: it sets the peak memory
-            vec = symspace.curvature_operator(space, ei, Xb) @ ei[..., None]
+            vec = symspace.curvature_operator(field.space, ei, Xb) @ ei[..., None]
             acc = vec if acc is None else acc + vec
         cols.append(acc)
     Rterm = field.normal_frame @ np.concatenate(cols, axis=-1)
     rhs = Rterm + 2.0 * Ghom
     return masked_report("codazzi_identity", field.grid.h, _frobenius(lhs - rhs),
-                         field.report_mask(margin))
+                         field.report_mask(2))
 
 
-def curvature_commutator_residual(field: ImmersionField, tw: TwistorField,
-                                  space=None, margin: int = 0) -> ResidualReport:
-    """Pointwise |[R(dphi e1, dphi e2), j]|: algebraic, no differencing."""
-    space = space or field.space
-    Rop = symspace.curvature_operator(space, field.e1, field.e2)
+def curvature_commutator_residual(field: ImmersionField, tw: TwistorField) -> ResidualReport:
+    """Pointwise |[R(dphi e1, dphi e2), j]| in the field's model space:
+    algebraic, no differencing."""
+    Rop = symspace.curvature_operator(field.space, field.e1, field.e2)
     comm = Rop @ tw.j_ambient - tw.j_ambient @ Rop
     return masked_report("curvature_commutator", field.grid.h, _frobenius(comm),
-                         field.report_mask(margin))
+                         field.report_mask(0))

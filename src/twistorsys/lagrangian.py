@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import immersion, symspace
+from . import immersion
 from .forms import ResidualReport, masked_report, partial_u, partial_v
 
 
@@ -25,10 +25,10 @@ class NotLagrangian(Exception):
     pass
 
 
-def _require_kahler(space: symspace.ModelSpace):
-    if space is None or space.kahler is None:
+def _require_kahler(field: immersion.ImmersionField):
+    if field.space.kahler is None:
         raise NotKahler("this check needs a model space with a Kahler structure")
-    return np.asarray(space.kahler)
+    return np.asarray(field.space.kahler)
 
 
 def _pullback_omega(field: immersion.ImmersionField, J):
@@ -36,28 +36,24 @@ def _pullback_omega(field: immersion.ImmersionField, J):
     return np.sum(JX * field.dphi_v, axis=-1)
 
 
-def lagrangian_residual(field: immersion.ImmersionField, space=None,
-                        margin: int = 0) -> ResidualReport:
+def lagrangian_residual(field: immersion.ImmersionField) -> ResidualReport:
     """Pointwise |omega(du phi, dv phi)|, the only pullback component."""
-    space = space or field.space
-    J = _require_kahler(space)
+    J = _require_kahler(field)
     pw = np.abs(_pullback_omega(field, J))
-    return masked_report("lagrangian", field.grid.h, pw, field.report_mask(margin))
+    return masked_report("lagrangian", field.grid.h, pw, field.report_mask(0))
 
 
-def lagrangian_twistor_check(field: immersion.ImmersionField, tw: immersion.TwistorField,
-                             space=None) -> dict:
+def lagrangian_twistor_check(field: immersion.ImmersionField, tw: immersion.TwistorField) -> dict:
     """Paired report: sup |{j, J^N}| against sup |omega pullback|.
 
     The two vanish together exactly when the lift lands in the circle
     bundle of structures anticommuting with the ambient one.
     """
-    space = space or field.space
-    J = _require_kahler(space)
+    J = _require_kahler(field)
     anti = tw.j_ambient @ J + J @ tw.j_ambient
     mask = field.report_mask(0)
     anti_sup = float(np.max(np.linalg.norm(anti, axis=(-2, -1))[mask]))
-    lag_sup = lagrangian_residual(field, space).final_sup
+    lag_sup = lagrangian_residual(field).final_sup
     both_small = anti_sup <= 1e-8 and lag_sup <= 1e-8
     both_large = anti_sup >= 1e-3 and lag_sup >= 1e-3
     return {"anticommutator_sup": anti_sup, "lagrangian_sup": lag_sup,
@@ -65,15 +61,15 @@ def lagrangian_twistor_check(field: immersion.ImmersionField, tw: immersion.Twis
             "consistent": both_small or both_large}
 
 
-def maslov_form(field: immersion.ImmersionField, space=None, tol: float = 1e-6):
+def maslov_form(field: immersion.ImmersionField):
     """beta = iota_H omega as coordinate coefficients (beta_u, beta_v).
 
     Asserts the defining contraction against the closed form
-    beta(X) = <dphi X, J^N H>; raises NotLagrangian above `tol`.
+    beta(X) = <dphi X, J^N H>; raises NotLagrangian when the pullback of
+    omega exceeds 1e-6.
     """
-    space = space or field.space
-    J = _require_kahler(space)
-    if lagrangian_residual(field, space).final_sup > tol:
+    J = _require_kahler(field)
+    if lagrangian_residual(field).final_sup > 1e-6:
         raise NotLagrangian("Maslov form needs a Lagrangian immersion")
     H_amb = (field.H[..., None, :] @ field.normal_frame)[..., 0, :]
     JH = H_amb @ J.T
@@ -84,12 +80,11 @@ def maslov_form(field: immersion.ImmersionField, space=None, tol: float = 1e-6):
     return beta_u, beta_v
 
 
-def maslov_identity_residual(field: immersion.ImmersionField, tw: immersion.TwistorField,
-                             space=None, margin: int = 2) -> ResidualReport:
+def maslov_identity_residual(field: immersion.ImmersionField,
+                             tw: immersion.TwistorField) -> ResidualReport:
     """Norm of II_minus(X, .) + beta(X) J^N|T over slots X in (e1, e2)."""
-    space = space or field.space
-    J = _require_kahler(space)
-    beta_u, beta_v = maslov_form(field, space)
+    J = _require_kahler(field)
+    beta_u, beta_v = maslov_form(field)
     minus = immersion.split_II(field.II, tw).minus      # (nu, nv, 2, q, 2)
     E = np.stack([field.e1, field.e2], axis=-2)
     JNT = field.normal_frame @ J @ np.swapaxes(E, -1, -2)
@@ -97,14 +92,12 @@ def maslov_identity_residual(field: immersion.ImmersionField, tw: immersion.Twis
     beta_frame = np.stack([beta_u * inv, beta_v * inv], axis=-1)  # beta(e_a)
     resid = minus + beta_frame[..., :, None, None] * JNT[..., None, :, :]
     pw = np.max(np.linalg.norm(resid, axis=(-2, -1)), axis=-1)
-    return masked_report("maslov_identity", field.grid.h, pw, field.report_mask(margin))
+    return masked_report("maslov_identity", field.grid.h, pw, field.report_mask(2))
 
 
-def hamiltonian_stationary_residual(field: immersion.ImmersionField, space=None,
-                                    margin: int = 2) -> ResidualReport:
+def hamiltonian_stationary_residual(field: immersion.ImmersionField) -> ResidualReport:
     """Divergence-form co-closedness of the Maslov form: du beta_u + dv beta_v."""
-    space = space or field.space
-    beta_u, beta_v = maslov_form(field, space)
+    beta_u, beta_v = maslov_form(field)
     div = partial_u(field.grid, beta_u) + partial_v(field.grid, beta_v)
     return masked_report("hamiltonian_stationary", field.grid.h, np.abs(div),
-                         field.report_mask(margin))
+                         field.report_mask(2))

@@ -192,21 +192,21 @@ def _unit(d, i):
     return e
 
 
-def build_algebra(basis, name: str = "", atol: float = 1e-8, normalize: bool = True) -> LieAlgebraRep:
+def build_algebra(basis, name: str = "") -> LieAlgebraRep:
     """Build a LieAlgebraRep from a list of square matrices.
 
-    The basis is Frobenius-normalised by default so that coordinate norms
-    are comparable across fixtures.  Fails with NotClosed if some bracket
-    leaves the span, DependentBasis if the matrices are linearly dependent.
+    The basis is Frobenius-normalised so that coordinate norms are
+    comparable across fixtures.  Fails with NotClosed if some bracket
+    leaves the span (relative residual above 1e-8), DependentBasis if the
+    matrices are linearly dependent.
     """
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
         raise DependentBasis("basis must be a list of square matrices of equal size")
-    if normalize:
-        norms = np.linalg.norm(basis, axis=(1, 2))
-        if np.any(norms < 1e-14):
-            raise DependentBasis("zero basis matrix")
-        basis = basis / norms[:, None, None]
+    norms = np.linalg.norm(basis, axis=(1, 2))
+    if np.any(norms < 1e-14):
+        raise DependentBasis("zero basis matrix")
+    basis = basis / norms[:, None, None]
     d, n, _ = basis.shape
     V = _vec(basis)  # (d, n*n)
     sv = np.linalg.svd(V, compute_uv=False)
@@ -225,7 +225,7 @@ def build_algebra(basis, name: str = "", atol: float = 1e-8, normalize: bool = T
             worst = max(worst, np.linalg.norm(B - recon) / scale)
             structure[i, j] = c
             structure[j, i] = -c
-    if worst > atol:
+    if worst > 1e-8:
         raise NotClosed(f"bracket leaves span of basis (residual {worst:.3e})")
 
     ads = structure.transpose(0, 2, 1)  # ads[i] = ad(b_i), entry [k, j] = structure[i, j, k]
@@ -267,7 +267,7 @@ def _averaging_projectors(tau):
     return proj
 
 
-def automorphism_from_group_element(algebra: LieAlgebraRep, J, atol: float = 1e-8) -> GradedAutomorphism:
+def automorphism_from_group_element(algebra: LieAlgebraRep, J) -> GradedAutomorphism:
     """tau = coordinate matrix of X -> J X J^(-1), with averaging projectors.
 
     Raises DoesNotPreserveAlgebra if conjugation leaves the span,
@@ -276,7 +276,7 @@ def automorphism_from_group_element(algebra: LieAlgebraRep, J, atol: float = 1e-
     J = np.asarray(J, dtype=float)
     Jinv = np.linalg.inv(J)
     try:
-        cols = algebra.coords(J[None] @ algebra.basis @ Jinv[None], atol=atol)
+        cols = algebra.coords(J[None] @ algebra.basis @ Jinv[None])
     except NotClosed as exc:
         raise DoesNotPreserveAlgebra(str(exc)) from exc
     tau = cols.T  # tau[:, j] = coords of J b_j J^-1
@@ -313,19 +313,23 @@ class SymmetricSplit:
         return self.p_basis.shape[0]
 
 
-def _projector_image(P, tol: float = 1e-8):
+def _complex_image(P):
     """Orthonormal basis (rows) of the image of a (near-)projector matrix."""
     U, s, _ = np.linalg.svd(P)
-    cols = U[:, s > 0.5]
-    # deterministic sign: largest-magnitude entry of each vector positive
-    for i in range(cols.shape[1]):
-        j = np.argmax(np.abs(cols[:, i]))
-        if cols[j, i] < 0:
-            cols[:, i] = -cols[:, i]
-    return cols.T
+    return U[:, s > 0.5].T
 
 
-def symmetric_split(aut: GradedAutomorphism, effectivity_tol: float = 1e-8) -> SymmetricSplit:
+def _projector_image(P):
+    """`_complex_image` of a real (near-)projector with a deterministic sign:
+    the largest-magnitude entry of each row is positive."""
+    rows = _complex_image(P)
+    for row in rows:
+        if row[np.argmax(np.abs(row))] < 0:
+            row *= -1
+    return rows
+
+
+def symmetric_split(aut: GradedAutomorphism) -> SymmetricSplit:
     """Split g = k + p along sigma = tau^2 and check that ad|p injects on k."""
     d = aut.dim
     sigma = aut.tau @ aut.tau
@@ -339,8 +343,8 @@ def symmetric_split(aut: GradedAutomorphism, effectivity_tol: float = 1e-8) -> S
     stacked = np.stack([_ad_restricted_to_p(aut.algebra, split, xi).reshape(-1)
                         for xi in k_basis], axis=1)
     smin = np.linalg.svd(stacked, compute_uv=False)[-1] if stacked.size else 0.0
-    if smin <= effectivity_tol:
-        kernel = _kernel_of_stacked(stacked, k_basis, effectivity_tol)
+    if smin <= 1e-8:
+        kernel = _kernel_of_stacked(stacked, k_basis, 1e-8)
         raise EffectivityFailure(
             f"ad|p has kernel on k (smallest singular value {smin:.3e}); "
             f"kernel dimension {kernel.shape[0]}: a tau-invariant ideal should be factored out")
@@ -391,11 +395,6 @@ def _characterization_residual(split: SymmetricSplit, aut: GradedAutomorphism, g
         resid = np.max(np.abs(null @ P.T - null))
         converse_ok = bool(resid <= 1e-8)
     return forward, converse_ok, null_dim, basis_g.shape[0]
-
-
-def _complex_image(P, tol: float = 0.5):
-    U, s, _ = np.linalg.svd(P)
-    return U[:, s > tol].T
 
 
 @dataclass

@@ -87,10 +87,10 @@ def basis_unit(i):
     return e
 
 
-def left_mult_structure(q, tol: float = 1e-8):
+def left_mult_structure(q):
     """L_q with L_q x = q x; an orthogonal complex structure for unit imaginary q."""
     q = np.asarray(q, dtype=float)
-    if abs(norm(q) - 1.0) > tol or abs(q[..., 0]) > tol:
+    if abs(norm(q) - 1.0) > 1e-8 or abs(q[..., 0]) > 1e-8:
         raise NotUnitImaginary("left multiplication needs a unit imaginary octonion")
     return np.einsum("i,ijk->kj", q, OCTONION_TABLE)
 
@@ -99,13 +99,13 @@ def _left_mult_field(q):
     return np.einsum("...i,ijk->...kj", np.asarray(q, dtype=float), OCTONION_TABLE)
 
 
-def canonical_lift(field: immersion.ImmersionField, tol: float = 1e-8):
+def canonical_lift(field: immersion.ImmersionField):
     """The 6-sphere valued lift of a conformal immersion into R^8.
 
     q = e2 * conj(e1) for the oriented orthonormal tangent basis (e1, e2);
     this order makes left multiplication rotate dphi(du) onto dphi(dv),
-    which the function asserts (LiftPropertyViolated on failure).  Returns
-    (q field, TwistorField wrapping j = L_q).
+    which the function asserts (LiftPropertyViolated above a relative
+    residual of 1e-8).  Returns (q field, TwistorField wrapping j = L_q).
     """
     if field.ambient_dim != 8:
         raise ValueError("the octonion lift lives in R^8")
@@ -113,13 +113,13 @@ def canonical_lift(field: immersion.ImmersionField, tol: float = 1e-8):
         raise immersion.NotImmersed("octonion lift across branch points")
     q = multiply(field.e2, conjugate(field.e1))
     qerr = max(float(np.max(np.abs(norm(q) - 1.0))), float(np.max(np.abs(q[..., 0]))))
-    if qerr > tol:
+    if qerr > 1e-8:
         raise immersion.NotImmersed(f"tangent frame degenerate: q off S^6 by {qerr:.3e}")
     j = _left_mult_field(q)
     resid = np.einsum("uvij,uvj->uvi", j, field.dphi_u) - field.dphi_v
     scale = float(np.max(field.lam))
     rel = float(np.max(np.linalg.norm(resid, axis=-1))) / max(scale, 1e-30)
-    if rel > tol:
+    if rel > 1e-8:
         raise LiftPropertyViolated(f"j dphi(du) != dphi(dv) (relative residual {rel:.3e})")
     tw = immersion.lift_from_octonion_structure(field, j)
     return q, tw

@@ -118,16 +118,12 @@ def lie_curvature_operator(fixture: fixtures.AlgebraFixture, X, Y):
     return apply
 
 
-def twistor_membership(j, metric=None) -> float:
-    """max(|j^2 + I|, |j^t M + M j|) with M the metric (identity by default)."""
+def twistor_membership(j) -> float:
+    """max(|j^2 + I|, |j^t + j|): distance from the orthogonal complex structures."""
     j = np.asarray(j, dtype=float)
     n = j.shape[-1]
     square = np.linalg.norm(j @ j + np.eye(n), axis=(-2, -1))
-    if metric is None:
-        skew = np.linalg.norm(np.swapaxes(j, -1, -2) + j, axis=(-2, -1))
-    else:
-        M = np.asarray(metric, dtype=float)
-        skew = np.linalg.norm(np.swapaxes(j, -1, -2) @ M + M @ j, axis=(-2, -1))
+    skew = np.linalg.norm(np.swapaxes(j, -1, -2) + j, axis=(-2, -1))
     return float(np.max(np.maximum(square, skew)))
 
 

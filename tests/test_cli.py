@@ -129,6 +129,8 @@ MALFORMED = [
     {"fixture": {"kind": "perturbed_torus", "params": {"eps": "0.1"}}},
     {"fixture": {"kind": "clifford_torus_s4"},
      "model_space": {"kind": "sphere4", "params": {"radius": 2}}},
+    {"fixture": {"kind": "clifford_torus_s4"},
+     "model_space": {"kind": "sphere4", "params": {"r": True}}},
     {"model_space": {"kind": "euclidean8"}, "checks": ["vertical_harmonicity"]},
     # fields of the wrong type, a misspelt fixture field, a chart the params break
     {"checks": [["flatness"]]},
@@ -151,6 +153,58 @@ def test_malformed_rejected_before_any_rung(tmp_path, monkeypatch, overrides):
     monkeypatch.setattr(cli, "RungContext", no_rung)
     path = write_scenario(tmp_path, **{"checks": ["zero_curvature_scan"], **overrides})
     assert cli.run(path, out_dir=tmp_path / "rep", echo=quiet) == 2
+
+
+@pytest.mark.parametrize("name", ["sub/x", "sub\\x", "", ".", ".."])
+def test_name_not_a_plain_file_name_rejected_before_any_rung(tmp_path, monkeypatch, name):
+    def no_rung(*args, **kwargs):
+        raise AssertionError("a rung ran before the scenario was rejected")
+    monkeypatch.setattr(cli, "RungContext", no_rung)
+    path = write_scenario(tmp_path, name="scen")
+    path.write_text(json.dumps({**json.loads(path.read_text()), "name": name}))
+    assert cli.run(path, out_dir=tmp_path / "rep", echo=quiet) == 2
+    assert not (tmp_path / "rep").exists()
+
+
+# geometry errors show only at the first rung
+GEOMETRY_ERRORS = [
+    ({"kind": "graph"}, "vertical_harmonicity"),          # NotConformal
+    ({"kind": "complex_line"}, "maslov_identity"),        # NotLagrangian
+    ({"kind": "branched_disk"}, "holomorphicity"),        # FrameDiscontinuity
+]
+
+
+@pytest.mark.parametrize("fixture, check", GEOMETRY_ERRORS)
+def test_geometry_error_exit_two_without_report(tmp_path, fixture, check):
+    path = tmp_path / "geom.json"
+    path.write_text(json.dumps({"fixture": fixture, "grid_ladder": [16], "checks": [check],
+                                "expect": "converge"}))
+    lines = []
+    assert cli.run(path, out_dir=tmp_path / "rep", echo=lines.append) == 2
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not (tmp_path / "rep").exists()
+
+
+def test_every_accepted_combination_exits_cleanly(tmp_path):
+    # every fixture x model space x check that load_scenario accepts, one rung
+    # at n = 16: an exit code, never an exception
+    accepted = 0
+    for kind in cli.list_fixtures():
+        for ms_kind in cli.symspace.MODEL_SPACES:
+            for check in cli.list_checks():
+                path = tmp_path / "combo.json"
+                path.write_text(json.dumps({"fixture": {"kind": kind},
+                                            "model_space": {"kind": ms_kind},
+                                            "grid_ladder": [16], "checks": [check],
+                                            "expect": "converge"}))
+                try:
+                    cli.load_scenario(path)
+                except cli.ScenarioError:
+                    continue
+                accepted += 1
+                rc = cli.run(path, out_dir=tmp_path / "rep", deterministic=True, echo=quiet)
+                assert rc in (0, 1, 2), (kind, ms_kind, check)
+    assert accepted > 0
 
 
 @pytest.mark.parametrize("kind, check", [("clifford_torus_s4", "covariant_closure"),

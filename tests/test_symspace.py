@@ -84,11 +84,6 @@ def test_membership_random_skew():
     assert symspace.twistor_membership(j) > 1e-3
 
 
-def test_membership_with_metric():
-    j = symspace.standard_kahler_structure()
-    assert symspace.twistor_membership(j, metric=np.eye(4)) <= 1e-15
-
-
 # ----------------------------------------------- curvature commutation identity
 
 def test_commutation_flat():
