@@ -229,9 +229,7 @@ def grade_decompose(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism):
     out = {}
     for k in liealg.GRADES:
         P = aut.projectors[k]
-        out[k] = LieValuedOneForm(alpha.grid, alpha.algebra,
-                                  np.einsum("kd,uvd->uvk", P, alpha.a_u),
-                                  np.einsum("kd,uvd->uvk", P, alpha.a_v))
+        out[k] = LieValuedOneForm(alpha.grid, alpha.algebra, alpha.a_u @ P.T, alpha.a_v @ P.T)
     return out
 
 

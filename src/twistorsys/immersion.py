@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.ndimage
 
 from . import symspace
 from .forms import ResidualReport, SurfaceGrid, masked_report, partial_u, partial_v
@@ -40,6 +39,19 @@ class NotImmersed(ImmersionError):
 
 class FrameDiscontinuity(ImmersionError):
     pass
+
+
+def _dilate(mask, iterations):
+    """Binary dilation of a 2-d mask by the 4-neighbour cross, `iterations`
+    times, with nothing set beyond the border."""
+    for _ in range(iterations):
+        grown = mask.copy()
+        grown[1:] |= mask[:-1]
+        grown[:-1] |= mask[1:]
+        grown[:, 1:] |= mask[:, :-1]
+        grown[:, :-1] |= mask[:, 1:]
+        mask = grown
+    return mask
 
 
 @dataclass
@@ -109,7 +121,7 @@ class ImmersionField:
     def report_mask(self, margin: int = 1):
         mask = self.grid.interior_mask(margin)
         if self.branch_mask.any():
-            bad = scipy.ndimage.binary_dilation(self.branch_mask, iterations=max(margin, 1) + 1)
+            bad = _dilate(self.branch_mask, max(margin, 1) + 1)
             mask = mask & ~bad
         return mask
 
@@ -575,6 +587,19 @@ def flip_tangent_orientation(field: ImmersionField, tw: TwistorField) -> Twistor
     return _frame_rotation_lift(field, tw.sign, -1, tw.eps)
 
 
+def _matvec(M, v):
+    """M @ v over stacks of small matrices, as the column sum M[..., 0] v_0 + M[..., 1] v_1 + ...
+
+    `@` makes one tiny product per point: on (nu, nv, 2, 2) stacks the column
+    sum is about 3x faster, and with two columns it equals
+    np.einsum("...pq,...q->...p") bit for bit.
+    """
+    out = M[..., 0] * v[..., :1]
+    for k in range(1, v.shape[-1]):
+        out = out + M[..., k] * v[..., k:k + 1]
+    return out
+
+
 def _outer(a, b):
     return np.einsum("uvi,uvj->uvij", a, b)
 
@@ -665,8 +690,8 @@ def normal_connection_derivative(field: ImmersionField, H):
     """(nabla_perp_du H, nabla_perp_dv H) in normal coefficients."""
     grid = field.grid
     _, _, wn_u, wn_v = field.connection
-    G_u = partial_u(grid, H) + (wn_u @ H[..., None])[..., 0]
-    G_v = partial_v(grid, H) + (wn_v @ H[..., None])[..., 0]
+    G_u = partial_u(grid, H) + _matvec(wn_u, H)
+    G_v = partial_v(grid, H) + _matvec(wn_v, H)
     return G_u, G_v
 
 
@@ -680,7 +705,7 @@ def vertical_harmonicity_residual(field: ImmersionField, tw: TwistorField) -> Re
 def holomorphic_H_residual(field: ImmersionField, tw: TwistorField) -> ResidualReport:
     """Norm of nabla_perp_du H + j nabla_perp_dv H (the anti-holomorphic part)."""
     G_u, G_v = field.grad_H
-    resid = G_u + (tw.j_N @ G_v[..., None])[..., 0]
+    resid = G_u + _matvec(tw.j_N, G_v)
     return masked_report("holomorphic_H", field.grid.h, np.linalg.norm(resid, axis=-1),
                          field.report_mask(2))
 
@@ -713,15 +738,15 @@ def codazzi_identity_residual(field: ImmersionField) -> ResidualReport:
     inv2 = 1.0 / np.maximum(field.conformal_factor, 1e-30)
     lhs = inv2[..., None, None] * _hom_covariant_divergence(field, field.II.hom())
     Ghom = _grad_H_hom(field)
-    cols = []   # sum_i R(e_i, X) e_i for X in (e1, e2), as (nu, nv, m, 1) columns
+    cols = []   # sum_i R(e_i, X) e_i for X in (e1, e2), as (nu, nv, m) columns
     for Xb in (field.e1, field.e2):
         acc = None
         for ei in (field.e1, field.e2):
             # one (nu, nv, m, m) operator alive at a time: it sets the peak memory
-            vec = symspace.curvature_operator(field.space, ei, Xb) @ ei[..., None]
+            vec = _matvec(symspace.curvature_operator(field.space, ei, Xb), ei)
             acc = vec if acc is None else acc + vec
         cols.append(acc)
-    Rterm = field.normal_frame @ np.concatenate(cols, axis=-1)
+    Rterm = field.normal_frame @ np.stack(cols, axis=-1)
     rhs = Rterm + 2.0 * Ghom
     return masked_report("codazzi_identity", field.grid.h, _frobenius(lhs - rhs),
                          field.report_mask(2))

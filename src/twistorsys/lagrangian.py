@@ -71,7 +71,7 @@ def maslov_form(field: immersion.ImmersionField):
     J = _require_kahler(field)
     if lagrangian_residual(field).final_sup > 1e-6:
         raise NotLagrangian("Maslov form needs a Lagrangian immersion")
-    H_amb = (field.H[..., None, :] @ field.normal_frame)[..., 0, :]
+    H_amb = immersion._matvec(np.swapaxes(field.normal_frame, -1, -2), field.H)
     JH = H_amb @ J.T
     beta_u = np.sum(JH * field.dphi_u, axis=-1)
     beta_v = np.sum(JH * field.dphi_v, axis=-1)

@@ -13,7 +13,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 
 class LieAlgebraError(Exception):
@@ -51,17 +50,83 @@ class NonFinite(LieAlgebraError):
 GRADES = (0, 1, 2, -1)
 
 
-def matrix_exp(X):
-    """Matrix exponential (scaling-and-squaring Pade via scipy).
+# Higham (2005), Table 2.3 and Algorithm 2.3: the largest 1-norm theta_m for
+# which the [m/m] Pade approximant of exp is accurate to double precision,
+# and the numerator coefficients b_0 ... b_m of that approximant.
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+               7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 5.371920351148152e0}
+_PADE_B = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}
 
-    X is one (n, n) matrix or a stack (..., n, n); each slice is
-    exponentiated on its own, exactly as a single matrix would be.
-    exp(0) is the exact identity.
+
+def _pade(A, m):
+    """exp(A) for a stack A of matrices with 1-norm <= theta_m, as the [m/m] Pade
+    approximant: U = odd part, V = even part, exp(A) ~ (V - U)^-1 (V + U)."""
+    b = _PADE_B[m]
+    eye = np.eye(A.shape[-1])
+    A2 = A @ A
+    if m == 13:
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+        V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+    else:
+        powers = [A2]   # A^2, A^4, ..., A^(m-1)
+        for _ in range(2, (m + 1) // 2):
+            powers.append(powers[-1] @ A2)
+        U = A @ sum((b[2 * k + 1] * P for k, P in enumerate(powers, 1)), b[1] * eye)
+        V = sum((b[2 * k] * P for k, P in enumerate(powers, 1)), b[0] * eye)
+    return np.linalg.solve(V - U, V + U)
+
+
+def matrix_exp(X):
+    """Matrix exponential by scaling and squaring with a Pade approximant
+    (Higham, SIAM J. Matrix Anal. Appl. 26 (2005), Algorithm 2.3).
+
+    X is one (n, n) matrix or a stack (..., n, n).  Each slice gets the
+    degree m in {3, 5, 7, 9, 13} and, above theta_13, the scaling 2^-s that
+    its own 1-norm selects; the slices of one degree share batched matrix
+    products and one batched solve, so a slice of a stack comes out exactly
+    as it would alone.  exp(0) is the exact identity (U = 0, V = b_0 I).
     """
     X = np.asarray(X, dtype=float)
+    if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
+        raise ValueError(f"matrix_exp: expected (..., n, n) matrices, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise NonFinite("matrix_exp: input has non-finite entries")
-    return scipy.linalg.expm(X)
+    A = X.reshape((-1,) + X.shape[-2:])
+    out = np.empty_like(A)
+    norms = np.max(np.sum(np.abs(A), axis=-2), axis=-1)
+    thetas = np.array(list(_PADE_THETA.values()))
+    # the smallest degree whose theta bounds the norm; 13 with scaling above theta_13
+    band = np.minimum(np.searchsorted(thetas, norms), len(thetas) - 1)
+    for i, m in enumerate(_PADE_THETA):
+        idx = np.flatnonzero(band == i)
+        if not idx.size:
+            continue
+        if m < 13:
+            out[idx] = _pade(A[idx], m)
+            continue
+        s = np.maximum(np.ceil(np.log2(norms[idx] / thetas[-1])), 0).astype(int)
+        order = np.argsort(-s, kind="stable")
+        idx, s = idx[order], s[order]
+        R = _pade(np.ldexp(A[idx], -s[:, None, None]), 13)
+        # s is descending, so the slices still to be squared are a prefix
+        for k in range(s[0]):
+            live = np.count_nonzero(s > k)
+            R[:live] = R[:live] @ R[:live]
+        out[idx] = R
+    return out.reshape(X.shape)
 
 
 def _nonzero_terms(table):
@@ -148,7 +213,7 @@ class LieAlgebraRep:
     def matrix(self, xi):
         """Coordinate vector(s) -> ambient matrix(es); supports leading axes."""
         xi = np.asarray(xi)
-        return np.einsum("...d,dij->...ij", xi, self.basis)
+        return (xi @ _vec(self.basis)).reshape(xi.shape[:-1] + self.basis.shape[1:])
 
     def coords(self, M, atol: float | None = 1e-8):
         """Expand ambient matrix(es) in the basis (least squares).
@@ -159,9 +224,9 @@ class LieAlgebraRep:
         """
         M = np.asarray(M)
         flat = M.reshape(M.shape[:-2] + (-1,))
-        xi = np.einsum("dk,...k->...d", self.pinv, flat)
+        xi = flat @ self.pinv.T
         if atol is not None:
-            recon = np.einsum("...d,dk->...k", xi, _vec(self.basis))
+            recon = xi @ _vec(self.basis)
             scale = max(np.max(np.abs(flat)), 1.0)
             err = np.max(np.abs(recon - flat))
             if err > atol * scale:

@@ -117,6 +117,15 @@ def test_grade_decompose_reality_and_reconstruction(so5):
     assert np.max(np.abs(np.conj(parts[1].a_u) - parts[-1].a_u)) <= 1e-12
 
 
+def test_grade_decompose_matches_einsum(so5):
+    alpha = random_form(unit_grid(16), so5.algebra, seed=6)
+    scale = max(np.max(np.abs(alpha.a_u)), np.max(np.abs(alpha.a_v)))
+    for k, part in forms.grade_decompose(alpha, so5.aut).items():
+        P = so5.aut.projectors[k]
+        for new, a in ((part.a_u, alpha.a_u), (part.a_v, alpha.a_v)):
+            assert np.max(np.abs(new - np.einsum("kd,uvd->uvk", P, a))) <= 1e-14 * scale
+
+
 def test_grade_commutes_with_type(so5):
     alpha = random_form(unit_grid(8), so5.algebra, seed=4)
     a10, _ = forms.type_decompose(alpha)

@@ -1,6 +1,7 @@
 """Immersion fixtures, second fundamental form, lifts, harmonicity residuals."""
 import numpy as np
 import pytest
+import scipy.ndimage
 
 from twistorsys import cli
 from twistorsys import immersion as im
@@ -70,6 +71,21 @@ def test_branched_disk_masks_origin():
     assert fld.branch_mask[8, 8]
     assert not fld.report_mask(1)[8, 8]
     assert fld.report_mask(1).any()
+
+
+def test_branch_mask_dilation_matches_scipy():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        shape = tuple(rng.integers(3, 20, size=2))
+        mask = rng.random(shape) < rng.uniform(0.02, 0.3)
+        mask[rng.integers(shape[0]), rng.choice([0, shape[1] - 1])] = True  # on the border
+        it = int(rng.integers(1, 5))
+        assert np.array_equal(im._dilate(mask, it),
+                              scipy.ndimage.binary_dilation(mask, iterations=it))
+    fld = im.build_immersion("branched_disk", n=17)
+    for margin in (1, 2):
+        bad = scipy.ndimage.binary_dilation(fld.branch_mask, iterations=margin + 1)
+        assert np.array_equal(fld.report_mask(margin), fld.grid.interior_mask(margin) & ~bad)
 
 
 class ReadRecorder(dict):
@@ -480,3 +496,12 @@ def test_batched_contractions_match_einsum(kind, monkeypatch):
     oracle = np.linalg.norm(lhs - (ref["Ghom"] + ref["div_conj"]), axis=(-2, -1))
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(ref["Ghom"])))
     assert _close(captured["divergence_identity"], oracle, scale)
+
+    # the column-sum matrix-vector product on every shape it serves: equal to
+    # the einsum bit for bit over two columns, within roundoff over more
+    H = fld.H
+    for M, v in ((fld.connection[2], H), (tw.j_N, fld.grad_H[1]),
+                 (np.swapaxes(fld.normal_frame, -1, -2), H),
+                 (symspace.curvature_operator(fld.space, fld.e1, fld.e2), fld.e1)):
+        ref = np.einsum("uvij,uvj->uvi", M, v)
+        assert (np.array_equal if v.shape[-1] == 2 else _close)(im._matvec(M, v), ref)

@@ -1,6 +1,7 @@
 """Algebraic layer: brackets, Killing form, gradings, characterisations."""
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -366,7 +367,7 @@ def test_matrix_exp_zero_exact():
 
 
 def test_matrix_exp_stack_equals_loop():
-    # generic, zero, diagonal and nilpotent slices take different scipy paths
+    # generic, zero, diagonal and nilpotent slices fall in different Pade degree bands
     rng = np.random.default_rng(5)
     scales = np.array([0.01, 0.3, 1.0, 4.0, 1.0, 1.0])
     stack = rng.standard_normal((6, 5, 5)) * scales[:, None, None]
@@ -397,3 +398,85 @@ def test_matrix_exp_nonfinite():
     stack[1, 0, 1] = np.nan
     with pytest.raises(liealg.NonFinite):
         liealg.matrix_exp(stack)
+
+
+def _exp_bands():
+    """(lo, hi] 1-norm bands: one per Pade degree 3, 5, 7, 9, 13, then the
+    scaled band split by its scaling s = 1 ... 6."""
+    edges = [0.0, *liealg._PADE_THETA.values()]
+    edges += [edges[-1] * 2.0 ** s for s in range(1, 7)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _in_band(lo, hi):
+    return lo + (hi - lo) * np.array([0.25, 0.6, 0.95])
+
+
+def _with_norms(mats, norms):
+    """mats rescaled to the given 1-norms."""
+    return mats * (norms / np.max(np.sum(np.abs(mats), axis=-2), axis=-1))[:, None, None]
+
+
+def _rel_diff(E, ref):
+    return np.max(np.abs(E - ref)) / max(1.0, np.max(np.abs(ref)))
+
+
+def test_matrix_exp_matches_scipy_in_every_band():
+    # inputs on which scipy's expm is itself accurate: upper-triangular ones
+    # with a non-positive diagonal in every band (scipy recomputes the diagonal
+    # of a triangular input exactly), dense ones below theta_9
+    rng = np.random.default_rng(11)
+    for lo, hi in _exp_bands():
+        tri = np.triu(rng.standard_normal((3, 5, 5)))
+        tri[:, range(5), range(5)] = -np.abs(tri[:, range(5), range(5)])
+        stacks = [tri] + ([rng.standard_normal((3, 5, 5))] if hi <= liealg._PADE_THETA[9] else [])
+        for stack in stacks:
+            stack = _with_norms(stack, _in_band(lo, hi))
+            for X, E in zip(stack, liealg.matrix_exp(stack)):
+                assert _rel_diff(E, scipy.linalg.expm(X)) <= 1e-13, (lo, hi)
+
+
+def test_matrix_exp_rotation_generators_in_every_band():
+    # skew input, as the so(5) frames have; on these scipy's expm itself departs
+    # from the closed form by up to ~5e-12 at s = 6, so the closed form is the oracle
+    rng = np.random.default_rng(12)
+    for lo, hi in _exp_bands():
+        for a in _in_band(lo, hi):
+            b = rng.uniform(-1.0, 1.0) * a
+            X = np.zeros((5, 5))
+            E = np.eye(5)
+            for k, t in ((0, a), (2, b)):
+                X[k:k + 2, k:k + 2] = [[0.0, -t], [t, 0.0]]
+                E[k:k + 2, k:k + 2] = [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]
+            P = np.eye(5)[rng.permutation(5)]
+            assert _rel_diff(liealg.matrix_exp(P @ X @ P.T), P @ E @ P.T) <= 1e-13, (lo, hi)
+
+
+def test_matrix_exp_mixed_band_stack_equals_loop():
+    rng = np.random.default_rng(13)
+    norms = np.array([0.5 * (lo + hi) for lo, hi in _exp_bands()])
+    stack = np.concatenate([_with_norms(rng.standard_normal((len(norms), 5, 5)), norms),
+                            np.zeros((1, 5, 5))])
+    stack = stack[rng.permutation(len(stack))].reshape(3, 4, 5, 5)
+    loop = np.stack([liealg.matrix_exp(X) for X in stack.reshape(-1, 5, 5)])
+    assert np.array_equal(liealg.matrix_exp(stack), loop.reshape(stack.shape))
+
+
+def test_matrix_exp_empty_and_negative_zero():
+    assert liealg.matrix_exp(np.zeros((0, 5, 5))).shape == (0, 5, 5)
+    out = liealg.matrix_exp(np.full((3, 5, 5), -0.0))
+    assert np.array_equal(out, np.broadcast_to(np.eye(5), out.shape))
+    assert not np.any(np.signbit(out))
+
+
+def test_constant_matrix_contractions_match_einsum(so5):
+    a = so5.algebra
+    rng = np.random.default_rng(14)
+    xi = rng.standard_normal((9, 7, a.dim))
+    for x in (xi, xi + 1j * rng.standard_normal(xi.shape)):
+        ref = np.einsum("...d,dij->...ij", x, a.basis)
+        assert np.max(np.abs(a.matrix(x) - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # in the span, where coords checks its reconstruction, and off it, unchecked
+    for M, atol in ((a.matrix(xi), 1e-8), (rng.standard_normal((9, 7, 5, 5)), None)):
+        ref = np.einsum("dk,...k->...d", a.pinv, M.reshape(9, 7, -1))
+        assert np.max(np.abs(a.coords(M, atol=atol) - ref)) <= 1e-14 * np.max(np.abs(M))
