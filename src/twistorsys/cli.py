@@ -143,24 +143,25 @@ class RungContext:
         return immersion.twistor_lift(self.field, self.scenario.get("lift_sign", +1))
 
     @functools.cached_property
-    def frame_and_form(self):
+    def _form_and_aut(self):
+        """(alpha, the grading of its algebra): exp_frame's analytic form, or g^-1 dg
+        of the surface's adapted frames."""
         fixture = self.scenario["fixture"]
         if fixture["kind"] == "exp_frame":
             fx, xi, eta = exp_frame_inputs(fixture.get("params", {}))
             grid = forms.SurfaceGrid(nu=self.n, nv=self.n, hu=1.0 / (self.n - 1),
                                      hv=1.0 / (self.n - 1))
-            alpha = ellsys.exp_frame_form(grid, fx, xi, eta)
-            return None, alpha, fx.aut
-        frame, alpha = ellsys.frame_from_geometry(self.field, self.tw, self.space)
-        return frame, alpha, self.space.algebra_fixture().aut
+            return ellsys.exp_frame_form(grid, fx, xi, eta), fx.aut
+        alpha = ellsys.frame_from_geometry(self.field, self.tw, self.space)[1]
+        return alpha, self.space.algebra_fixture().aut
 
     @property
     def alpha(self):
-        return self.frame_and_form[1]
+        return self._form_and_aut[0]
 
     @property
     def aut(self):
-        return self.frame_and_form[2]
+        return self._form_and_aut[1]
 
     def lambda_samples(self):
         raw = self.scenario.get("lambda_samples")
@@ -278,6 +279,8 @@ def load_scenario(path):
     ladder = scen["grid_ladder"]
     if not (ladder and all(_number(n, (int,)) and n >= 8 for n in ladder)):
         raise ScenarioError(f"grid_ladder {ladder!r} is not a non-empty list of integers >= 8")
+    if len(set(ladder)) != len(ladder):
+        raise ScenarioError(f"grid_ladder {ladder!r} repeats a grid size")
     if scen["expect"] not in EXPECTATIONS:
         raise ScenarioError(f"unknown expectation {scen['expect']!r}, expected one of {EXPECTATIONS}")
     if abs(scen.get("lift_sign", 1)) != 1:
@@ -314,13 +317,18 @@ def load_scenario(path):
     if surface and space.ambient_dim != symspace.model_space(own).ambient_dim:
         raise ScenarioError(f"fixture {kind!r} lives in {own!r}, not in the "
                             f"{space.ambient_dim}-dimensional {ms_kind!r}")
-    for c in scen["checks"]:
+    checks = scen["checks"]
+    if not checks:
+        raise ScenarioError("checks must not be empty")
+    for c in checks:
         if type(c) is not str or c not in CHECKS:
             raise ScenarioError(f"unknown check {c!r}")
         where = ms_kind if surface else kind
         if where not in CHECKS[c][1]:
             raise ScenarioError(f"check {c!r} runs on {sorted(CHECKS[c][1])}, not on "
                                 f"fixture {kind!r} in {ms_kind!r}")
+    if len(set(checks)) != len(checks):
+        raise ScenarioError(f"checks {checks!r} name a check twice")
     return scen
 
 

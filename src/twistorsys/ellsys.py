@@ -132,13 +132,6 @@ def _step_exponentials(grid: SurfaceGrid, A_u, A_v):
     return E_u, E_v
 
 
-def _frobenius(M):
-    """Frobenius norms of a stack of matrices, each summed as np.linalg.norm
-    sums a single matrix (a dot product of the flattened entries)."""
-    flat = M.reshape(M.shape[:-2] + (-1,))
-    return np.sqrt(np.vecdot(flat, flat))
-
-
 def develop_frame(alpha: LieValuedOneForm, fixture: AlgebraFixture, g0=None) -> FrameField:
     """Integrate d + alpha along row-major paths (u first, then v).
 
@@ -172,7 +165,7 @@ def develop_frame(alpha: LieValuedOneForm, fixture: AlgebraFixture, g0=None) -> 
         meta["holonomy_u"] = float(np.linalg.norm(ret - g[0, 0]))
     if grid.periodic_v:
         ret = g[:, -1] @ E_v[:, -1]
-        meta["holonomy_v"] = float(np.max(_frobenius(ret - g[:, 0])))
+        meta["holonomy_v"] = float(np.max(liealg._frobenius(ret - g[:, 0])))
     return FrameField(grid=grid, fixture=fixture, g=g, meta=meta)
 
 
@@ -185,7 +178,7 @@ def plaquette_defects(alpha: LieValuedOneForm, fixture: AlgebraFixture) -> float
     # non-periodic direction the last cell would close through the wrapped step
     D = E_u @ np.roll(E_v, -1, axis=0) - E_v @ np.roll(E_u, -1, axis=1)
     D = D[:None if grid.periodic_u else -1, :None if grid.periodic_v else -1]
-    return float(np.max(_frobenius(D)))
+    return float(np.max(liealg._frobenius(D)))
 
 
 # -------------------------------------------------------------- gauge action
@@ -255,8 +248,7 @@ def frame_from_geometry(field: immersion.ImmersionField, tw: immersion.TwistorFi
     jn1 = np.einsum("uvij,uvj->uvi", j, field.n1)
     nu, nv = field.grid.nu, field.grid.nv
     if space.kind == "sphere4":
-        r = space.radius or 1.0
-        g = np.stack([field.e1, je1, field.n1, jn1, field.phi / r], axis=-1)
+        g = np.stack([field.e1, je1, field.n1, jn1, field.phi / space.radius], axis=-1)
     else:
         g = np.zeros((nu, nv, 5, 5))
         F = np.stack([field.e1, je1, field.n1, jn1], axis=-1)

@@ -223,14 +223,12 @@ def type_decompose(alpha: LieValuedOneForm):
 
 
 def grade_decompose(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism):
-    """Componentwise projector application; returns {grade: form}."""
+    """`liealg.grade_project` on both components; returns {grade: form}."""
     if aut.algebra is not alpha.algebra:
         raise AlgebraMismatch("automorphism acts on a different algebra")
-    out = {}
-    for k in liealg.GRADES:
-        P = aut.projectors[k]
-        out[k] = LieValuedOneForm(alpha.grid, alpha.algebra, alpha.a_u @ P.T, alpha.a_v @ P.T)
-    return out
+    return {k: LieValuedOneForm(alpha.grid, alpha.algebra, liealg.grade_project(aut, alpha.a_u, k),
+                                liealg.grade_project(aut, alpha.a_v, k))
+            for k in liealg.GRADES}
 
 
 def exterior_derivative(alpha: LieValuedOneForm) -> LieValuedTwoForm:

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import symspace
+from . import liealg, symspace
 from .forms import ResidualReport, SurfaceGrid, masked_report, partial_u, partial_v
 
 
@@ -565,11 +565,9 @@ def twistor_lift(field: ImmersionField, sign: int = +1) -> TwistorField:
         raise NotImmersed("canonical lifts need normal rank 2")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    m = field.ambient_dim
     cols = [field.e1, field.e2, field.n1, field.n2]
-    if m == 5:
-        r = field.space.radius or 1.0
-        cols = [field.phi / r] + cols
+    if field.space.kind == "sphere4":
+        cols = [field.phi / field.space.radius] + cols
     M = np.stack(cols, axis=-1)
     det = np.linalg.det(M)
     mask = field.report_mask(0)
@@ -682,10 +680,6 @@ def _hom_covariant_divergence(field: ImmersionField, hom_slots):
     return div
 
 
-def _frobenius(Mfield):
-    return np.linalg.norm(Mfield, axis=(-2, -1))
-
-
 def normal_connection_derivative(field: ImmersionField, H):
     """(nabla_perp_du H, nabla_perp_dv H) in normal coefficients."""
     grid = field.grid
@@ -698,7 +692,7 @@ def normal_connection_derivative(field: ImmersionField, H):
 def vertical_harmonicity_residual(field: ImmersionField, tw: TwistorField) -> ResidualReport:
     """Norm of d^(nabla, nabla_perp) * II_minus over the interior."""
     div = _hom_covariant_divergence(field, split_II(field.II, tw).minus)
-    return masked_report("vertical_harmonicity", field.grid.h, _frobenius(div),
+    return masked_report("vertical_harmonicity", field.grid.h, liealg._frobenius(div),
                          field.report_mask(2))
 
 
@@ -727,28 +721,27 @@ def divergence_identity_residual(field: ImmersionField, tw: TwistorField) -> Res
     lhs = inv2[..., None, None] * _hom_covariant_divergence(field, split_II(field.II, tw).minus)
     Ghom = _grad_H_hom(field)
     rhs = Ghom + tw.j_N @ Ghom @ tw.j_T  # = 2 pi_minus(Ghom)
-    return masked_report("divergence_identity", field.grid.h, _frobenius(lhs - rhs),
+    return masked_report("divergence_identity", field.grid.h, liealg._frobenius(lhs - rhs),
                          field.report_mask(2))
 
 
 def codazzi_identity_residual(field: ImmersionField) -> ResidualReport:
     """Traced Codazzi identity in the field's model space:
     (* d * II)(X) = (R(e_i, X) e_i)^perp + 2 nabla_perp_X H, X in (e1, e2).
+
+    With the model curvature R(X, Y) = c (X Y^t - Y X^t) of
+    `symspace.curvature_operator`, sum_i R(e_i, X) e_i = c (sum_i <X, e_i> e_i - 2 X).
     """
     inv2 = 1.0 / np.maximum(field.conformal_factor, 1e-30)
     lhs = inv2[..., None, None] * _hom_covariant_divergence(field, field.II.hom())
     Ghom = _grad_H_hom(field)
-    cols = []   # sum_i R(e_i, X) e_i for X in (e1, e2), as (nu, nv, m) columns
-    for Xb in (field.e1, field.e2):
-        acc = None
-        for ei in (field.e1, field.e2):
-            # one (nu, nv, m, m) operator alive at a time: it sets the peak memory
-            vec = _matvec(symspace.curvature_operator(field.space, ei, Xb), ei)
-            acc = vec if acc is None else acc + vec
-        cols.append(acc)
-    Rterm = field.normal_frame @ np.stack(cols, axis=-1)
+    e1, e2 = field.e1, field.e2
+    g11, g12, g22 = (np.vecdot(a, b)[..., None] for a, b in ((e1, e1), (e1, e2), (e2, e2)))
+    # sum_i <X, e_i> e_i - 2 X for X = e1, e2, as (nu, nv, m) columns
+    cols = np.stack([(g11 - 2.0) * e1 + g12 * e2, g12 * e1 + (g22 - 2.0) * e2], axis=-1)
+    Rterm = field.space.curvature_constant * (field.normal_frame @ cols)
     rhs = Rterm + 2.0 * Ghom
-    return masked_report("codazzi_identity", field.grid.h, _frobenius(lhs - rhs),
+    return masked_report("codazzi_identity", field.grid.h, liealg._frobenius(lhs - rhs),
                          field.report_mask(2))
 
 
@@ -757,5 +750,5 @@ def curvature_commutator_residual(field: ImmersionField, tw: TwistorField) -> Re
     algebraic, no differencing."""
     Rop = symspace.curvature_operator(field.space, field.e1, field.e2)
     comm = Rop @ tw.j_ambient - tw.j_ambient @ Rop
-    return masked_report("curvature_commutator", field.grid.h, _frobenius(comm),
+    return masked_report("curvature_commutator", field.grid.h, liealg._frobenius(comm),
                          field.report_mask(0))

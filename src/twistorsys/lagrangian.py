@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import immersion
+from . import immersion, liealg
 from .forms import ResidualReport, masked_report, partial_u, partial_v
 
 
@@ -52,7 +52,7 @@ def lagrangian_twistor_check(field: immersion.ImmersionField, tw: immersion.Twis
     J = _require_kahler(field)
     anti = tw.j_ambient @ J + J @ tw.j_ambient
     mask = field.report_mask(0)
-    anti_sup = float(np.max(np.linalg.norm(anti, axis=(-2, -1))[mask]))
+    anti_sup = float(np.max(liealg._frobenius(anti)[mask]))
     lag_sup = lagrangian_residual(field).final_sup
     both_small = anti_sup <= 1e-8 and lag_sup <= 1e-8
     both_large = anti_sup >= 1e-3 and lag_sup >= 1e-3
@@ -91,7 +91,7 @@ def maslov_identity_residual(field: immersion.ImmersionField,
     inv = 1.0 / np.maximum(field.lam, 1e-30)
     beta_frame = np.stack([beta_u * inv, beta_v * inv], axis=-1)  # beta(e_a)
     resid = minus + beta_frame[..., :, None, None] * JNT[..., None, :, :]
-    pw = np.max(np.linalg.norm(resid, axis=(-2, -1)), axis=-1)
+    pw = np.max(liealg._frobenius(resid), axis=-1)
     return masked_report("maslov_identity", field.grid.h, pw, field.report_mask(2))
 
 

@@ -187,6 +187,13 @@ def _vec(mats):
     return mats.reshape(mats.shape[0], -1)
 
 
+def _frobenius(M):
+    """Frobenius norms of a stack of real matrices, each summed as np.linalg.norm
+    sums a single matrix (a dot product of the flattened entries)."""
+    flat = M.reshape(M.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(flat, flat))
+
+
 @dataclass
 class LieAlgebraRep:
     """A matrix Lie algebra presented by a basis.
@@ -251,12 +258,6 @@ class LieAlgebraRep:
         return np.einsum("i,ijk->kj", xi, self.structure)
 
 
-def _unit(d, i):
-    e = np.zeros(d)
-    e[i] = 1.0
-    return e
-
-
 def build_algebra(basis, name: str = "") -> LieAlgebraRep:
     """Build a LieAlgebraRep from a list of square matrices.
 
@@ -268,7 +269,7 @@ def build_algebra(basis, name: str = "") -> LieAlgebraRep:
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
         raise DependentBasis("basis must be a list of square matrices of equal size")
-    norms = np.linalg.norm(basis, axis=(1, 2))
+    norms = _frobenius(basis)
     if np.any(norms < 1e-14):
         raise DependentBasis("zero basis matrix")
     basis = basis / norms[:, None, None]
@@ -353,11 +354,10 @@ def automorphism_from_group_element(algebra: LieAlgebraRep, J) -> GradedAutomorp
 
 
 def grade_project(aut: GradedAutomorphism, xi, k: int):
-    """P_k applied to complex coordinate vector(s)."""
+    """P_k applied to complex coordinate vector(s) (any leading axes)."""
     if k not in GRADES:
         raise BadGrade(f"grade must be one of {GRADES}, got {k}")
-    xi = np.asarray(xi, dtype=complex)
-    return np.einsum("kd,...d->...k", aut.projectors[k], xi)
+    return np.asarray(xi, dtype=complex) @ aut.projectors[k].T
 
 
 @dataclass
@@ -434,19 +434,12 @@ def _characterization_residual(split: SymmetricSplit, aut: GradedAutomorphism, g
     For xi in g_<grade> the map  ad(xi) o (tau|p) + sign * tau o ad(xi)|p : p -> g
     vanishes; conversely its kernel over all of g^C is exactly g_<grade>.
     """
-    algebra, Bp = split.algebra, split.p_basis
-    d = algebra.dim
-    incl_p = Bp.T                       # p-coords -> g-coords
-    tau_p = Bp @ aut.tau @ Bp.T
-    maps = []
-    for i in range(d):
-        ad_i = algebra.ad(_unit(d, i))
-        M = ad_i @ incl_p @ tau_p + sign * aut.tau @ ad_i @ incl_p
-        maps.append(M.reshape(-1))
-    L = np.stack(maps, axis=1).astype(complex)   # (d*dp, d); xi -> L xi flattened
+    algebra, incl_p = split.algebra, split.p_basis.T   # p-coords -> g-coords
+    ads = algebra.structure.transpose(0, 2, 1)         # ads[i] = ad(b_i)
+    M = ads @ incl_p @ aut.tau_p(split) + sign * aut.tau @ ads @ incl_p
+    L = M.reshape(algebra.dim, -1).T.astype(complex)   # (d*dp, d); xi -> L xi flattened
 
-    P = aut.projectors[grade]
-    basis_g = _complex_image(P)
+    basis_g = _complex_image(aut.projectors[grade])
     if basis_g.shape[0] == 0:
         forward = 0.0
     else:
@@ -457,7 +450,7 @@ def _characterization_residual(split: SymmetricSplit, aut: GradedAutomorphism, g
     converse_ok = null_dim == basis_g.shape[0]
     if converse_ok and null_dim:
         null = Vt.conj()[L.shape[1] - null_dim:]
-        resid = np.max(np.abs(null @ P.T - null))
+        resid = np.max(np.abs(grade_project(aut, null, grade) - null))
         converse_ok = bool(resid <= 1e-8)
     return forward, converse_ok, null_dim, basis_g.shape[0]
 

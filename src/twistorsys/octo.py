@@ -92,7 +92,7 @@ def left_mult_structure(q):
     q = np.asarray(q, dtype=float)
     if abs(norm(q) - 1.0) > 1e-8 or abs(q[..., 0]) > 1e-8:
         raise NotUnitImaginary("left multiplication needs a unit imaginary octonion")
-    return np.einsum("i,ijk->kj", q, OCTONION_TABLE)
+    return _left_mult_field(q)
 
 
 def _left_mult_field(q):

@@ -78,11 +78,10 @@ def test_surface_check_on_exp_frame_exit_two(tmp_path):
     assert cli.run(path, out_dir=tmp_path / "rep", echo=quiet) == 2
 
 
-def test_empty_checks_empty_report(tmp_path):
+def test_empty_checks_exit_two_without_report(tmp_path):
     path = write_scenario(tmp_path, checks=[])
-    assert cli.run(path, out_dir=tmp_path / "rep", echo=quiet) == 0
-    csv = (tmp_path / "rep" / "scen.csv").read_text().splitlines()
-    assert csv == ["scenario,check,h,sup,l2,slope,verdict"]
+    assert cli.run(path, out_dir=tmp_path / "rep", echo=quiet) == 2
+    assert not (tmp_path / "rep").exists()
 
 
 def test_missing_field_exit_two(tmp_path):
@@ -137,6 +136,11 @@ MALFORMED = [
     {"lift_sign": True},
     {"fixture": {"kind": "plane", "param": {}}},
     {"fixture": {"kind": "round_sphere", "params": {"r": 0}}},
+    # no check, a check twice (every rung merged twice), a grid size twice (a slope
+    # fitted to one h)
+    {"checks": []},
+    {"checks": ["flatness", "flatness"]},
+    {"grid_ladder": [32, 32, 32]},
 ]
 
 

@@ -1,4 +1,6 @@
 """System residuals on frames, development, gauge action."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -179,7 +181,9 @@ def test_develop_recovers_geometric_frame_second_order():
     hs = []
     for n in (12, 24, 48):
         fld, tw, frame, alpha, fx = geometry("round_sphere", n)
-        dev = ellsys.develop_frame(alpha, fx, g0=frame.g[0, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the sampled frame is O(h^2) off flat
+            dev = ellsys.develop_frame(alpha, fx, g0=frame.g[0, 0])
         sups.append(np.max(np.linalg.norm(dev.g - frame.g, axis=(-2, -1))))
         hs.append(fld.grid.h)
     slope = np.polyfit(np.log(hs), np.log(sups), 1)[0]

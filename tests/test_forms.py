@@ -117,13 +117,17 @@ def test_grade_decompose_reality_and_reconstruction(so5):
     assert np.max(np.abs(np.conj(parts[1].a_u) - parts[-1].a_u)) <= 1e-12
 
 
-def test_grade_decompose_matches_einsum(so5):
-    alpha = random_form(unit_grid(16), so5.algebra, seed=6)
-    scale = max(np.max(np.abs(alpha.a_u)), np.max(np.abs(alpha.a_v)))
-    for k, part in forms.grade_decompose(alpha, so5.aut).items():
-        P = so5.aut.projectors[k]
-        for new, a in ((part.a_u, alpha.a_u), (part.a_v, alpha.a_v)):
-            assert np.max(np.abs(new - np.einsum("kd,uvd->uvk", P, a))) <= 1e-14 * scale
+def test_grade_decompose_matches_einsum(so5, se4):
+    # each grade comes from liealg.grade_project, the one P_k kernel: a @ P_k^T
+    # bit for bit, and the einsum to roundoff
+    for fx in (so5, se4):
+        alpha = random_form(unit_grid(16), fx.algebra, seed=6)
+        scale = max(np.max(np.abs(alpha.a_u)), np.max(np.abs(alpha.a_v)))
+        for k, part in forms.grade_decompose(alpha, fx.aut).items():
+            P = fx.aut.projectors[k]
+            for new, a in ((part.a_u, alpha.a_u), (part.a_v, alpha.a_v)):
+                assert np.array_equal(new, a @ P.T)
+                assert np.max(np.abs(new - np.einsum("kd,uvd->uvk", P, a))) <= 1e-14 * scale
 
 
 def test_grade_commutes_with_type(so5):

@@ -6,6 +6,7 @@ import scipy.ndimage
 from twistorsys import cli
 from twistorsys import immersion as im
 from twistorsys import lagrangian as lg
+from twistorsys import liealg
 from twistorsys import octo
 from twistorsys import symspace
 from twistorsys.forms import ResidualReport
@@ -345,6 +346,31 @@ def test_codazzi_identity():
     rep = ladder_report(lambda n: run_residual("round_sphere",
                                                lambda f, t: im.codazzi_identity_residual(f), n))
     assert converges_or_exact(rep, slope_min=1.0)
+
+
+@pytest.mark.parametrize("kind", ["clifford_torus_s4", "round_sphere"])
+def test_codazzi_curvature_term_matches_operator_loop(kind, monkeypatch):
+    # oracle: sum_i R(e_i, X) e_i from the (nu, nv, m, m) curvature operators;
+    # within roundoff of the curvature scale c on sphere4, exact on a flat target
+    fld = im.build_immersion(kind, n=32)
+    captured = {}
+
+    def capture(name, h, pointwise, mask):
+        captured[name] = pointwise
+        return ResidualReport(name)
+    monkeypatch.setattr(im, "masked_report", capture)
+    im.codazzi_identity_residual(fld)
+    cols = [sum(im._matvec(symspace.curvature_operator(fld.space, ei, X), ei)
+                for ei in (fld.e1, fld.e2)) for X in (fld.e1, fld.e2)]
+    Rterm = fld.normal_frame @ np.stack(cols, axis=-1)
+    inv2 = 1.0 / np.maximum(fld.conformal_factor, 1e-30)
+    lhs = inv2[..., None, None] * im._hom_covariant_divergence(fld, fld.II.hom())
+    oracle = liealg._frobenius(lhs - (Rterm + 2.0 * im._grad_H_hom(fld)))
+    c = fld.space.curvature_constant
+    if kind == "round_sphere":
+        assert c == 0.0 and np.array_equal(captured["codazzi_identity"], oracle)
+    else:
+        assert c == 1.0 and _close(captured["codazzi_identity"], oracle, scale=c)
 
 
 def test_curvature_commutator_space_forms():

@@ -311,6 +311,45 @@ def test_perturbed_tau_breaks_characterization(so5):
     assert r0.residual > 1e-4
 
 
+def _loop_characterization(split, aut, grade, sign):
+    """The characterisation as it was built before the batched ad(b_i): one
+    `ad` of each unit vector and tau|p formed inline."""
+    algebra, Bp = split.algebra, split.p_basis
+    d = algebra.dim
+    incl_p = Bp.T
+    tau_p = Bp @ aut.tau @ Bp.T
+    maps = []
+    for i in range(d):
+        ad_i = algebra.ad(np.eye(d)[i])
+        M = ad_i @ incl_p @ tau_p + sign * aut.tau @ ad_i @ incl_p
+        maps.append(M.reshape(-1))
+    L = np.stack(maps, axis=1).astype(complex)
+    P = aut.projectors[grade]
+    basis_g = liealg._complex_image(P)
+    forward = float(np.max(np.abs(L @ basis_g.T))) if basis_g.shape[0] else 0.0
+    U, s, Vt = np.linalg.svd(L)
+    null_dim = int(np.sum(s <= 1e-8 * max(s[0], 1.0)))
+    converse_ok = null_dim == basis_g.shape[0]
+    if converse_ok and null_dim:
+        null = Vt.conj()[L.shape[1] - null_dim:]
+        converse_ok = bool(np.max(np.abs(null @ P.T - null)) <= 1e-8)
+    return liealg.CharacterizationResult(forward, converse_ok, null_dim, basis_g.shape[0])
+
+
+def test_characterizations_equal_per_vector_loop(so5, su2, se4):
+    # bit for bit, on the three fixtures and on a tau rotated inside p
+    K = np.outer(so5.split.p_basis[0], so5.split.p_basis[1])
+    tau_pert = liealg.matrix_exp(1e-3 * (K - K.T)) @ so5.aut.tau
+    pert = liealg.GradedAutomorphism(algebra=so5.algebra, tau=tau_pert,
+                                     projectors=so5.aut.projectors)
+    cases = [(fx.split, fx.aut) for fx in (so5, su2, se4)] + [(so5.split, pert)]
+    for split, aut in cases:
+        assert liealg.check_g0_characterization(split, aut) == \
+            _loop_characterization(split, aut, 0, -1.0)
+        assert liealg.check_g2_characterization(split, aut) == \
+            _loop_characterization(split, aut, 2, +1.0)
+
+
 def test_g0_element_fails_anticommutator(so5):
     # an element of g_0 acting non-trivially on p cannot anticommute with tau|p
     a, sp, aut = so5.algebra, so5.split, so5.aut
