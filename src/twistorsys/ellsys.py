@@ -46,20 +46,21 @@ class FrameField:
 
 def holomorphicity_residual(alpha: LieValuedOneForm,
                             aut: liealg.GradedAutomorphism) -> ResidualReport:
-    """Norms of the (0,1) part of the grade-1 component of alpha."""
-    g1 = forms.grade_decompose(alpha, aut)[1]
-    _, a01 = forms.type_decompose(g1)
-    return forms.report_from_pointwise("holomorphicity", alpha.grid,
-                                       a01.pointwise_norm(), margin=1)
+    """Norms of the (0,1) part of the grade-1 component of alpha (taken in
+    the grade-adapted unitary basis, which keeps pointwise norms)."""
+    gb, x = forms._graded(alpha, aut)
+    _, a01 = forms._types(gb.block(x, 1))
+    pw = np.sqrt(forms._sq_norm(a01[0]) + forms._sq_norm(a01[1]))
+    return forms.report_from_pointwise("holomorphicity", alpha.grid, pw, margin=1)
 
 
 def covariant_closure_residual(alpha: LieValuedOneForm,
                                aut: liealg.GradedAutomorphism) -> ResidualReport:
-    """Norms of d a2^(1,0) + [a0 ^ a2^(1,0)] over the interior."""
-    g = forms.grade_decompose(alpha, aut)
-    a2_10, _ = forms.type_decompose(g[2])
-    two = forms.exterior_derivative(a2_10).value + forms.wedge_bracket(g[0], a2_10).value
-    pw = np.sqrt(np.sum(np.abs(two) ** 2, axis=-1))
+    """Norms of d a2^(1,0) + [a0 ^ a2^(1,0)] over the interior: the F_2
+    coefficient of `forms.laurent_curvature`, formed by the same code."""
+    gb, x = forms._graded(alpha, aut)
+    a2_10, _ = forms._types(gb.block(x, 2))
+    pw = np.sqrt(forms._sq_norm(forms._covariant_closure(alpha.grid, gb, gb.block(x, 0), a2_10)))
     return forms.report_from_pointwise("covariant_closure", alpha.grid, pw, margin=2)
 
 

@@ -283,6 +283,74 @@ def default_lambda_samples():
     return [complex(r * w) for r in (0.5, 1.0, 2.0) for w in roots]
 
 
+# ------------------------------------------------------------ graded coordinates
+#
+# The loop family's pieces each live in one grade.  Below, alpha is carried in
+# the grade-adapted unitary basis of the automorphism (`liealg.GradedBasis`):
+# one change of basis, then every grade split is a slice and every wedge
+# brackets only its blocks [g_j, g_k] -> g_(j+k).  A graded 1-form is one
+# (2, nu, nv, d_k) array of its (u, v) components.
+
+def _graded(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism):
+    """The grade-adapted basis of `aut` and alpha's (u, v) components in it."""
+    if aut.algebra is not alpha.algebra:
+        raise AlgebraMismatch("automorphism acts on a different algebra")
+    gb = aut.graded
+    dual = gb.rows.conj().T   # original -> graded coordinates
+    x = np.empty((2,) + alpha.a_u.shape, complex)
+    np.matmul(alpha.a_u, dual, out=x[0])
+    np.matmul(alpha.a_v, dual, out=x[1])
+    return gb, x
+
+
+def _types(x):
+    """The (1,0) and (0,1) parts of a graded 1-form, as `type_decompose` splits alpha."""
+    u, v = x
+    return 0.5 * np.stack([u - 1j * v, v + 1j * u]), 0.5 * np.stack([u + 1j * v, v - 1j * u])
+
+
+def _d(grid, x):
+    """`exterior_derivative` of a graded 1-form."""
+    return partial_u(grid, x[1]) - partial_v(grid, x[0])
+
+
+def _wedge(gb, j, x, k, y):
+    """`wedge_bracket` of x in g_j and y in g_k, one `_bilinear` call over the
+    (u, v) stack: [x_u, y_v] - [x_v, y_u], valued in g_(j+k)."""
+    w = gb.bracket(j, k, x, y[::-1])
+    return w[0] - w[1]
+
+
+def _sq_norm(x):
+    """Pointwise squared Euclidean norm over the last axis of a complex array."""
+    parts = np.ascontiguousarray(x).view(float)   # real and imaginary parts interleaved
+    return np.einsum("...i,...i->...", parts, parts)
+
+
+def _covariant_closure(grid, gb, C, A):
+    """F_2 = dA + [C ^ A] in the g_2 block, for C = alpha_0 and A = alpha_2^(1,0)."""
+    return _d(grid, A) + _wedge(gb, 0, C, 2, A)
+
+
+def _laurent_graded(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism) -> dict:
+    """`laurent_curvature` in graded coordinates: {k: (nu, nv, d_k)} with F_k
+    in g_k for k = 2, 1, 0, -1 and F_-2 in g_2."""
+    gb, x = _graded(alpha, aut)
+    grid = alpha.grid
+    A, E = _types(gb.block(x, 2))
+    B = _types(gb.block(x, 1))[0]
+    D = _types(gb.block(x, -1))[1]
+    C = gb.block(x, 0)
+    F2 = _covariant_closure(grid, gb, C, A)
+    F1 = _d(grid, B) + _wedge(gb, 2, A, -1, D) + _wedge(gb, 1, B, 0, C)
+    # (1/2)[C ^ C] = [c_u, c_v]
+    F0 = _d(grid, C) + _wedge(gb, 2, A, 2, E) + _wedge(gb, 1, B, -1, D) \
+        + gb.bracket(0, 0, C[0], C[1])
+    Fm1 = _d(grid, D) + _wedge(gb, 1, B, 2, E) + _wedge(gb, 0, C, -1, D)
+    Fm2 = _d(grid, E) + _wedge(gb, 0, C, 2, E)
+    return {2: F2, 1: F1, 0: F0, -1: Fm1, -2: Fm2}
+
+
 def laurent_curvature(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism) -> dict:
     """Coefficients F_k of the loop family's curvature F(lam) = sum_k lam^k F_k.
 
@@ -292,41 +360,27 @@ def laurent_curvature(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism) -
         F_2 = dA + [C ^ A]              F_-2 = dE + [C ^ E]
         F_1 = dB + [A ^ D] + [B ^ C]    F_-1 = dD + [B ^ E] + [C ^ D]
         F_0 = dC + [A ^ E] + [B ^ D] + (1/2)[C ^ C].
-    F_2 is the covariant-closure two-form.  Returns {k: (nu, nv, d) array}
-    for k = 2, 1, 0, -1, -2; each graded piece is released after its last
-    wedge.
+    F_2 is the covariant-closure two-form.  Each F_k lies in one grade (F_-2
+    in g_2), so the coefficients are formed in the grade-adapted basis and
+    mapped back; returns {k: (nu, nv, d) array} for k = 2, 1, 0, -1, -2.
     """
-    g = grade_decompose(alpha, aut)
-    A, E = type_decompose(g.pop(2))
-    B = type_decompose(g.pop(1))[0]
-    D = type_decompose(g.pop(-1))[1]
-    C = g.pop(0)
-
-    def d(a):
-        return exterior_derivative(a).value
-
-    def w(a, b):
-        return wedge_bracket(a, b).value
-
-    F2 = d(A) + w(C, A)
-    F1 = d(B) + w(A, D) + w(B, C)
-    F0 = d(C) + w(A, E)
-    del A
-    Fm1 = d(D) + w(B, E) + w(C, D)
-    Fm2 = d(E) + w(C, E)
-    del E
-    F0 += w(B, D) + 0.5 * w(C, C)
-    return {2: F2, 1: F1, 0: F0, -1: Fm1, -2: Fm2}
+    gb = aut.graded
+    return {k: gb.vector(Fk, liealg._grade_sum(k, 0))
+            for k, Fk in _laurent_graded(alpha, aut).items()}
 
 
 def zero_curvature_scan(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism,
                         lam_samples=None) -> ResidualReport:
     """Max curvature residual of the loop family over the sample set.
 
-    Each F(lam) is evaluated exactly as sum_k lam^k F_k from
-    `laurent_curvature`.  meta carries the number of samples and the masked
-    sup of each coefficient (laurent_sup_2 ... laurent_sup_-2), which says
-    which power of lam a large residual comes from.
+    Each F(lam) = sum_k lam^k F_k is evaluated from the Laurent coefficients
+    in the grade-adapted unitary basis, where F_k lies in grade k (F_-2 in
+    g_2), so its pointwise norm is
+        |F(lam)|^2 = |lam^2 F_2 + lam^-2 F_-2|^2 + |lam|^2 |F_1|^2 + |F_0|^2
+                     + |lam|^-2 |F_-1|^2
+    and a sample touches only the g_2 block.  meta carries the number of
+    samples and the masked sup of each coefficient (laurent_sup_2 ...
+    laurent_sup_-2), which says which power of lam a large residual comes from.
     """
     if lam_samples is None:
         lam_samples = default_lambda_samples()
@@ -337,21 +391,23 @@ def zero_curvature_scan(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism,
         raise ZeroLambda("spectral parameter must be nonzero")
     if not np.isfinite(lam_samples).all():
         raise ValueError(f"spectral parameters must be finite: {lam_samples}")
-    grid, algebra = alpha.grid, alpha.algebra
+    grid = alpha.grid
     mask = grid.interior_mask(2)
 
-    def report(value):
-        return masked_report("zero_curvature_scan", grid.h,
-                             LieValuedTwoForm(grid, algebra, value).pointwise_norm(), mask)
+    def report(sq):
+        return masked_report("zero_curvature_scan", grid.h, np.sqrt(sq), mask)
 
-    F = laurent_curvature(alpha, aut)
+    F = _laurent_graded(alpha, aut)
+    sq = {k: _sq_norm(Fk) for k, Fk in F.items()}
     out = ResidualReport("zero_curvature_scan", meta={"n_lambda": len(lam_samples)})
-    for k, Fk in F.items():
-        out.meta[f"laurent_sup_{k}"] = report(Fk).final_sup
+    for k in F:
+        out.meta[f"laurent_sup_{k}"] = report(sq[k]).final_sup
     sup = 0.0
     l2 = 0.0
     for lam in lam_samples:
-        e = report(sum(lam ** k * Fk for k, Fk in F.items())).entries[0]
+        r2 = abs(lam) ** 2
+        e = report(_sq_norm(lam ** 2 * F[2] + lam ** -2 * F[-2])
+                   + r2 * sq[1] + sq[0] + sq[-1] / r2).entries[0]
         sup = max(sup, e.sup)
         l2 = max(l2, e.l2)
     return out.add(grid.h, sup, l2)

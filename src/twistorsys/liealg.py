@@ -5,7 +5,9 @@ basis, so everything downstream works on coordinate vectors.  Complexified
 vectors are plain complex coordinate arrays in the same basis.  Eigenspaces
 of an order-4 automorphism are never computed with a generic eigensolver:
 the averaging projectors P_k = (1/4) sum_m i^(-k*m) tau^m are exact
-idempotents and carry no eigenvalue-ordering ambiguity.
+idempotents and carry no eigenvalue-ordering ambiguity.  The grade-adapted
+basis of g^C (`GradedBasis`) is taken from their ranges by an SVD of each
+P_k, and brackets in it run block by block, [g_j, g_k] -> g_(j+k).
 """
 from __future__ import annotations
 
@@ -138,7 +140,7 @@ def _nonzero_terms(table):
     """
     terms = {}
     for i, j, k in zip(*np.nonzero(table)):
-        terms.setdefault(int(k), []).append((int(i), int(j), float(table[i, j, k])))
+        terms.setdefault(int(k), []).append((int(i), int(j), table[i, j, k].item()))
     return terms
 
 
@@ -152,11 +154,13 @@ def _axis_first_parts(x, dtype):
 def _bilinear(x, y, table, terms):
     """sum_ij x[..., i] y[..., j] table[i, j, k] from the nonzero `terms` of `table`.
 
-    x and y broadcast over their leading axes.  The result equals
-    np.einsum("...i,...j,ijk->...k", x, y, table) bit for bit: each k sums
-    its terms in the einsum's order, and a complex product is formed from
-    real and imaginary parts the way the einsum forms it (numpy's complex
-    multiply rounds differently).
+    x and y broadcast over their leading axes.  For a real table the result
+    equals np.einsum("...i,...j,ijk->...k", x, y, table) bit for bit: each k
+    sums its terms in the einsum's order, and a complex product is formed
+    from real and imaginary parts the way the einsum forms it (numpy's
+    complex multiply rounds differently).  A complex table (the graded
+    structure blocks of `GradedBasis`) multiplies each product by its
+    coefficient from the same real and imaginary parts.
     """
     dtype = np.result_type(x, y, table)
     xs = _axis_first_parts(x, dtype)
@@ -172,11 +176,18 @@ def _bilinear(x, y, table, terms):
         def product(i, j):
             return (xs[0][i] * ys[0][j],)
 
+    if np.iscomplexobj(table):
+        def times(p, c):
+            return p[0] * c.real - p[1] * c.imag, p[0] * c.imag + p[1] * c.real
+    else:
+        def times(p, c):
+            return tuple(q * c for q in p)
+
     out_parts = (out.real, out.imag)[:len(xs)]
     for k, row in terms.items():
         acc = [0.0] * len(xs)
         for i, j, c in row:
-            acc = [a + p * c for a, p in zip(acc, product(i, j))]
+            acc = [a + q for a, q in zip(acc, times(product(i, j), c))]
         for part, a in zip(out_parts, acc):
             part[..., k] = a
     return out
@@ -305,6 +316,66 @@ def build_algebra(basis, name: str = "") -> LieAlgebraRep:
                          killing=killing, pinv=pinv, name=name)
 
 
+def _grade_sum(j: int, k: int) -> int:
+    """The grade of [g_j, g_k], in GRADES (grades add mod 4)."""
+    return (j + k + 1) % 4 - 1
+
+
+# a graded structure constant below this fraction of the largest one is the
+# roundoff of the change of basis of an exact zero
+_GRADED_ZERO = 1e-12
+
+
+@dataclass(frozen=True)
+class GradedBasis:
+    """A unitary basis of g^C adapted to g^C = g_0 + g_1 + g_2 + g_-1.
+
+    rows: (d, d) complex; rows[slices[k]] is an orthonormal basis of g_k.
+    blocks: (j, k) -> (table, terms), the structure constants of
+        [g_j, g_k] -> g_(j+k) in that basis, entries below _GRADED_ZERO of
+        the largest dropped, and their nonzero terms for `_bilinear`.
+
+    Graded coordinates x of a vector xi are xi @ rows^H; because the basis
+    is unitary, pointwise Euclidean norms are the same in both.
+    """
+
+    rows: np.ndarray
+    slices: dict
+    blocks: dict
+
+    def vector(self, x, k: int):
+        """Graded coordinates of grade k -> original coordinates."""
+        return x @ self.rows[self.slices[k]]
+
+    def block(self, x, k: int):
+        """The grade-k slice of graded coordinates."""
+        return x[..., self.slices[k]]
+
+    def bracket(self, j: int, k: int, x, y):
+        """[x, y] for x in g_j, y in g_k given by their blocks; a g_(j+k) block."""
+        table, terms = self.blocks[j, k]
+        return _bilinear(x, y, table, terms)
+
+
+def _graded_basis(algebra: LieAlgebraRep, projectors: dict) -> GradedBasis:
+    """The graded basis from the ranges of the projectors, which must be orthogonal."""
+    images = [_complex_image(projectors[k]) for k in GRADES]
+    rows = np.concatenate(images)
+    if rows.shape[0] != algebra.dim or \
+            np.max(np.abs(rows @ rows.conj().T - np.eye(algebra.dim))) > 1e-10:
+        raise LieAlgebraError("the grade projectors are not orthogonal: no unitary graded basis")
+    ends = np.cumsum([len(b) for b in images])
+    slices = {k: slice(e - len(b), e) for k, b, e in zip(GRADES, images, ends)}
+    T = np.einsum("ai,bj,ijk,ck->abc", rows, rows, algebra.structure, rows.conj())
+    T[np.abs(T) <= _GRADED_ZERO * np.max(np.abs(T), initial=0.0)] = 0.0
+    blocks = {}
+    for j in GRADES:
+        for k in GRADES:
+            table = np.ascontiguousarray(T[slices[j], slices[k], slices[_grade_sum(j, k)]])
+            blocks[j, k] = (table, _nonzero_terms(table))
+    return GradedBasis(rows=rows, slices=slices, blocks=blocks)
+
+
 @dataclass
 class GradedAutomorphism:
     """An order-4 automorphism tau in basis coordinates with its projectors."""
@@ -316,6 +387,11 @@ class GradedAutomorphism:
     @property
     def dim(self) -> int:
         return self.algebra.dim
+
+    @functools.cached_property
+    def graded(self) -> GradedBasis:
+        """The grade-adapted unitary basis from the ranges of the P_k, built once."""
+        return _graded_basis(self.algebra, self.projectors)
 
     def tau_p(self, split: "SymmetricSplit"):
         """Restriction of tau to p in the split's orthonormal p-basis."""
@@ -405,8 +481,10 @@ def symmetric_split(aut: GradedAutomorphism) -> SymmetricSplit:
     if p_basis.shape[0] == 0:
         raise EffectivityFailure("p is trivial: tau^2 = 1, the automorphism is only of order <= 2")
     split = SymmetricSplit(algebra=aut.algebra, sigma=sigma, k_basis=k_basis, p_basis=p_basis)
-    stacked = np.stack([_ad_restricted_to_p(aut.algebra, split, xi).reshape(-1)
-                        for xi in k_basis], axis=1)
+    # column m: ad(xi_m)|p in the p-basis for the k-basis row xi_m, as
+    # sum_i xi_m[i] ad(b_i)|p with ad(b_i) = structure[i].T
+    ads_p = p_basis @ aut.algebra.structure.transpose(0, 2, 1) @ p_basis.T
+    stacked = (k_basis @ ads_p.reshape(d, -1)).T
     smin = np.linalg.svd(stacked, compute_uv=False)[-1] if stacked.size else 0.0
     if smin <= 1e-8:
         kernel = _kernel_of_stacked(stacked, k_basis, 1e-8)
@@ -420,12 +498,6 @@ def _kernel_of_stacked(stacked, k_basis, tol):
     U, s, Vt = np.linalg.svd(stacked)
     null = Vt[s.shape[0] - np.sum(s <= tol):] if np.sum(s <= tol) else Vt[:0]
     return null @ k_basis
-
-
-def _ad_restricted_to_p(algebra, split, xi):
-    """Matrix of ad(xi) restricted to p, in the orthonormal p-basis (real xi in k)."""
-    Bp = split.p_basis
-    return Bp @ algebra.ad(xi) @ Bp.T
 
 
 def _characterization_residual(split: SymmetricSplit, aut: GradedAutomorphism, grade: int, sign: float):

@@ -458,6 +458,81 @@ def test_scan_meta_names_the_failing_slot(so5):
     assert min(meta["laurent_sup_2"], meta["laurent_sup_-2"]) >= 1e-2
 
 
+def test_empty_grade_zero_width_slices():
+    # su2_order4 has g_2 = 0: the g_2 block has width 0, so covariant closure
+    # and the lam^+-2 slots are exactly zero
+    su2 = load_algebra_fixture("su2_order4")
+    alpha = random_form(unit_grid(12), su2.algebra, 5)
+    assert su2.aut.graded.rows[su2.aut.graded.slices[2]].shape == (0, 3)
+    assert ellsys.covariant_closure_residual(alpha, su2.aut).final_sup == 0.0
+    F = forms.laurent_curvature(alpha, su2.aut)
+    assert all(Fk.shape == (12, 12, 3) for Fk in F.values())
+    assert not F[2].any() and not F[-2].any()
+    meta = forms.zero_curvature_scan(alpha, su2.aut).meta
+    assert meta["laurent_sup_2"] == meta["laurent_sup_-2"] == 0.0
+
+
+def full_coordinate_residuals(alpha, aut, lams):
+    """Oracle: holomorphicity, covariant closure and the scan in the original
+    coordinates, from grade_decompose, type_decompose and wedge_bracket."""
+    grid = alpha.grid
+    g = forms.grade_decompose(alpha, aut)
+    holo = forms.report_from_pointwise("h", grid, forms.type_decompose(g[1])[1].pointwise_norm())
+    A, E = forms.type_decompose(g[2])
+    B = forms.type_decompose(g[1])[0]
+    D = forms.type_decompose(g[-1])[1]
+    C = g[0]
+
+    def d(a):
+        return forms.exterior_derivative(a).value
+
+    def w(a, b):
+        return forms.wedge_bracket(a, b).value
+
+    F = {2: d(A) + w(C, A), 1: d(B) + w(A, D) + w(B, C),
+         0: d(C) + w(A, E) + w(B, D) + 0.5 * w(C, C),
+         -1: d(D) + w(B, E) + w(C, D), -2: d(E) + w(C, E)}
+
+    def report(value):
+        return forms.report_from_pointwise(
+            "s", grid, forms.LieValuedTwoForm(grid, alpha.algebra, value).pointwise_norm(), margin=2)
+
+    samples = [report(sum(lam ** k * Fk for k, Fk in F.items())).entries[0] for lam in lams]
+    scan = (max(e.sup for e in samples), max(e.l2 for e in samples))
+    closure = report(F[2]).entries[0]
+    return {"holomorphicity": (holo.entries[0].sup, holo.entries[0].l2),
+            "covariant_closure": (closure.sup, closure.l2), "scan": scan,
+            "laurent_sup": {k: report(Fk).final_sup for k, Fk in F.items()}}
+
+
+def _agrees(value, oracle):
+    # relative above the roundoff floor, absolute at it
+    return abs(value - oracle) <= (1e-12 * oracle if oracle > 1e-10 else 1e-14)
+
+
+@given(st.sampled_from(["so5_s4", "se4_r4", "su2_order4"]), st.integers(0, 2**32 - 1),
+       st.booleans(),
+       st.lists(st.complex_numbers(min_magnitude=0.25, max_magnitude=4.0,
+                                   allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_graded_residuals_equal_full_coordinate_oracle(name, seed, holomorphic, lams):
+    fx = load_algebra_fixture(name)
+    grid = unit_grid(10)
+    # a holomorphic form puts the holomorphicity residual at the roundoff floor
+    alpha = exact_holomorphic_form(fx, grid, seed) if holomorphic \
+        else random_form(grid, fx.algebra, seed)
+    oracle = full_coordinate_residuals(alpha, fx.aut, lams)
+    got = {"holomorphicity": ellsys.holomorphicity_residual(alpha, fx.aut),
+           "covariant_closure": ellsys.covariant_closure_residual(alpha, fx.aut),
+           "scan": forms.zero_curvature_scan(alpha, fx.aut, lams)}
+    for key, rep in got.items():
+        for value, ref in zip((rep.entries[0].sup, rep.entries[0].l2), oracle[key]):
+            assert _agrees(value, ref), (key, value, ref)
+    for k, ref in oracle["laurent_sup"].items():
+        assert _agrees(got["scan"].meta[f"laurent_sup_{k}"], ref), (k, ref)
+
+
 # -------------------------------------------------------------- residual report
 
 def test_report_order_requires_three_rungs():

@@ -244,6 +244,67 @@ def test_conjugation_swaps_p1_into_pm1(seed):
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
+# ------------------------------------------------------------ graded basis
+
+GRADE_DIMS = {"so5_s4": (4, 2, 2, 2), "se4_r4": (4, 2, 2, 2), "su2_order4": (1, 1, 0, 1)}
+# the blocks that the wedges of forms.laurent_curvature bracket
+LAURENT_BLOCKS = {(0, 2), (2, -1), (1, 0), (2, 2), (1, 2), (0, -1), (1, -1), (0, 0)}
+
+
+def _graded_structure(fx):
+    """Oracle: all structure constants in the graded basis, from the dense table."""
+    Q = fx.aut.graded.rows
+    return np.einsum("ai,bj,ijk,ck->abc", Q, Q, fx.algebra.structure, Q.conj())
+
+
+@pytest.mark.parametrize("name", sorted(GRADE_DIMS))
+def test_graded_basis_unitary_and_fixed_by_its_projectors(name):
+    aut = load_algebra_fixture(name).aut
+    gb = aut.graded
+    Q = gb.rows
+    assert np.max(np.abs(Q @ Q.conj().T - np.eye(aut.dim))) <= 1e-14
+    assert tuple(Q[gb.slices[k]].shape[0] for k in liealg.GRADES) == GRADE_DIMS[name]
+    for k in liealg.GRADES:
+        rows = Q[gb.slices[k]]
+        assert np.max(np.abs(rows @ aut.projectors[k].T - rows), initial=0.0) <= 1e-14
+    assert aut.graded is gb   # built once
+
+
+@pytest.mark.parametrize("name", sorted(GRADE_DIMS))
+def test_graded_structure_blocks_hold_all_the_structure(name):
+    # mass outside [g_j, g_k] -> g_(j+k), and every entry dropped as zero,
+    # is roundoff against the dense oracle
+    fx = load_algebra_fixture(name)
+    gb = fx.aut.graded
+    T = _graded_structure(fx)
+    kept = np.zeros_like(T)
+    for (j, k), (table, terms) in gb.blocks.items():
+        block = np.zeros_like(table)
+        for out, row in terms.items():
+            for a, b, c in row:
+                block[a, b, out] = c
+        assert np.array_equal(block, table)
+        kept[gb.slices[j], gb.slices[k], gb.slices[liealg._grade_sum(j, k)]] = block
+    assert np.max(np.abs(T - kept)) <= 1e-14 * np.max(np.abs(T))
+    n_terms = sum(len(row) for jk in LAURENT_BLOCKS for row in gb.blocks[jk][1].values())
+    assert n_terms <= 50   # against 9 x 60 (so5_s4) and 9 x 52 (se4_r4) in full coordinates
+
+
+@given(st.sampled_from(sorted(GRADE_DIMS)), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_graded_bracket_equals_bracket_coords(name, seed):
+    fx = load_algebra_fixture(name)
+    gb, d = fx.aut.graded, fx.algebra.dim
+    rng = np.random.default_rng(seed)
+    xi, eta = rng.standard_normal((2, 5, d)) + 1j * rng.standard_normal((2, 5, d))
+    x, y = xi @ gb.rows.conj().T, eta @ gb.rows.conj().T
+    back = sum(gb.vector(gb.bracket(j, k, gb.block(x, j), gb.block(y, k)), liealg._grade_sum(j, k))
+               for j in liealg.GRADES for k in liealg.GRADES)
+    scale = np.linalg.norm(xi, axis=-1) * np.linalg.norm(eta, axis=-1)
+    err = np.linalg.norm(back - fx.algebra.bracket_coords(xi, eta), axis=-1)
+    assert np.all(err <= 1e-14 * scale)
+
+
 # -------------------------------------------------------------- symmetric split
 
 def test_split_dimensions(so5, su2):
