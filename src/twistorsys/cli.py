@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ellsys, forms, immersion, lagrangian, octo, symspace
-from .fixtures import load_algebra_fixture
+from .fixtures import ALGEBRA_FIXTURES, load_algebra_fixture
 from .forms import ResidualReport
 
 
@@ -174,8 +174,10 @@ EXP_FRAME_PARAMS = {"algebra": "so5_s4", "seed": 1, "xi": None, "eta": None}
 
 def exp_frame_inputs(params):
     """(algebra fixture, unit xi, unit eta) of exp_frame with `params` over EXP_FRAME_PARAMS;
-    KeyError for an unknown algebra, ValueError for a bad seed or vector."""
+    KeyError for an algebra other than a shipped one, ValueError for a bad seed or vector."""
     p = {**EXP_FRAME_PARAMS, **params}
+    if p["algebra"] not in ALGEBRA_FIXTURES:
+        raise KeyError(f"unknown algebra {p['algebra']!r}; shipped: {ALGEBRA_FIXTURES}")
     fx = load_algebra_fixture(p["algebra"])
     d = fx.algebra.dim
     rng = np.random.default_rng(p["seed"])
@@ -219,7 +221,7 @@ KAHLER = {"complex2"}
 CHECKS = {
     "holomorphicity": (lambda c: ellsys.holomorphicity_residual(c.alpha, c.aut), FRAME),
     "covariant_closure": (lambda c: ellsys.covariant_closure_residual(c.alpha, c.aut), FRAME),
-    "flatness": (lambda c: ellsys.flatness_residual(c.alpha), FRAME),
+    "flatness": (lambda c: forms.curvature_residual(c.alpha), FRAME),
     "zero_curvature_scan": (
         lambda c: forms.zero_curvature_scan(c.alpha, c.aut, c.lambda_samples()), FRAME),
     "vertical_harmonicity": (

@@ -38,9 +38,6 @@ class FrameField:
     g: np.ndarray            # (nu, nv, n, n) group elements
     meta: dict = dc_field(default_factory=dict)
 
-    def inverse(self):
-        return np.linalg.inv(self.g)
-
 
 # ----------------------------------------------------------------- residuals
 
@@ -51,7 +48,7 @@ def holomorphicity_residual(alpha: LieValuedOneForm,
     gb, x = forms._graded(alpha, aut)
     _, a01 = forms._types(gb.block(x, 1))
     pw = np.sqrt(forms._sq_norm(a01[0]) + forms._sq_norm(a01[1]))
-    return forms.report_from_pointwise("holomorphicity", alpha.grid, pw, margin=1)
+    return forms.masked_report("holomorphicity", alpha.grid.h, pw, alpha.grid.interior_mask(1))
 
 
 def covariant_closure_residual(alpha: LieValuedOneForm,
@@ -61,18 +58,14 @@ def covariant_closure_residual(alpha: LieValuedOneForm,
     gb, x = forms._graded(alpha, aut)
     a2_10, _ = forms._types(gb.block(x, 2))
     pw = np.sqrt(forms._sq_norm(forms._covariant_closure(alpha.grid, gb, gb.block(x, 0), a2_10)))
-    return forms.report_from_pointwise("covariant_closure", alpha.grid, pw, margin=2)
-
-
-def flatness_residual(alpha: LieValuedOneForm) -> ResidualReport:
-    return forms.curvature_residual(alpha)
+    return forms.masked_report("covariant_closure", alpha.grid.h, pw, alpha.grid.interior_mask(2))
 
 
 def system_residuals(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism) -> dict:
     return {
         "holomorphicity": holomorphicity_residual(alpha, aut),
         "covariant_closure": covariant_closure_residual(alpha, aut),
-        "flatness": flatness_residual(alpha),
+        "flatness": forms.curvature_residual(alpha),
     }
 
 
@@ -109,13 +102,10 @@ def frame_to_connection(frame: FrameField) -> LieValuedOneForm:
     off the algebra, so the projection is unchecked; that error is part of
     the overall stencil error.
     """
-    grid = frame.grid
-    ginv = frame.inverse()
-    M_u = ginv @ forms.partial_u(grid, frame.g)
-    M_v = ginv @ forms.partial_v(grid, frame.g)
-    alg = frame.fixture.algebra
-    a_u = alg.coords(M_u, atol=None)
-    a_v = alg.coords(M_v, atol=None)
+    grid, alg = frame.grid, frame.fixture.algebra
+    ginv = frame.fixture.inverse(frame.g)
+    a_u = alg.coords(ginv @ forms.partial_u(grid, frame.g), atol=None)
+    a_v = alg.coords(ginv @ forms.partial_v(grid, frame.g), atol=None)
     return LieValuedOneForm(grid, alg, a_u.astype(complex), a_v.astype(complex))
 
 
@@ -142,7 +132,7 @@ def develop_frame(alpha: LieValuedOneForm, fixture: AlgebraFixture, g0=None) -> 
     """
     if not (np.all(np.isfinite(alpha.a_u)) and np.all(np.isfinite(alpha.a_v))):
         raise NonFiniteExp("non-finite connection coefficient during development")
-    rep = flatness_residual(alpha)
+    rep = forms.curvature_residual(alpha)
     if rep.final_sup > 1e-3 * max(1.0, float(np.max(alpha.pointwise_norm()))):
         warnings.warn(f"developing a connection with flatness residual {rep.final_sup:.3e}; "
                       "the frame will be path-dependent", stacklevel=2)
@@ -187,28 +177,21 @@ def plaquette_defects(alpha: LieValuedOneForm, fixture: AlgebraFixture) -> float
 def gauge_transform(alpha: LieValuedOneForm, h_field, fixture: AlgebraFixture) -> LieValuedOneForm:
     """alpha -> Ad(h^-1) alpha + h^-1 dh for a field h valued in the stabiliser.
 
-    Raises NotInH when pointwise conjugation either leaves the algebra or
-    fails to commute with tau.
+    H is the centraliser of J in the frame group: NotInH unless, pointwise,
+    h inverse(h) = I under the group's inverse and hJ = Jh.
     """
     alg = fixture.algebra
     grid = alpha.grid
     h = np.asarray(h_field, dtype=float)
-    hinv = np.linalg.inv(h)
-    try:
-        # (nu, nv, d, d) rows=source basis
-        ad_coords = alg.coords(h[..., None, :, :] @ alg.basis @ hinv[..., None, :, :])
-    except liealg.NotClosed as exc:
-        raise NotInH(f"conjugation leaves the algebra: {exc}") from exc
-    C = np.swapaxes(ad_coords, -1, -2)  # columns = images of basis vectors
-    comm = np.max(np.abs(C @ fixture.aut.tau - fixture.aut.tau @ C))
-    if comm > 1e-8:
-        raise NotInH(f"conjugation does not commute with tau (residual {comm:.3e})")
+    hinv = fixture.inverse(h)
+    J = fixture.J
+    off = max(np.max(np.abs(h @ hinv - np.eye(alg.ambient_dim))), np.max(np.abs(h @ J - J @ h)))
+    if not off <= 1e-8:
+        raise NotInH(f"h is not in the centraliser of J in the frame group (residual {off:.3e})")
 
-    M_u = alg.matrix(alpha.a_u)
-    M_v = alg.matrix(alpha.a_v)
     # the discrete h^-1 dh part is only O(h^2) close to the algebra: project
-    new_u = hinv @ M_u @ h + hinv @ forms.partial_u(grid, h)
-    new_v = hinv @ M_v @ h + hinv @ forms.partial_v(grid, h)
+    new_u = hinv @ alg.matrix(alpha.a_u) @ h + hinv @ forms.partial_u(grid, h)
+    new_v = hinv @ alg.matrix(alpha.a_v) @ h + hinv @ forms.partial_v(grid, h)
     return LieValuedOneForm(grid, alg, alg.coords(new_u, atol=None),
                             alg.coords(new_v, atol=None))
 

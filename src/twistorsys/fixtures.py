@@ -6,6 +6,9 @@ homogeneous 5x5 form for flat targets), the identification of the model
 tangent space with p.  Both shipped frame groups place the base point in
 the last matrix column and act on the first four coordinates, with the
 reference complex structure the standard block rotation diag(R, R).
+The group is read from the basis: affine if every basis matrix has a zero
+last row (its linear block skew), else orthogonal (the basis skew).  The
+stabiliser H of tau = Ad(J) is the centraliser of J in that group.
 """
 from __future__ import annotations
 
@@ -29,6 +32,16 @@ class AlgebraFixture:
     aut: liealg.GradedAutomorphism
     split: liealg.SymmetricSplit
     h_basis: np.ndarray
+    affine: bool             # homogeneous affine group, else orthogonal
+
+    def inverse(self, g):
+        """g^-1 for group element(s) g: g^T, or [[R^T, -R^T t], [0, 1]] if affine."""
+        inv = np.swapaxes(g, -1, -2)
+        if self.affine:
+            inv = inv.copy()
+            inv[..., -1, :] = np.eye(inv.shape[-1])[-1]
+            inv[..., :-1, -1:] = -inv[..., :-1, :-1] @ g[..., :-1, -1:]
+        return inv
 
     def embed_j(self, j4):
         """Embed an orthogonal complex structure on R^4 as a group element.
@@ -49,7 +62,7 @@ class AlgebraFixture:
         n = self.algebra.ambient_dim
         M = np.zeros(v.shape[:-1] + (n, n))
         M[..., :4, 4] = v[..., :4]
-        if self.name == "so5_s4":
+        if not self.affine:
             M[..., 4, :4] = -v[..., :4]
         return M
 
@@ -72,9 +85,13 @@ def load_algebra_fixture(name: str) -> AlgebraFixture:
     n = data["ambient_dim"]
     basis = np.array([np.array(row, dtype=float).reshape(n, n) for row in data["basis"]])
     J = np.array(data["J"], dtype=float).reshape(n, n)
+    affine = not np.any(basis[:, -1])
+    linear = basis[:, :-1, :-1] if affine else basis
+    if np.max(np.abs(linear + np.swapaxes(linear, -1, -2))) > 1e-12:
+        raise ValueError(f"algebra {data['name']!r} is neither orthogonal nor affine orthogonal")
     algebra = liealg.build_algebra(basis, name=data["name"])
     aut = liealg.automorphism_from_group_element(algebra, J)
     split = liealg.symmetric_split(aut)
     h_basis = liealg.stabilizer_subalgebra(split, aut)
     return AlgebraFixture(name=data["name"], algebra=algebra, J=J, aut=aut,
-                          split=split, h_basis=h_basis)
+                          split=split, h_basis=h_basis, affine=affine)

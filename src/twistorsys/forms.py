@@ -208,10 +208,6 @@ def masked_report(name, h, pointwise, mask) -> ResidualReport:
     return ResidualReport(name).add(h, float(np.max(vals)), float(np.sqrt(np.mean(vals ** 2))))
 
 
-def report_from_pointwise(name, grid, pointwise, margin: int = 1) -> ResidualReport:
-    return masked_report(name, grid.h, pointwise, grid.interior_mask(margin))
-
-
 # ------------------------------------------------------------- decompositions
 
 def type_decompose(alpha: LieValuedOneForm):
@@ -246,15 +242,16 @@ def wedge_bracket(alpha: LieValuedOneForm, beta: LieValuedOneForm) -> LieValuedT
 
 
 def curvature_two_form(alpha: LieValuedOneForm) -> LieValuedTwoForm:
+    """d alpha + (1/2)[alpha ^ alpha], where (1/2)[alpha ^ alpha](du, dv) = [a_u, a_v]."""
     d = exterior_derivative(alpha)
-    w = wedge_bracket(alpha, alpha)
-    return LieValuedTwoForm(alpha.grid, alpha.algebra, d.value + 0.5 * w.value)
+    return LieValuedTwoForm(alpha.grid, alpha.algebra,
+                            d.value + alpha.algebra.bracket_coords(alpha.a_u, alpha.a_v))
 
 
 def curvature_residual(alpha: LieValuedOneForm) -> ResidualReport:
     """Norms of d alpha + (1/2)[alpha ^ alpha] over the interior."""
-    F = curvature_two_form(alpha)
-    return report_from_pointwise("flatness", alpha.grid, F.pointwise_norm(), margin=2)
+    pw = curvature_two_form(alpha).pointwise_norm()
+    return masked_report("flatness", alpha.grid.h, pw, alpha.grid.interior_mask(2))
 
 
 # ------------------------------------------------------------------ loop family

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import twistorsys
-from twistorsys import cli
+from twistorsys import cli, fixtures
 
 
 def write_scenario(tmp_path, name="scen", **overrides):
@@ -166,6 +166,18 @@ def test_name_not_a_plain_file_name_rejected_before_any_rung(tmp_path, monkeypat
     monkeypatch.setattr(cli, "RungContext", no_rung)
     path = write_scenario(tmp_path, name="scen")
     path.write_text(json.dumps({**json.loads(path.read_text()), "name": name}))
+    assert cli.run(path, out_dir=tmp_path / "rep", echo=quiet) == 2
+    assert not (tmp_path / "rep").exists()
+
+
+def test_exp_frame_algebra_path_rejected_before_any_rung(tmp_path, monkeypatch):
+    # a byte-identical copy of a shipped algebra is still a file a scenario may not open
+    def no_rung(*args, **kwargs):
+        raise AssertionError("a rung ran before the scenario was rejected")
+    monkeypatch.setattr(cli, "RungContext", no_rung)
+    copy = tmp_path / "so5_s4.json"
+    copy.write_text(json.dumps(fixtures.fixture_data("so5_s4")))
+    path = write_scenario(tmp_path, fixture={"kind": "exp_frame", "params": {"algebra": str(copy)}})
     assert cli.run(path, out_dir=tmp_path / "rep", echo=quiet) == 2
     assert not (tmp_path / "rep").exists()
 

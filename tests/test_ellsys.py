@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from twistorsys import ellsys, forms, immersion as im, liealg
-from twistorsys.fixtures import load_algebra_fixture
+from twistorsys.fixtures import ALGEBRA_FIXTURES, load_algebra_fixture
 from twistorsys.forms import LieValuedOneForm, SurfaceGrid
 
 
@@ -350,6 +350,63 @@ def test_gauge_rejects_non_stabilizer():
     h = ellsys.stabilizer_gauge_field(fx, fld.grid, 0.3 * np.sin(U), xi=xi_p)
     with pytest.raises(ellsys.NotInH):
         ellsys.gauge_transform(alpha, h, fx)
+
+
+@pytest.mark.parametrize("kind", ["clifford_torus", "clifford_torus_s4"])
+def test_gauge_rejects_scaled_identity(kind):
+    # Ad(2I) is the identity on the algebra, but 2I is not in the frame group
+    fld, tw, frame, alpha, fx = geometry(kind, 16)
+    h = np.broadcast_to(2.0 * np.eye(5), frame.g.shape).copy()
+    with pytest.raises(ellsys.NotInH):
+        ellsys.gauge_transform(alpha, h, fx)
+
+
+@pytest.mark.parametrize("last_row", [[0.5, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0, 2.0]])
+def test_gauge_rejects_affine_matrix_with_wrong_last_row(last_row):
+    fld, tw, frame, alpha, fx = geometry("clifford_torus", 16)
+    assert fx.affine
+    h0 = np.eye(5)
+    h0[4] = last_row
+    with pytest.raises(ellsys.NotInH):
+        ellsys.gauge_transform(alpha, np.broadcast_to(h0, frame.g.shape).copy(), fx)
+
+
+@pytest.mark.parametrize("kind", ["clifford_torus", "clifford_torus_s4"])
+def test_frames_and_gauge_use_the_group_inverse(kind, monkeypatch):
+    fld = im.build_immersion(kind, {}, n=16)
+    tw = im.twistor_lift(fld, +1)
+    fx = fld.space.algebra_fixture()
+    U, V = fld.grid.mesh()
+    h = ellsys.stabilizer_gauge_field(fx, fld.grid, 0.3 * np.sin(U) * np.cos(V))
+    ref = ellsys.gauge_transform(ellsys.frame_from_geometry(fld, tw)[1], h, fx)
+
+    def no_inv(*args, **kwargs):
+        raise AssertionError("np.linalg.inv called on group elements")
+    monkeypatch.setattr(np.linalg, "inv", no_inv)
+    frame, alpha = ellsys.frame_from_geometry(fld, tw)
+    beta = ellsys.gauge_transform(ellsys.frame_to_connection(frame), h, fx)
+    assert np.array_equal(beta.a_u, ref.a_u) and np.array_equal(beta.a_v, ref.a_v)
+
+
+FRAME_SOURCES = ["clifford_torus", "clifford_torus_s4", "round_sphere", "product_torus",
+                 *(f"{how}:{name}" for how in ("exp_frame", "develop_frame")
+                   for name in ALGEBRA_FIXTURES)]
+
+
+@pytest.mark.parametrize("source", FRAME_SOURCES)
+def test_group_inverse_equals_lapack_inverse(source):
+    if ":" in source:
+        how, name = source.split(":")
+        fx = load_algebra_fixture(name)
+        xi, eta = np.random.default_rng(3).standard_normal((2, fx.algebra.dim))
+        grid = unit_grid(16)
+        frame = (ellsys.exp_frame(grid, fx, xi, eta) if how == "exp_frame"
+                 else ellsys.develop_frame(ellsys.exp_frame_form(grid, fx, xi, eta), fx))
+    else:
+        frame = geometry(source, 16)[2]
+    g = frame.g
+    err = np.max(np.abs(frame.fixture.inverse(g) - np.linalg.inv(g)), axis=(-2, -1))
+    assert np.all(err <= 1e-14 * np.maximum(1.0, np.linalg.norm(g, axis=(-2, -1))))
 
 
 def test_smooth_gauge_residuals_at_discretization_floor():

@@ -175,7 +175,7 @@ def test_exterior_derivative_of_df_converges(so5):
         a_v = 2 * np.cos(U + 2 * V)[..., None] * xi
         alpha = forms.LieValuedOneForm(g, so5.algebra, a_u.astype(complex), a_v.astype(complex))
         d = forms.exterior_derivative(alpha)
-        rep = rep.merged(forms.report_from_pointwise("ddf", g, d.pointwise_norm(), margin=1))
+        rep = rep.merged(forms.masked_report("ddf", g.h, d.pointwise_norm(), g.interior_mask(1)))
     assert rep.estimated_order >= 1.9
     assert rep.final_sup <= 1e-3
 
@@ -365,7 +365,7 @@ def test_scan_bounded_by_graded_residuals(so5):
         alpha = exact_holomorphic_form(so5, g, seed=seed)
         scan = forms.zero_curvature_scan(alpha, so5.aut).final_sup
         r2b = ellsys.covariant_closure_residual(alpha, so5.aut).final_sup
-        r2c = ellsys.flatness_residual(alpha).final_sup
+        r2c = forms.curvature_residual(alpha).final_sup
         assert scan <= 12.0 * (r2b + r2c) + 10.0 * g.h ** 2
         assert r2b + r2c <= 4.0 * scan + 10.0 * g.h ** 2
 
@@ -477,7 +477,8 @@ def full_coordinate_residuals(alpha, aut, lams):
     coordinates, from grade_decompose, type_decompose and wedge_bracket."""
     grid = alpha.grid
     g = forms.grade_decompose(alpha, aut)
-    holo = forms.report_from_pointwise("h", grid, forms.type_decompose(g[1])[1].pointwise_norm())
+    holo = forms.masked_report("h", grid.h, forms.type_decompose(g[1])[1].pointwise_norm(),
+                                grid.interior_mask(1))
     A, E = forms.type_decompose(g[2])
     B = forms.type_decompose(g[1])[0]
     D = forms.type_decompose(g[-1])[1]
@@ -494,8 +495,9 @@ def full_coordinate_residuals(alpha, aut, lams):
          -1: d(D) + w(B, E) + w(C, D), -2: d(E) + w(C, E)}
 
     def report(value):
-        return forms.report_from_pointwise(
-            "s", grid, forms.LieValuedTwoForm(grid, alpha.algebra, value).pointwise_norm(), margin=2)
+        return forms.masked_report(
+            "s", grid.h, forms.LieValuedTwoForm(grid, alpha.algebra, value).pointwise_norm(),
+            grid.interior_mask(2))
 
     samples = [report(sum(lam ** k * Fk for k, Fk in F.items())).entries[0] for lam in lams]
     scan = (max(e.sup for e in samples), max(e.l2 for e in samples))

@@ -451,6 +451,21 @@ def test_fixture_loadable_from_path(tmp_path):
         fixtures.fixture_data("nonexistent")
 
 
+def test_group_kind_read_from_basis(tmp_path):
+    import json
+    from twistorsys import fixtures
+    assert [n for n in fixtures.ALGEBRA_FIXTURES if load_algebra_fixture(n).affine] == ["se4_r4"]
+    data = fixtures.fixture_data("su2_order4")
+    n = data["ambient_dim"]
+    basis = np.array(data["basis"], dtype=float).reshape(-1, n, n)
+    basis[0] += np.eye(n)  # neither skew nor with a zero last row
+    data.update(name="unskewed", basis=basis.tolist())
+    path = tmp_path / "unskewed.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError):
+        fixtures.load_algebra_fixture(str(path))
+
+
 def test_stabilizer_identity_tau(so5):
     aut = liealg.automorphism_from_group_element(so5.algebra, np.eye(5))
     h = liealg.stabilizer_subalgebra(None, aut)
