@@ -90,8 +90,8 @@ def exp_frame_form(grid: SurfaceGrid, fixture: AlgebraFixture, xi, eta) -> LieVa
     Y = alg.matrix(np.asarray(eta, dtype=float))
     vY = grid.v_coords()[:, None, None] * Y
     rows = alg.coords(liealg.matrix_exp(-vY) @ X @ liealg.matrix_exp(vY))  # (nv, d)
-    a_u = np.broadcast_to(rows[None, :, :], (grid.nu, grid.nv, alg.dim)).astype(complex)
-    a_v = np.broadcast_to(np.asarray(eta, dtype=complex), (grid.nu, grid.nv, alg.dim))
+    a_u = np.broadcast_to(rows[None, :, :], (grid.nu, grid.nv, alg.dim))
+    a_v = np.broadcast_to(np.asarray(eta, dtype=float), (grid.nu, grid.nv, alg.dim))
     return LieValuedOneForm(grid, alg, a_u.copy(), a_v.copy())
 
 
@@ -106,7 +106,7 @@ def frame_to_connection(frame: FrameField) -> LieValuedOneForm:
     ginv = frame.fixture.inverse(frame.g)
     a_u = alg.coords(ginv @ forms.partial_u(grid, frame.g), atol=None)
     a_v = alg.coords(ginv @ forms.partial_v(grid, frame.g), atol=None)
-    return LieValuedOneForm(grid, alg, a_u.astype(complex), a_v.astype(complex))
+    return LieValuedOneForm(grid, alg, a_u, a_v)
 
 
 # -------------------------------------------------------------- development

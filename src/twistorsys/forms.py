@@ -109,14 +109,15 @@ def partial_v(grid: SurfaceGrid, f):
 class LieValuedOneForm:
     grid: SurfaceGrid
     algebra: liealg.LieAlgebraRep
-    a_u: np.ndarray  # (nu, nv, d) complex
+    a_u: np.ndarray  # (nu, nv, d), float64 for real data, complex128 for complex
     a_v: np.ndarray
 
     def __post_init__(self):
         d = self.algebra.dim
         want = (self.grid.nu, self.grid.nv, d)
-        self.a_u = np.asarray(self.a_u, dtype=complex)
-        self.a_v = np.asarray(self.a_v, dtype=complex)
+        a_u, a_v = np.asarray(self.a_u), np.asarray(self.a_v)
+        dtype = np.result_type(a_u, a_v, float)
+        self.a_u, self.a_v = a_u.astype(dtype, copy=False), a_v.astype(dtype, copy=False)
         if self.a_u.shape != want or self.a_v.shape != want:
             raise GridMismatch(f"component shape {self.a_u.shape} != {want}")
         if not (np.all(np.isfinite(self.a_u)) and np.all(np.isfinite(self.a_v))):
@@ -147,7 +148,7 @@ class LieValuedOneForm:
 class LieValuedTwoForm:
     grid: SurfaceGrid
     algebra: liealg.LieAlgebraRep
-    value: np.ndarray  # (nu, nv, d) complex; evaluation on (du, dv)
+    value: np.ndarray  # (nu, nv, d), the dtype of its 1-forms; evaluation on (du, dv)
 
     def pointwise_norm(self):
         return np.sqrt(np.sum(np.abs(self.value) ** 2, axis=-1))
@@ -294,6 +295,7 @@ def _graded(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism):
         raise AlgebraMismatch("automorphism acts on a different algebra")
     gb = aut.graded
     dual = gb.rows.conj().T   # original -> graded coordinates
+    # the graded basis is complex: here a real alpha enters complex arithmetic
     x = np.empty((2,) + alpha.a_u.shape, complex)
     np.matmul(alpha.a_u, dual, out=x[0])
     np.matmul(alpha.a_v, dual, out=x[1])
@@ -412,6 +414,5 @@ def zero_curvature_scan(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism,
 
 def constant_form(grid: SurfaceGrid, algebra, xi_u, xi_v) -> LieValuedOneForm:
     ones = np.ones((grid.nu, grid.nv, 1))
-    return LieValuedOneForm(grid, algebra,
-                            ones * np.asarray(xi_u, dtype=complex)[None, None, :],
-                            ones * np.asarray(xi_v, dtype=complex)[None, None, :])
+    return LieValuedOneForm(grid, algebra, ones * np.asarray(xi_u)[None, None, :],
+                            ones * np.asarray(xi_v)[None, None, :])

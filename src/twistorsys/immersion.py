@@ -186,22 +186,16 @@ def _stack(*comps):
     return np.stack(np.broadcast_arrays(*comps), axis=-1)
 
 
-def _plane(p, U, V):
-    Z = np.zeros_like(U)
-    O = np.ones_like(U)
-    phi = _stack(U, V, Z, Z)
-    return dict(phi=phi, dphi_u=_stack(O, Z, Z, Z), dphi_v=_stack(Z, O, Z, Z),
-                e1=_stack(O, Z, Z, Z), e2=_stack(Z, O, Z, Z),
-                normals=[_stack(Z, Z, O, Z), _stack(Z, Z, Z, O)])
-
-
-def _lagrangian_plane(p, U, V):
-    Z = np.zeros_like(U)
-    O = np.ones_like(U)
-    phi = _stack(U, Z, V, Z)
-    return dict(phi=phi, dphi_u=_stack(O, Z, Z, Z), dphi_v=_stack(Z, Z, O, Z),
-                e1=_stack(O, Z, Z, Z), e2=_stack(Z, Z, O, Z),
-                normals=[_stack(Z, O, Z, Z), _stack(Z, Z, Z, O)])
+def _coordinate_plane(U, V, m, axes):
+    """The (i, j) = axes coordinate plane of R^m; the other axes, in order, are its normals."""
+    i, j = axes
+    if i == j or not {i, j} <= set(range(m)):
+        raise ValueError(f"axes {axes!r} are not two distinct coordinates 0..{m - 1}")
+    phi = np.zeros(U.shape + (m,))
+    unit = [phi + axis for axis in np.eye(m)]   # the constant coordinate fields
+    phi[..., i], phi[..., j] = U, V
+    return dict(phi=phi, dphi_u=unit[i], dphi_v=unit[j], e1=unit[i], e2=unit[j],
+                normals=[unit[k] for k in range(m) if k not in (i, j)])
 
 
 def _round_sphere(p, U, V):
@@ -358,17 +352,6 @@ def _branched_disk(p, U, V):
     return dict(phi=phi, dphi_u=dphi_u, dphi_v=dphi_v, gram_schmidt=True)
 
 
-def _octonion_plane(p, U, V):
-    i, j = p["axes"]
-    if i == j or not {i, j} <= set(range(8)):
-        raise ValueError(f"axes {p['axes']!r} are not two distinct coordinates 0..7")
-    phi = np.zeros(U.shape + (8,))
-    unit = [phi + axis for axis in np.eye(8)]   # the constant coordinate fields
-    phi[..., i], phi[..., j] = U, V
-    return dict(phi=phi, dphi_u=unit[i], dphi_v=unit[j], e1=unit[i], e2=unit[j],
-                normals=[unit[k] for k in range(8) if k not in (i, j)])
-
-
 def _octonion_graph(p, U, V):
     # the holomorphic curve (z, z^2) inside the first two complex slots of R^8
     Z = np.zeros_like(U)
@@ -399,7 +382,8 @@ _CUBIC_ARCLENGTH = tuple(float(s) for s in _saddle_arclength(np.array([0.15, 0.7
 
 
 FIXTURES = {
-    "plane": SurfaceFixture(_plane, "euclidean4", {}, _box(1.0)),
+    "plane": SurfaceFixture(lambda p, U, V: _coordinate_plane(U, V, 4, (0, 1)), "euclidean4",
+                            {}, _box(1.0)),
     "graph": SurfaceFixture(_graph, "euclidean4", {"amplitude": 0.3}, _box(1.0)),
     "round_sphere": SurfaceFixture(_round_sphere, "euclidean4", {"r": 1.0}, _box(0.8)),
     "clifford_torus": SurfaceFixture(_clifford_torus, "euclidean4",
@@ -412,15 +396,18 @@ FIXTURES = {
         _perturbed_torus, "euclidean4", {"eps": 0.1},
         lambda p: (0.0, _revolution_torus_chart(p["eps"])[4], 0.0, 2 * math.pi, True)),
     "helicoid": SurfaceFixture(_helicoid, "euclidean4", {}, _box(0.7)),
-    "lagrangian_plane": SurfaceFixture(_lagrangian_plane, "complex2", {}, _box(1.0)),
+    "lagrangian_plane": SurfaceFixture(lambda p, U, V: _coordinate_plane(U, V, 4, (0, 2)),
+                                       "complex2", {}, _box(1.0)),
     "lagrangian_graph": SurfaceFixture(
         _lagrangian_graph, "complex2", {"potential": "saddle"},
         lambda p: ((*_CUBIC_ARCLENGTH, 0.0, 0.6) if p["potential"] == "cubic"
                    else (-1.0, 1.0, -1.0, 1.0))),
     # the plane as a holomorphic curve in the Kahler plane: maximally non-Lagrangian
-    "complex_line": SurfaceFixture(_plane, "complex2", {}, _box(1.0)),
+    "complex_line": SurfaceFixture(lambda p, U, V: _coordinate_plane(U, V, 4, (0, 1)), "complex2",
+                                   {}, _box(1.0)),
     "branched_disk": SurfaceFixture(_branched_disk, "euclidean4", {}, _box(1.0)),
-    "octonion_plane": SurfaceFixture(_octonion_plane, "euclidean8", {"axes": (0, 1)}, _box(1.0)),
+    "octonion_plane": SurfaceFixture(lambda p, U, V: _coordinate_plane(U, V, 8, p["axes"]),
+                                     "euclidean8", {"axes": (0, 1)}, _box(1.0)),
     "octonion_graph": SurfaceFixture(_octonion_graph, "euclidean8", {}, _box(0.6)),
 }
 
@@ -611,8 +598,9 @@ def _frame_rotation_lift(field: ImmersionField, sign, s, eps) -> TwistorField:
     j = _outer(t_a, t_b) - _outer(t_b, t_a) + eps * (_outer(n2, n1) - _outer(n1, n2))
     nu, nv = field.grid.nu, field.grid.nv
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    j_T = np.broadcast_to(s * rot, (nu, nv, 2, 2)).copy()
-    j_N = np.broadcast_to(eps * rot, (nu, nv, 2, 2)).copy()
+    # constant in frames: read-only views of one 2x2 matrix
+    j_T = np.broadcast_to(s * rot, (nu, nv, 2, 2))
+    j_N = np.broadcast_to(eps * rot, (nu, nv, 2, 2))
     return TwistorField(grid=field.grid, sign=sign, j_ambient=j, j_T=j_T, j_N=j_N, eps=eps)
 
 

@@ -291,25 +291,19 @@ def build_algebra(basis, name: str = "") -> LieAlgebraRep:
         raise DependentBasis("basis matrices are linearly dependent")
     pinv = np.linalg.pinv(V).T  # (d, n*n)
 
-    structure = np.zeros((d, d, d))
-    worst = 0.0
-    for i in range(d):
-        for j in range(i + 1, d):
-            B = basis[i] @ basis[j] - basis[j] @ basis[i]
-            c = pinv @ B.reshape(-1)
-            recon = (c @ V).reshape(n, n)
-            scale = max(np.linalg.norm(B), 1.0)
-            worst = max(worst, np.linalg.norm(B - recon) / scale)
-            structure[i, j] = c
-            structure[j, i] = -c
+    i, j = np.triu_indices(d, 1)
+    B = (basis[i] @ basis[j] - basis[j] @ basis[i]).reshape(len(i), n * n)   # [b_i, b_j], i < j
+    c = B @ pinv.T
+    worst = np.max(np.linalg.norm(B - c @ V, axis=-1) / np.maximum(np.linalg.norm(B, axis=-1), 1.0),
+                   initial=0.0)
     if worst > 1e-8:
         raise NotClosed(f"bracket leaves span of basis (residual {worst:.3e})")
+    structure = np.zeros((d, d, d))
+    structure[i, j] = c
+    structure[j, i] = -c
 
-    ads = structure.transpose(0, 2, 1)  # ads[i] = ad(b_i), entry [k, j] = structure[i, j, k]
-    killing = np.zeros((d, d))
-    for i in range(d):
-        for j in range(d):
-            killing[i, j] = np.trace(ads[i] @ ads[j])
+    # trace(ad(b_i) ad(b_j)) with ad(b_i) = structure[i].T and ad(b_j).T = structure[j]
+    killing = structure.transpose(0, 2, 1).reshape(d, -1) @ structure.reshape(d, -1).T
     killing = 0.5 * (killing + killing.T)
 
     return LieAlgebraRep(ambient_dim=n, basis=basis, structure=structure,

@@ -143,6 +143,48 @@ def test_frame_group_membership():
     assert np.max(np.abs(frame.g[..., 4, :4])) == 0.0
 
 
+def real_frame_form(source, n):
+    """(alpha, fixture) for an adapted geometric frame or, for "exp_frame", the
+    analytic g^-1 dg of exp(u X) exp(v Y) in so5_s4."""
+    if source != "exp_frame":
+        return geometry(source, n)[3:]
+    fx = load_algebra_fixture("so5_s4")
+    xi, eta = np.random.default_rng(4).standard_normal((2, fx.algebra.dim))
+    return ellsys.exp_frame_form(unit_grid(n), fx, xi, eta), fx
+
+
+def test_frame_forms_are_real():
+    alpha, fx = real_frame_form("exp_frame", 16)
+    xi, eta = np.random.default_rng(4).standard_normal((2, fx.algebra.dim))
+    frame = ellsys.exp_frame(alpha.grid, fx, xi, eta)
+    for form in (alpha, ellsys.frame_to_connection(frame), geometry("clifford_torus_s4", 16)[3]):
+        assert form.a_u.dtype == form.a_v.dtype == np.float64
+
+
+@pytest.mark.parametrize("source", ["clifford_torus", "clifford_torus_s4", "exp_frame"])
+def test_real_form_matches_its_complex_copy(source):
+    # the graded residuals see the same complex graded coordinates; flatness
+    # and the gauge action run in real arithmetic and agree up to roundoff (a
+    # stencil quotient rounds otherwise in complex arithmetic), relative to d alpha
+    alpha, fx = real_frame_form(source, 24)
+    copy = LieValuedOneForm(alpha.grid, alpha.algebra, alpha.a_u.astype(complex),
+                            alpha.a_v.astype(complex))
+    assert copy.a_u.dtype == np.complex128
+    for check in (ellsys.holomorphicity_residual, ellsys.covariant_closure_residual):
+        assert check(alpha, fx.aut).as_dict() == check(copy, fx.aut).as_dict(), check.__name__
+    scan, copy_scan = forms.zero_curvature_scan(alpha, fx.aut), forms.zero_curvature_scan(copy, fx.aut)
+    assert scan.as_dict() == copy_scan.as_dict() and scan.meta == copy_scan.meta
+    F, copy_F = forms.curvature_two_form(alpha).value, forms.curvature_two_form(copy).value
+    assert np.max(np.abs(F - copy_F)) <= 1e-14 * np.max(np.abs(forms.exterior_derivative(alpha).value))
+
+    U, V = alpha.grid.mesh()
+    h = ellsys.stabilizer_gauge_field(fx, alpha.grid, 0.3 * np.sin(U) * np.cos(V))
+    beta, copy_beta = ellsys.gauge_transform(alpha, h, fx), ellsys.gauge_transform(copy, h, fx)
+    assert beta.a_u.dtype == beta.a_v.dtype == np.float64
+    assert np.max(np.abs(beta.a_u - copy_beta.a_u)) <= 1e-13
+    assert np.max(np.abs(beta.a_v - copy_beta.a_v)) <= 1e-13
+
+
 def test_frame_rejects_branch_points():
     fld = im.build_immersion("branched_disk", n=17)
     with pytest.raises((im.NotImmersed, im.FrameDiscontinuity)):

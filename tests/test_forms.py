@@ -33,6 +33,24 @@ def random_form(grid, algebra, seed=0, real=False):
     return forms.LieValuedOneForm(grid, algebra, a_u.astype(complex), a_v.astype(complex))
 
 
+# ----------------------------------------------------------------- form dtype
+
+def test_form_components_keep_the_kind_of_their_data(so5):
+    g = unit_grid(8)
+    shape = (8, 8, so5.algebra.dim)
+    ints = forms.LieValuedOneForm(g, so5.algebra, np.ones(shape, int), np.zeros(shape, int))
+    assert ints.a_u.dtype == ints.a_v.dtype == np.float64
+    assert forms.constant_form(g, so5.algebra, np.ones(10), np.zeros(10)).a_u.dtype == np.float64
+    cplx = random_form(g, so5.algebra)
+    assert cplx.a_u.dtype == cplx.a_v.dtype == np.complex128
+    real = forms.LieValuedOneForm(g, so5.algebra,
+                                  *np.random.default_rng(0).standard_normal((2,) + shape))
+    assert real.a_u.dtype == real.a_v.dtype == np.float64
+    for lam in (1.0, 0.5j):
+        loop = forms.loop_form(real, so5.aut, lam)
+        assert loop.a_u.dtype == loop.a_v.dtype == np.complex128
+
+
 # ------------------------------------------------------------------------ grid
 
 def test_grid_validation():

@@ -132,10 +132,30 @@ def test_perturbed_chart_wraps():
 # -------------------------------------------------------- second fundamental II
 
 def test_plane_has_zero_II():
-    fld = im.build_immersion("plane", n=16)
-    II = im.second_fundamental_form(fld)
-    assert np.max(np.abs(II.coeffs)) == 0.0
-    assert np.max(np.abs(im.mean_curvature(II))) == 0.0
+    # the coordinate planes column by column: the chart, e1 = dphi_u, e2 = dphi_v
+    # and the normals, which are the remaining axes in order
+    for kind, params in (("plane", {}), ("complex_line", {}), ("lagrangian_plane", {}),
+                         ("octonion_plane", {"axes": (2, 5)})):
+        fld = im.build_immersion(kind, params, n=16)
+        U, V = fld.grid.mesh()
+        Z, O = np.zeros_like(U), np.ones_like(U)
+        m = fld.ambient_dim
+        unit = [[O if k == a else Z for k in range(m)] for a in range(m)]
+        if kind == "lagrangian_plane":
+            phi, e1, e2, normals = (U, Z, V, Z), unit[0], unit[2], [unit[1], unit[3]]
+        elif kind == "octonion_plane":
+            phi, e1, e2 = (Z, Z, U, Z, Z, V, Z, Z), unit[2], unit[5]
+            normals = [unit[k] for k in (0, 1, 3, 4, 6, 7)]
+        else:
+            phi, e1, e2, normals = (U, V, Z, Z), unit[0], unit[1], [unit[2], unit[3]]
+        assert np.array_equal(fld.phi, np.stack(phi, axis=-1)), kind
+        for got, want in ((fld.dphi_u, e1), (fld.e1, e1), (fld.dphi_v, e2), (fld.e2, e2)):
+            assert np.array_equal(got, np.stack(want, axis=-1)), kind
+        assert np.array_equal(fld.normal_frame,
+                              np.stack([np.stack(n, axis=-1) for n in normals], axis=-2)), kind
+        II = im.second_fundamental_form(fld)
+        assert np.max(np.abs(II.coeffs)) == 0.0
+        assert np.max(np.abs(im.mean_curvature(II))) == 0.0
 
 
 def test_sphere_umbilic_II():

@@ -69,6 +69,24 @@ def test_abelian_one_dim():
     assert np.allclose(a.killing, 0.0)
 
 
+@pytest.mark.parametrize("name", ["se4_r4", "so5_s4", "su2_order4"])
+def test_structure_equals_per_pair_loop(name):
+    # oracle: one least-squares expansion of [b_i, b_j] per pair i < j, bit for
+    # bit, and trace(ad b_i ad b_j) per pair of basis elements
+    a = load_algebra_fixture(name).algebra
+    d = a.dim
+    structure = np.zeros((d, d, d))
+    for i in range(d):
+        for j in range(i + 1, d):
+            B = a.basis[i] @ a.basis[j] - a.basis[j] @ a.basis[i]
+            structure[i, j] = a.pinv @ B.reshape(-1)
+            structure[j, i] = -structure[i, j]
+    assert np.array_equal(a.structure, structure)
+    ads = structure.transpose(0, 2, 1)
+    killing = np.array([[np.trace(ads[i] @ ads[j]) for j in range(d)] for i in range(d)])
+    assert np.max(np.abs(a.killing - 0.5 * (killing + killing.T))) <= 1e-14
+
+
 def test_not_closed_rejected():
     # span{E12, E21} in gl(2) brackets to the diagonal, which is outside
     with pytest.raises(liealg.NotClosed):
