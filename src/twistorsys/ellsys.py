@@ -227,9 +227,10 @@ def frame_from_geometry(field: immersion.ImmersionField, tw: immersion.TwistorFi
     if field.ambient_dim != space.ambient_dim:
         raise ValueError("immersion and model space disagree on the ambient dimension")
 
-    j = tw.j_ambient
-    je1 = np.einsum("uvij,uvj->uvi", j, field.e1)
-    jn1 = np.einsum("uvij,uvj->uvi", j, field.n1)
+    # j e1 and j n1 from the first columns of the frame components of j
+    E = np.stack([field.e1, field.e2], axis=-1)
+    je1 = immersion._matvec(E, tw.j_T[..., 0])
+    jn1 = immersion._matvec(np.swapaxes(field.normal_frame, -1, -2), tw.j_N[..., 0])
     nu, nv = field.grid.nu, field.grid.nv
     if space.kind == "sphere4":
         g = np.stack([field.e1, je1, field.n1, jn1, field.phi / space.radius], axis=-1)

@@ -11,6 +11,7 @@ slot.  Hodge star on 1-forms: *du = dv, *dv = -du.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -136,12 +137,42 @@ class ImmersionField:
 
 @dataclass
 class TwistorField:
-    grid: SurfaceGrid
+    """A lift j of `field`, given by its frame components j_T and j_N.
+
+    The vertical geometry of the lift (II_minus, its covariant divergence
+    and the ambient (nu, nv, m, m) matrix of j) is computed on first access
+    and cached on the lift, so every check on the same lift shares one copy;
+    a residual that takes (field, tw) reads these from tw, which must be a
+    lift of that field.  Like its field, a lift must not be mutated after
+    it is built.
+    """
+
+    field: ImmersionField
     sign: int                  # +1 or -1: requested orientation component
-    j_ambient: np.ndarray      # (nu, nv, m, m)
     j_T: np.ndarray            # (nu, nv, 2, 2) frame components on the tangent
     j_N: np.ndarray            # (nu, nv, q, q) frame components on the normal
     eps: int                   # rotation sense on the normal frame
+
+    @functools.cached_property
+    def II_minus(self):
+        """The j-anticommuting part of the field's II: (nu, nv, 2, q, 2)."""
+        return split_II(self.field.II, self).minus
+
+    @functools.cached_property
+    def div_minus(self):
+        """d^(nabla, nabla_perp) * II_minus on (du, dv), as `_hom_covariant_divergence`."""
+        return _hom_covariant_divergence(self.field, self.II_minus)
+
+    @functools.cached_property
+    def j_ambient(self):
+        """(nu, nv, m, m): s (e2 x e1 - e1 x e2) + eps (n2 x n1 - n1 x n2), the
+        rotation lift whose tangent block is j_T = s rot.  s = -1 swaps the
+        operands of the tangent difference instead of negating it.  The
+        octonion lift sets this attribute to its L_q when it is built."""
+        f = self.field
+        t_a, t_b = (f.e2, f.e1) if self.j_T[0, 0, 1, 0] > 0 else (f.e1, f.e2)
+        n1, n2 = f.n1, f.n2
+        return _outer(t_a, t_b) - _outer(t_b, t_a) + self.eps * (_outer(n2, n1) - _outer(n1, n2))
 
 
 @dataclass
@@ -322,7 +353,7 @@ def _lagrangian_graph(p, U, V):
     if potential == "cubic":
         # gradient graph of x1^3: a cylinder over the parabola y1 = 3 x1^2,
         # parametrised by arclength u of the profile (isothermal, lambda = 1)
-        x = _invert_arclength(U)
+        x = _invert_arclength(U[:, :1])   # U is constant along v; _stack broadcasts
         xp = 1.0 / np.sqrt(1.0 + 36.0 * x ** 2)   # dx/du along the profile
         phi = _stack(x, 3.0 * x ** 2, V, Z)
         e1 = _stack(xp, 6.0 * x * xp, Z, Z)
@@ -555,8 +586,7 @@ def twistor_lift(field: ImmersionField, sign: int = +1) -> TwistorField:
     cols = [field.e1, field.e2, field.n1, field.n2]
     if field.space.kind == "sphere4":
         cols = [field.phi / field.space.radius] + cols
-    M = np.stack(cols, axis=-1)
-    det = np.linalg.det(M)
+    det = _column_det(cols)
     mask = field.report_mask(0)
     if np.min(np.abs(det[mask])) < 1e-6:
         raise NotImmersed("degenerate adapted frame")
@@ -589,19 +619,34 @@ def _outer(a, b):
     return np.einsum("uvi,uvj->uvij", a, b)
 
 
+def _column_det(cols):
+    """det of the m x m matrices whose columns are the m (..., m) fields `cols`.
+
+    The exterior product cols[k] ^ ... ^ cols[m-1] is kept as its minors, one
+    per set of rows, and each earlier column expands them along itself (the
+    first column of the larger minor): m 2^(m-1) products of grid arrays in
+    place of one LAPACK factorisation per point.
+    """
+    m = len(cols)
+    minors = {(): 1.0}
+    for k, col in enumerate(reversed(cols), 1):
+        rows = np.ascontiguousarray(np.moveaxis(col, -1, 0))
+        minors = {S: sum((-1) ** t * rows[i] * minors[S[:t] + S[t + 1:]]
+                         for t, i in enumerate(S))
+                  for S in itertools.combinations(range(m), k)}
+    return minors[tuple(range(m))]
+
+
 def _frame_rotation_lift(field: ImmersionField, sign, s, eps) -> TwistorField:
     """j = s (e2 x e1 - e1 x e2) + eps (n2 x n1 - n1 x n2): a +/-pi/2 frame
-    rotation on each factor.  s = -1 swaps the operands of the tangent
-    difference instead of negating it, which gives the same bits."""
-    t_a, t_b = (field.e2, field.e1) if s > 0 else (field.e1, field.e2)
-    n1, n2 = field.n1, field.n2
-    j = _outer(t_a, t_b) - _outer(t_b, t_a) + eps * (_outer(n2, n1) - _outer(n1, n2))
+    rotation on each factor, stored as its constant frame components; the
+    ambient j is formed only when `TwistorField.j_ambient` is read."""
     nu, nv = field.grid.nu, field.grid.nv
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
     # constant in frames: read-only views of one 2x2 matrix
     j_T = np.broadcast_to(s * rot, (nu, nv, 2, 2))
     j_N = np.broadcast_to(eps * rot, (nu, nv, 2, 2))
-    return TwistorField(grid=field.grid, sign=sign, j_ambient=j, j_T=j_T, j_N=j_N, eps=eps)
+    return TwistorField(field=field, sign=sign, j_T=j_T, j_N=j_N, eps=eps)
 
 
 def lift_from_octonion_structure(field: ImmersionField, j_ambient) -> TwistorField:
@@ -610,8 +655,9 @@ def lift_from_octonion_structure(field: ImmersionField, j_ambient) -> TwistorFie
     N = field.normal_frame
     j_T = e @ j_ambient @ np.swapaxes(e, -1, -2)
     j_N = N @ j_ambient @ np.swapaxes(N, -1, -2)
-    return TwistorField(grid=field.grid, sign=+1, j_ambient=np.asarray(j_ambient),
-                        j_T=j_T, j_N=j_N, eps=0)
+    tw = TwistorField(field=field, sign=+1, j_T=j_T, j_N=j_N, eps=0)
+    tw.j_ambient = np.asarray(j_ambient)
+    return tw
 
 
 # ------------------------------------------------------------------ connections
@@ -627,7 +673,8 @@ def frame_connection(field: ImmersionField):
     N = field.normal_frame
 
     def coeff(F, dF):
-        raw = F @ np.swapaxes(dF, -1, -2)
+        # @ is about 3x slower on the transposed (m x 2) view than on a contiguous copy
+        raw = F @ np.ascontiguousarray(np.swapaxes(dF, -1, -2))
         return 0.5 * (raw - np.swapaxes(raw, -1, -2))
 
     om_u = coeff(E, partial_u(grid, E))
@@ -679,8 +726,7 @@ def normal_connection_derivative(field: ImmersionField, H):
 
 def vertical_harmonicity_residual(field: ImmersionField, tw: TwistorField) -> ResidualReport:
     """Norm of d^(nabla, nabla_perp) * II_minus over the interior."""
-    div = _hom_covariant_divergence(field, split_II(field.II, tw).minus)
-    return masked_report("vertical_harmonicity", field.grid.h, liealg._frobenius(div),
+    return masked_report("vertical_harmonicity", field.grid.h, liealg._frobenius(tw.div_minus),
                          field.report_mask(2))
 
 
@@ -706,7 +752,7 @@ def divergence_identity_residual(field: ImmersionField, tw: TwistorField) -> Res
     solutions and non-solutions alike.
     """
     inv2 = 1.0 / np.maximum(field.conformal_factor, 1e-30)
-    lhs = inv2[..., None, None] * _hom_covariant_divergence(field, split_II(field.II, tw).minus)
+    lhs = inv2[..., None, None] * tw.div_minus
     Ghom = _grad_H_hom(field)
     rhs = Ghom + tw.j_N @ Ghom @ tw.j_T  # = 2 pi_minus(Ghom)
     return masked_report("divergence_identity", field.grid.h, liealg._frobenius(lhs - rhs),

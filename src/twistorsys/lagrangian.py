@@ -85,12 +85,11 @@ def maslov_identity_residual(field: immersion.ImmersionField,
     """Norm of II_minus(X, .) + beta(X) J^N|T over slots X in (e1, e2)."""
     J = _require_kahler(field)
     beta_u, beta_v = maslov_form(field)
-    minus = immersion.split_II(field.II, tw).minus      # (nu, nv, 2, q, 2)
     E = np.stack([field.e1, field.e2], axis=-2)
     JNT = field.normal_frame @ J @ np.swapaxes(E, -1, -2)
     inv = 1.0 / np.maximum(field.lam, 1e-30)
     beta_frame = np.stack([beta_u * inv, beta_v * inv], axis=-1)  # beta(e_a)
-    resid = minus + beta_frame[..., :, None, None] * JNT[..., None, :, :]
+    resid = tw.II_minus + beta_frame[..., :, None, None] * JNT[..., None, :, :]
     pw = np.max(liealg._frobenius(resid), axis=-1)
     return masked_report("maslov_identity", field.grid.h, pw, field.report_mask(2))
 

@@ -1,4 +1,6 @@
 """Immersion fixtures, second fundamental form, lifts, harmonicity residuals."""
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.ndimage
@@ -247,6 +249,89 @@ def test_lift_needs_rank_two():
     fld = im.build_immersion("octonion_plane", n=16)
     with pytest.raises(im.NotImmersed):
         im.twistor_lift(fld, +1)
+
+
+
+ROTATION_LIFT_FIXTURES = ["plane", "clifford_torus", "round_sphere", "product_torus",
+                          "clifford_torus_s4"]
+
+
+def _outer(a, b):
+    return np.einsum("uvi,uvj->uvij", a, b)
+
+
+@pytest.mark.parametrize("kind", ROTATION_LIFT_FIXTURES)
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_rotation_lift_ambient_j_closed_form(kind, sign):
+    # j = s (e2 x e1 - e1 x e2) + eps (n2 x n1 - n1 x n2), formed only when read;
+    # s = +1 for the canonical lift and -1 for its anti-holomorphic twin
+    fld = im.build_immersion(kind, n=16)
+    tw = im.twistor_lift(fld, sign)
+    flipped = im.flip_tangent_orientation(fld, tw)
+    assert flipped.field is fld and (flipped.sign, flipped.eps) == (tw.sign, tw.eps)
+    for lift, s in ((tw, +1), (flipped, -1)):
+        assert "j_ambient" not in vars(lift)
+        oracle = (s * (_outer(fld.e2, fld.e1) - _outer(fld.e1, fld.e2))
+                  + lift.eps * (_outer(fld.n2, fld.n1) - _outer(fld.n1, fld.n2)))
+        assert np.max(np.abs(lift.j_ambient - oracle)) <= 1e-15, (kind, sign, s)
+        assert lift.j_ambient is lift.j_ambient   # cached on the lift
+
+
+def test_octonion_lift_keeps_the_given_structure():
+    fld = im.build_immersion("octonion_graph", n=16)
+    q, tw = octo.canonical_lift(fld)
+    j = octo._left_mult_field(q)
+    assert np.array_equal(tw.j_ambient, j)
+    assert im.lift_from_octonion_structure(fld, j).j_ambient is j
+
+
+def _hadamard_bound(M):
+    return np.prod(np.linalg.norm(M, axis=-2), axis=-1)
+
+
+@pytest.mark.parametrize("kind", ROTATION_LIFT_FIXTURES + ["helicoid", "perturbed_torus"])
+def test_column_det_matches_lapack_on_fixture_frames(kind):
+    fld = im.build_immersion(kind, n=16)
+    cols = [fld.e1, fld.e2, fld.n1, fld.n2]
+    if fld.space.kind == "sphere4":
+        cols = [fld.phi / fld.space.radius] + cols
+    M = np.stack(cols, axis=-1)
+    assert np.max(np.abs(im._column_det(cols) - np.linalg.det(M))) <= 1e-13, kind
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_column_det_matches_lapack_on_random_stacks(m):
+    M = np.random.default_rng(m).standard_normal((9, 7, m, m))
+    det = im._column_det([M[..., k] for k in range(m)])
+    assert np.max(np.abs(det - np.linalg.det(M)) / _hadamard_bound(M)) <= 1e-13
+
+
+def test_degenerate_frame_is_not_immersed():
+    fld = im.build_immersion("clifford_torus", n=16)
+    N = fld.normal_frame.copy()
+    N[..., 1, :] = N[..., 0, :]
+    with pytest.raises(im.NotImmersed):
+        im.twistor_lift(dataclasses.replace(fld, normal_frame=N), +1)
+
+
+def test_vertical_geometry_computed_once_per_lift(monkeypatch):
+    # three checks on one rung share one split of II and one divergence of
+    # II_minus, and none of them forms the ambient j
+    calls = {"split_II": 0, "_hom_covariant_divergence": 0}
+    for fname in calls:
+        def counted(*args, _orig=getattr(im, fname), _name=fname, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(im, fname, counted)
+    scen = {"name": "product_torus", "fixture": {"kind": "product_torus", "params": {}},
+            "model_space": {"kind": "complex2"}, "grid_ladder": [32],
+            "checks": ["maslov_identity", "vertical_harmonicity", "divergence_identity"],
+            "expect": "converge"}
+    ctx = cli.RungContext(scen, 32)
+    for name in scen["checks"]:
+        cli.CHECKS[name][0](ctx)
+    assert calls == {"split_II": 1, "_hom_covariant_divergence": 1}
+    assert "j_ambient" not in vars(ctx.tw)
 
 
 # --------------------------------------------------------------------- split II
