@@ -40,7 +40,6 @@ import numpy as np
 
 from . import ellsys, forms, immersion, lagrangian, octo, symspace
 from .fixtures import ALGEBRA_FIXTURES, load_algebra_fixture
-from .forms import ResidualReport
 
 
 class ScenarioError(Exception):
@@ -90,7 +89,7 @@ class Tolerances:
         return cls(**{k: float(v) for k, v in d.items()})
 
 
-def classify(report: ResidualReport, expect: str, tol: Tolerances):
+def classify(report: forms.ResidualReport, expect: str, tol: Tolerances):
     """Returns (verdict string, ok flag)."""
     if not report.meta.get("consistent", True):
         return "inconsistent-pair", False
@@ -188,29 +187,6 @@ def exp_frame_inputs(params):
     return fx, xi / np.linalg.norm(xi), eta / np.linalg.norm(eta)
 
 
-def _check_lagrangian_twistor(ctx):
-    res = lagrangian.lagrangian_twistor_check(ctx.field, ctx.tw)
-    rep = ResidualReport("lagrangian_twistor", meta={"consistent": res["consistent"]})
-    sup = max(res["anticommutator_sup"], res["lagrangian_sup"])
-    return rep.add(ctx.field.grid.h, sup, sup)
-
-
-def _check_octonion_lift(ctx):
-    q = ctx.octonion_lift[0]
-    drift = 0.0
-    rng = np.random.default_rng(7)
-    for _ in range(16):
-        th = rng.uniform(0.0, 2.0 * np.pi)
-        q1 = np.cos(th) * ctx.field.e1 + np.sin(th) * ctx.field.e2
-        q2 = -np.sin(th) * ctx.field.e1 + np.cos(th) * ctx.field.e2
-        drift = max(drift, float(np.max(np.abs(octo.multiply(q2, octo.conjugate(q1)) - q))))
-    unit = float(np.max(np.abs(octo.norm(q) - 1.0)))
-    imag = float(np.max(np.abs(q[..., 0])))
-    sup = max(drift, unit, imag)
-    rep = ResidualReport("octonion_lift", meta={"reframing_drift": drift})
-    return rep.add(ctx.field.grid.h, sup, sup)
-
-
 # What a check needs: the model spaces of the surface fixtures it serves, and
 # "exp_frame" if it serves that fixture.  Only complex2 is Kahler.
 FRAME = {"exp_frame", *symspace.FRAME_GROUPS}
@@ -233,11 +209,11 @@ CHECKS = {
     "curvature_commutator": (
         lambda c: immersion.curvature_commutator_residual(c.field, c.tw), SURFACE),
     "lagrangian": (lambda c: lagrangian.lagrangian_residual(c.field), KAHLER),
-    "lagrangian_twistor": (_check_lagrangian_twistor, KAHLER),
+    "lagrangian_twistor": (lambda c: lagrangian.lagrangian_twistor_residual(c.field, c.tw), KAHLER),
     "maslov_identity": (lambda c: lagrangian.maslov_identity_residual(c.field, c.tw), KAHLER),
     "hamiltonian_stationary": (
         lambda c: lagrangian.hamiltonian_stationary_residual(c.field), KAHLER),
-    "octonion_lift": (_check_octonion_lift, {"euclidean8"}),
+    "octonion_lift": (lambda c: octo.lift_residual(c.field, c.octonion_lift[0]), {"euclidean8"}),
 }
 
 
@@ -285,8 +261,6 @@ def load_scenario(path):
         raise ScenarioError(f"grid_ladder {ladder!r} repeats a grid size")
     if scen["expect"] not in EXPECTATIONS:
         raise ScenarioError(f"unknown expectation {scen['expect']!r}, expected one of {EXPECTATIONS}")
-    if abs(scen.get("lift_sign", 1)) != 1:
-        raise ScenarioError(f"lift_sign must be 1 or -1, not {scen['lift_sign']!r}")
 
     _check_params("fixture", scen["fixture"], KIND_AND_PARAMS)
     kind, params = scen["fixture"].get("kind"), scen["fixture"].get("params", {})
@@ -319,6 +293,11 @@ def load_scenario(path):
     if surface and space.ambient_dim != symspace.model_space(own).ambient_dim:
         raise ScenarioError(f"fixture {kind!r} lives in {own!r}, not in the "
                             f"{space.ambient_dim}-dimensional {ms_kind!r}")
+    # exp_frame has no lift, and the octonion lift of a surface in R^8 has no sign
+    signs = (1, -1) if surface and space.ambient_dim != 8 else (1,)
+    if scen.get("lift_sign", 1) not in signs:
+        raise ScenarioError(f"lift_sign of fixture {kind!r} in {ms_kind!r} must be one of "
+                            f"{signs}, not {scen['lift_sign']!r}")
     checks = scen["checks"]
     if not checks:
         raise ScenarioError("checks must not be empty")

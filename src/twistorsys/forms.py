@@ -188,10 +188,14 @@ class ResidualReport:
         return float(slope)
 
     def merged(self, other: "ResidualReport") -> "ResidualReport":
+        """Both reports' rungs, coarse to fine, and the meta of the finer report over
+        the coarser one's, whatever order the rungs ran in."""
         if other.name != self.name:
             raise ValueError("cannot merge reports with different names")
+        coarse, fine = sorted((self, other),
+                              key=lambda r: -min((e.h for e in r.entries), default=np.inf))
         out = ResidualReport(self.name, list(self.entries) + list(other.entries),
-                             {**self.meta, **other.meta})
+                             {**coarse.meta, **fine.meta})
         out.entries.sort(key=lambda e: -e.h)
         return out
 

@@ -43,22 +43,23 @@ def lagrangian_residual(field: immersion.ImmersionField) -> ResidualReport:
     return masked_report("lagrangian", field.grid.h, pw, field.report_mask(0))
 
 
-def lagrangian_twistor_check(field: immersion.ImmersionField, tw: immersion.TwistorField) -> dict:
-    """Paired report: sup |{j, J^N}| against sup |omega pullback|.
+def lagrangian_twistor_residual(field: immersion.ImmersionField,
+                                tw: immersion.TwistorField) -> ResidualReport:
+    """Pointwise the larger of |{j, J^N}|_F and |omega(du phi, dv phi)|.
 
     The two vanish together exactly when the lift lands in the circle
-    bundle of structures anticommuting with the ambient one.
+    bundle of structures anticommuting with the ambient one.  `meta` gives
+    the sup of each, and `consistent`: both at most 1e-8 or both at least 1e-3.
     """
     J = _require_kahler(field)
-    anti = tw.j_ambient @ J + J @ tw.j_ambient
+    anti = liealg._frobenius(tw.j_ambient @ J + J @ tw.j_ambient)
+    lag = np.abs(_pullback_omega(field, J))
     mask = field.report_mask(0)
-    anti_sup = float(np.max(liealg._frobenius(anti)[mask]))
-    lag_sup = lagrangian_residual(field).final_sup
-    both_small = anti_sup <= 1e-8 and lag_sup <= 1e-8
-    both_large = anti_sup >= 1e-3 and lag_sup >= 1e-3
-    return {"anticommutator_sup": anti_sup, "lagrangian_sup": lag_sup,
-            "both_small": both_small, "both_large": both_large,
-            "consistent": both_small or both_large}
+    rep = masked_report("lagrangian_twistor", field.grid.h, np.maximum(anti, lag), mask)
+    anti_sup, lag_sup = float(np.max(anti[mask])), float(np.max(lag[mask]))
+    rep.meta.update(anticommutator_sup=anti_sup, lagrangian_sup=lag_sup,
+                    consistent=max(anti_sup, lag_sup) <= 1e-8 or min(anti_sup, lag_sup) >= 1e-3)
+    return rep
 
 
 def maslov_form(field: immersion.ImmersionField):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import immersion, liealg
+from .forms import ResidualReport, masked_report
 
 
 class NotUnitImaginary(Exception):
@@ -123,3 +124,24 @@ def canonical_lift(field: immersion.ImmersionField):
         raise LiftPropertyViolated(f"j dphi(du) != dphi(dv) (relative residual {rel:.3e})")
     tw = immersion.lift_from_octonion_structure(field, j)
     return q, tw
+
+
+def lift_residual(field: immersion.ImmersionField, q) -> ResidualReport:
+    """Pointwise the largest of ||q| - 1|, |q_0| and the reframing drift D of the lift q.
+
+    Turning the frame (e1, e2) by an angle moves q = e2 conj(e1) by exactly
+    -s^2 A + s c B, with A = e2 conj(e1) + e1 conj(e2) and B = e2 conj(e2) - e1 conj(e1),
+    so D = |A| + |B|/2 bounds the drift at every angle.  `meta` gives the sup of D as
+    `reframing_drift` and names the part that gave the sup as `sup_component`.
+    """
+    e1, e2 = field.e1, field.e2
+    A = q + multiply(e1, conjugate(e2))
+    B = multiply(e2, conjugate(e2)) - multiply(e1, conjugate(e1))
+    parts = {"reframing_drift": norm(A) + 0.5 * norm(B),
+             "unit_norm": np.abs(norm(q) - 1.0), "real_part": np.abs(q[..., 0])}
+    mask = field.report_mask(0)
+    rep = masked_report("octonion_lift", field.grid.h, np.maximum.reduce(list(parts.values())),
+                        mask)
+    sups = {name: float(np.max(part[mask])) for name, part in parts.items()}
+    rep.meta.update(reframing_drift=sups["reframing_drift"], sup_component=max(sups, key=sups.get))
+    return rep

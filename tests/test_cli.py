@@ -141,6 +141,11 @@ MALFORMED = [
     {"checks": []},
     {"checks": ["flatness", "flatness"]},
     {"grid_ladder": [32, 32, 32]},
+    # a lift_sign where the lift has no sign: exp_frame has no lift, and the octonion
+    # lift of a surface in R^8 is the one lift
+    {"fixture": {"kind": "exp_frame"}, "lift_sign": -1},
+    {"fixture": {"kind": "octonion_graph"}, "model_space": {"kind": "euclidean8"},
+     "checks": ["octonion_lift"], "lift_sign": -1},
 ]
 
 
@@ -271,6 +276,23 @@ def test_deterministic_reports_byte_identical(tmp_path):
         a = (tmp_path / "a" / ("scen" + suffix)).read_bytes()
         b = (tmp_path / "b" / ("scen" + suffix)).read_bytes()
         assert a == b
+
+
+def test_ladder_order_does_not_change_the_report(tmp_path):
+    # the meta of a merged report is the finest rung's (the scan's laurent_sup_k at
+    # n = 64), not that of the rung which ran last
+    for sub, ladder in (("up", [16, 32, 64]), ("down", [64, 32, 16])):
+        path = write_scenario(tmp_path, fixture={"kind": "round_sphere"}, grid_ladder=ladder,
+                              checks=["zero_curvature_scan"])
+        cli.run(path, out_dir=tmp_path / sub, deterministic=True, echo=quiet)
+    for suffix in (".csv", ".json"):
+        assert ((tmp_path / "up" / ("scen" + suffix)).read_bytes()
+                == (tmp_path / "down" / ("scen" + suffix)).read_bytes())
+
+
+def test_lift_sign_minus_one_loads_where_the_lift_has_a_sign(tmp_path):
+    scen = cli.load_scenario(write_scenario(tmp_path, lift_sign=-1))
+    assert scen["lift_sign"] == -1
 
 
 def test_timestamp_toggle(tmp_path):

@@ -47,17 +47,31 @@ def test_membership_pairing_positives():
                          ("lagrangian_graph", {"potential": "saddle"}),
                          ("lagrangian_graph", {"potential": "cubic"})]:
         fld, tw = build(kind, params)
-        res = lg.lagrangian_twistor_check(fld, tw)
-        assert res["both_small"], (kind, res)
+        res = lg.lagrangian_twistor_residual(fld, tw)
+        # both small: the sup is the larger of the two
+        assert res.final_sup <= 1e-8, (kind, res.meta)
 
 
 def test_membership_pairing_negative():
     # the holomorphic line: pullback 1, anticommutator |{J, J}| = |2 J^2| = 4
     fld, tw = build("complex_line")
-    res = lg.lagrangian_twistor_check(fld, tw)
-    assert res["both_large"] and res["consistent"]
-    assert abs(res["lagrangian_sup"] - 1.0) <= 1e-12
-    assert abs(res["anticommutator_sup"] - 4.0) <= 1e-12
+    res = lg.lagrangian_twistor_residual(fld, tw)
+    assert min(res.meta["anticommutator_sup"], res.meta["lagrangian_sup"]) >= 1e-3
+    assert res.meta["consistent"]
+    assert abs(res.meta["lagrangian_sup"] - 1.0) <= 1e-12
+    assert abs(res.meta["anticommutator_sup"] - 4.0) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["product_torus", "complex_line", "round_sphere"])
+def test_membership_pairing_l2_is_the_rms_of_its_pointwise_field(kind):
+    fld, tw = build(kind)
+    J = np.asarray(C2.kahler)
+    anti = np.linalg.norm(tw.j_ambient @ J + J @ tw.j_ambient, axis=(-2, -1))
+    lag = np.abs(np.sum((fld.dphi_u @ J.T) * fld.dphi_v, axis=-1))
+    pw = np.maximum(anti, lag)[fld.report_mask(0)]
+    res = lg.lagrangian_twistor_residual(fld, tw)
+    assert res.final_sup == np.max(pw)
+    assert abs(res.entries[-1].l2 - np.sqrt(np.mean(pw ** 2))) <= 1e-14 * max(np.max(pw), 1.0)
 
 
 # ----------------------------------------------------------------- Maslov form

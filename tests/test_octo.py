@@ -1,4 +1,6 @@
 """Octonion algebra and the 6-sphere valued lift."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,10 +116,8 @@ def test_lift_property_and_sphere_valued():
     assert np.max(np.linalg.norm(resid, axis=-1)) <= 1e-8
 
 
-def test_lift_reframing_invariance():
-    # q is well defined on oriented orthonormal tangent frames
-    fld = im.build_immersion("octonion_graph", n=16)
-    q, _ = octo.canonical_lift(fld)
+def sampled_drift(fld, q):
+    """Largest component-wise change of q = e2 * conj(e1) over 100 frame rotations."""
     rng = np.random.default_rng(3)
     drift = 0.0
     for _ in range(100):
@@ -126,7 +126,48 @@ def test_lift_reframing_invariance():
         q2 = -np.sin(th) * fld.e1 + np.cos(th) * fld.e2
         q_alt = octo.multiply(q2, octo.conjugate(q1))
         drift = max(drift, float(np.max(np.abs(q_alt - q))))
-    assert drift <= 1e-10
+    return drift
+
+
+def test_lift_reframing_invariance():
+    # q is well defined on oriented orthonormal tangent frames
+    fld = im.build_immersion("octonion_graph", n=16)
+    q, _ = octo.canonical_lift(fld)
+    assert sampled_drift(fld, q) <= 1e-10
+
+
+def test_closed_form_drift_at_exact_frames():
+    fld = im.build_immersion("octonion_graph", n=16)
+    q, _ = octo.canonical_lift(fld)
+    assert octo.lift_residual(fld, q).meta["reframing_drift"] <= 1e-15
+
+
+@pytest.mark.parametrize("perturb, order", [(lambda e1, e2, d: (1.0 + d) * e2, 1.0),
+                                            (lambda e1, e2, d: e2 + d * e1, 2.0)])
+def test_closed_form_drift_bounds_the_sampled_drift(perturb, order):
+    # frames off orthonormal by delta: q moves by -s^2 A + s c B, whose largest
+    # component over the angles is delta (|B| = 2 delta) or 2 delta (|A| = 2 delta)
+    delta = 1e-6
+    fld = im.build_immersion("octonion_graph", n=16)
+    fld = dataclasses.replace(fld, e2=perturb(fld.e1, fld.e2, delta))
+    q = octo.multiply(fld.e2, octo.conjugate(fld.e1))
+    drift = octo.lift_residual(fld, q).meta["reframing_drift"]
+    assert drift >= sampled_drift(fld, q)
+    assert abs(drift - order * delta) <= 1e-3 * delta
+
+
+def test_lift_residual_l2_is_the_rms_of_its_pointwise_field():
+    fld = im.build_immersion("octonion_graph", n=16)
+    q, _ = octo.canonical_lift(fld)
+    e1, e2 = fld.e1, fld.e2
+    A = octo.multiply(e2, octo.conjugate(e1)) + octo.multiply(e1, octo.conjugate(e2))
+    B = octo.multiply(e2, octo.conjugate(e2)) - octo.multiply(e1, octo.conjugate(e1))
+    parts = {"reframing_drift": octo.norm(A) + 0.5 * octo.norm(B),
+             "unit_norm": np.abs(octo.norm(q) - 1.0), "real_part": np.abs(q[..., 0])}
+    pw = np.maximum.reduce(list(parts.values()))
+    rep = octo.lift_residual(fld, q)
+    assert rep.final_sup == np.max(pw) == np.max(parts[rep.meta["sup_component"]])
+    assert abs(rep.entries[-1].l2 - np.sqrt(np.mean(pw ** 2))) <= 1e-12 * np.max(pw)
 
 
 def test_flat_plane_lift_vertically_harmonic():
