@@ -46,8 +46,8 @@ def holomorphicity_residual(alpha: LieValuedOneForm,
     """Norms of the (0,1) part of the grade-1 component of alpha (taken in
     the grade-adapted unitary basis, which keeps pointwise norms)."""
     gb, x = forms._graded(alpha, aut)
-    _, a01 = forms._types(gb.block(x, 1))
-    pw = np.sqrt(forms._sq_norm(a01[0]) + forms._sq_norm(a01[1]))
+    # the (0,1) part q dz-bar has components (q, -i q)
+    pw = np.sqrt(2 * forms._sq_norm(forms._dz_parts(gb.block(x, 1))[1]))
     return forms.masked_report("holomorphicity", alpha.grid.h, pw, alpha.grid.interior_mask(1))
 
 
@@ -56,8 +56,9 @@ def covariant_closure_residual(alpha: LieValuedOneForm,
     """Norms of d a2^(1,0) + [a0 ^ a2^(1,0)] over the interior: the F_2
     coefficient of `forms.laurent_curvature`, formed by the same code."""
     gb, x = forms._graded(alpha, aut)
-    a2_10, _ = forms._types(gb.block(x, 2))
-    pw = np.sqrt(forms._sq_norm(forms._covariant_closure(alpha.grid, gb, gb.block(x, 0), a2_10)))
+    c_u, c_v = gb.block(x, 0)
+    a = forms._dz_parts(gb.block(x, 2))[0]
+    pw = np.sqrt(forms._sq_norm(forms._covariant_closure(alpha.grid, gb, c_u + 1j * c_v, a)))
     return forms.masked_report("covariant_closure", alpha.grid.h, pw, alpha.grid.interior_mask(2))
 
 

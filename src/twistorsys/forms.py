@@ -290,8 +290,10 @@ def default_lambda_samples():
 # The loop family's pieces each live in one grade.  Below, alpha is carried in
 # the grade-adapted unitary basis of the automorphism (`liealg.GradedBasis`):
 # one change of basis, then every grade split is a slice and every wedge
-# brackets only its blocks [g_j, g_k] -> g_(j+k).  A graded 1-form is one
-# (2, nu, nv, d_k) array of its (u, v) components.
+# brackets only its blocks [g_j, g_k] -> g_(j+k).  alpha in graded coordinates
+# is one (2, nu, nv, d) array of its (u, v) components; a (1,0) part p dz or a
+# (0,1) part q dz-bar is its one (nu, nv, d_k) coefficient, since
+# (dz ^ dz-bar)(du, dv) = -2i makes each wedge of two typed parts one bracket.
 
 def _graded(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism):
     """The grade-adapted basis of `aut` and alpha's (u, v) components in it."""
@@ -306,22 +308,11 @@ def _graded(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism):
     return gb, x
 
 
-def _types(x):
-    """The (1,0) and (0,1) parts of a graded 1-form, as `type_decompose` splits alpha."""
+def _dz_parts(x):
+    """p and q with x = p dz + q dz-bar, the (1,0) and (0,1) parts that
+    `type_decompose` splits off: p = (x_u - i x_v)/2, q = (x_u + i x_v)/2."""
     u, v = x
-    return 0.5 * np.stack([u - 1j * v, v + 1j * u]), 0.5 * np.stack([u + 1j * v, v - 1j * u])
-
-
-def _d(grid, x):
-    """`exterior_derivative` of a graded 1-form."""
-    return partial_u(grid, x[1]) - partial_v(grid, x[0])
-
-
-def _wedge(gb, j, x, k, y):
-    """`wedge_bracket` of x in g_j and y in g_k, one `_bilinear` call over the
-    (u, v) stack: [x_u, y_v] - [x_v, y_u], valued in g_(j+k)."""
-    w = gb.bracket(j, k, x, y[::-1])
-    return w[0] - w[1]
+    return 0.5 * (u - 1j * v), 0.5 * (u + 1j * v)
 
 
 def _sq_norm(x):
@@ -330,9 +321,10 @@ def _sq_norm(x):
     return np.einsum("...i,...i->...", parts, parts)
 
 
-def _covariant_closure(grid, gb, C, A):
-    """F_2 = dA + [C ^ A] in the g_2 block, for C = alpha_0 and A = alpha_2^(1,0)."""
-    return _d(grid, A) + _wedge(gb, 0, C, 2, A)
+def _covariant_closure(grid, gb, c_plus, a):
+    """F_2 = d(a dz) + [C ^ a dz] = i(du a + i dv a + [c_+, a]) in the g_2 block,
+    for alpha_2^(1,0) = a dz and c_+ = c_u + i c_v from C = alpha_0."""
+    return 1j * (partial_u(grid, a) + 1j * partial_v(grid, a) + gb.bracket(0, 2, c_plus, a))
 
 
 def _laurent_graded(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism) -> dict:
@@ -340,18 +332,19 @@ def _laurent_graded(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism) -> 
     in g_k for k = 2, 1, 0, -1 and F_-2 in g_2."""
     gb, x = _graded(alpha, aut)
     grid = alpha.grid
-    A, E = _types(gb.block(x, 2))
-    B = _types(gb.block(x, 1))[0]
-    D = _types(gb.block(x, -1))[1]
-    C = gb.block(x, 0)
-    F2 = _covariant_closure(grid, gb, C, A)
-    F1 = _d(grid, B) + _wedge(gb, 2, A, -1, D) + _wedge(gb, 1, B, 0, C)
-    # (1/2)[C ^ C] = [c_u, c_v]
-    F0 = _d(grid, C) + _wedge(gb, 2, A, 2, E) + _wedge(gb, 1, B, -1, D) \
-        + gb.bracket(0, 0, C[0], C[1])
-    Fm1 = _d(grid, D) + _wedge(gb, 1, B, 2, E) + _wedge(gb, 0, C, -1, D)
-    Fm2 = _d(grid, E) + _wedge(gb, 0, C, 2, E)
-    return {2: F2, 1: F1, 0: F0, -1: Fm1, -2: Fm2}
+    a, e = _dz_parts(gb.block(x, 2))
+    b = _dz_parts(gb.block(x, 1))[0]
+    d = _dz_parts(gb.block(x, -1))[1]
+    c_u, c_v = gb.block(x, 0)
+    c_plus, c_minus = c_u + 1j * c_v, c_u - 1j * c_v
+    F1 = 1j * (partial_u(grid, b) + 1j * partial_v(grid, b)
+               - 2 * gb.bracket(2, -1, a, d) - gb.bracket(1, 0, b, c_plus))
+    F0 = partial_u(grid, c_v) - partial_v(grid, c_u) + gb.bracket(0, 0, c_u, c_v) \
+        - 2j * (gb.bracket(2, 2, a, e) + gb.bracket(1, -1, b, d))
+    Fm1 = -1j * (partial_u(grid, d) - 1j * partial_v(grid, d)
+                 + 2 * gb.bracket(1, 2, b, e) + gb.bracket(0, -1, c_minus, d))
+    Fm2 = -1j * (partial_u(grid, e) - 1j * partial_v(grid, e) + gb.bracket(0, 2, c_minus, e))
+    return {2: _covariant_closure(grid, gb, c_plus, a), 1: F1, 0: F0, -1: Fm1, -2: Fm2}
 
 
 def laurent_curvature(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism) -> dict:
@@ -363,6 +356,13 @@ def laurent_curvature(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism) -
         F_2 = dA + [C ^ A]              F_-2 = dE + [C ^ E]
         F_1 = dB + [A ^ D] + [B ^ C]    F_-1 = dD + [B ^ E] + [C ^ D]
         F_0 = dC + [A ^ E] + [B ^ D] + (1/2)[C ^ C].
+    With A = a dz, B = b dz, D = d dz-bar, E = e dz-bar and c_+- = c_u +- i c_v,
+    on (du, dv) these are one bracket per wedge:
+        F_2 = i(du a + i dv a + [c_+, a])
+        F_1 = i(du b + i dv b - 2[a, d] - [b, c_+])
+        F_0 = dC + [c_u, c_v] - 2i([a, e] + [b, d])
+        F_-1 = -i(du d - i dv d + 2[b, e] + [c_-, d])
+        F_-2 = -i(du e - i dv e + [c_-, e]).
     F_2 is the covariant-closure two-form.  Each F_k lies in one grade (F_-2
     in g_2), so the coefficients are formed in the grade-adapted basis and
     mapped back; returns {k: (nu, nv, d) array} for k = 2, 1, 0, -1, -2.

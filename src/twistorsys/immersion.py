@@ -554,8 +554,8 @@ def second_fundamental_form(field: ImmersionField) -> SecondFundamentalForm:
     """
     grid = field.grid
     D11 = partial_u(grid, field.dphi_u)
-    D12 = 0.5 * (partial_u(grid, field.dphi_v) + partial_v(grid, field.dphi_u))
     D12_alt = partial_v(grid, field.dphi_u)
+    D12 = 0.5 * (partial_u(grid, field.dphi_v) + D12_alt)
     D22 = partial_v(grid, field.dphi_v)
     inv = 1.0 / np.maximum(field.conformal_factor, 1e-30)
     # normal components of all four derivatives at once: (nu, nv, q, 4)

@@ -36,27 +36,17 @@ def _quaternion_table():
 
 
 def _cayley_dickson(T):
-    """Double an algebra-with-conjugation given by table T (conj flips e1..)."""
+    """Double an algebra-with-conjugation given by table T (conj flips e1..):
+    (a, b)(c, d) = (ac - d* b, da + b c*), one block per pair of halves."""
     n = T.shape[0]
-    conj = -np.eye(n)
-    conj[0, 0] = 1.0
-
-    def mul(a, b):
-        return np.einsum("i,j,ijk->k", a, b, T)
-
-    N = 2 * n
-    out = np.zeros((N, N, N))
-    eye = np.eye(n)
-    for i in range(N):
-        a = eye[i] if i < n else np.zeros(n)
-        b = eye[i - n] if i >= n else np.zeros(n)
-        for j in range(N):
-            c = eye[j] if j < n else np.zeros(n)
-            d = eye[j - n] if j >= n else np.zeros(n)
-            first = mul(a, c) - mul(conj @ d, b)
-            second = mul(d, a) + mul(b, conj @ c)
-            out[i, j, :n] = first
-            out[i, j, n:] = second
+    conj = -np.ones(n)
+    conj[0] = 1.0
+    Tt = T.transpose(1, 0, 2)                   # Tt[i, j] = e_j e_i
+    out = np.zeros((2 * n,) * 3)
+    out[:n, :n, :n] = T                         # (a, 0)(c, 0) = (ac, 0)
+    out[:n, n:, n:] = Tt                        # (a, 0)(0, d) = (0, da)
+    out[n:, :n, n:] = T * conj[:, None]         # (0, b)(c, 0) = (0, b c*)
+    out[n:, n:, :n] = -Tt * conj[:, None]       # (0, b)(0, d) = (-d* b, 0)
     return out
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistorsys import ellsys, forms
+from twistorsys import ellsys, forms, liealg
 from twistorsys import immersion as im
 from twistorsys.fixtures import load_algebra_fixture
 
@@ -461,6 +461,29 @@ def test_laurent_top_slot_is_covariant_closure(so5, source):
     assert np.max(np.abs(F2 - closure)) <= 1e-14 * max(1.0, np.max(np.abs(closure)))
     meta = forms.zero_curvature_scan(alpha, aut).meta
     assert meta["laurent_sup_2"] == ellsys.covariant_closure_residual(alpha, aut).final_sup
+
+
+def test_graded_pass_brackets_single_coefficients(monkeypatch):
+    # a (1,0) or (0,1) part is its one dz or dz-bar coefficient, so each wedge
+    # of the Laurent pass is one block bracket of (nu, nv, d_k) operands
+    alpha, aut = adapted_frame_form("clifford_torus", 16)
+    calls = []
+
+    def counted(self, j, k, x, y, _orig=liealg.GradedBasis.bracket):
+        calls.append((j, k, x.shape, y.shape))
+        return _orig(self, j, k, x, y)
+
+    monkeypatch.setattr(liealg.GradedBasis, "bracket", counted)
+    forms.laurent_curvature(alpha, aut)
+    width = {k: aut.graded.block(np.empty(aut.dim), k).size for k in liealg.GRADES}
+    assert len(calls) == 9 and len({(j, k) for j, k, _, _ in calls}) == 8
+    assert all(xs == (16, 16, width[j]) and ys == (16, 16, width[k]) for j, k, xs, ys in calls)
+    calls.clear()
+    ellsys.covariant_closure_residual(alpha, aut)
+    assert len(calls) == 1
+    calls.clear()
+    ellsys.holomorphicity_residual(alpha, aut)
+    assert calls == []
 
 
 def test_scan_meta_names_the_failing_slot(so5):
