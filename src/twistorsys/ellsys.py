@@ -79,8 +79,7 @@ def exp_frame(grid: SurfaceGrid, fixture: AlgebraFixture, xi, eta) -> FrameField
     gu = liealg.matrix_exp(grid.u_coords()[:, None, None] * X)
     gv = liealg.matrix_exp(grid.v_coords()[:, None, None] * Y)
     g = np.einsum("uij,vjk->uvik", gu, gv)
-    return FrameField(grid=grid, fixture=fixture, g=g,
-                      meta={"kind": "exp_frame", "X": np.asarray(xi), "Y": np.asarray(eta)})
+    return FrameField(grid=grid, fixture=fixture, g=g)
 
 
 def exp_frame_form(grid: SurfaceGrid, fixture: AlgebraFixture, xi, eta) -> LieValuedOneForm:
@@ -241,7 +240,6 @@ def frame_from_geometry(field: immersion.ImmersionField, tw: immersion.TwistorFi
         g[..., :4, :4] = F
         g[..., :4, 4] = field.phi
         g[..., 4, 4] = 1.0
-    frame = FrameField(grid=field.grid, fixture=fixture, g=g,
-                       meta={"kind": field.meta.get("kind"), "space": space.kind})
+    frame = FrameField(grid=field.grid, fixture=fixture, g=g)
     alpha = frame_to_connection(frame)
     return frame, alpha

@@ -90,19 +90,27 @@ class SurfaceGrid:
         return mask
 
 
+def _centred(f, h, axis, periodic):
+    """(f[i+1] - f[i-1]) / 2h along `axis`, wrapped through slices; one-sided at open edges."""
+    f = np.asarray(f)
+    if not periodic:
+        return np.gradient(f, h, axis=axis, edge_order=2)
+    out = np.empty(f.shape, np.result_type(f, 1.0))
+    g, o = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(g[2:], g[:-2], out=o[1:-1])
+    np.subtract(g[1], g[-1], out=o[0])
+    np.subtract(g[0], g[-2], out=o[-1])
+    out /= 2.0 * h
+    return out
+
+
 def partial_u(grid: SurfaceGrid, f):
     """d/du along axis 0; f has shape (nu, nv, ...)."""
-    f = np.asarray(f)
-    if grid.periodic_u:
-        return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2.0 * grid.hu)
-    return np.gradient(f, grid.hu, axis=0, edge_order=2)
+    return _centred(f, grid.hu, 0, grid.periodic_u)
 
 
 def partial_v(grid: SurfaceGrid, f):
-    f = np.asarray(f)
-    if grid.periodic_v:
-        return (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2.0 * grid.hv)
-    return np.gradient(f, grid.hv, axis=1, edge_order=2)
+    return _centred(f, grid.hv, 1, grid.periodic_v)
 
 
 @dataclass

@@ -435,7 +435,6 @@ class SymmetricSplit:
     """The +/-1 eigenspaces of sigma = tau^2, as orthonormal coordinate rows."""
 
     algebra: LieAlgebraRep
-    sigma: np.ndarray     # (d, d)
     k_basis: np.ndarray   # (dk, d) orthonormal rows spanning k
     p_basis: np.ndarray   # (dp, d) orthonormal rows spanning p
 
@@ -474,7 +473,7 @@ def symmetric_split(aut: GradedAutomorphism) -> SymmetricSplit:
     p_basis = _projector_image(Pp)
     if p_basis.shape[0] == 0:
         raise EffectivityFailure("p is trivial: tau^2 = 1, the automorphism is only of order <= 2")
-    split = SymmetricSplit(algebra=aut.algebra, sigma=sigma, k_basis=k_basis, p_basis=p_basis)
+    split = SymmetricSplit(algebra=aut.algebra, k_basis=k_basis, p_basis=p_basis)
     # column m: ad(xi_m)|p in the p-basis for the k-basis row xi_m, as
     # sum_i xi_m[i] ad(b_i)|p with ad(b_i) = structure[i].T
     ads_p = p_basis @ aut.algebra.structure.transpose(0, 2, 1) @ p_basis.T
@@ -494,6 +493,14 @@ def _kernel_of_stacked(stacked, k_basis, tol):
     return null @ k_basis
 
 
+@dataclass
+class CharacterizationResult:
+    residual: float
+    converse_ok: bool
+    kernel_dim: int
+    eigenspace_dim: int
+
+
 def _characterization_residual(split: SymmetricSplit, aut: GradedAutomorphism, grade: int, sign: float):
     """Shared body of the commutator/anticommutator eigenspace characterisations.
 
@@ -506,10 +513,7 @@ def _characterization_residual(split: SymmetricSplit, aut: GradedAutomorphism, g
     L = M.reshape(algebra.dim, -1).T.astype(complex)   # (d*dp, d); xi -> L xi flattened
 
     basis_g = _complex_image(aut.projectors[grade])
-    if basis_g.shape[0] == 0:
-        forward = 0.0
-    else:
-        forward = float(np.max(np.abs(L @ basis_g.T)))
+    forward = float(np.max(np.abs(L @ basis_g.T), initial=0.0))
 
     U, s, Vt = np.linalg.svd(L)
     null_dim = int(np.sum(s <= 1e-8 * max(s[0], 1.0)))
@@ -518,27 +522,17 @@ def _characterization_residual(split: SymmetricSplit, aut: GradedAutomorphism, g
         null = Vt.conj()[L.shape[1] - null_dim:]
         resid = np.max(np.abs(grade_project(aut, null, grade) - null))
         converse_ok = bool(resid <= 1e-8)
-    return forward, converse_ok, null_dim, basis_g.shape[0]
-
-
-@dataclass
-class CharacterizationResult:
-    residual: float
-    converse_ok: bool
-    kernel_dim: int
-    eigenspace_dim: int
+    return CharacterizationResult(forward, converse_ok, null_dim, basis_g.shape[0])
 
 
 def check_g0_characterization(split: SymmetricSplit, aut: GradedAutomorphism) -> CharacterizationResult:
     """g_0 = { xi : [ad xi|p, tau|p] = 0 }, forward residual plus rank converse."""
-    r, ok, nd, ed = _characterization_residual(split, aut, grade=0, sign=-1.0)
-    return CharacterizationResult(r, ok, nd, ed)
+    return _characterization_residual(split, aut, grade=0, sign=-1.0)
 
 
 def check_g2_characterization(split: SymmetricSplit, aut: GradedAutomorphism) -> CharacterizationResult:
     """g_2 = { xi : {ad xi|p, tau|p} = 0 }, anticommutator variant."""
-    r, ok, nd, ed = _characterization_residual(split, aut, grade=2, sign=+1.0)
-    return CharacterizationResult(r, ok, nd, ed)
+    return _characterization_residual(split, aut, grade=2, sign=+1.0)
 
 
 def stabilizer_subalgebra(split: SymmetricSplit, aut: GradedAutomorphism) -> np.ndarray:

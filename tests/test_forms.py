@@ -177,6 +177,32 @@ def test_same_dimension_algebras_do_not_mix(so5, se4):
         forms.grade_decompose(alpha, se4.aut)
 
 
+# ----------------------------------------------------------------- stencils
+
+@pytest.mark.parametrize("n", [8, 9, 33])
+@pytest.mark.parametrize("trailing", [(), (4,), (5, 5)])
+@pytest.mark.parametrize("kind", [float, complex])
+def test_centred_differences_match_roll_and_gradient_forms(n, trailing, kind):
+    # periodic: bit-identical to the two-roll stencil, in the input's dtype and
+    # C order, so batched `@` downstream never sees a strided view; open:
+    # numpy's second-order one-sided edges
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal((n, n + 1) + trailing)
+    if kind is complex:
+        f = f + 1j * rng.standard_normal(f.shape)
+    for periodic in (True, False):
+        g = forms.SurfaceGrid(nu=n, nv=n + 1, hu=0.3, hv=0.7,
+                              periodic_u=periodic, periodic_v=periodic)
+        for axis, partial, h in ((0, forms.partial_u, g.hu), (1, forms.partial_v, g.hv)):
+            got = partial(g, f)
+            if periodic:
+                want = (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2.0 * h)
+            else:
+                want = np.gradient(f, h, axis=axis, edge_order=2)
+            assert np.array_equal(got, want)
+            assert got.dtype == f.dtype and got.flags.c_contiguous
+
+
 # --------------------------------------------------------- exterior derivative
 
 def test_exterior_derivative_of_df_converges(so5):
@@ -445,6 +471,25 @@ def test_scan_equals_sampled_oracle_on_drawn_forms(seed, lams):
     fx = load_algebra_fixture("so5_s4" if seed % 2 else "se4_r4")
     alpha = random_form(unit_grid(10), fx.algebra, seed)
     assert_scan_matches_oracle(alpha, fx.aut, lams)
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-10])
+def test_scan_keeps_cancelling_g2_terms_exact(so5, delta):
+    # alpha = u v2 (du + delta dv) with v2 in g_2 makes lam^2 F_2 and lam^-2 F_-2
+    # nearly cancel at lam = 1, |F(1)| ~ delta |F_2|: the sampled g_2 sum keeps
+    # that, a scalar-field form r^4 s_2 + r^-4 s_-2 + 2 Re(e^(4i theta) <F_2, F_-2>)
+    # + ... cancels it away (relative error 1e-7 at delta = 1e-6; at 1e-10 it
+    # reads roundoff below the exact floor for a residual of 3.6e-11)
+    v2 = so5.aut.projectors[2].real @ np.random.default_rng(0).standard_normal(10)
+    g = unit_grid(32)
+    a_u = g.mesh()[0][..., None] * v2
+    alpha = forms.LieValuedOneForm(g, so5.algebra, a_u, delta * a_u)
+    rep = forms.zero_curvature_scan(alpha, so5.aut, [1.0])
+    scale = max(rep.meta["laurent_sup_2"], rep.meta["laurent_sup_-2"])
+    oracle = sampled_scan(alpha, so5.aut, [1.0])
+    assert oracle[0] >= 0.1 * delta * scale
+    for value, want in zip((rep.entries[0].sup, rep.entries[0].l2), oracle):
+        assert abs(value - want) <= 1e-14 * scale, (value, want)
 
 
 @pytest.mark.parametrize("source", ["clifford_torus", "drawn"])
