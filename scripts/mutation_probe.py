@@ -4,8 +4,9 @@
 Usage: python scripts/mutation_probe.py [--list]
 
 The targets are the residual functions of `immersion`, `lagrangian` and
-`ellsys`, the helpers that hold their equations, and the graded Laurent pass
-of `forms`.  Each binary `+` or `-` there becomes one mutant with that single
+`ellsys`, the helpers that hold their equations, the graded Laurent pass
+of `forms` and the Taylor polynomial of `liealg.matrix_exp`.  Each binary
+`+` or `-` and each `+=` or `-=` there becomes one mutant with that single
 operator flipped.  The probe copies what the suite reads (`src/`, `tests/`,
 `scenarios/`, `scripts/`, `perfbench/`) to a temporary directory, writes one
 mutant at a time into the copy, and runs the tier-1 suite there
@@ -38,6 +39,7 @@ TARGETS = {
                    "maslov_identity_residual", "hamiltonian_stationary_residual"),
     "forms": ("_dz_parts", "_covariant_closure", "_laurent_graded", "zero_curvature_scan"),
     "ellsys": ("holomorphicity_residual", "covariant_closure_residual"),
+    "liealg": ("_taylor",),
 }
 FLIP = {"+": "-", "-": "+"}
 TIMEOUT_S = 900
@@ -48,9 +50,11 @@ def _char_col(line, byte_col):
 
 
 def _operator_tokens(source):
-    """(row, col) of every `+`/`-` operator token, so comments and strings never match."""
+    """(row, col) of every `+`/`-`/`+=`/`-=` operator token, so comments and
+    strings never match."""
     toks = tokenize.generate_tokens(io.StringIO(source).readline)
-    return {t.start for t in toks if t.type == tokenize.OP and t.string in FLIP}
+    return {t.start for t in toks
+            if t.type == tokenize.OP and t.string in ("+", "-", "+=", "-=")}
 
 
 def mutants(module):
@@ -66,11 +70,16 @@ def mutants(module):
     for name in TARGETS[module]:
         found = []
         for node in ast.walk(funcs[name]):
-            if not (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))):
+            if isinstance(node, ast.BinOp):
+                left, right = node.left, node.right
+            elif isinstance(node, ast.AugAssign):
+                left, right = node.target, node.value
+            else:
                 continue
-            lo = (node.left.end_lineno,
-                  _char_col(lines[node.left.end_lineno - 1], node.left.end_col_offset))
-            hi = (node.right.lineno, _char_col(lines[node.right.lineno - 1], node.right.col_offset))
+            if not isinstance(node.op, (ast.Add, ast.Sub)):
+                continue
+            lo = (left.end_lineno, _char_col(lines[left.end_lineno - 1], left.end_col_offset))
+            hi = (right.lineno, _char_col(lines[right.lineno - 1], right.col_offset))
             found.append(min(pos for pos in ops if lo <= pos <= hi))
         for row, col in sorted(found):
             line = lines[row - 1]

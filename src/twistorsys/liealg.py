@@ -52,54 +52,33 @@ class NonFinite(LieAlgebraError):
 GRADES = (0, 1, 2, -1)
 
 
-# Higham (2005), Table 2.3 and Algorithm 2.3: the largest 1-norm theta_m for
-# which the [m/m] Pade approximant of exp is accurate to double precision,
-# and the numerator coefficients b_0 ... b_m of that approximant.
-_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
-               7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 5.371920351148152e0}
-_PADE_B = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
-}
+# The largest 1-norm theta_m at which the tail sum_{k>m} theta^k / k! of the
+# exponential series is at most 2^-53, rounded down, for each Taylor degree m.
+_TAYLOR_THETA = {4: 1.678394298278e-3, 8: 6.993278480782e-2,
+                 12: 3.352136878286e-1, 18: 1.143296112226}
 
 
-def _pade(A, m):
-    """exp(A) for a stack A of matrices with 1-norm <= theta_m, as the [m/m] Pade
-    approximant: U = odd part, V = even part, exp(A) ~ (V - U)^-1 (V + U)."""
-    b = _PADE_B[m]
+def _taylor(A, m):
+    """The degree-m Taylor polynomial of exp at a stack A of matrices, by Horner's
+    rule in place: T = I + A/m, then T = I + (A T)/k for k = m-1, ..., 1."""
     eye = np.eye(A.shape[-1])
-    A2 = A @ A
-    if m == 13:
-        A4 = A2 @ A2
-        A6 = A4 @ A2
-        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
-        V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
-    else:
-        powers = [A2]   # A^2, A^4, ..., A^(m-1)
-        for _ in range(2, (m + 1) // 2):
-            powers.append(powers[-1] @ A2)
-        U = A @ sum((b[2 * k + 1] * P for k, P in enumerate(powers, 1)), b[1] * eye)
-        V = sum((b[2 * k] * P for k, P in enumerate(powers, 1)), b[0] * eye)
-    return np.linalg.solve(V - U, V + U)
+    T = eye + A / m
+    for k in reversed(range(1, m)):
+        T = A @ T
+        T /= k
+        T += eye
+    return T
 
 
 def matrix_exp(X):
-    """Matrix exponential by scaling and squaring with a Pade approximant
-    (Higham, SIAM J. Matrix Anal. Appl. 26 (2005), Algorithm 2.3).
+    """Matrix exponential by scaling and squaring with a Taylor polynomial
+    (Moler and Van Loan, SIAM Review 45 (2003), method 3).
 
     X is one (n, n) matrix or a stack (..., n, n).  Each slice gets the
-    degree m in {3, 5, 7, 9, 13} and, above theta_13, the scaling 2^-s that
+    degree m in {4, 8, 12, 18} and, above theta_18, the scaling 2^-s that
     its own 1-norm selects; the slices of one degree share batched matrix
-    products and one batched solve, so a slice of a stack comes out exactly
-    as it would alone.  exp(0) is the exact identity (U = 0, V = b_0 I).
+    products, so a slice of a stack comes out exactly as it would alone.
+    exp(0) is the exact identity.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
@@ -109,20 +88,20 @@ def matrix_exp(X):
     A = X.reshape((-1,) + X.shape[-2:])
     out = np.empty_like(A)
     norms = np.max(np.sum(np.abs(A), axis=-2), axis=-1)
-    thetas = np.array(list(_PADE_THETA.values()))
-    # the smallest degree whose theta bounds the norm; 13 with scaling above theta_13
+    thetas = np.array(list(_TAYLOR_THETA.values()))
+    # the smallest degree whose theta bounds the norm; 18 with scaling above theta_18
     band = np.minimum(np.searchsorted(thetas, norms), len(thetas) - 1)
-    for i, m in enumerate(_PADE_THETA):
+    for i, m in enumerate(_TAYLOR_THETA):
         idx = np.flatnonzero(band == i)
         if not idx.size:
             continue
-        if m < 13:
-            out[idx] = _pade(A[idx], m)
+        if m < 18:
+            out[idx] = _taylor(A[idx], m)
             continue
         s = np.maximum(np.ceil(np.log2(norms[idx] / thetas[-1])), 0).astype(int)
         order = np.argsort(-s, kind="stable")
         idx, s = idx[order], s[order]
-        R = _pade(np.ldexp(A[idx], -s[:, None, None]), 13)
+        R = _taylor(np.ldexp(A[idx], -s[:, None, None]), 18)
         # s is descending, so the slices still to be squared are a prefix
         for k in range(s[0]):
             live = np.count_nonzero(s > k)

@@ -1,4 +1,7 @@
 """Algebraic layer: brackets, Killing form, gradings, characterisations."""
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -500,7 +503,7 @@ def test_matrix_exp_zero_exact():
 
 
 def test_matrix_exp_stack_equals_loop():
-    # generic, zero, diagonal and nilpotent slices fall in different Pade degree bands
+    # generic, zero, diagonal and nilpotent slices fall in different degree bands
     rng = np.random.default_rng(5)
     scales = np.array([0.01, 0.3, 1.0, 4.0, 1.0, 1.0])
     stack = rng.standard_normal((6, 5, 5)) * scales[:, None, None]
@@ -533,12 +536,20 @@ def test_matrix_exp_nonfinite():
         liealg.matrix_exp(stack)
 
 
-def _exp_bands():
-    """(lo, hi] 1-norm bands: one per Pade degree 3, 5, 7, 9, 13, then the
-    scaled band split by its scaling s = 1 ... 6."""
-    edges = [0.0, *liealg._PADE_THETA.values()]
-    edges += [edges[-1] * 2.0 ** s for s in range(1, 7)]
+def _exp_bands(edges, scalings):
+    """(lo, hi] 1-norm bands: one below each degree threshold in `edges`, then
+    the scaled band above the last split by its scaling s = 1 ... scalings."""
+    edges = [0.0, *edges]
+    edges += [edges[-1] * 2.0 ** s for s in range(1, scalings + 1)]
     return list(zip(edges[:-1], edges[1:]))
+
+
+# Two band sets: the Pade [m/m] thresholds for m = 3, 5, 7, 9, 13 (Higham 2005)
+# sample 1-norms from 3.7e-3 to 335; the Taylor thresholds of matrix_exp reach
+# down to its degree 4 (theta_4 = 1.7e-3) and split its scaled band at s = 1 ... 3.
+_PADE_EDGES = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+               2.097847961257068e0, 5.371920351148152e0)
+_BAND_SETS = (_exp_bands(_PADE_EDGES, 6), _exp_bands(liealg._TAYLOR_THETA.values(), 3))
 
 
 def _in_band(lo, hi):
@@ -557,42 +568,45 @@ def _rel_diff(E, ref):
 def test_matrix_exp_matches_scipy_in_every_band():
     # inputs on which scipy's expm is itself accurate: upper-triangular ones
     # with a non-positive diagonal in every band (scipy recomputes the diagonal
-    # of a triangular input exactly), dense ones below theta_9
-    rng = np.random.default_rng(11)
-    for lo, hi in _exp_bands():
-        tri = np.triu(rng.standard_normal((3, 5, 5)))
-        tri[:, range(5), range(5)] = -np.abs(tri[:, range(5), range(5)])
-        stacks = [tri] + ([rng.standard_normal((3, 5, 5))] if hi <= liealg._PADE_THETA[9] else [])
-        for stack in stacks:
-            stack = _with_norms(stack, _in_band(lo, hi))
-            for X, E in zip(stack, liealg.matrix_exp(stack)):
-                assert _rel_diff(E, scipy.linalg.expm(X)) <= 1e-13, (lo, hi)
+    # of a triangular input exactly), dense ones below Pade's theta_9
+    for bands in _BAND_SETS:
+        rng = np.random.default_rng(11)
+        for lo, hi in bands:
+            tri = np.triu(rng.standard_normal((3, 5, 5)))
+            tri[:, range(5), range(5)] = -np.abs(tri[:, range(5), range(5)])
+            stacks = [tri] + ([rng.standard_normal((3, 5, 5))] if hi <= _PADE_EDGES[3] else [])
+            for stack in stacks:
+                stack = _with_norms(stack, _in_band(lo, hi))
+                for X, E in zip(stack, liealg.matrix_exp(stack)):
+                    assert _rel_diff(E, scipy.linalg.expm(X)) <= 1e-13, (lo, hi)
 
 
 def test_matrix_exp_rotation_generators_in_every_band():
     # skew input, as the so(5) frames have; on these scipy's expm itself departs
     # from the closed form by up to ~5e-12 at s = 6, so the closed form is the oracle
-    rng = np.random.default_rng(12)
-    for lo, hi in _exp_bands():
-        for a in _in_band(lo, hi):
-            b = rng.uniform(-1.0, 1.0) * a
-            X = np.zeros((5, 5))
-            E = np.eye(5)
-            for k, t in ((0, a), (2, b)):
-                X[k:k + 2, k:k + 2] = [[0.0, -t], [t, 0.0]]
-                E[k:k + 2, k:k + 2] = [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]
-            P = np.eye(5)[rng.permutation(5)]
-            assert _rel_diff(liealg.matrix_exp(P @ X @ P.T), P @ E @ P.T) <= 1e-13, (lo, hi)
+    for bands in _BAND_SETS:
+        rng = np.random.default_rng(12)
+        for lo, hi in bands:
+            for a in _in_band(lo, hi):
+                b = rng.uniform(-1.0, 1.0) * a
+                X = np.zeros((5, 5))
+                E = np.eye(5)
+                for k, t in ((0, a), (2, b)):
+                    X[k:k + 2, k:k + 2] = [[0.0, -t], [t, 0.0]]
+                    E[k:k + 2, k:k + 2] = [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]
+                P = np.eye(5)[rng.permutation(5)]
+                assert _rel_diff(liealg.matrix_exp(P @ X @ P.T), P @ E @ P.T) <= 1e-13, (lo, hi)
 
 
 def test_matrix_exp_mixed_band_stack_equals_loop():
-    rng = np.random.default_rng(13)
-    norms = np.array([0.5 * (lo + hi) for lo, hi in _exp_bands()])
-    stack = np.concatenate([_with_norms(rng.standard_normal((len(norms), 5, 5)), norms),
-                            np.zeros((1, 5, 5))])
-    stack = stack[rng.permutation(len(stack))].reshape(3, 4, 5, 5)
-    loop = np.stack([liealg.matrix_exp(X) for X in stack.reshape(-1, 5, 5)])
-    assert np.array_equal(liealg.matrix_exp(stack), loop.reshape(stack.shape))
+    for bands in _BAND_SETS:
+        rng = np.random.default_rng(13)
+        norms = np.array([0.5 * (lo + hi) for lo, hi in bands])
+        stack = np.concatenate([_with_norms(rng.standard_normal((len(norms), 5, 5)), norms),
+                                np.zeros((1, 5, 5))])
+        stack = stack[rng.permutation(len(stack))].reshape(-1, 4, 5, 5)
+        loop = np.stack([liealg.matrix_exp(X) for X in stack.reshape(-1, 5, 5)])
+        assert np.array_equal(liealg.matrix_exp(stack), loop.reshape(stack.shape))
 
 
 def test_matrix_exp_empty_and_negative_zero():
@@ -600,6 +614,29 @@ def test_matrix_exp_empty_and_negative_zero():
     out = liealg.matrix_exp(np.full((3, 5, 5), -0.0))
     assert np.array_equal(out, np.broadcast_to(np.eye(5), out.shape))
     assert not np.any(np.signbit(out))
+
+
+def _exp_tail(theta, m):
+    """sum_{k>m} theta^k / k! in exact rationals, summed to k = m + 40."""
+    t = Fraction(theta)
+    return sum(t ** k / math.factorial(k) for k in range(m + 1, m + 41))
+
+
+def test_taylor_thetas_are_the_largest_norms_with_tail_below_unit_roundoff():
+    for m, theta in liealg._TAYLOR_THETA.items():
+        assert _exp_tail(theta, m) <= Fraction(1, 2 ** 53) < _exp_tail(1.01 * theta, m), m
+
+
+@pytest.mark.parametrize("scale", [5.0, 20.0, 60.0, 150.0, 300.0])
+def test_matrix_exp_large_positive_eigenvalues(scale):
+    # symmetric input with eigenvalues in scale * [0.2, 1]: the 2^s squarings
+    # amplify any error of the scaled polynomial; scipy's expm is off by up to 2e-12 here
+    rng = np.random.default_rng(17)
+    Q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+    lam = scale * rng.uniform(0.2, 1.0, 5)
+    ref = Q @ np.diag(np.exp(lam)) @ Q.T
+    E = liealg.matrix_exp(Q @ np.diag(lam) @ Q.T)
+    assert np.max(np.abs(E - ref)) / np.max(np.abs(ref)) <= 1e-12
 
 
 def test_constant_matrix_contractions_match_einsum(so5):
