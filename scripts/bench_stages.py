@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Time the frame-calculus stages of a rung over a grid ladder.
+
+Usage: python scripts/bench_stages.py [--src DIR] [--label TEXT] [--append FILE]
+
+Imports `twistorsys` from DIR (default: the `src/` of this checkout), so the
+same script can time another checkout.  For `round_sphere` and
+`product_torus` (the latter in `complex2`, which the Maslov identity needs)
+it builds the field and its canonical lift at n = 64, 128, 256 and 512,
+reads once every cached quantity the stages consume (II, H, the connection,
+∇⊥H, II₋ and its divergence), and then times each stage as a direct call:
+
+- `frame_connection`: the four connection matrices from the frames;
+- `split_II`: the j-split of II;
+- `_hom_covariant_divergence`: the Hom(T, N) divergence of II₋;
+- `divergence_identity_residual` and `maslov_identity_residual`: the
+  residual and its report, with the cached inputs above already read.
+
+A stage's time is the minimum over 20 calls, in milliseconds, and p is the
+least-squares slope of log time against log n (time ∝ n^p).  At n = 256
+each stage runs once more under `tracemalloc`, in a separate pass, and its
+transient peak (peak minus the allocation at its start) is recorded in MB.
+The row (label, numpy and Python versions, CPU count and the stages) is
+printed as JSON and, with `--append`, appended to the `rows` list of FILE,
+which is created when missing.  Standard library and numpy only.
+"""
+import argparse
+import json
+import math
+import os
+import pathlib
+import platform
+import sys
+import time
+import tracemalloc
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+FIXTURES = {"round_sphere": None, "product_torus": "complex2"}
+SIZES = (64, 128, 256, 512)
+REPEATS = 20
+MEM_N = 256
+
+
+def stages(im, lagrangian, fld, tw):
+    """name -> zero-argument call, for the stages that apply to this field."""
+    out = {
+        "frame_connection": lambda: im.frame_connection(fld),
+        "split_II": lambda: im.split_II(fld.II, tw),
+        "_hom_covariant_divergence": lambda: im._hom_covariant_divergence(fld, tw.II_minus),
+        "divergence_identity_residual": lambda: im.divergence_identity_residual(fld, tw),
+    }
+    if fld.space.kahler is not None:
+        out["maslov_identity_residual"] = lambda: lagrangian.maslov_identity_residual(fld, tw)
+    return out
+
+
+def best_ms(call):
+    best = math.inf
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - t0)
+    return 1e3 * best
+
+
+def transient_peak_mb(call):
+    tracemalloc.start()
+    start = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    call()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return (peak - start) / 2 ** 20
+
+
+def exponent(sizes, times):
+    """Least-squares slope of log(time) on log(n)."""
+    xs, ys = [math.log(n) for n in sizes], [math.log(t) for t in times]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", type=pathlib.Path, default=ROOT / "src")
+    ap.add_argument("--label", default="")
+    ap.add_argument("--append", type=pathlib.Path)
+    args = ap.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    import numpy as np
+    from twistorsys import immersion as im, lagrangian, symspace
+
+    result = {}
+    for kind, space in FIXTURES.items():
+        times, peaks = {}, {}
+        for n in SIZES:
+            fld = im.build_immersion(kind, n=n,
+                                     space=None if space is None else symspace.model_space(space))
+            tw = im.twistor_lift(fld, +1)
+            fld.II, fld.H, fld.connection, fld.grad_H, tw.II_minus, tw.div_minus  # fill the caches
+            for name, call in stages(im, lagrangian, fld, tw).items():
+                call()   # first call outside the timing
+                times.setdefault(name, []).append(best_ms(call))
+                if n == MEM_N:
+                    peaks[name] = transient_peak_mb(call)
+        result[kind] = {name: {"n": list(SIZES), "ms": [round(t, 3) for t in ts],
+                               "p": round(exponent(SIZES, ts), 2),
+                               f"peak_mb_n{MEM_N}": round(peaks[name], 2)}
+                        for name, ts in times.items()}
+    row = {"label": args.label, "numpy": np.__version__, "python": platform.python_version(),
+           "cpus": os.cpu_count(), "repeats": REPEATS, "stages": result}
+    print(json.dumps(row, indent=1))
+    if args.append:
+        doc = (json.loads(args.append.read_text()) if args.append.exists()
+               else {"description": "per-stage minimum time (ms) over a grid ladder from "
+                                    "scripts/bench_stages.py; p is the fitted exponent in "
+                                    "time ∝ n^p", "rows": []})
+        doc["rows"].append(row)
+        args.append.write_text(json.dumps(doc, indent=1, ensure_ascii=False) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

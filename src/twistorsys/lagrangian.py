@@ -86,8 +86,10 @@ def maslov_identity_residual(field: immersion.ImmersionField,
     """Norm of II_minus(X, .) + beta(X) J^N|T over slots X in (e1, e2)."""
     J = _require_kahler(field)
     beta_u, beta_v = maslov_form(field)
-    E = np.stack([field.e1, field.e2], axis=-2)
-    JNT = field.normal_frame @ J @ np.swapaxes(E, -1, -2)
+    N = field.normal_frame
+    NJ = (N.reshape(-1, N.shape[-1]) @ J).reshape(N.shape)   # J is constant: one product
+    JNT = np.stack([np.einsum("...m,...m->...", NJ, e[..., None, :]) for e in (field.e1, field.e2)],
+                   axis=-1)
     inv = 1.0 / np.maximum(field.lam, 1e-30)
     beta_frame = np.stack([beta_u * inv, beta_v * inv], axis=-1)  # beta(e_a)
     resid = tw.II_minus + beta_frame[..., :, None, None] * JNT[..., None, :, :]

@@ -584,8 +584,15 @@ def _einsum_reference(fld, tw):
                    for d, w in ((im.partial_u, fld.connection[2]), (im.partial_v, fld.connection[3])))
     Ghom = im._grad_H_hom(fld)
     div_conj = np.einsum("uvpq,uvqb,uvbc->uvpc", tw.j_N, Ghom, tw.j_T)
+    om_u, om_v, wn_u, wn_v = connection
+    lam = np.sqrt(fld.conformal_factor)[..., None, None]
+    B_u, B_v = lam * M[..., 0, :, :], lam * M[..., 1, :, :]
+    hom_div = (im.partial_u(grid, B_u) + np.einsum("uvpq,uvqb->uvpb", wn_u, B_u)
+               - np.einsum("uvpa,uvab->uvpb", B_u, om_u)
+               + im.partial_v(grid, B_v) + np.einsum("uvpq,uvqb->uvpb", wn_v, B_v)
+               - np.einsum("uvpa,uvab->uvpb", B_v, om_v))
     return dict(coeffs=coeffs, cross=cross, connection=connection, split_conj=split_conj,
-                grad_H=grad_H, Ghom=Ghom, div_conj=div_conj)
+                grad_H=grad_H, Ghom=Ghom, div_conj=div_conj, hom_div=hom_div)
 
 
 def _close(new, ref, scale=None):
@@ -612,6 +619,10 @@ def test_batched_contractions_match_einsum(kind, monkeypatch):
     assert _close(fld.II.crosscheck_12, ref["cross"], scale=np.max(np.abs(ref["coeffs"])))
     for new, old in zip(fld.connection, ref["connection"]):
         assert _close(new, old)
+        # exactly skew, with a zero diagonal: the divergence's column swap for B @ om relies on it
+        assert np.array_equal(new, -np.swapaxes(new, -1, -2))
+    # round_sphere has om != 0, octonion_graph q = 6 and wn != 0
+    assert _close(im._hom_covariant_divergence(fld, fld.II.hom()), ref["hom_div"])
     for new, old in zip(fld.grad_H, ref["grad_H"]):
         assert _close(new, old)
     split = im.split_II(fld.II, tw)
@@ -642,3 +653,8 @@ def test_batched_contractions_match_einsum(kind, monkeypatch):
                  (symspace.curvature_operator(fld.space, fld.e1, fld.e2), fld.e1)):
         ref = np.einsum("uvij,uvj->uvi", M, v)
         assert (np.array_equal if v.shape[-1] == 2 else _close)(im._matvec(M, v), ref)
+    # the column-sum right product by j_T on both shapes it serves: bit for bit
+    # on the exact rotations of canonical lifts, within roundoff on the octonion lift
+    for A, T in ((tw.j_N[:, :, None] @ fld.II.hom(), tw.j_T[:, :, None]),
+                 (tw.j_N @ im._grad_H_hom(fld), tw.j_T)):
+        assert same(im._matmul_tangent(A, T), np.einsum("...pa,...ab->...pb", A, T))
