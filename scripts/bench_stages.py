@@ -11,7 +11,8 @@ reads once every cached quantity the stages consume (II, H, the connection,
 ∇⊥H, II₋ and its divergence), and then times each stage as a direct call:
 
 - `frame_connection`: the four connection matrices from the frames;
-- `split_II`: the j-split of II;
+- `II_minus`: the j-anticommuting part of II, as the uncached
+  `TwistorField.II_minus`;
 - `_hom_covariant_divergence`: the Hom(T, N) divergence of II₋;
 - `divergence_identity_residual` and `maslov_identity_residual`: the
   residual and its report, with the cached inputs above already read.
@@ -45,7 +46,7 @@ def stages(im, lagrangian, fld, tw):
     """name -> zero-argument call, for the stages that apply to this field."""
     out = {
         "frame_connection": lambda: im.frame_connection(fld),
-        "split_II": lambda: im.split_II(fld.II, tw),
+        "II_minus": lambda: im.TwistorField.II_minus.func(tw),
         "_hom_covariant_divergence": lambda: im._hom_covariant_divergence(fld, tw.II_minus),
         "divergence_identity_residual": lambda: im.divergence_identity_residual(fld, tw),
     }

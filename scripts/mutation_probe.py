@@ -5,9 +5,9 @@ Usage: python scripts/mutation_probe.py [--list]
 
 The targets are the residual functions of `immersion`, `lagrangian` and
 `ellsys`, the helpers that hold their equations (in `immersion` also the
-frame connection, the j-split of II and the column-sum product by j_T that
-they use), the graded Laurent pass of `forms` and the Taylor polynomial of
-`liealg.matrix_exp`.  Each binary
+frame connection, the j-anticommuting projection and the column-sum product
+by j_T that they use), the graded Laurent pass of `forms` and the Taylor
+polynomial of `liealg.matrix_exp`.  Each binary
 `+` or `-` and each `+=` or `-=` there becomes one mutant with that single
 operator flipped.  The probe copies what the suite reads (`src/`, `tests/`,
 `scenarios/`, `scripts/`, `perfbench/`) to a temporary directory, writes one
@@ -33,7 +33,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = pathlib.Path("src") / "twistorsys"
 COPIED = ("src", "tests", "scenarios", "scripts", "perfbench", "pyproject.toml")
 TARGETS = {
-    "immersion": ("frame_connection", "split_II", "_matmul_tangent",
+    "immersion": ("frame_connection", "_anticommuting", "_matmul_tangent",
                   "normal_connection_derivative", "_hom_covariant_divergence",
                   "vertical_harmonicity_residual", "holomorphic_H_residual",
                   "divergence_identity_residual", "codazzi_identity_residual",

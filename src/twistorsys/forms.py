@@ -91,16 +91,20 @@ class SurfaceGrid:
 
 
 def _centred(f, h, axis, periodic):
-    """(f[i+1] - f[i-1]) / 2h along `axis`, wrapped through slices; one-sided at open edges."""
+    """(f[i+1] - f[i-1]) / 2h along `axis`, through slices into one output: wrapped
+    at periodic edges, numpy's second-order one-sided differences at open ones."""
     f = np.asarray(f)
-    if not periodic:
-        return np.gradient(f, h, axis=axis, edge_order=2)
     out = np.empty(f.shape, np.result_type(f, 1.0))
     g, o = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
     np.subtract(g[2:], g[:-2], out=o[1:-1])
-    np.subtract(g[1], g[-1], out=o[0])
-    np.subtract(g[0], g[-2], out=o[-1])
-    out /= 2.0 * h
+    if periodic:
+        np.subtract(g[1], g[-1], out=o[0])
+        np.subtract(g[0], g[-2], out=o[-1])
+        out /= 2.0 * h
+    else:
+        o[1:-1] /= 2.0 * h
+        o[0] = -1.5 / h * g[0] + 2.0 / h * g[1] + -0.5 / h * g[2]
+        o[-1] = 0.5 / h * g[-3] + -2.0 / h * g[-2] + 1.5 / h * g[-1]
     return out
 
 

@@ -156,7 +156,7 @@ class TwistorField:
     @functools.cached_property
     def II_minus(self):
         """The j-anticommuting part of the field's II: (nu, nv, 2, q, 2)."""
-        return split_II(self.field.II, self).minus
+        return _anticommuting(self, self.field.II.hom)
 
     @functools.cached_property
     def div_minus(self):
@@ -177,32 +177,21 @@ class TwistorField:
 
 @dataclass
 class SecondFundamentalForm:
-    """Symmetric bilinear form in normal-frame coefficients.
+    """II as a Hom(T, N)-valued 1-form in frame slots.
 
-    coeffs[..., s, p] = <II(e_a, e_b), n_p> for slots s = (11, 12, 22);
+    hom[..., a, p, b] = <II(e_a, e_b), n_p>, symmetric in the slots a, b;
     crosscheck_12 holds the mixed slot differenced the other way round.
     """
 
     grid: SurfaceGrid
-    coeffs: np.ndarray          # (nu, nv, 3, q)
+    hom: np.ndarray             # (nu, nv, 2, q, 2), C-contiguous
     crosscheck_12: np.ndarray   # (nu, nv, q)
 
-    def hom(self):
-        """As a Hom(T, N)-valued 1-form in frame slots: (nu, nv, 2, q, 2)."""
-        c = self.coeffs
-        nu, nv, _, q = c.shape
-        M = np.zeros((nu, nv, 2, q, 2))
-        M[..., 0, :, 0] = c[..., 0, :]
-        M[..., 0, :, 1] = c[..., 1, :]
-        M[..., 1, :, 0] = c[..., 1, :]
-        M[..., 1, :, 1] = c[..., 2, :]
-        return M
-
-
-@dataclass
-class SplitII:
-    plus: np.ndarray    # (nu, nv, 2, q, 2) Hom slots commuting with j
-    minus: np.ndarray   # anticommuting part
+    @property
+    def coeffs(self):
+        """(nu, nv, 3, q): the slots (11, 12, 22) of `hom`, as a new array."""
+        M = self.hom
+        return np.stack([M[..., 0, :, 0], M[..., 0, :, 1], M[..., 1, :, 1]], axis=-2)
 
 
 # --------------------------------------------------------------------- fixtures
@@ -560,13 +549,16 @@ def second_fundamental_form(field: ImmersionField) -> SecondFundamentalForm:
     inv = 1.0 / np.maximum(field.conformal_factor, 1e-30)
     # normal components of all four derivatives at once: (nu, nv, q, 4)
     P = field.normal_frame @ np.stack([D11, D12, D22, D12_alt], axis=-1) * inv[..., None, None]
-    coeffs = np.swapaxes(P[..., :3], -1, -2)
-    return SecondFundamentalForm(grid=grid, coeffs=coeffs, crosscheck_12=P[..., 3])
+    hom = np.empty(P.shape[:-2] + (2, P.shape[-2], 2))
+    hom[..., 0, :, 0] = P[..., 0]
+    hom[..., 0, :, 1] = hom[..., 1, :, 0] = P[..., 1]
+    hom[..., 1, :, 1] = P[..., 2]
+    return SecondFundamentalForm(grid=grid, hom=hom, crosscheck_12=P[..., 3])
 
 
 def mean_curvature(II: SecondFundamentalForm):
     """H = (1/2) trace II in normal-frame coefficients: (nu, nv, q)."""
-    return 0.5 * (II.coeffs[..., 0, :] + II.coeffs[..., 2, :])
+    return 0.5 * (II.hom[..., 0, :, 0] + II.hom[..., 1, :, 1])
 
 
 # ----------------------------------------------------------------- twistor lift
@@ -700,17 +692,15 @@ def frame_connection(field: ImmersionField):
     return om_u, om_v, wn_u, wn_v
 
 
-def split_II(II: SecondFundamentalForm, tw: TwistorField) -> SplitII:
-    """II = II_plus + II_minus: j-commuting and j-anticommuting Hom parts.
+def _anticommuting(tw: TwistorField, A):
+    """pi_minus(A) = (1/2)(A + j_N A j_T): the part of the Hom(T, N) field A,
+    of shape (nu, nv, ..., q, 2), that anticommutes with the lift.
 
-    Per 1-form slot X: minus = (1/2)(A + j_N A j_T), plus the complement;
-    the conjugation C(A) = j_N A j_T is an involution on Hom(T, N).
+    The conjugation C(A) = j_N A j_T is an involution on Hom(T, N), and
+    A - pi_minus(A) is the j-commuting part.
     """
-    M = II.hom()
-    conj = _matmul_tangent(tw.j_N[:, :, None] @ M, tw.j_T[:, :, None])
-    minus = 0.5 * (M + conj)
-    plus = 0.5 * (M - conj)
-    return SplitII(plus=plus, minus=minus)
+    grid_axes = (slice(None), slice(None)) + (None,) * (A.ndim - 4)
+    return 0.5 * (A + _matmul_tangent(tw.j_N[grid_axes] @ A, tw.j_T[grid_axes]))
 
 
 def _hom_covariant_divergence(field: ImmersionField, hom_slots):
@@ -776,7 +766,7 @@ def divergence_identity_residual(field: ImmersionField, tw: TwistorField) -> Res
     inv2 = 1.0 / np.maximum(field.conformal_factor, 1e-30)
     lhs = inv2[..., None, None] * tw.div_minus
     Ghom = _grad_H_hom(field)
-    rhs = Ghom + _matmul_tangent(tw.j_N @ Ghom, tw.j_T)  # = 2 pi_minus(Ghom)
+    rhs = 2.0 * _anticommuting(tw, Ghom)
     return masked_report("divergence_identity", field.grid.h, liealg._frobenius(lhs - rhs),
                          field.report_mask(2))
 
@@ -790,7 +780,7 @@ def codazzi_identity_residual(field: ImmersionField) -> ResidualReport:
     for every curvature constant c: this residual does not test c.
     """
     inv2 = 1.0 / np.maximum(field.conformal_factor, 1e-30)
-    lhs = inv2[..., None, None] * _hom_covariant_divergence(field, field.II.hom())
+    lhs = inv2[..., None, None] * _hom_covariant_divergence(field, field.II.hom)
     return masked_report("codazzi_identity", field.grid.h,
                          liealg._frobenius(lhs - 2.0 * _grad_H_hom(field)), field.report_mask(2))
 

@@ -315,9 +315,10 @@ def test_degenerate_frame_is_not_immersed():
 
 
 def test_vertical_geometry_computed_once_per_lift(monkeypatch):
-    # three checks on one rung share one split of II and one divergence of
-    # II_minus, and none of them forms the ambient j
-    calls = {"split_II": 0, "_hom_covariant_divergence": 0}
+    # three checks on one rung share one II_minus and one divergence of it,
+    # and none of them forms the ambient j: the j-conjugation runs once on II
+    # and once on nabla_perp H
+    calls = {"_anticommuting": 0, "_hom_covariant_divergence": 0}
     for fname in calls:
         def counted(*args, _orig=getattr(im, fname), _name=fname, **kwargs):
             calls[_name] += 1
@@ -330,7 +331,7 @@ def test_vertical_geometry_computed_once_per_lift(monkeypatch):
     ctx = cli.RungContext(scen, 32)
     for name in scen["checks"]:
         cli.CHECKS[name][0](ctx)
-    assert calls == {"split_II": 1, "_hom_covariant_divergence": 1}
+    assert calls == {"_anticommuting": 2, "_hom_covariant_divergence": 1}
     assert "j_ambient" not in vars(ctx.tw)
 
 
@@ -340,11 +341,11 @@ def test_split_recombines_and_commutes():
     for kind in ("clifford_torus", "round_sphere"):
         fld = im.build_immersion(kind, n=16)
         tw = im.twistor_lift(fld, +1)
-        II = im.second_fundamental_form(fld)
-        sp = im.split_II(II, tw)
-        assert np.max(np.abs(sp.plus + sp.minus - II.hom())) <= 1e-13
+        minus = tw.II_minus
+        plus = fld.II.hom - minus
+        assert np.max(np.abs(plus + minus - fld.II.hom)) <= 1e-13
         for X in (0, 1):
-            P, M = sp.plus[..., X, :, :], sp.minus[..., X, :, :]
+            P, M = plus[..., X, :, :], minus[..., X, :, :]
             comm = tw.j_N @ P - P @ tw.j_T
             anti = tw.j_N @ M + M @ tw.j_T
             assert np.max(np.abs(comm)) <= 1e-12
@@ -359,10 +360,9 @@ def test_split_umbilic_sphere_minus_parallel():
     r = 1.5
     fld = im.build_immersion("round_sphere", {"r": r}, n=32)
     tw = im.twistor_lift(fld, +1)
-    sp = im.split_II(im.second_fundamental_form(fld), tw)
     oracle = -0.5 / r * np.array([[1.0, 0.0], [0.0, -float(tw.eps)]])
     mask = fld.report_mask(1)
-    err = np.linalg.norm(sp.minus[..., 0, :, :] - oracle, axis=(-2, -1))
+    err = np.linalg.norm(tw.II_minus[..., 0, :, :] - oracle, axis=(-2, -1))
     assert np.max(err[mask]) <= 5 * fld.grid.h ** 2
     rep = ladder_report(lambda n: run_residual("round_sphere",
                                                im.vertical_harmonicity_residual, n))
@@ -374,11 +374,10 @@ def test_split_clifford_minus_constant():
     # (1/2) [[-1, -1], [1, -1]] (times the stencil factor), Frobenius norm 1
     fld = im.build_immersion("clifford_torus", n=32)
     tw = im.twistor_lift(fld, +1)
-    sp = im.split_II(im.second_fundamental_form(fld), tw)
     sinc = np.sin(fld.grid.hu) / fld.grid.hu
     oracle = 0.5 * np.array([[-1.0, -1.0], [1.0, -1.0]]) * sinc
-    assert np.max(np.abs(sp.minus[..., 0, :, :] - oracle)) <= 1e-12
-    norms = np.linalg.norm(sp.minus[..., 0, :, :], axis=(-2, -1))
+    assert np.max(np.abs(tw.II_minus[..., 0, :, :] - oracle)) <= 1e-12
+    norms = np.linalg.norm(tw.II_minus[..., 0, :, :], axis=(-2, -1))
     assert np.max(np.abs(norms - norms[0, 0])) <= 1e-12
     assert norms[0, 0] > 0.9
 
@@ -475,7 +474,7 @@ def test_codazzi_curvature_term_matches_operator_loop(kind, monkeypatch):
                 for ei in (fld.e1, fld.e2)) for X in (fld.e1, fld.e2)]
     Rterm = fld.normal_frame @ np.stack(cols, axis=-1)
     inv2 = 1.0 / np.maximum(fld.conformal_factor, 1e-30)
-    lhs = inv2[..., None, None] * im._hom_covariant_divergence(fld, fld.II.hom())
+    lhs = inv2[..., None, None] * im._hom_covariant_divergence(fld, fld.II.hom)
     oracle = liealg._frobenius(lhs - (Rterm + 2.0 * im._grad_H_hom(fld)))
     c = fld.space.curvature_constant
     if kind == "round_sphere":
@@ -499,6 +498,9 @@ def test_cached_geometry_matches_public_functions():
     H = im.mean_curvature(II)
     assert np.array_equal(fld.II.coeffs, II.coeffs)
     assert np.array_equal(fld.II.crosscheck_12, II.crosscheck_12)
+    # II is stored once, as one C-contiguous Hom(T, N) array with equal mixed slots
+    assert fld.II.hom.flags.c_contiguous
+    assert np.array_equal(fld.II.hom[..., 0, :, 1], fld.II.hom[..., 1, :, 0])
     assert np.array_equal(fld.H, H)
     for cached, fresh in zip(fld.connection, im.frame_connection(ref)):
         assert np.array_equal(cached, fresh)
@@ -577,7 +579,7 @@ def _einsum_reference(fld, tw):
 
     connection = (coeff(E, im.partial_u(grid, E)), coeff(E, im.partial_v(grid, E)),
                   coeff(N, im.partial_u(grid, N)), coeff(N, im.partial_v(grid, N)))
-    M = fld.II.hom()
+    M = fld.II.hom
     split_conj = np.einsum("uvpq,uvxqb,uvbc->uvxpc", tw.j_N, M, tw.j_T)
     H = fld.H
     grad_H = tuple(d(grid, H) + np.einsum("uvpq,uvq->uvp", w, H)
@@ -622,15 +624,13 @@ def test_batched_contractions_match_einsum(kind, monkeypatch):
         # exactly skew, with a zero diagonal: the divergence's column swap for B @ om relies on it
         assert np.array_equal(new, -np.swapaxes(new, -1, -2))
     # round_sphere has om != 0, octonion_graph q = 6 and wn != 0
-    assert _close(im._hom_covariant_divergence(fld, fld.II.hom()), ref["hom_div"])
+    assert _close(im._hom_covariant_divergence(fld, fld.II.hom), ref["hom_div"])
     for new, old in zip(fld.grad_H, ref["grad_H"]):
         assert _close(new, old)
-    split = im.split_II(fld.II, tw)
-    M = fld.II.hom()
+    M = fld.II.hom
     # on canonical lifts j_T and j_N are exact rotations, so the split is exact
     same = np.array_equal if kind != "octonion_graph" else _close
-    assert same(split.minus, 0.5 * (M + ref["split_conj"]))
-    assert same(split.plus, 0.5 * (M - ref["split_conj"]))
+    assert same(tw.II_minus, 0.5 * (M + ref["split_conj"]))
 
     captured = {}
 
@@ -640,7 +640,7 @@ def test_batched_contractions_match_einsum(kind, monkeypatch):
     monkeypatch.setattr(im, "masked_report", capture)
     im.divergence_identity_residual(fld, tw)
     inv2 = 1.0 / np.maximum(fld.conformal_factor, 1e-30)
-    lhs = inv2[..., None, None] * im._hom_covariant_divergence(fld, split.minus)
+    lhs = inv2[..., None, None] * im._hom_covariant_divergence(fld, tw.II_minus)
     oracle = np.linalg.norm(lhs - (ref["Ghom"] + ref["div_conj"]), axis=(-2, -1))
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(ref["Ghom"])))
     assert _close(captured["divergence_identity"], oracle, scale)
@@ -655,6 +655,6 @@ def test_batched_contractions_match_einsum(kind, monkeypatch):
         assert (np.array_equal if v.shape[-1] == 2 else _close)(im._matvec(M, v), ref)
     # the column-sum right product by j_T on both shapes it serves: bit for bit
     # on the exact rotations of canonical lifts, within roundoff on the octonion lift
-    for A, T in ((tw.j_N[:, :, None] @ fld.II.hom(), tw.j_T[:, :, None]),
+    for A, T in ((tw.j_N[:, :, None] @ fld.II.hom, tw.j_T[:, :, None]),
                  (tw.j_N @ im._grad_H_hom(fld), tw.j_T)):
         assert same(im._matmul_tangent(A, T), np.einsum("...pa,...ab->...pb", A, T))

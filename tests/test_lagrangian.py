@@ -123,9 +123,8 @@ def test_maslov_identity_cubic_explicit_oracle():
     # cylinder over the parabola: II_minus on the profile slot is
     # (kappa / 2) I and beta(e1) = -kappa / 2 with J^N|T = +I in these frames
     fld, tw = build("lagrangian_graph", {"potential": "cubic"})
-    sp = im.split_II(im.second_fundamental_form(fld), tw)
     bu, _ = lg.maslov_form(fld)
-    M1 = sp.minus[..., 0, :, :]
+    M1 = tw.II_minus[..., 0, :, :]
     mask = fld.report_mask(2)
     offdiag = np.abs(M1[..., 0, 1]) + np.abs(M1[..., 1, 0])
     assert np.max(offdiag[mask]) <= 1e-12

@@ -180,12 +180,12 @@ def test_codimension_six_split_consistent():
     # the rank-generic Hom splitting applies unchanged with q = 6
     fld = im.build_immersion("octonion_graph", n=16)
     _, tw = octo.canonical_lift(fld)
-    II = im.second_fundamental_form(fld)
-    sp = im.split_II(II, tw)
-    assert sp.minus.shape[-2:] == (6, 2)
-    assert np.max(np.abs(sp.plus + sp.minus - II.hom())) <= 1e-12
+    minus = tw.II_minus
+    plus = fld.II.hom - minus
+    assert minus.shape[-2:] == (6, 2)
+    assert np.max(np.abs(plus + minus - fld.II.hom)) <= 1e-12
     for X in (0, 1):
-        M = sp.minus[..., X, :, :]
+        M = minus[..., X, :, :]
         anti = tw.j_N @ M + M @ tw.j_T
         assert np.max(np.abs(anti)) <= 1e-10
 
