@@ -1,27 +1,35 @@
 #!/usr/bin/env python3
-"""Time the frame-calculus stages of a rung over a grid ladder.
+"""Time the frame-calculus and frame-development stages of a rung over a grid ladder.
 
 Usage: python scripts/bench_stages.py [--src DIR] [--label TEXT] [--append FILE]
 
 Imports `twistorsys` from DIR (default: the `src/` of this checkout), so the
-same script can time another checkout.  For `round_sphere` and
-`product_torus` (the latter in `complex2`, which the Maslov identity needs)
-it builds the field and its canonical lift at n = 64, 128, 256 and 512,
-reads once every cached quantity the stages consume (II, H, the connection,
-∇⊥H, II₋ and its divergence), and then times each stage as a direct call:
+same script can time another checkout.  Two tables, over n = 64, 128, 256
+and 512:
 
-- `frame_connection`: the four connection matrices from the frames;
-- `II_minus`: the j-anticommuting part of II, as the uncached
-  `TwistorField.II_minus`;
-- `_hom_covariant_divergence`: the Hom(T, N) divergence of II₋;
-- `divergence_identity_residual` and `maslov_identity_residual`: the
-  residual and its report, with the cached inputs above already read.
+- *stages*: for `round_sphere` and `product_torus` (the latter in
+  `complex2`, which the Maslov identity needs) it builds the field and its
+  canonical lift, reads once every cached quantity the stages consume (II,
+  H, the connection, ∇⊥H, II₋ and its divergence), and then times each stage
+  as a direct call:
+  - `frame_connection`: the four connection matrices from the frames;
+  - `II_minus`: the j-anticommuting part of II, as the uncached
+    `TwistorField.II_minus`;
+  - `_hom_covariant_divergence`: the Hom(T, N) divergence of II₋;
+  - `divergence_identity_residual` and `maslov_identity_residual`: the
+    residual and its report, with the cached inputs above already read.
+- *frame_stages*: on the `so5_s4` connection `exp_frame_form` of a seeded
+  pair of unit directions over the open n x n unit grid, it times
+  - `matrix_exp`: one call on the stack of every trapezoidal edge step
+    h (A_i + A_(i+1)) / 2 along u and along v, the last edge of a line
+    wrapping, which are the exponentials of a development and a plaquette pass;
+  - `plaquette_defects`: the whole plaquette pass, steps included.
 
 A stage's time is the minimum over 20 calls, in milliseconds, and p is the
 least-squares slope of log time against log n (time ∝ n^p).  At n = 256
 each stage runs once more under `tracemalloc`, in a separate pass, and its
 transient peak (peak minus the allocation at its start) is recorded in MB.
-The row (label, numpy and Python versions, CPU count and the stages) is
+The row (label, numpy and Python versions, CPU count and both tables) is
 printed as JSON and, with `--append`, appended to the `rows` list of FILE,
 which is created when missing.  Standard library and numpy only.
 """
@@ -35,11 +43,14 @@ import sys
 import time
 import tracemalloc
 
+import numpy as np
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = {"round_sphere": None, "product_torus": "complex2"}
 SIZES = (64, 128, 256, 512)
 REPEATS = 20
 MEM_N = 256
+FRAME_FIXTURE = "so5_s4"
 
 
 def stages(im, lagrangian, fld, tw):
@@ -53,6 +64,21 @@ def stages(im, lagrangian, fld, tw):
     if fld.space.kahler is not None:
         out["maslov_identity_residual"] = lambda: lagrangian.maslov_identity_residual(fld, tw)
     return out
+
+
+def frame_stages(n):
+    """name -> zero-argument call, for the frame-development stages at grid size n."""
+    from twistorsys import ellsys, fixtures, forms, liealg
+    fx = fixtures.load_algebra_fixture(FRAME_FIXTURE)
+    rng = np.random.default_rng(0)
+    xi, eta = (v / np.linalg.norm(v) for v in rng.standard_normal((2, fx.algebra.dim)))
+    h = 1.0 / (n - 1)
+    alpha = ellsys.exp_frame_form(forms.SurfaceGrid(nu=n, nv=n, hu=h, hv=h), fx, xi, eta)
+    A_u, A_v = fx.algebra.matrix(alpha.a_u), fx.algebra.matrix(alpha.a_v)
+    steps = np.stack([h * (0.5 * (A_u + np.roll(A_u, -1, axis=0))),
+                      h * (0.5 * (A_v + np.roll(A_v, -1, axis=1)))])
+    return {"matrix_exp": lambda: liealg.matrix_exp(steps),
+            "plaquette_defects": lambda: ellsys.plaquette_defects(alpha, fx)}
 
 
 def best_ms(call):
@@ -81,6 +107,21 @@ def exponent(sizes, times):
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
+def table(calls_at):
+    """Time the calls calls_at(n) gives at every n of SIZES: name -> its entry."""
+    times, peaks = {}, {}
+    for n in SIZES:
+        for name, call in calls_at(n).items():
+            call()   # first call outside the timing
+            times.setdefault(name, []).append(best_ms(call))
+            if n == MEM_N:
+                peaks[name] = transient_peak_mb(call)
+    return {name: {"n": list(SIZES), "ms": [round(t, 3) for t in ts],
+                   "p": round(exponent(SIZES, ts), 2),
+                   f"peak_mb_n{MEM_N}": round(peaks[name], 2)}
+            for name, ts in times.items()}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=pathlib.Path, default=ROOT / "src")
@@ -88,28 +129,21 @@ def main(argv=None):
     ap.add_argument("--append", type=pathlib.Path)
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
-    import numpy as np
     from twistorsys import immersion as im, lagrangian, symspace
 
-    result = {}
-    for kind, space in FIXTURES.items():
-        times, peaks = {}, {}
-        for n in SIZES:
+    def geometry_stages(kind, space):
+        def calls_at(n):
             fld = im.build_immersion(kind, n=n,
                                      space=None if space is None else symspace.model_space(space))
             tw = im.twistor_lift(fld, +1)
             fld.II, fld.H, fld.connection, fld.grad_H, tw.II_minus, tw.div_minus  # fill the caches
-            for name, call in stages(im, lagrangian, fld, tw).items():
-                call()   # first call outside the timing
-                times.setdefault(name, []).append(best_ms(call))
-                if n == MEM_N:
-                    peaks[name] = transient_peak_mb(call)
-        result[kind] = {name: {"n": list(SIZES), "ms": [round(t, 3) for t in ts],
-                               "p": round(exponent(SIZES, ts), 2),
-                               f"peak_mb_n{MEM_N}": round(peaks[name], 2)}
-                        for name, ts in times.items()}
+            return stages(im, lagrangian, fld, tw)
+        return calls_at
+
+    result = {kind: table(geometry_stages(kind, space)) for kind, space in FIXTURES.items()}
+    frames = {FRAME_FIXTURE: table(frame_stages)}
     row = {"label": args.label, "numpy": np.__version__, "python": platform.python_version(),
-           "cpus": os.cpu_count(), "repeats": REPEATS, "stages": result}
+           "cpus": os.cpu_count(), "repeats": REPEATS, "stages": result, "frame_stages": frames}
     print(json.dumps(row, indent=1))
     if args.append:
         doc = (json.loads(args.append.read_text()) if args.append.exists()

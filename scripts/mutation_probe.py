@@ -6,8 +6,9 @@ Usage: python scripts/mutation_probe.py [--list]
 The targets are the residual functions of `immersion`, `lagrangian` and
 `ellsys`, the helpers that hold their equations (in `immersion` also the
 frame connection, the j-anticommuting projection and the column-sum product
-by j_T that they use), the graded Laurent pass of `forms` and the Taylor
-polynomial of `liealg.matrix_exp`.  Each binary
+by j_T that they use), the graded Laurent pass of `forms`, the trapezoidal
+steps and the plaquette pass of `ellsys` and the Taylor polynomial of
+`liealg.matrix_exp`.  Each binary
 `+` or `-` and each `+=` or `-=` there becomes one mutant with that single
 operator flipped.  The probe copies what the suite reads (`src/`, `tests/`,
 `scenarios/`, `scripts/`, `perfbench/`) to a temporary directory, writes one
@@ -41,7 +42,8 @@ TARGETS = {
     "lagrangian": ("lagrangian_residual", "lagrangian_twistor_residual", "maslov_form",
                    "maslov_identity_residual", "hamiltonian_stationary_residual"),
     "forms": ("_dz_parts", "_covariant_closure", "_laurent_graded", "zero_curvature_scan"),
-    "ellsys": ("holomorphicity_residual", "covariant_closure_residual"),
+    "ellsys": ("holomorphicity_residual", "covariant_closure_residual", "_avg",
+               "_step_exponentials", "plaquette_defects"),
     "liealg": ("_taylor",),
 }
 FLIP = {"+": "-", "-": "+"}

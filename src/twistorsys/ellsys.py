@@ -111,16 +111,24 @@ def frame_to_connection(frame: FrameField) -> LieValuedOneForm:
 
 # -------------------------------------------------------------- development
 
-def _avg(a, b):
-    return 0.5 * (a + b)
+def _avg(A, axis, h):
+    """h times the average (A_i + A_(i+1)) / 2 over each edge along axis, the
+    last edge wrapping to A_0: the sum goes through slices into one output,
+    scaled in place (x 1/2 is exact)."""
+    S = np.empty(A.shape)
+    a, s = np.moveaxis(A, axis, 0), np.moveaxis(S, axis, 0)
+    np.add(a[:-1], a[1:], out=s[:-1])
+    np.add(a[-1], a[0], out=s[-1])
+    S *= 0.5
+    S *= h
+    return S
 
 
 def _step_exponentials(grid: SurfaceGrid, A_u, A_v):
     """Trapezoidal steps exp(h * (A_i + A_(i+1)) / 2): E_u[i, j] from (i, j) to
     (i+1, j), E_v[i, j] from (i, j) to (i, j+1); the last edge of a line wraps."""
-    E_u = liealg.matrix_exp(grid.hu * _avg(A_u, np.roll(A_u, -1, axis=0)))
-    E_v = liealg.matrix_exp(grid.hv * _avg(A_v, np.roll(A_v, -1, axis=1)))
-    return E_u, E_v
+    return (liealg.matrix_exp(_avg(A_u, 0, grid.hu)),
+            liealg.matrix_exp(_avg(A_v, 1, grid.hv)))
 
 
 def develop_frame(alpha: LieValuedOneForm, fixture: AlgebraFixture, g0=None) -> FrameField:
@@ -165,10 +173,19 @@ def plaquette_defects(alpha: LieValuedOneForm, fixture: AlgebraFixture) -> float
     alg = fixture.algebra
     grid = alpha.grid
     E_u, E_v = _step_exponentials(grid, alg.matrix(alpha.a_u.real), alg.matrix(alpha.a_v.real))
-    # cell (i, j): bottom then right edge against left then top edge; along a
-    # non-periodic direction the last cell would close through the wrapped step
-    D = E_u @ np.roll(E_v, -1, axis=0) - E_v @ np.roll(E_u, -1, axis=1)
-    D = D[:None if grid.periodic_u else -1, :None if grid.periodic_v else -1]
+    # cell (i, j): bottom then right edge against left then top edge; a cell
+    # closing through a wrapped step exists only along a periodic direction
+    cu = grid.nu if grid.periodic_u else grid.nu - 1
+    cv = grid.nv if grid.periodic_v else grid.nv - 1
+    D = np.empty((cu, cv) + E_u.shape[2:])
+    np.matmul(E_u[:-1, :cv], E_v[1:, :cv], out=D[:grid.nu - 1])
+    if grid.periodic_u:
+        np.matmul(E_u[-1, :cv], E_v[0, :cv], out=D[-1])
+    W = np.empty_like(D)
+    np.matmul(E_v[:cu, :-1], E_u[:cu, 1:], out=W[:, :grid.nv - 1])
+    if grid.periodic_v:
+        np.matmul(E_v[:cu, -1], E_u[:cu, 0], out=W[:, -1])
+    D -= W
     return float(np.max(liealg._frobenius(D)))
 
 

@@ -1,4 +1,4 @@
-"""scripts/bench_stages.py: the fitted exponent and the stage table."""
+"""scripts/bench_stages.py: the fitted exponent and the two stage tables."""
 import importlib.util
 import pathlib
 
@@ -32,5 +32,12 @@ def test_every_stage_runs_where_it_applies(bench_stages, kind, space, maslov):
     calls = bench_stages.stages(im, lagrangian, fld, tw)
     assert ("maslov_identity_residual" in calls) == maslov
     assert len(calls) == 4 + maslov
+    for call in calls.values():
+        call()
+
+
+def test_every_frame_stage_runs(bench_stages):
+    calls = bench_stages.frame_stages(16)
+    assert set(calls) == {"matrix_exp", "plaquette_defects"}
     for call in calls.values():
         call()

@@ -609,6 +609,22 @@ def test_matrix_exp_mixed_band_stack_equals_loop():
         assert np.array_equal(liealg.matrix_exp(stack), loop.reshape(stack.shape))
 
 
+def test_matrix_exp_batched_stack_equals_loop():
+    # more slices than two batches of `_BATCH`, with the degree-8 and the scaled
+    # band each longer than one batch, the scaled slices at s = 0 ... 3
+    # interleaved, and a zero and a -0 slice
+    rng = np.random.default_rng(19)
+    bands = _BAND_SETS[1]
+    counts = [120, 1100, 120] + [300] * (len(bands) - 3)
+    norms = np.concatenate([rng.uniform(lo, hi, k) for (lo, hi), k in zip(bands, counts)])
+    stack = np.concatenate([_with_norms(rng.standard_normal((len(norms), 5, 5)), norms),
+                            np.zeros((1, 5, 5)), np.full((1, 5, 5), -0.0)])
+    assert len(stack) > 2 * liealg._BATCH
+    stack = stack[rng.permutation(len(stack))]
+    loop = np.stack([liealg.matrix_exp(X) for X in stack])
+    assert np.array_equal(liealg.matrix_exp(stack), loop)
+
+
 def test_matrix_exp_empty_and_negative_zero():
     assert liealg.matrix_exp(np.zeros((0, 5, 5))).shape == (0, 5, 5)
     out = liealg.matrix_exp(np.full((3, 5, 5), -0.0))
@@ -625,6 +641,21 @@ def _exp_tail(theta, m):
 def test_taylor_thetas_are_the_largest_norms_with_tail_below_unit_roundoff():
     for m, theta in liealg._TAYLOR_THETA.items():
         assert _exp_tail(theta, m) <= Fraction(1, 2 ** 53) < _exp_tail(1.01 * theta, m), m
+
+
+@pytest.mark.parametrize("m", list(liealg._TAYLOR_THETA))
+def test_taylor_is_the_exact_degree_m_polynomial(m):
+    # on diagonal input the polynomial acts entrywise; at 5 even the last
+    # coefficient 1/m! adds 5^m/m! >= 5.9e-4 to a sum of at most e^5, so every
+    # coefficient shows far above roundoff
+    x = np.array([0.5, 2.0, 5.0, -0.5])
+    A = np.stack([np.diag(np.roll(x, k)) for k in range(len(x))])
+    exact = {v: float(sum(Fraction(v) ** k / math.factorial(k) for k in range(m + 1)))
+             for v in x}
+    P = liealg._taylor(A, m)
+    ref = np.stack([np.diag([exact[v] for v in np.roll(x, k)]) for k in range(len(x))])
+    assert np.max(np.abs(P - ref) / np.where(ref, np.abs(ref), 1.0)) <= 1e-14
+    assert not np.any(P[:, ~np.eye(len(x), dtype=bool)])
 
 
 @pytest.mark.parametrize("scale", [5.0, 20.0, 60.0, 150.0, 300.0])
