@@ -10,9 +10,11 @@ and 512:
 - *stages*: for `round_sphere` and `product_torus` (the latter in
   `complex2`, which the Maslov identity needs) it builds the field and its
   canonical lift, reads once every cached quantity the stages consume (II,
-  H, the connection, ∇⊥H, II₋ and its divergence), and then times each stage
-  as a direct call:
+  H, the connection, ∇⊥H, II₋ and its divergence), builds the adapted
+  frame g of `ellsys.frame_from_geometry`, and then times each stage as a
+  direct call:
   - `frame_connection`: the four connection matrices from the frames;
+  - `frame_to_connection`: α = g⁻¹dg from the adapted frame g;
   - `II_minus`: the j-anticommuting part of II, as the uncached
     `TwistorField.II_minus`;
   - `_hom_covariant_divergence`: the Hom(T, N) divergence of II₋;
@@ -55,8 +57,11 @@ FRAME_FIXTURE = "so5_s4"
 
 def stages(im, lagrangian, fld, tw):
     """name -> zero-argument call, for the stages that apply to this field."""
+    from twistorsys import ellsys
+    frame = ellsys.frame_from_geometry(fld, tw)[0]
     out = {
         "frame_connection": lambda: im.frame_connection(fld),
+        "frame_to_connection": lambda: ellsys.frame_to_connection(frame),
         "II_minus": lambda: im.TwistorField.II_minus.func(tw),
         "_hom_covariant_divergence": lambda: im._hom_covariant_divergence(fld, tw.II_minus),
         "divergence_identity_residual": lambda: im.divergence_identity_residual(fld, tw),

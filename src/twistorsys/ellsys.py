@@ -98,14 +98,16 @@ def exp_frame_form(grid: SurfaceGrid, fixture: AlgebraFixture, xi, eta) -> LieVa
 def frame_to_connection(frame: FrameField) -> LieValuedOneForm:
     """alpha = g^-1 dg by centered differences, projected to the fixture basis.
 
-    The discrete logarithmic derivative of exact group frames sits O(h^2)
-    off the algebra, so the projection is unchecked; that error is part of
-    the overall stencil error.
+    g^-1 is taken as g^T, which it is in SO(5).  For an affine frame [[F, phi],
+    [0, 1]], g^T dg shares the first four rows [F^T dF, F^T dphi] of g^-1 dg,
+    and the projection weights the last row by exactly 0.  The discrete
+    logarithmic derivative of exact group frames sits O(h^2) off the algebra,
+    so the projection is unchecked; that error is part of the stencil error.
     """
     grid, alg = frame.grid, frame.fixture.algebra
-    ginv = frame.fixture.inverse(frame.g)
-    a_u = alg.coords(ginv @ forms.partial_u(grid, frame.g), atol=None)
-    a_v = alg.coords(ginv @ forms.partial_v(grid, frame.g), atol=None)
+    gT = np.swapaxes(frame.g, -1, -2)
+    a_u = alg.coords(gT @ forms.partial_u(grid, frame.g), atol=None)
+    a_v = alg.coords(gT @ forms.partial_v(grid, frame.g), atol=None)
     return LieValuedOneForm(grid, alg, a_u, a_v)
 
 
@@ -195,20 +197,21 @@ def gauge_transform(alpha: LieValuedOneForm, h_field, fixture: AlgebraFixture) -
     """alpha -> Ad(h^-1) alpha + h^-1 dh for a field h valued in the stabiliser.
 
     H is the centraliser of J in the frame group: NotInH unless, pointwise,
-    h inverse(h) = I under the group's inverse and hJ = Jh.
+    h^T h = I, hJ = Jh and, if affine, h's last row is e_n; then h^-1 = h^T.
     """
     alg = fixture.algebra
     grid = alpha.grid
     h = np.asarray(h_field, dtype=float)
-    hinv = fixture.inverse(h)
-    J = fixture.J
-    off = max(np.max(np.abs(h @ hinv - np.eye(alg.ambient_dim))), np.max(np.abs(h @ J - J @ h)))
+    hT = np.swapaxes(h, -1, -2)
+    J, eye = fixture.J, np.eye(alg.ambient_dim)
+    off = max(np.max(np.abs(hT @ h - eye)), np.max(np.abs(h @ J - J @ h)),
+              np.max(np.abs(h[..., -1, :] - eye[-1])) if fixture.affine else 0.0)
     if not off <= 1e-8:
         raise NotInH(f"h is not in the centraliser of J in the frame group (residual {off:.3e})")
 
     # the discrete h^-1 dh part is only O(h^2) close to the algebra: project
-    new_u = hinv @ alg.matrix(alpha.a_u) @ h + hinv @ forms.partial_u(grid, h)
-    new_v = hinv @ alg.matrix(alpha.a_v) @ h + hinv @ forms.partial_v(grid, h)
+    new_u = hT @ alg.matrix(alpha.a_u) @ h + hT @ forms.partial_u(grid, h)
+    new_v = hT @ alg.matrix(alpha.a_v) @ h + hT @ forms.partial_v(grid, h)
     return LieValuedOneForm(grid, alg, alg.coords(new_u, atol=None),
                             alg.coords(new_v, atol=None))
 

@@ -9,6 +9,11 @@ reference complex structure the standard block rotation diag(R, R).
 The group is read from the basis: affine if every basis matrix has a zero
 last row (its linear block skew), else orthogonal (the basis skew).  The
 stabiliser H of tau = Ad(J) is the centraliser of J in that group.
+
+Every inverse the program takes is a transpose.  g^T = g^-1 in SO(5), and
+on H in either group, since an element of H fixes the base point.  On an
+affine frame, g^T dg and g^-1 dg have the same coordinates: they differ only
+in the last row, where every basis matrix, and so `pinv`, is exactly zero.
 """
 from __future__ import annotations
 
@@ -33,15 +38,6 @@ class AlgebraFixture:
     split: liealg.SymmetricSplit
     h_basis: np.ndarray
     affine: bool             # homogeneous affine group, else orthogonal
-
-    def inverse(self, g):
-        """g^-1 for group element(s) g: g^T, or [[R^T, -R^T t], [0, 1]] if affine."""
-        inv = np.swapaxes(g, -1, -2)
-        if self.affine:
-            inv = inv.copy()
-            inv[..., -1, :] = np.eye(inv.shape[-1])[-1]
-            inv[..., :-1, -1:] = -inv[..., :-1, :-1] @ g[..., :-1, -1:]
-        return inv
 
     def embed_j(self, j4):
         """Embed an orthogonal complex structure on R^4 as a group element.

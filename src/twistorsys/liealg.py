@@ -100,12 +100,12 @@ def matrix_exp(X):
         raise ValueError(f"matrix_exp: expected (..., n, n) matrices, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise NonFinite("matrix_exp: input has non-finite entries")
-    A = X.reshape((-1,) + X.shape[-2:])
+    A = X.reshape((math.prod(X.shape[:-2]),) + X.shape[-2:])
     out = np.empty_like(A)
-    # 1-norms from whole-stack rows |A[:, i, j]|: a reduction over the two
-    # matrix axes would loop over them in steps of n
+    # 1-norms from whole-stack rows |A[:, i, j]| (0 for 0 x 0 matrices): a
+    # reduction over the two matrix axes would loop over them in steps of n
     cols = np.abs(A).T
-    norms = functools.reduce(np.maximum, (sum(c[1:], c[0]) for c in cols))
+    norms = functools.reduce(np.maximum, (sum(c[1:], c[0]) for c in cols), np.zeros(len(A)))
     thetas = np.array(list(_TAYLOR_THETA.values()))
     # the smallest degree whose theta bounds the norm; 18 with scaling above theta_18
     band = np.minimum(np.searchsorted(thetas, norms), len(thetas) - 1)

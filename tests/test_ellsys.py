@@ -403,7 +403,8 @@ def test_gauge_rejects_scaled_identity(kind):
         ellsys.gauge_transform(alpha, h, fx)
 
 
-@pytest.mark.parametrize("last_row", [[0.5, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0, 2.0]])
+@pytest.mark.parametrize("last_row", [[0.5, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0, 2.0],
+                                      [0.0, 0.0, 0.0, 0.0, -1.0]])
 def test_gauge_rejects_affine_matrix_with_wrong_last_row(last_row):
     fld, tw, frame, alpha, fx = geometry("clifford_torus", 16)
     assert fx.affine
@@ -437,6 +438,8 @@ FRAME_SOURCES = ["clifford_torus", "clifford_torus_s4", "round_sphere", "product
 
 @pytest.mark.parametrize("source", FRAME_SOURCES)
 def test_group_inverse_equals_lapack_inverse(source):
+    # frame_to_connection's g^T dg has the coordinates of g^-1 dg with g^-1
+    # from LAPACK, up to roundoff in the products, in both frame groups
     if ":" in source:
         how, name = source.split(":")
         fx = load_algebra_fixture(name)
@@ -446,9 +449,21 @@ def test_group_inverse_equals_lapack_inverse(source):
                  else ellsys.develop_frame(ellsys.exp_frame_form(grid, fx, xi, eta), fx))
     else:
         frame = geometry(source, 16)[2]
-    g = frame.g
-    err = np.max(np.abs(frame.fixture.inverse(g) - np.linalg.inv(g)), axis=(-2, -1))
-    assert np.all(err <= 1e-14 * np.maximum(1.0, np.linalg.norm(g, axis=(-2, -1))))
+    g, grid, alg = frame.g, frame.grid, frame.fixture.algebra
+    alpha = ellsys.frame_to_connection(frame)
+    g_norm = np.linalg.norm(g, axis=(-2, -1))
+    for a, dg in ((alpha.a_u, forms.partial_u(grid, g)), (alpha.a_v, forms.partial_v(grid, g))):
+        ref = alg.coords(np.linalg.inv(g) @ dg, atol=None)
+        err = np.max(np.abs(a - ref), axis=-1)
+        assert np.all(err <= 1e-14 * g_norm * np.linalg.norm(dg, axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("name", [n for n in ALGEBRA_FIXTURES if load_algebra_fixture(n).affine])
+def test_affine_coordinates_ignore_the_last_matrix_row(name):
+    # frame_to_connection relies on this: g^T dg and g^-1 dg differ only there
+    alg = load_algebra_fixture(name).algebra
+    n = alg.ambient_dim
+    assert not np.any(alg.pinv.reshape(alg.dim, n, n)[:, -1])
 
 
 def test_smooth_gauge_residuals_at_discretization_floor():

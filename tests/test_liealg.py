@@ -627,6 +627,7 @@ def test_matrix_exp_batched_stack_equals_loop():
 
 def test_matrix_exp_empty_and_negative_zero():
     assert liealg.matrix_exp(np.zeros((0, 5, 5))).shape == (0, 5, 5)
+    assert liealg.matrix_exp(np.zeros((3, 0, 0))).shape == (3, 0, 0)
     out = liealg.matrix_exp(np.full((3, 5, 5), -0.0))
     assert np.array_equal(out, np.broadcast_to(np.eye(5), out.shape))
     assert not np.any(np.signbit(out))
