@@ -4,8 +4,8 @@
 Usage: python scripts/bench_stages.py [--src DIR] [--label TEXT] [--append FILE]
 
 Imports `twistorsys` from DIR (default: the `src/` of this checkout), so the
-same script can time another checkout.  Two tables, over n = 64, 128, 256
-and 512:
+same script can time another checkout.  Three tables, the first two over
+n = 64, 128, 256 and 512:
 
 - *stages*: for `round_sphere` and `product_torus` (the latter in
   `complex2`, which the Maslov identity needs) it builds the field and its
@@ -26,12 +26,21 @@ and 512:
     h (A_i + A_(i+1)) / 2 along u and along v, the last edge of a line
     wrapping, which are the exponentials of a development and a plaquette pass;
   - `plaquette_defects`: the whole plaquette pass, steps included.
+- *octonion_stages*: for `octonion_graph` in R⁸, over n = 64, 128 and 256
+  (at 512 the normal frame alone is 100 MB), it times
+  - `build_immersion`: sampling, the Gram-Schmidt frames and the
+    conformality check;
+  - `_gram_schmidt_frames`: the tangent and normal frames alone;
+  - `canonical_q`: the 6-sphere valued lift q and its two gates (in a
+    checkout without it, `canonical_lift`, which also builds the lift
+    j = L_q in frames);
+  - `lift_residual`: the `octonion_lift` check on that q.
 
 A stage's time is the minimum over 20 calls, in milliseconds, and p is the
 least-squares slope of log time against log n (time ∝ n^p).  At n = 256
 each stage runs once more under `tracemalloc`, in a separate pass, and its
 transient peak (peak minus the allocation at its start) is recorded in MB.
-The row (label, numpy and Python versions, CPU count and both tables) is
+The row (label, numpy and Python versions, CPU count and the three tables) is
 printed as JSON and, with `--append`, appended to the `rows` list of FILE,
 which is created when missing.  Standard library and numpy only.
 """
@@ -53,6 +62,8 @@ SIZES = (64, 128, 256, 512)
 REPEATS = 20
 MEM_N = 256
 FRAME_FIXTURE = "so5_s4"
+OCTONION_FIXTURE = "octonion_graph"
+OCTONION_SIZES = (64, 128, 256)
 
 
 def stages(im, lagrangian, fld, tw):
@@ -86,6 +97,20 @@ def frame_stages(n):
             "plaquette_defects": lambda: ellsys.plaquette_defects(alpha, fx)}
 
 
+def octonion_stages(n):
+    """name -> zero-argument call, for the R^8 lift stages at grid size n."""
+    from twistorsys import immersion as im, octo
+    fld = im.build_immersion(OCTONION_FIXTURE, n=n)
+    name = "canonical_q" if hasattr(octo, "canonical_q") else "canonical_lift"
+    lift = getattr(octo, name)
+    q = octo.canonical_lift(fld)[0]
+    return {"build_immersion": lambda: im.build_immersion(OCTONION_FIXTURE, n=n),
+            "_gram_schmidt_frames": lambda: im._gram_schmidt_frames(fld.dphi_u, fld.dphi_v,
+                                                                    fld.branch_mask),
+            name: lambda: lift(fld),
+            "lift_residual": lambda: octo.lift_residual(fld, q)}
+
+
 def best_ms(call):
     best = math.inf
     for _ in range(REPEATS):
@@ -112,17 +137,17 @@ def exponent(sizes, times):
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
-def table(calls_at):
-    """Time the calls calls_at(n) gives at every n of SIZES: name -> its entry."""
+def table(calls_at, sizes=SIZES):
+    """Time the calls calls_at(n) gives at every n of sizes: name -> its entry."""
     times, peaks = {}, {}
-    for n in SIZES:
+    for n in sizes:
         for name, call in calls_at(n).items():
             call()   # first call outside the timing
             times.setdefault(name, []).append(best_ms(call))
             if n == MEM_N:
                 peaks[name] = transient_peak_mb(call)
-    return {name: {"n": list(SIZES), "ms": [round(t, 3) for t in ts],
-                   "p": round(exponent(SIZES, ts), 2),
+    return {name: {"n": list(sizes), "ms": [round(t, 3) for t in ts],
+                   "p": round(exponent(sizes, ts), 2),
                    f"peak_mb_n{MEM_N}": round(peaks[name], 2)}
             for name, ts in times.items()}
 
@@ -147,8 +172,10 @@ def main(argv=None):
 
     result = {kind: table(geometry_stages(kind, space)) for kind, space in FIXTURES.items()}
     frames = {FRAME_FIXTURE: table(frame_stages)}
+    octonion = {OCTONION_FIXTURE: table(octonion_stages, OCTONION_SIZES)}
     row = {"label": args.label, "numpy": np.__version__, "python": platform.python_version(),
-           "cpus": os.cpu_count(), "repeats": REPEATS, "stages": result, "frame_stages": frames}
+           "cpus": os.cpu_count(), "repeats": REPEATS, "stages": result, "frame_stages": frames,
+           "octonion_stages": octonion}
     print(json.dumps(row, indent=1))
     if args.append:
         doc = (json.loads(args.append.read_text()) if args.append.exists()

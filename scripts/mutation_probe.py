@@ -6,14 +6,15 @@ Usage: python scripts/mutation_probe.py [--list]
 The targets are the residual functions of `immersion`, `lagrangian` and
 `ellsys`, the helpers that hold their equations (in `immersion` also the
 frame connection, the j-anticommuting projection and the column-sum product
-by j_T that they use), the graded Laurent pass of `forms`, the trapezoidal
-steps and the plaquette pass of `ellsys` and the Taylor polynomial of
-`liealg.matrix_exp`.  Each binary
-`+` or `-` and each `+=` or `-=` there becomes one mutant with that single
-operator flipped.  The probe copies what the suite reads (`src/`, `tests/`,
-`scenarios/`, `scripts/`, `perfbench/`) to a temporary directory, writes one
-mutant at a time into the copy, and runs the tier-1 suite there
-(`pytest -x`), so the checkout is never touched.  It prints `killed` or `survived` per mutant and the counts at the
+by j_T that they use, and the Gram-Schmidt frames with their jump test), the
+6-sphere lift of `octo` and its residual, the graded Laurent pass of `forms`,
+the trapezoidal steps and the plaquette pass of `ellsys` and the Taylor
+polynomial of `liealg.matrix_exp`.  Each binary `+` or `-` and each `+=` or
+`-=` there becomes one mutant with that single operator flipped.  The probe
+copies what the suite reads (`src/`, `tests/`, `scenarios/`, `scripts/`,
+`perfbench/`) to a temporary directory, writes one mutant at a time into the
+copy, and runs the tier-1 suite there (`pytest -x`), so the checkout is never
+touched.  It prints `killed` or `survived` per mutant and the counts at the
 end; `--list` prints the mutants without running anything.  A mutant is
 killed when the suite fails or times out.  Bytecode caching is off, so two
 mutants of the same size written within one second cannot share a stale
@@ -34,7 +35,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = pathlib.Path("src") / "twistorsys"
 COPIED = ("src", "tests", "scenarios", "scripts", "perfbench", "pyproject.toml")
 TARGETS = {
-    "immersion": ("frame_connection", "_anticommuting", "_matmul_tangent",
+    "immersion": ("_gram_schmidt_frames", "_max_neighbor_jump",
+                  "frame_connection", "_anticommuting", "_matmul_tangent",
                   "normal_connection_derivative", "_hom_covariant_divergence",
                   "vertical_harmonicity_residual", "holomorphic_H_residual",
                   "divergence_identity_residual", "codazzi_identity_residual",
@@ -45,6 +47,7 @@ TARGETS = {
     "ellsys": ("holomorphicity_residual", "covariant_closure_residual", "_avg",
                "_step_exponentials", "plaquette_defects"),
     "liealg": ("_taylor",),
+    "octo": ("canonical_lift", "canonical_q", "twistor_from_q", "lift_residual"),
 }
 FLIP = {"+": "-", "-": "+"}
 TIMEOUT_S = 900

@@ -132,13 +132,13 @@ class RungContext:
 
     @functools.cached_property
     def octonion_lift(self):
-        """(q, TwistorField) from `octo.canonical_lift`."""
-        return octo.canonical_lift(self.field)
+        """The 6-sphere valued lift q of `octo.canonical_q`."""
+        return octo.canonical_q(self.field)
 
     @functools.cached_property
     def tw(self):
         if self.field.ambient_dim == 8:
-            return self.octonion_lift[1]
+            return octo.twistor_from_q(self.field, self.octonion_lift)
         return immersion.twistor_lift(self.field, self.scenario.get("lift_sign", +1))
 
     @functools.cached_property
@@ -213,7 +213,7 @@ CHECKS = {
     "maslov_identity": (lambda c: lagrangian.maslov_identity_residual(c.field, c.tw), KAHLER),
     "hamiltonian_stationary": (
         lambda c: lagrangian.hamiltonian_stationary_residual(c.field), KAHLER),
-    "octonion_lift": (lambda c: octo.lift_residual(c.field, c.octonion_lift[0]), {"euclidean8"}),
+    "octonion_lift": (lambda c: octo.lift_residual(c.field, c.octonion_lift), {"euclidean8"}),
 }
 
 

@@ -127,9 +127,8 @@ class ImmersionField:
         return mask
 
     def conformality_residual(self) -> float:
-        nu2 = np.sum(self.dphi_u ** 2, axis=-1)
-        nv2 = np.sum(self.dphi_v ** 2, axis=-1)
-        cross = np.sum(self.dphi_u * self.dphi_v, axis=-1)
+        U, V = np.moveaxis(self.dphi_u, -1, 0), np.moveaxis(self.dphi_v, -1, 0)
+        nu2, nv2, cross = _grid_dot(U, U), _grid_dot(V, V), _grid_dot(U, V)
         scale = max(float(np.mean(nu2)), 1e-30)
         mask = ~self.branch_mask
         return float(np.max(np.maximum(np.abs(nu2 - nv2), 2.0 * np.abs(cross))[mask]) / scale)
@@ -496,39 +495,47 @@ def build_immersion(kind, params=None, n=32, space=None) -> ImmersionField:
     return out
 
 
+# <a, b> at every grid point of two component-first (m, nu, nv) fields
+_grid_dot = functools.partial(np.einsum, "m...,m...->...")
+
+
 def _gram_schmidt_frames(dphi_u, dphi_v, branch):
-    lam = np.sqrt(np.maximum(np.sum(dphi_u ** 2, axis=-1), 1e-30))
-    e1 = dphi_u / lam[..., None]
-    w = dphi_v - np.sum(dphi_v * e1, axis=-1, keepdims=True) * e1
-    e2 = w / np.maximum(np.linalg.norm(w, axis=-1, keepdims=True), 1e-30)
-    m = dphi_u.shape[-1]
-    q = m - 2
-    accepted = []
-    for axis in range(m):
-        if len(accepted) == q:
+    """(e1, e2, normal frame, whether a frame jumps by more than 0.5 between neighbours)
+    by modified Gram-Schmidt on component planes (m, nu, nv), the normal frame from the
+    coordinate axes in order; the frames come back in the layout of `ImmersionField`."""
+    U, V = (np.ascontiguousarray(np.moveaxis(d, -1, 0)) for d in (dphi_u, dphi_v))
+    e1 = U / np.sqrt(np.maximum(_grid_dot(U, U), 1e-30))
+    e2 = V - _grid_dot(V, e1) * e1
+    e2 /= np.maximum(np.sqrt(_grid_dot(e2, e2)), 1e-30)
+    normal = np.empty((len(e1) - 2,) + e1.shape)
+    found, jump = 0, _max_neighbor_jump(e1)
+    for axis in range(len(e1)):
+        if found == len(normal):
             break
-        cand = np.zeros_like(e1)
-        cand[..., axis] = 1.0
-        for prev in [e1, e2] + accepted:
-            cand = cand - np.sum(cand * prev, axis=-1, keepdims=True) * prev
-        norms = np.linalg.norm(cand, axis=-1)
+        # the axis minus its projection e1[axis] e1, reduced in place by the rest
+        cand = normal[found]
+        np.multiply(e1, -e1[axis], out=cand)
+        cand[axis] += 1.0
+        for prev in (e2, *normal[:found]):
+            cand -= _grid_dot(cand, prev) * prev
+        norms = np.sqrt(_grid_dot(cand, cand))
         if np.min(norms[~branch]) < 0.35:
             continue
         # sign is coherent by construction: the component along the generating
         # axis equals |cand|^2 before normalisation, hence positive everywhere
-        cand = cand / np.maximum(norms[..., None], 1e-30)
-        accepted.append(cand)
-    if len(accepted) < q:
+        cand /= np.maximum(norms, 1e-30)
+        jump = max(jump, _max_neighbor_jump(cand))
+        found += 1
+    if found < len(normal):
         raise FrameDiscontinuity("could not complete a stable normal frame from the axes")
-    normal_frame = np.stack(accepted, axis=-2)
-    disc = _max_neighbor_jump(e1) > 0.5 or _max_neighbor_jump(normal_frame) > 0.5
-    return e1, e2, normal_frame, bool(disc)
+    e1, e2 = (np.ascontiguousarray(np.moveaxis(e, 0, -1)) for e in (e1, e2))
+    return e1, e2, np.ascontiguousarray(normal.transpose(2, 3, 0, 1)), jump > 0.5
 
 
 def _max_neighbor_jump(f):
-    du = np.linalg.norm(np.diff(f, axis=0), axis=-1)
-    dv = np.linalg.norm(np.diff(f, axis=1), axis=-1)
-    return max(float(np.max(du, initial=0.0)), float(np.max(dv, initial=0.0)))
+    """The largest |f(p) - f(p')| over neighbouring grid points p, p' of an (m, nu, nv) field."""
+    sq = (_grid_dot(d, d) for d in (np.diff(f, axis=1), np.diff(f, axis=2)))
+    return math.sqrt(max(float(np.max(s, initial=0.0)) for s in sq))
 
 
 # ---------------------------------------------------------- second fundamental
@@ -553,7 +560,7 @@ def second_fundamental_form(field: ImmersionField) -> SecondFundamentalForm:
     hom[..., 0, :, 0] = P[..., 0]
     hom[..., 0, :, 1] = hom[..., 1, :, 0] = P[..., 1]
     hom[..., 1, :, 1] = P[..., 2]
-    return SecondFundamentalForm(grid=grid, hom=hom, crosscheck_12=P[..., 3])
+    return SecondFundamentalForm(grid=grid, hom=hom, crosscheck_12=P[..., 3].copy())
 
 
 def mean_curvature(II: SecondFundamentalForm):

@@ -102,10 +102,14 @@ def matrix_exp(X):
         raise NonFinite("matrix_exp: input has non-finite entries")
     A = X.reshape((math.prod(X.shape[:-2]),) + X.shape[-2:])
     out = np.empty_like(A)
-    # 1-norms from whole-stack rows |A[:, i, j]| (0 for 0 x 0 matrices): a
-    # reduction over the two matrix axes would loop over them in steps of n
-    cols = np.abs(A).T
-    norms = functools.reduce(np.maximum, (sum(c[1:], c[0]) for c in cols), np.zeros(len(A)))
+    # 1-norms (0 for 0 x 0 matrices): column sums of the whole-stack rows |A[:, i, j]|,
+    # accumulated in one buffer with no np.abs(A) copy of the stack
+    norms, col = np.zeros(len(A)), np.empty(len(A))
+    for j in range(A.shape[-1]):
+        np.abs(A[:, 0, j], out=col)
+        for i in range(1, A.shape[-2]):
+            col += np.abs(A[:, i, j])
+        np.maximum(norms, col, out=norms)
     thetas = np.array(list(_TAYLOR_THETA.values()))
     # the smallest degree whose theta bounds the norm; 18 with scaling above theta_18
     band = np.minimum(np.searchsorted(thetas, norms), len(thetas) - 1)

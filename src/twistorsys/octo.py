@@ -91,12 +91,18 @@ def _left_mult_field(q):
 
 
 def canonical_lift(field: immersion.ImmersionField):
-    """The 6-sphere valued lift of a conformal immersion into R^8.
+    """(q, TwistorField wrapping j = L_q) of `canonical_q` and `twistor_from_q`."""
+    q = canonical_q(field)
+    return q, twistor_from_q(field, q)
+
+
+def canonical_q(field: immersion.ImmersionField):
+    """The 6-sphere valued lift q of a conformal immersion into R^8.
 
     q = e2 * conj(e1) for the oriented orthonormal tangent basis (e1, e2);
     this order makes left multiplication rotate dphi(du) onto dphi(dv),
     which the function asserts (LiftPropertyViolated above a relative
-    residual of 1e-8).  Returns (q field, TwistorField wrapping j = L_q).
+    residual of 1e-8) as q * dphi_u = dphi_v, since L_q x = q x.
     """
     if field.ambient_dim != 8:
         raise ValueError("the octonion lift lives in R^8")
@@ -106,14 +112,17 @@ def canonical_lift(field: immersion.ImmersionField):
     qerr = max(float(np.max(np.abs(norm(q) - 1.0))), float(np.max(np.abs(q[..., 0]))))
     if qerr > 1e-8:
         raise immersion.NotImmersed(f"tangent frame degenerate: q off S^6 by {qerr:.3e}")
-    j = _left_mult_field(q)
-    resid = np.einsum("uvij,uvj->uvi", j, field.dphi_u) - field.dphi_v
+    resid = multiply(q, field.dphi_u) - field.dphi_v
     scale = float(np.max(field.lam))
-    rel = float(np.max(np.linalg.norm(resid, axis=-1))) / max(scale, 1e-30)
+    rel = float(np.max(norm(resid))) / max(scale, 1e-30)
     if rel > 1e-8:
         raise LiftPropertyViolated(f"j dphi(du) != dphi(dv) (relative residual {rel:.3e})")
-    tw = immersion.lift_from_octonion_structure(field, j)
-    return q, tw
+    return q
+
+
+def twistor_from_q(field: immersion.ImmersionField, q) -> immersion.TwistorField:
+    """The lift j = L_q of `canonical_q` as a TwistorField in frames."""
+    return immersion.lift_from_octonion_structure(field, _left_mult_field(q))
 
 
 def lift_residual(field: immersion.ImmersionField, q) -> ResidualReport:

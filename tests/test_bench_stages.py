@@ -41,3 +41,11 @@ def test_every_frame_stage_runs(bench_stages):
     assert set(calls) == {"matrix_exp", "plaquette_defects"}
     for call in calls.values():
         call()
+
+
+def test_every_octonion_stage_runs(bench_stages):
+    calls = bench_stages.octonion_stages(16)
+    assert set(calls) == {"build_immersion", "_gram_schmidt_frames", "canonical_q",
+                          "lift_residual"}
+    for call in calls.values():
+        call()

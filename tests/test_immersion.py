@@ -91,6 +91,56 @@ def test_branch_mask_dilation_matches_scipy():
         assert np.array_equal(fld.report_mask(margin), fld.grid.interior_mask(margin) & ~bad)
 
 
+def _last_axis_gram_schmidt(dphi_u, dphi_v, branch):
+    """Modified Gram-Schmidt over the last axis, one point per row: the reference
+    for `_gram_schmidt_frames`, with the same axis order and acceptance rule."""
+    def jump(f):
+        return max(float(np.max(np.linalg.norm(np.diff(f, axis=a), axis=-1), initial=0.0))
+                   for a in (0, 1))
+    lam = np.sqrt(np.maximum(np.sum(dphi_u ** 2, axis=-1), 1e-30))
+    e1 = dphi_u / lam[..., None]
+    w = dphi_v - np.sum(dphi_v * e1, axis=-1, keepdims=True) * e1
+    e2 = w / np.maximum(np.linalg.norm(w, axis=-1, keepdims=True), 1e-30)
+    accepted = []
+    for axis in range(dphi_u.shape[-1]):
+        if len(accepted) == dphi_u.shape[-1] - 2:
+            break
+        cand = np.zeros_like(e1)
+        cand[..., axis] = 1.0
+        for prev in [e1, e2] + accepted:
+            cand = cand - np.sum(cand * prev, axis=-1, keepdims=True) * prev
+        norms = np.linalg.norm(cand, axis=-1)
+        if np.min(norms[~branch]) >= 0.35:
+            accepted.append(cand / np.maximum(norms[..., None], 1e-30))
+    normal_frame = np.stack(accepted, axis=-2)
+    return e1, e2, normal_frame, max(jump(e1), jump(normal_frame)) > 0.5
+
+
+def _sampled_derivatives(kind, n):
+    p = im.fixture_params(kind)
+    U, V = im._grid(n, *im.FIXTURES[kind].domain(p)).mesh()
+    data = im.FIXTURES[kind].builder(p, U, V)
+    return data["dphi_u"], data["dphi_v"]
+
+
+@pytest.mark.parametrize("kind, n", [("graph", 33), ("branched_disk", 33),
+                                     ("octonion_graph", 64), ("octonion_graph", 128)])
+def test_gram_schmidt_frames_match_the_last_axis_loop(kind, n):
+    du, dv = _sampled_derivatives(kind, n)
+    branch = np.sum(du ** 2, axis=-1) < 1e-10
+    if kind == "graph":   # a sign flip over half the grid: e1 jumps by 2
+        du, dv = (np.where(np.arange(n)[:, None, None] < n // 2, -d, d) for d in (du, dv))
+    *frames, disc = im._gram_schmidt_frames(du, dv, branch)
+    *ref, ref_disc = _last_axis_gram_schmidt(du, dv, branch)
+    assert disc is ref_disc and disc == (kind != "octonion_graph")
+    for f, r in zip(frames, ref):
+        assert f.shape == r.shape and f.flags.c_contiguous
+        assert np.max(np.abs(f - r)) <= 2e-15, kind
+    F = np.concatenate([frames[0][..., None, :], frames[1][..., None, :], frames[2]], axis=-2)
+    gram = np.einsum("uvam,uvbm->uvab", F, F)
+    assert np.max(np.abs(gram - np.eye(F.shape[-2]))[~branch]) <= 1e-14, kind
+
+
 class ReadRecorder(dict):
     """A params mapping that records every key read from it."""
 
@@ -198,6 +248,8 @@ def test_II_mixed_slot_crosscheck():
         mask = fld.report_mask(1)
         rep.add(fld.grid.h, float(np.max(diff[mask])), 0.0)
     assert rep.final_sup <= 1e-3
+    # a copy: a view would keep the whole four-slot projection alive with II
+    assert II.crosscheck_12.base is None
     assert converges_or_exact(rep, slope_min=1.9)
 
 
@@ -553,6 +605,25 @@ def test_geometry_computed_once_per_rung(monkeypatch):
                        "codazzi_identity"], "expect": "converge"}
     cli.run_scenario(scen)
     assert calls == {"second_fundamental_form": len(ladder), "frame_connection": len(ladder)}
+
+
+@pytest.mark.parametrize("checks, lifts", [(["octonion_lift"], 0),
+                                           (["vertical_harmonicity", "holomorphic_H",
+                                             "octonion_lift"], 1)])
+def test_octonion_structure_built_only_for_checks_that_read_it(monkeypatch, checks, lifts):
+    calls = {"lift_from_octonion_structure": 0, "_left_mult_field": 0}
+    for mod, fname in ((im, "lift_from_octonion_structure"), (octo, "_left_mult_field")):
+        def counted(*args, _orig=getattr(mod, fname), _name=fname, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(mod, fname, counted)
+    ladder = [16, 24]
+    scen = {"name": "octonion_graph", "fixture": {"kind": "octonion_graph", "params": {}},
+            "model_space": {"kind": "euclidean8"}, "grid_ladder": ladder, "checks": checks,
+            "expect": "exact"}
+    cli.run_scenario(scen)
+    assert calls == {"lift_from_octonion_structure": lifts * len(ladder),
+                     "_left_mult_field": lifts * len(ladder)}
 
 
 # ------------------------------------------- batched contractions vs einsum
