@@ -13,10 +13,15 @@ n = 64, 128, 256 and 512:
   H, the connection, ∇⊥H, II₋ and its divergence), builds the adapted
   frame g of `ellsys.frame_from_geometry`, and then times each stage as a
   direct call:
+  - `build_immersion`: sampling the fixture, its frames and the
+    conformality check;
+  - `twistor_lift`: the canonical lift with its orientation determinant;
+  - `second_fundamental_form`: II from the differenced derivatives;
   - `frame_connection`: the four connection matrices from the frames;
   - `frame_to_connection`: α = g⁻¹dg from the adapted frame g;
   - `II_minus`: the j-anticommuting part of II, as the uncached
-    `TwistorField.II_minus`;
+    computation of the lift's stored II₋ (`TwistorField.II_minus_planes`,
+    or `TwistorField.II_minus` in a checkout without component planes);
   - `_hom_covariant_divergence`: the Hom(T, N) divergence of II₋;
   - `divergence_identity_residual` and `maslov_identity_residual`: the
     residual and its report, with the cached inputs above already read.
@@ -70,11 +75,18 @@ def stages(im, lagrangian, fld, tw):
     """name -> zero-argument call, for the stages that apply to this field."""
     from twistorsys import ellsys
     frame = ellsys.frame_from_geometry(fld, tw)[0]
+    # the lift's stored II_minus: component-first where the checkout has the planes
+    minus = getattr(im.TwistorField, "II_minus_planes", im.TwistorField.II_minus)
+    kind, params, n = fld.meta["kind"], fld.meta["params"], fld.grid.nu
     out = {
+        "build_immersion": lambda: im.build_immersion(kind, params, n=n, space=fld.space),
+        "twistor_lift": lambda: im.twistor_lift(fld, +1),
+        "second_fundamental_form": lambda: im.second_fundamental_form(fld),
         "frame_connection": lambda: im.frame_connection(fld),
         "frame_to_connection": lambda: ellsys.frame_to_connection(frame),
-        "II_minus": lambda: im.TwistorField.II_minus.func(tw),
-        "_hom_covariant_divergence": lambda: im._hom_covariant_divergence(fld, tw.II_minus),
+        "II_minus": lambda: minus.func(tw),
+        "_hom_covariant_divergence": lambda: im._hom_covariant_divergence(
+            fld, getattr(tw, minus.attrname)),
         "divergence_identity_residual": lambda: im.divergence_identity_residual(fld, tw),
     }
     if fld.space.kahler is not None:
@@ -104,9 +116,10 @@ def octonion_stages(n):
     name = "canonical_q" if hasattr(octo, "canonical_q") else "canonical_lift"
     lift = getattr(octo, name)
     q = octo.canonical_lift(fld)[0]
+    # the derivatives as stored: component-first where the checkout has the planes
+    dphi = (fld.dphi_planes,) if hasattr(fld, "dphi_planes") else (fld.dphi_u, fld.dphi_v)
     return {"build_immersion": lambda: im.build_immersion(OCTONION_FIXTURE, n=n),
-            "_gram_schmidt_frames": lambda: im._gram_schmidt_frames(fld.dphi_u, fld.dphi_v,
-                                                                    fld.branch_mask),
+            "_gram_schmidt_frames": lambda: im._gram_schmidt_frames(*dphi, fld.branch_mask),
             name: lambda: lift(fld),
             "lift_residual": lambda: octo.lift_residual(fld, q)}
 

@@ -5,11 +5,13 @@ Usage: python scripts/mutation_probe.py [--list]
 
 The targets are the residual functions of `immersion`, `lagrangian` and
 `ellsys`, the helpers that hold their equations (in `immersion` also the
-frame connection, the j-anticommuting projection and the column-sum product
-by j_T that they use, and the Gram-Schmidt frames with their jump test), the
-6-sphere lift of `octo` and its residual, the graded Laurent pass of `forms`,
-the trapezoidal steps and the plaquette pass of `ellsys` and the Taylor
-polynomial of `liealg.matrix_exp`.  Each binary `+` or `-` and each `+=` or
+plane kernels, the second fundamental form,
+the mean curvature, the frame connection, the j-anticommuting projection,
+the orientation determinant and the Gram-Schmidt frames with their jump
+test), the 6-sphere lift of `octo` and its residual, the centred stencil
+and the graded Laurent pass of `forms`, the trapezoidal steps and the
+plaquette pass of `ellsys` and the 1-norms and Taylor polynomial of
+`liealg.matrix_exp`.  Each binary `+` or `-` and each `+=` or
 `-=` there becomes one mutant with that single operator flipped.  The probe
 copies what the suite reads (`src/`, `tests/`, `scenarios/`, `scripts/`,
 `perfbench/`) to a temporary directory, writes one mutant at a time into the
@@ -35,18 +37,20 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = pathlib.Path("src") / "twistorsys"
 COPIED = ("src", "tests", "scenarios", "scripts", "perfbench", "pyproject.toml")
 TARGETS = {
-    "immersion": ("_gram_schmidt_frames", "_max_neighbor_jump",
-                  "frame_connection", "_anticommuting", "_matmul_tangent",
-                  "normal_connection_derivative", "_hom_covariant_divergence",
+    "immersion": ("_gram_schmidt_frames", "_max_neighbor_jump", "_plane_product",
+                  "_plane_norm", "second_fundamental_form",
+                  "mean_curvature", "_column_det", "frame_connection", "_anticommuting",
+                  "normal_connection_derivative", "_hom_covariant_divergence", "_grad_H_hom",
                   "vertical_harmonicity_residual", "holomorphic_H_residual",
                   "divergence_identity_residual", "codazzi_identity_residual",
                   "curvature_commutator_residual"),
     "lagrangian": ("lagrangian_residual", "lagrangian_twistor_residual", "maslov_form",
                    "maslov_identity_residual", "hamiltonian_stationary_residual"),
-    "forms": ("_dz_parts", "_covariant_closure", "_laurent_graded", "zero_curvature_scan"),
+    "forms": ("_centred", "_dz_parts", "_covariant_closure", "_laurent_graded",
+              "zero_curvature_scan"),
     "ellsys": ("holomorphicity_residual", "covariant_closure_residual", "_avg",
                "_step_exponentials", "plaquette_defects"),
-    "liealg": ("_taylor",),
+    "liealg": ("matrix_exp", "_taylor"),
     "octo": ("canonical_lift", "canonical_q", "twistor_from_q", "lift_residual"),
 }
 FLIP = {"+": "-", "-": "+"}

@@ -248,17 +248,14 @@ def frame_from_geometry(field: immersion.ImmersionField, tw: immersion.TwistorFi
         raise ValueError("immersion and model space disagree on the ambient dimension")
 
     # j e1 and j n1 from the first columns of the frame components of j
-    E = np.stack([field.e1, field.e2], axis=-1)
-    je1 = immersion._matvec(E, tw.j_T[..., 0])
-    jn1 = immersion._matvec(np.swapaxes(field.normal_frame, -1, -2), tw.j_N[..., 0])
-    nu, nv = field.grid.nu, field.grid.nv
-    if space.kind == "sphere4":
-        g = np.stack([field.e1, je1, field.n1, jn1, field.phi / space.radius], axis=-1)
-    else:
-        g = np.zeros((nu, nv, 5, 5))
-        F = np.stack([field.e1, je1, field.n1, jn1], axis=-1)
-        g[..., :4, :4] = F
-        g[..., :4, 4] = field.phi
+    F = field.frame_planes
+    je1 = immersion._plane_product(tw.j_T_planes[None, :, 0], F[:2])[0]
+    jn1 = immersion._plane_product(tw.j_N_planes[None, :, 0], F[2:])[0]
+    last = field.phi_planes / space.radius if space.kind == "sphere4" else field.phi_planes
+    g = np.zeros((field.grid.nu, field.grid.nv, 5, 5))
+    for c, col in enumerate((F[0], je1, F[2], jn1, last)):
+        g[..., :len(col), c] = immersion._pointwise(col)
+    if space.kind != "sphere4":
         g[..., 4, 4] = 1.0
     frame = FrameField(grid=field.grid, fixture=fixture, g=g)
     alpha = frame_to_connection(frame)

@@ -96,25 +96,34 @@ def _centred(f, h, axis, periodic):
     f = np.asarray(f)
     out = np.empty(f.shape, np.result_type(f, 1.0))
     g, o = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
-    np.subtract(g[2:], g[:-2], out=o[1:-1])
+    interior = o[1:-1]
+    if axis % f.ndim == f.ndim - 1 and f.flags.c_contiguous:
+        # along the contiguous last axis, one shift of the flat array: the two
+        # points of each row that read a neighbouring row are edges, set below
+        interior = out.reshape(-1)[1:-1]
+        np.subtract(f.reshape(-1)[2:], f.reshape(-1)[:-2], out=interior)
+    else:
+        np.subtract(g[2:], g[:-2], out=interior)
     if periodic:
         np.subtract(g[1], g[-1], out=o[0])
         np.subtract(g[0], g[-2], out=o[-1])
         out /= 2.0 * h
     else:
-        o[1:-1] /= 2.0 * h
+        interior /= 2.0 * h
         o[0] = -1.5 / h * g[0] + 2.0 / h * g[1] + -0.5 / h * g[2]
         o[-1] = 0.5 / h * g[-3] + -2.0 / h * g[-2] + 1.5 / h * g[-1]
     return out
 
 
-def partial_u(grid: SurfaceGrid, f):
-    """d/du along axis 0; f has shape (nu, nv, ...)."""
-    return _centred(f, grid.hu, 0, grid.periodic_u)
+def partial_u(grid: SurfaceGrid, f, axis=0):
+    """d/du along `axis`: 0 for a grid-first (nu, nv, ...) field, -2 for a
+    component-first (..., nu, nv) one."""
+    return _centred(f, grid.hu, axis, grid.periodic_u)
 
 
-def partial_v(grid: SurfaceGrid, f):
-    return _centred(f, grid.hv, 1, grid.periodic_v)
+def partial_v(grid: SurfaceGrid, f, axis=1):
+    """d/dv along `axis`: 1 for a grid-first field, -1 for a component-first one."""
+    return _centred(f, grid.hv, axis, grid.periodic_v)
 
 
 @dataclass

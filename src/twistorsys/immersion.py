@@ -5,8 +5,24 @@ conformality invariant holds at roundoff and every discretised quantity
 (second fundamental form, connection coefficients, divergences) is built
 from centered stencils applied to smooth sampled data.  Frame components:
 tangent indices run over (e1, e2), normal indices over the normal frame
-rows; Hom(T, N) fields are stored as (nu, nv, q, 2) matrices per 1-form
-slot.  Hodge star on 1-forms: *du = dv, *dv = -du.
+rows.  Hodge star on 1-forms: *du = dv, *dv = -du.
+
+Every sampled vector and every derived Hom(T, N) quantity is stored once,
+component-first: each of its components is one contiguous (nu, nv) plane,
+the grid axes last.  The chart is (m, nu, nv), its derivatives
+(2, m, nu, nv), the frames (e1, e2, then the normal frame) (2 + q, m, nu, nv),
+each connection matrix (k, k, nu, nv), H and nabla_perp H (q, nu, nv), a
+Hom(T, N)-valued 1-form such as II or II_minus (2, q, 2, nu, nv) as slot,
+normal row and tangent column, and its divergence (q, 2, nu, nv).  A
+contraction over the ambient index is one grid dot product (`_grid_dot`),
+and a product by a 2 x 2 or q x q field (j_T, j_N, the connection, a Kahler
+J) is a sum of plane products written into one output (`_plane_product`),
+so numpy's inner loops run over whole planes rather than over axes of
+length 2.  The grid-first (nu, nv, ...) names that readers outside this
+calculus use (`phi`, `dphi_u`, `dphi_v`, `e1`, `e2`, `normal_frame`,
+`II.hom`, `II_minus`, `connection`, `j_T`, `j_N`) are views of that storage
+(`_pointwise`), never copies.  The ambient (nu, nv, m, m) j that the
+ambient-matrix checks read stays grid-first.
 """
 from __future__ import annotations
 
@@ -55,9 +71,14 @@ def _dilate(mask, iterations):
     return mask
 
 
+def _pointwise(a):
+    """The grid-first (nu, nv, ...) view of a component-first (..., nu, nv) array."""
+    return np.moveaxis(a, (-2, -1), (0, 1))
+
+
 @dataclass
 class ImmersionField:
-    """A sampled conformal immersion with adapted frames.
+    """A sampled conformal immersion with adapted frames, stored component-first.
 
     Derived geometry (II, H, the frame connection and nabla_perp H) is
     computed on first access and cached on the field, so every check on
@@ -67,13 +88,10 @@ class ImmersionField:
 
     grid: SurfaceGrid
     space: symspace.ModelSpace
-    phi: np.ndarray            # (nu, nv, m)
-    dphi_u: np.ndarray         # (nu, nv, m) analytic first derivatives
-    dphi_v: np.ndarray
+    phi_planes: np.ndarray         # (m, nu, nv) the sampled chart
+    dphi_planes: np.ndarray        # (2, m, nu, nv) its analytic d_u and d_v
     conformal_factor: np.ndarray   # (nu, nv), lambda^2 = |d_u phi|^2
-    e1: np.ndarray             # (nu, nv, m) orthonormal tangent frame
-    e2: np.ndarray
-    normal_frame: np.ndarray   # (nu, nv, q, m) orthonormal normal frame
+    frame_planes: np.ndarray       # (2 + q, m, nu, nv) orthonormal e1, e2, then the normal frame
     branch_mask: np.ndarray = None
     meta: dict = field(default_factory=dict)
 
@@ -83,23 +101,25 @@ class ImmersionField:
 
     @property
     def ambient_dim(self) -> int:
-        return self.phi.shape[-1]
+        return self.phi_planes.shape[0]
 
     @property
     def normal_rank(self) -> int:
-        return self.normal_frame.shape[-2]
+        return self.frame_planes.shape[0] - 2
 
     @property
     def lam(self):
         return np.sqrt(self.conformal_factor)
 
-    @property
-    def n1(self):
-        return self.normal_frame[..., 0, :]
-
-    @property
-    def n2(self):
-        return self.normal_frame[..., 1, :]
+    # grid-first views: (nu, nv, m), normal_frame (nu, nv, q, m)
+    phi = property(lambda self: _pointwise(self.phi_planes))
+    dphi_u = property(lambda self: _pointwise(self.dphi_planes[0]))
+    dphi_v = property(lambda self: _pointwise(self.dphi_planes[1]))
+    e1 = property(lambda self: _pointwise(self.frame_planes[0]))
+    e2 = property(lambda self: _pointwise(self.frame_planes[1]))
+    n1 = property(lambda self: _pointwise(self.frame_planes[2]))
+    n2 = property(lambda self: _pointwise(self.frame_planes[3]))
+    normal_frame = property(lambda self: _pointwise(self.frame_planes[2:]))
 
     @functools.cached_property
     def II(self) -> SecondFundamentalForm:
@@ -107,12 +127,18 @@ class ImmersionField:
 
     @functools.cached_property
     def H(self):
+        """(q, nu, nv): the mean curvature as returned by `mean_curvature`."""
         return mean_curvature(self.II)
 
     @functools.cached_property
-    def connection(self):
+    def connection_planes(self):
         """(om_u, om_v, wn_u, wn_v) as returned by `frame_connection`."""
         return frame_connection(self)
+
+    @functools.cached_property
+    def connection(self):
+        """The (nu, nv, k, k) views of `connection_planes`."""
+        return tuple(_pointwise(w) for w in self.connection_planes)
 
     @functools.cached_property
     def grad_H(self):
@@ -127,7 +153,7 @@ class ImmersionField:
         return mask
 
     def conformality_residual(self) -> float:
-        U, V = np.moveaxis(self.dphi_u, -1, 0), np.moveaxis(self.dphi_v, -1, 0)
+        U, V = self.dphi_planes
         nu2, nv2, cross = _grid_dot(U, U), _grid_dot(V, V), _grid_dot(U, V)
         scale = max(float(np.mean(nu2)), 1e-30)
         mask = ~self.branch_mask
@@ -138,29 +164,36 @@ class ImmersionField:
 class TwistorField:
     """A lift j of `field`, given by its frame components j_T and j_N.
 
-    The vertical geometry of the lift (II_minus, its covariant divergence
-    and the ambient (nu, nv, m, m) matrix of j) is computed on first access
-    and cached on the lift, so every check on the same lift shares one copy;
-    a residual that takes (field, tw) reads these from tw, which must be a
+    The components are stored component-first, (2, 2, nu, nv) and
+    (q, q, nu, nv), with the grid-first `j_T` and `j_N` as views.  The
+    vertical geometry of the lift (II_minus, its covariant divergence and
+    the ambient (nu, nv, m, m) matrix of j) is computed on first access and
+    cached on the lift, so every check on the same lift shares one copy; a
+    residual that takes (field, tw) reads these from tw, which must be a
     lift of that field.  Like its field, a lift must not be mutated after
     it is built.
     """
 
     field: ImmersionField
     sign: int                  # +1 or -1: requested orientation component
-    j_T: np.ndarray            # (nu, nv, 2, 2) frame components on the tangent
-    j_N: np.ndarray            # (nu, nv, q, q) frame components on the normal
+    j_T_planes: np.ndarray     # (2, 2, nu, nv) frame components on the tangent
+    j_N_planes: np.ndarray     # (q, q, nu, nv) frame components on the normal
     eps: int                   # rotation sense on the normal frame
 
+    # grid-first views: (nu, nv, 2, 2), (nu, nv, q, q) and II_minus (nu, nv, 2, q, 2)
+    j_T = property(lambda self: _pointwise(self.j_T_planes))
+    j_N = property(lambda self: _pointwise(self.j_N_planes))
+    II_minus = property(lambda self: _pointwise(self.II_minus_planes))
+
     @functools.cached_property
-    def II_minus(self):
-        """The j-anticommuting part of the field's II: (nu, nv, 2, q, 2)."""
-        return _anticommuting(self, self.field.II.hom)
+    def II_minus_planes(self):
+        """The j-anticommuting part of the field's II: (2, q, 2, nu, nv)."""
+        return _anticommuting(self, self.field.II.planes)
 
     @functools.cached_property
     def div_minus(self):
         """d^(nabla, nabla_perp) * II_minus on (du, dv), as `_hom_covariant_divergence`."""
-        return _hom_covariant_divergence(self.field, self.II_minus)
+        return _hom_covariant_divergence(self.field, self.II_minus_planes)
 
     @functools.cached_property
     def j_ambient(self):
@@ -169,22 +202,26 @@ class TwistorField:
         operands of the tangent difference instead of negating it.  The
         octonion lift sets this attribute to its L_q when it is built."""
         f = self.field
-        t_a, t_b = (f.e2, f.e1) if self.j_T[0, 0, 1, 0] > 0 else (f.e1, f.e2)
+        t_a, t_b = (f.e2, f.e1) if self.j_T_planes[1, 0, 0, 0] > 0 else (f.e1, f.e2)
         n1, n2 = f.n1, f.n2
         return _outer(t_a, t_b) - _outer(t_b, t_a) + self.eps * (_outer(n2, n1) - _outer(n1, n2))
 
 
 @dataclass
 class SecondFundamentalForm:
-    """II as a Hom(T, N)-valued 1-form in frame slots.
+    """II as a Hom(T, N)-valued 1-form in frame slots, stored component-first.
 
-    hom[..., a, p, b] = <II(e_a, e_b), n_p>, symmetric in the slots a, b;
-    crosscheck_12 holds the mixed slot differenced the other way round.
+    planes[a, p, b] = <II(e_a, e_b), n_p>, symmetric in the slots a, b;
+    crosscheck_planes holds the mixed slot differenced the other way round.
     """
 
     grid: SurfaceGrid
-    hom: np.ndarray             # (nu, nv, 2, q, 2), C-contiguous
-    crosscheck_12: np.ndarray   # (nu, nv, q)
+    planes: np.ndarray              # (2, q, 2, nu, nv)
+    crosscheck_planes: np.ndarray   # (q, nu, nv)
+
+    # grid-first views: hom (nu, nv, 2, q, 2), crosscheck_12 (nu, nv, q)
+    hom = property(lambda self: _pointwise(self.planes))
+    crosscheck_12 = property(lambda self: _pointwise(self.crosscheck_planes))
 
     @property
     def coeffs(self):
@@ -202,7 +239,8 @@ def _grid(n, lo_u, hi_u, lo_v, hi_v, periodic=False):
 
 
 def _stack(*comps):
-    return np.stack(np.broadcast_arrays(*comps), axis=-1)
+    """The component planes `comps`, broadcast to one grid, as one (m, nu, nv) array."""
+    return np.stack(np.broadcast_arrays(*comps))
 
 
 def _coordinate_plane(U, V, m, axes):
@@ -210,9 +248,9 @@ def _coordinate_plane(U, V, m, axes):
     i, j = axes
     if i == j or not {i, j} <= set(range(m)):
         raise ValueError(f"axes {axes!r} are not two distinct coordinates 0..{m - 1}")
-    phi = np.zeros(U.shape + (m,))
-    unit = [phi + axis for axis in np.eye(m)]   # the constant coordinate fields
-    phi[..., i], phi[..., j] = U, V
+    phi = np.zeros((m,) + U.shape)
+    unit = [phi + axis[:, None, None] for axis in np.eye(m)]   # the constant coordinate fields
+    phi[i], phi[j] = U, V
     return dict(phi=phi, dphi_u=unit[i], dphi_v=unit[j], e1=unit[i], e2=unit[j],
                 normals=[unit[k] for k in range(m) if k not in (i, j)])
 
@@ -229,7 +267,7 @@ def _round_sphere(p, U, V):
                     4 * r * V / D ** 2, Z)
     lam = 2 * r / D
     return dict(phi=phi, dphi_u=dphi_u, dphi_v=dphi_v,
-                e1=dphi_u / lam[..., None], e2=dphi_v / lam[..., None],
+                e1=dphi_u / lam, e2=dphi_v / lam,
                 normals=[phi / r, _stack(Z, Z, Z, np.ones_like(U))])
 
 
@@ -280,7 +318,7 @@ def _helicoid(p, U, V):
     dphi_u = _stack(ch * cv, ch * sv, Z, Z)
     dphi_v = _stack(-sh * sv, sh * cv, np.ones_like(U), Z)
     return dict(phi=phi, dphi_u=dphi_u, dphi_v=dphi_v,
-                e1=dphi_u / ch[..., None], e2=dphi_v / ch[..., None],
+                e1=dphi_u / ch, e2=dphi_v / ch,
                 normals=[_stack(sv / ch, -cv / ch, sh / ch, Z),
                          _stack(Z, Z, Z, np.ones_like(U))])
 
@@ -308,7 +346,7 @@ def _perturbed_torus(p, U, V):
     phi = _stack(rho * cv, rho * sv, r * st, Z)
     e1 = _stack(-st * cv, -st * sv, ct, Z)
     e2 = _stack(-sv, cv, Z, Z)
-    return dict(phi=phi, dphi_u=rho[..., None] * e1, dphi_v=rho[..., None] * e2,
+    return dict(phi=phi, dphi_u=rho * e1, dphi_v=rho * e2,
                 e1=e1, e2=e2,
                 normals=[_stack(ct * cv, ct * sv, st, Z),
                          _stack(Z, Z, Z, np.ones_like(U))])
@@ -466,26 +504,25 @@ def build_immersion(kind, params=None, n=32, space=None) -> ImmersionField:
     data = FIXTURES[kind].builder(p, U, V)
     if space is None:
         space = symspace.model_space(FIXTURES[kind].space)
-    if space.ambient_dim != data["phi"].shape[-1]:
-        raise ValueError(f"fixture {kind!r} is {data['phi'].shape[-1]}-dimensional, "
+    m = len(data["phi"])
+    if space.ambient_dim != m:
+        raise ValueError(f"fixture {kind!r} is {m}-dimensional, "
                          f"model space expects {space.ambient_dim}")
 
-    conf = np.sum(data["dphi_u"] ** 2, axis=-1)
+    # popped, so that each builder array is freed once its copy is stacked
+    dphi = np.stack([data.pop("dphi_u"), data.pop("dphi_v")])
+    conf = np.sum(dphi[0] ** 2, axis=0)
     branch = conf < 1e-10
     if np.mean(branch) > 0.1:
         raise BranchPoint(f"fixture {kind!r}: {np.mean(branch):.0%} of the grid is degenerate")
 
     if data.get("gram_schmidt"):
-        e1, e2, normal_frame, disc = _gram_schmidt_frames(data["dphi_u"], data["dphi_v"], branch)
+        frames, disc = _gram_schmidt_frames(dphi, branch)
     else:
-        e1, e2 = data["e1"], data["e2"]
-        normal_frame = np.stack(data["normals"], axis=-2)
-        disc = False
+        frames, disc = np.stack([data.pop("e1"), data.pop("e2"), *data.pop("normals")]), False
 
-    out = ImmersionField(grid=grid, space=space, phi=data["phi"],
-                         dphi_u=data["dphi_u"], dphi_v=data["dphi_v"],
-                         conformal_factor=conf, e1=e1, e2=e2,
-                         normal_frame=normal_frame, branch_mask=branch,
+    out = ImmersionField(grid=grid, space=space, phi_planes=data["phi"], dphi_planes=dphi,
+                         conformal_factor=conf, frame_planes=frames, branch_mask=branch,
                          meta={"kind": kind, "params": p,
                                "frame_discontinuity": disc})
     resid = out.conformality_residual()
@@ -499,15 +536,44 @@ def build_immersion(kind, params=None, n=32, space=None) -> ImmersionField:
 _grid_dot = functools.partial(np.einsum, "m...,m...->...")
 
 
-def _gram_schmidt_frames(dphi_u, dphi_v, branch):
-    """(e1, e2, normal frame, whether a frame jumps by more than 0.5 between neighbours)
-    by modified Gram-Schmidt on component planes (m, nu, nv), the normal frame from the
-    coordinate axes in order; the frames come back in the layout of `ImmersionField`."""
-    U, V = (np.ascontiguousarray(np.moveaxis(d, -1, 0)) for d in (dphi_u, dphi_v))
-    e1 = U / np.sqrt(np.maximum(_grid_dot(U, U), 1e-30))
-    e2 = V - _grid_dot(V, e1) * e1
+def _plane_product(M, X, out=None):
+    """M X on component planes: out[p] += sum_r M[p, r] X[r], term by term.
+
+    Each M[p, r] is a (nu, nv) plane, or anything that broadcasts against the
+    (..., nu, nv) block X[r], such as a constant or a plane of a broadcast
+    view; `out` (k, ..., nu, nv), zeros when not given, may be a view with
+    moved axes.  A term whose M[p, r] is one value over the whole grid, and
+    that value zero (the zero entries of a canonical lift's rotations or of
+    a Kahler J), adds nothing and is skipped.  Returns out.
+    """
+    if out is None:
+        out = np.zeros(M.shape[:1] + X.shape[1:])
+    term = np.empty(X.shape[1:])
+    for p, r in itertools.product(range(len(out)), range(len(X))):
+        c = np.asarray(M[p, r])
+        if not any(c.strides) and c.flat[0] == 0:
+            continue
+        out[p] += np.multiply(c, X[r], out=term)
+    return out
+
+
+def _plane_norm(M):
+    """The Frobenius norm over the component axes of a (..., nu, nv) field: (nu, nv)."""
+    flat = M.reshape((-1,) + M.shape[-2:])
+    return np.sqrt(_grid_dot(flat, flat))
+
+
+def _gram_schmidt_frames(dphi, branch):
+    """(frames, whether a frame jumps by more than 0.5 between neighbours) by modified
+    Gram-Schmidt on the component planes of dphi (2, m, nu, nv): the (m, m, nu, nv)
+    frames of `ImmersionField`, e1, e2 and then the normal frame from the coordinate
+    axes in order."""
+    U, V = dphi
+    frames = np.empty((len(U),) + U.shape)
+    e1, e2, normal = frames[0], frames[1], frames[2:]
+    np.divide(U, np.sqrt(np.maximum(_grid_dot(U, U), 1e-30)), out=e1)
+    np.subtract(V, _grid_dot(V, e1) * e1, out=e2)
     e2 /= np.maximum(np.sqrt(_grid_dot(e2, e2)), 1e-30)
-    normal = np.empty((len(e1) - 2,) + e1.shape)
     found, jump = 0, _max_neighbor_jump(e1)
     for axis in range(len(e1)):
         if found == len(normal):
@@ -528,8 +594,7 @@ def _gram_schmidt_frames(dphi_u, dphi_v, branch):
         found += 1
     if found < len(normal):
         raise FrameDiscontinuity("could not complete a stable normal frame from the axes")
-    e1, e2 = (np.ascontiguousarray(np.moveaxis(e, 0, -1)) for e in (e1, e2))
-    return e1, e2, np.ascontiguousarray(normal.transpose(2, 3, 0, 1)), jump > 0.5
+    return frames, jump > 0.5
 
 
 def _max_neighbor_jump(f):
@@ -549,23 +614,28 @@ def second_fundamental_form(field: ImmersionField) -> SecondFundamentalForm:
     raw derivative is exactly that projection.
     """
     grid = field.grid
-    D11 = partial_u(grid, field.dphi_u)
-    D12_alt = partial_v(grid, field.dphi_u)
-    D12 = 0.5 * (partial_u(grid, field.dphi_v) + D12_alt)
-    D22 = partial_v(grid, field.dphi_v)
+    d_u, d_v = field.dphi_planes
+    D12_alt = partial_v(grid, d_u, axis=-1)
+    D12 = partial_u(grid, d_v, axis=-2)
+    D12 += D12_alt
+    D12 *= 0.5
+    slots = {(0, 0): partial_u(grid, d_u, axis=-2), (0, 1): D12,
+             (1, 1): partial_v(grid, d_v, axis=-1)}
     inv = 1.0 / np.maximum(field.conformal_factor, 1e-30)
-    # normal components of all four derivatives at once: (nu, nv, q, 4)
-    P = field.normal_frame @ np.stack([D11, D12, D22, D12_alt], axis=-1) * inv[..., None, None]
-    hom = np.empty(P.shape[:-2] + (2, P.shape[-2], 2))
-    hom[..., 0, :, 0] = P[..., 0]
-    hom[..., 0, :, 1] = hom[..., 1, :, 0] = P[..., 1]
-    hom[..., 1, :, 1] = P[..., 2]
-    return SecondFundamentalForm(grid=grid, hom=hom, crosscheck_12=P[..., 3].copy())
+    normals = field.frame_planes[2:]
+    hom = np.empty((2, len(normals), 2) + inv.shape)
+    cross = np.empty((len(normals),) + inv.shape)
+    for p, n in enumerate(normals):
+        for (a, b), D in slots.items():
+            np.multiply(_grid_dot(n, D), inv, out=hom[a, p, b])
+        hom[1, p, 0] = hom[0, p, 1]
+        np.multiply(_grid_dot(n, D12_alt), inv, out=cross[p])
+    return SecondFundamentalForm(grid=grid, planes=hom, crosscheck_planes=cross)
 
 
 def mean_curvature(II: SecondFundamentalForm):
-    """H = (1/2) trace II in normal-frame coefficients: (nu, nv, q)."""
-    return 0.5 * (II.hom[..., 0, :, 0] + II.hom[..., 1, :, 1])
+    """H = (1/2) trace II in normal-frame coefficients: (q, nu, nv)."""
+    return 0.5 * (II.planes[0, :, 0] + II.planes[1, :, 1])
 
 
 # ----------------------------------------------------------------- twistor lift
@@ -582,9 +652,9 @@ def twistor_lift(field: ImmersionField, sign: int = +1) -> TwistorField:
         raise NotImmersed("canonical lifts need normal rank 2")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    cols = [field.e1, field.e2, field.n1, field.n2]
+    cols = list(field.frame_planes)
     if field.space.kind == "sphere4":
-        cols = [field.phi / field.space.radius] + cols
+        cols = [field.phi_planes / field.space.radius] + cols
     det = _column_det(cols)
     mask = field.report_mask(0)
     if np.min(np.abs(det[mask])) < 1e-6:
@@ -601,46 +671,21 @@ def flip_tangent_orientation(field: ImmersionField, tw: TwistorField) -> Twistor
     return _frame_rotation_lift(field, tw.sign, -1, tw.eps)
 
 
-def _matvec(M, v):
-    """M @ v over stacks of small matrices, as the column sum M[..., 0] v_0 + M[..., 1] v_1 + ...
-
-    `@` makes one tiny product per point: on (nu, nv, 2, 2) stacks the column
-    sum is about 3x faster, and with two columns it equals
-    np.einsum("...pq,...q->...p") bit for bit.
-    """
-    out = M[..., 0] * v[..., :1]
-    for k in range(1, v.shape[-1]):
-        out = out + M[..., k] * v[..., k:k + 1]
-    return out
-
-
-def _matmul_tangent(A, T):
-    """A @ T over stacks for a square right factor T (the 2 x 2 j_T), as the column sums
-    (A T)[..., c] = A[..., 0] T_0c + A[..., 1] T_1c + ..., in the way of `_matvec`."""
-    out = np.empty(np.broadcast_shapes(A.shape, T[..., :1, :].shape))
-    for c in range(T.shape[-1]):
-        out[..., c] = A[..., 0] * T[..., 0, c, None]
-        for k in range(1, T.shape[-2]):
-            out[..., c] += A[..., k] * T[..., k, c, None]
-    return out
-
-
 def _outer(a, b):
     return np.einsum("uvi,uvj->uvij", a, b)
 
 
 def _column_det(cols):
-    """det of the m x m matrices whose columns are the m (..., m) fields `cols`.
+    """det of the m x m matrices whose columns are the m component-first (m, ...) fields `cols`.
 
     The exterior product cols[k] ^ ... ^ cols[m-1] is kept as its minors, one
     per set of rows, and each earlier column expands them along itself (the
-    first column of the larger minor): m 2^(m-1) products of grid arrays in
+    first column of the larger minor): m 2^(m-1) products of grid planes in
     place of one LAPACK factorisation per point.
     """
     m = len(cols)
     minors = {(): 1.0}
-    for k, col in enumerate(reversed(cols), 1):
-        rows = np.ascontiguousarray(np.moveaxis(col, -1, 0))
+    for k, rows in enumerate(reversed(cols), 1):
         minors = {S: sum((-1) ** t * rows[i] * minors[S[:t] + S[t + 1:]]
                          for t, i in enumerate(S))
                   for S in itertools.combinations(range(m), k)}
@@ -651,21 +696,25 @@ def _frame_rotation_lift(field: ImmersionField, sign, s, eps) -> TwistorField:
     """j = s (e2 x e1 - e1 x e2) + eps (n2 x n1 - n1 x n2): a +/-pi/2 frame
     rotation on each factor, stored as its constant frame components; the
     ambient j is formed only when `TwistorField.j_ambient` is read."""
-    nu, nv = field.grid.nu, field.grid.nv
-    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    grid_shape = (field.grid.nu, field.grid.nv)
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])[..., None, None]
     # constant in frames: read-only views of one 2x2 matrix
-    j_T = np.broadcast_to(s * rot, (nu, nv, 2, 2))
-    j_N = np.broadcast_to(eps * rot, (nu, nv, 2, 2))
-    return TwistorField(field=field, sign=sign, j_T=j_T, j_N=j_N, eps=eps)
+    j_T = np.broadcast_to(s * rot, (2, 2) + grid_shape)
+    j_N = np.broadcast_to(eps * rot, (2, 2) + grid_shape)
+    return TwistorField(field=field, sign=sign, j_T_planes=j_T, j_N_planes=j_N, eps=eps)
 
 
 def lift_from_octonion_structure(field: ImmersionField, j_ambient) -> TwistorField:
-    """Wrap an ambient orthogonal complex structure as a TwistorField in frames."""
-    e = np.stack([field.e1, field.e2], axis=-2)
-    N = field.normal_frame
-    j_T = e @ j_ambient @ np.swapaxes(e, -1, -2)
-    j_N = N @ j_ambient @ np.swapaxes(N, -1, -2)
-    tw = TwistorField(field=field, sign=+1, j_T=j_T, j_N=j_N, eps=0)
+    """Wrap an ambient orthogonal complex structure as a TwistorField in frames:
+    j_T[a, b] = <e_a, j e_b> and j_N[p, r] = <n_p, j n_r>."""
+    F = field.frame_planes
+    jF = np.einsum("uvik,bkuv->biuv", j_ambient, F)   # j f_b, component-first
+
+    def block(rows):
+        return np.array([[_grid_dot(F[a], jF[b]) for b in rows] for a in rows])
+
+    tw = TwistorField(field=field, sign=+1, j_T_planes=block(range(2)),
+                      j_N_planes=block(range(2, len(F))), eps=0)
     tw.j_ambient = np.asarray(j_ambient)
     return tw
 
@@ -675,93 +724,94 @@ def lift_from_octonion_structure(field: ImmersionField, j_ambient) -> TwistorFie
 def frame_connection(field: ImmersionField):
     """Connection coefficients of the tangent and normal frames.
 
-    Returns (om_u, om_v, wn_u, wn_v): skew matrices <f_a, d f_b> per
-    direction, by centered differences of the frames, each entry the skew
+    Returns (om_u, om_v, wn_u, wn_v): skew (k, k, nu, nv) matrices <f_a, d f_b>
+    per direction, by centered differences of the frames, each entry the skew
     part (1/2)(<f_a, d f_b> - <f_b, d f_a>); the diagonal is exactly zero.
     """
     grid = field.grid
-    E = np.stack([field.e1, field.e2], axis=-2)
-    N = field.normal_frame
+    E, N = field.frame_planes[:2], field.frame_planes[2:]
 
     def coeff(F, dF):
-        # grid dot products, one pair a < b at a time, in place of a tiny @ per point
-        out = np.zeros(F.shape[:-1] + F.shape[-2:-1])
-        for a, b in itertools.combinations(range(F.shape[-2]), 2):
-            out[..., a, b] = 0.5 * (np.einsum("...m,...m->...", F[..., a, :], dF[..., b, :])
-                                    - np.einsum("...m,...m->...", F[..., b, :], dF[..., a, :]))
-            out[..., b, a] = -out[..., a, b]
+        out = np.zeros((len(F), len(F)) + F.shape[2:])
+        for a, b in itertools.combinations(range(len(F)), 2):
+            np.subtract(_grid_dot(F[a], dF[b]), _grid_dot(F[b], dF[a]), out=out[a, b])
+            out[a, b] *= 0.5
+            np.negative(out[a, b], out=out[b, a])
         return out
 
-    om_u = coeff(E, partial_u(grid, E))
-    om_v = coeff(E, partial_v(grid, E))
-    wn_u = coeff(N, partial_u(grid, N))
-    wn_v = coeff(N, partial_v(grid, N))
-    return om_u, om_v, wn_u, wn_v
+    return (coeff(E, partial_u(grid, E, axis=-2)), coeff(E, partial_v(grid, E, axis=-1)),
+            coeff(N, partial_u(grid, N, axis=-2)), coeff(N, partial_v(grid, N, axis=-1)))
 
 
 def _anticommuting(tw: TwistorField, A):
     """pi_minus(A) = (1/2)(A + j_N A j_T): the part of the Hom(T, N) field A,
-    of shape (nu, nv, ..., q, 2), that anticommutes with the lift.
+    of shape (..., q, 2, nu, nv), that anticommutes with the lift.
 
     The conjugation C(A) = j_N A j_T is an involution on Hom(T, N), and
-    A - pi_minus(A) is the j-commuting part.
+    A - pi_minus(A) is the j-commuting part.  The right product by j_T is
+    the left product by its transpose on the transposed planes.
     """
-    grid_axes = (slice(None), slice(None)) + (None,) * (A.ndim - 4)
-    return 0.5 * (A + _matmul_tangent(tw.j_N[grid_axes] @ A, tw.j_T[grid_axes]))
+    jT_t = tw.j_T_planes.swapaxes(0, 1)
+    out = A.copy()
+    for i in np.ndindex(A.shape[:-4]):
+        jA = _plane_product(tw.j_N_planes, A[i])
+        _plane_product(jT_t, jA.swapaxes(0, 1), out=out[i].swapaxes(0, 1))
+    out *= 0.5
+    return out
 
 
-def _hom_covariant_divergence(field: ImmersionField, hom_slots):
+def _hom_covariant_divergence(field: ImmersionField, hom):
     """sum_dir nabla_dir of the dir-slot of a Hom-valued 1-form.
 
-    hom_slots has shape (nu, nv, 2, q, 2) with slots evaluated on the
-    orthonormal tangent vectors; the slots are rescaled by lambda to
-    coordinate components before differencing, so the result is the value
-    of d^(nabla, nabla_perp) of the Hodge-starred form on (du, dv).
+    hom has shape (2, q, 2, nu, nv) with slots evaluated on the orthonormal
+    tangent vectors; the slots are rescaled by lambda to coordinate
+    components before differencing, so the result, (q, 2, nu, nv), is the
+    value of d^(nabla, nabla_perp) of the Hodge-starred form on (du, dv).
     """
     grid = field.grid
-    om_u, om_v, wn_u, wn_v = field.connection
-    lam = field.lam[..., None, None]
-    B_u = lam * hom_slots[..., 0, :, :]
-    B_v = lam * hom_slots[..., 1, :, :]
-    div = partial_u(grid, B_u)
+    om_u, om_v, wn_u, wn_v = field.connection_planes
+    B_u, B_v = field.lam * hom
+    div = partial_u(grid, B_u, axis=-2)
     for i, (B, om, wn) in enumerate(((B_u, om_u, wn_u), (B_v, om_v, wn_v))):
         if i:
-            div += partial_v(grid, B)
-        div += wn @ B
-        # - B @ om: om = [[0, w], [-w, 0]] is skew, so B @ om = (-w B[..., 1], w B[..., 0])
-        div[..., 0] += om[..., None, 0, 1] * B[..., 1]
-        div[..., 1] -= om[..., None, 0, 1] * B[..., 0]
+            div += partial_v(grid, B, axis=-1)
+        _plane_product(wn, B, out=div)
+        # - B om: om = [[0, w], [-w, 0]] is skew, so B om = (-w B[:, 1], w B[:, 0])
+        div[:, 0] += om[0, 1] * B[:, 1]
+        div[:, 1] -= om[0, 1] * B[:, 0]
     return div
 
 
 def normal_connection_derivative(field: ImmersionField, H):
-    """(nabla_perp_du H, nabla_perp_dv H) in normal coefficients."""
+    """(nabla_perp_du H, nabla_perp_dv H) in normal coefficients, each (q, nu, nv)."""
     grid = field.grid
-    _, _, wn_u, wn_v = field.connection
-    G_u = partial_u(grid, H) + _matvec(wn_u, H)
-    G_v = partial_v(grid, H) + _matvec(wn_v, H)
-    return G_u, G_v
+    _, _, wn_u, wn_v = field.connection_planes
+    return (_plane_product(wn_u, H, out=partial_u(grid, H, axis=-2)),
+            _plane_product(wn_v, H, out=partial_v(grid, H, axis=-1)))
 
 
 def vertical_harmonicity_residual(field: ImmersionField, tw: TwistorField) -> ResidualReport:
     """Norm of d^(nabla, nabla_perp) * II_minus over the interior."""
-    return masked_report("vertical_harmonicity", field.grid.h, liealg._frobenius(tw.div_minus),
+    return masked_report("vertical_harmonicity", field.grid.h, _plane_norm(tw.div_minus),
                          field.report_mask(2))
 
 
 def holomorphic_H_residual(field: ImmersionField, tw: TwistorField) -> ResidualReport:
     """Norm of nabla_perp_du H + j nabla_perp_dv H (the anti-holomorphic part)."""
     G_u, G_v = field.grad_H
-    resid = G_u + _matvec(tw.j_N, G_v)
-    return masked_report("holomorphic_H", field.grid.h, np.linalg.norm(resid, axis=-1),
+    resid = G_u + _plane_product(tw.j_N_planes, G_v)
+    return masked_report("holomorphic_H", field.grid.h, _plane_norm(resid),
                          field.report_mask(2))
 
 
 def _grad_H_hom(field: ImmersionField):
-    """nabla_perp H as a Hom(T, N)-valued 1-form in frame slots: (nu, nv, q, 2)."""
+    """nabla_perp H as a Hom(T, N)-valued 1-form in frame slots: (q, 2, nu, nv)."""
     G_u, G_v = field.grad_H
     inv = 1.0 / np.maximum(field.lam, 1e-30)
-    return np.stack([G_u * inv[..., None], G_v * inv[..., None]], axis=-1)
+    out = np.empty(G_u.shape[:1] + (2,) + G_u.shape[1:])
+    for b, G in enumerate((G_u, G_v)):
+        np.multiply(G, inv, out=out[:, b])
+    return out
 
 
 def divergence_identity_residual(field: ImmersionField, tw: TwistorField) -> ResidualReport:
@@ -771,10 +821,9 @@ def divergence_identity_residual(field: ImmersionField, tw: TwistorField) -> Res
     solutions and non-solutions alike.
     """
     inv2 = 1.0 / np.maximum(field.conformal_factor, 1e-30)
-    lhs = inv2[..., None, None] * tw.div_minus
-    Ghom = _grad_H_hom(field)
-    rhs = 2.0 * _anticommuting(tw, Ghom)
-    return masked_report("divergence_identity", field.grid.h, liealg._frobenius(lhs - rhs),
+    lhs = inv2 * tw.div_minus
+    rhs = 2.0 * _anticommuting(tw, _grad_H_hom(field))
+    return masked_report("divergence_identity", field.grid.h, _plane_norm(lhs - rhs),
                          field.report_mask(2))
 
 
@@ -787,9 +836,9 @@ def codazzi_identity_residual(field: ImmersionField) -> ResidualReport:
     for every curvature constant c: this residual does not test c.
     """
     inv2 = 1.0 / np.maximum(field.conformal_factor, 1e-30)
-    lhs = inv2[..., None, None] * _hom_covariant_divergence(field, field.II.hom)
+    lhs = inv2 * _hom_covariant_divergence(field, field.II.planes)
     return masked_report("codazzi_identity", field.grid.h,
-                         liealg._frobenius(lhs - 2.0 * _grad_H_hom(field)), field.report_mask(2))
+                         _plane_norm(lhs - 2.0 * _grad_H_hom(field)), field.report_mask(2))
 
 
 def curvature_commutator_residual(field: ImmersionField, tw: TwistorField) -> ResidualReport:

@@ -25,6 +25,10 @@ class NotLagrangian(Exception):
     pass
 
 
+class MaslovCrossCheckFailed(Exception):
+    """The Maslov form's two closed forms disagree: the Kahler structure is not skew."""
+
+
 def _require_kahler(field: immersion.ImmersionField):
     if field.space.kahler is None:
         raise NotKahler("this check needs a model space with a Kahler structure")
@@ -32,8 +36,8 @@ def _require_kahler(field: immersion.ImmersionField):
 
 
 def _pullback_omega(field: immersion.ImmersionField, J):
-    JX = field.dphi_u @ J.T
-    return np.sum(JX * field.dphi_v, axis=-1)
+    d_u, d_v = field.dphi_planes
+    return immersion._grid_dot(immersion._plane_product(J, d_u), d_v)
 
 
 def lagrangian_residual(field: immersion.ImmersionField) -> ResidualReport:
@@ -65,19 +69,22 @@ def lagrangian_twistor_residual(field: immersion.ImmersionField,
 def maslov_form(field: immersion.ImmersionField):
     """beta = iota_H omega as coordinate coefficients (beta_u, beta_v).
 
-    Asserts the defining contraction against the closed form
-    beta(X) = <dphi X, J^N H>; raises NotLagrangian when the pullback of
-    omega exceeds 1e-6.
+    Checks the defining contraction beta(X) = omega(H, dphi X) = <J^N H, dphi X>
+    against the closed form -omega(dphi X, H) = -<J^N dphi X, H> of a skew omega,
+    raising MaslovCrossCheckFailed when they differ by more than 1e-10 on the u
+    slot; raises NotLagrangian when the pullback of omega exceeds 1e-6.
     """
     J = _require_kahler(field)
     if lagrangian_residual(field).final_sup > 1e-6:
         raise NotLagrangian("Maslov form needs a Lagrangian immersion")
-    H_amb = immersion._matvec(np.swapaxes(field.normal_frame, -1, -2), field.H)
-    JH = H_amb @ J.T
-    beta_u = np.sum(JH * field.dphi_u, axis=-1)
-    beta_v = np.sum(JH * field.dphi_v, axis=-1)
-    # closed-form cross-check (symmetry of the metric): beta(X) = <dphi X, J^N H>
-    assert np.max(np.abs(beta_u - np.vecdot(field.dphi_u, JH))) <= 1e-10
+    dot, product = immersion._grid_dot, immersion._plane_product
+    H_amb = product(field.H[None], field.frame_planes[2:])[0]   # sum_p H_p n_p
+    JH = product(J, H_amb)
+    d_u, d_v = field.dphi_planes
+    beta_u, beta_v = dot(JH, d_u), dot(JH, d_v)
+    err = float(np.max(np.abs(beta_u + dot(product(J, d_u), H_amb)), initial=0.0))
+    if err > 1e-10:
+        raise MaslovCrossCheckFailed(f"omega(H, dphi du) + omega(dphi du, H) = {err:.3e}")
     return beta_u, beta_v
 
 
@@ -86,14 +93,15 @@ def maslov_identity_residual(field: immersion.ImmersionField,
     """Norm of II_minus(X, .) + beta(X) J^N|T over slots X in (e1, e2)."""
     J = _require_kahler(field)
     beta_u, beta_v = maslov_form(field)
-    N = field.normal_frame
-    NJ = (N.reshape(-1, N.shape[-1]) @ J).reshape(N.shape)   # J is constant: one product
-    JNT = np.stack([np.einsum("...m,...m->...", NJ, e[..., None, :]) for e in (field.e1, field.e2)],
-                   axis=-1)
+    F = field.frame_planes
+    JE = [immersion._plane_product(J, e) for e in F[:2]]
+    # J^N|T in frames: <n_p, J e_b>, (q, 2, nu, nv)
+    JNT = np.array([[immersion._grid_dot(n, Je) for Je in JE] for n in F[2:]])
     inv = 1.0 / np.maximum(field.lam, 1e-30)
-    beta_frame = np.stack([beta_u * inv, beta_v * inv], axis=-1)  # beta(e_a)
-    resid = tw.II_minus + beta_frame[..., :, None, None] * JNT[..., None, :, :]
-    pw = np.max(liealg._frobenius(resid), axis=-1)
+    resid = tw.II_minus_planes.copy()
+    for a, beta in enumerate((beta_u, beta_v)):
+        resid[a] += beta * inv * JNT   # beta(e_a) J^N|T
+    pw = np.maximum(*(immersion._plane_norm(r) for r in resid))
     return masked_report("maslov_identity", field.grid.h, pw, field.report_mask(2))
 
 

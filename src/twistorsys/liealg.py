@@ -102,14 +102,14 @@ def matrix_exp(X):
         raise NonFinite("matrix_exp: input has non-finite entries")
     A = X.reshape((math.prod(X.shape[:-2]),) + X.shape[-2:])
     out = np.empty_like(A)
-    # 1-norms (0 for 0 x 0 matrices): column sums of the whole-stack rows |A[:, i, j]|,
-    # accumulated in one buffer with no np.abs(A) copy of the stack
-    norms, col = np.zeros(len(A)), np.empty(len(A))
-    for j in range(A.shape[-1]):
-        np.abs(A[:, 0, j], out=col)
-        for i in range(1, A.shape[-2]):
-            col += np.abs(A[:, i, j])
-        np.maximum(norms, col, out=norms)
+    # 1-norms (0 for 0 x 0 matrices): the largest column sum of |A|, over blocks of at
+    # most _BATCH slices written [column, row, slice], so no |A| copy of the whole stack
+    # and every sum and maximum runs along the slices; the rows are added in order
+    norms = np.empty(len(A))
+    for lo in range(0, len(A), _BATCH):
+        block = A[lo:lo + _BATCH]
+        cols = np.abs(block.transpose(2, 1, 0), out=np.empty(block.shape[::-1])).sum(axis=1)
+        np.max(cols, axis=0, initial=0.0, out=norms[lo:lo + _BATCH])
     thetas = np.array(list(_TAYLOR_THETA.values()))
     # the smallest degree whose theta bounds the norm; 18 with scaling above theta_18
     band = np.minimum(np.searchsorted(thetas, norms), len(thetas) - 1)

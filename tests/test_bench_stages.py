@@ -31,7 +31,7 @@ def test_every_stage_runs_where_it_applies(bench_stages, kind, space, maslov):
     tw = im.twistor_lift(fld, +1)
     calls = bench_stages.stages(im, lagrangian, fld, tw)
     assert ("maslov_identity_residual" in calls) == maslov
-    assert len(calls) == 5 + maslov
+    assert len(calls) == 8 + maslov
     for call in calls.values():
         call()
 

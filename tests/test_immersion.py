@@ -8,10 +8,9 @@ import scipy.ndimage
 from twistorsys import cli
 from twistorsys import immersion as im
 from twistorsys import lagrangian as lg
-from twistorsys import liealg
 from twistorsys import octo
 from twistorsys import symspace
-from twistorsys.forms import ResidualReport
+from twistorsys.forms import ResidualReport, partial_u, partial_v
 
 LADDER = (16, 32, 64)
 
@@ -117,26 +116,30 @@ def _last_axis_gram_schmidt(dphi_u, dphi_v, branch):
 
 
 def _sampled_derivatives(kind, n):
+    """The fixture's sampled (2, m, nu, nv) derivative planes."""
     p = im.fixture_params(kind)
     U, V = im._grid(n, *im.FIXTURES[kind].domain(p)).mesh()
     data = im.FIXTURES[kind].builder(p, U, V)
-    return data["dphi_u"], data["dphi_v"]
+    return np.stack([data["dphi_u"], data["dphi_v"]])
 
 
 @pytest.mark.parametrize("kind, n", [("graph", 33), ("branched_disk", 33),
                                      ("octonion_graph", 64), ("octonion_graph", 128)])
 def test_gram_schmidt_frames_match_the_last_axis_loop(kind, n):
-    du, dv = _sampled_derivatives(kind, n)
-    branch = np.sum(du ** 2, axis=-1) < 1e-10
+    dphi = _sampled_derivatives(kind, n)
+    branch = np.sum(dphi[0] ** 2, axis=0) < 1e-10
     if kind == "graph":   # a sign flip over half the grid: e1 jumps by 2
-        du, dv = (np.where(np.arange(n)[:, None, None] < n // 2, -d, d) for d in (du, dv))
-    *frames, disc = im._gram_schmidt_frames(du, dv, branch)
-    *ref, ref_disc = _last_axis_gram_schmidt(du, dv, branch)
+        dphi = np.where(np.arange(n)[:, None] < n // 2, -dphi, dphi)
+    frames, disc = im._gram_schmidt_frames(dphi, branch)
+    *ref, ref_disc = _last_axis_gram_schmidt(im._pointwise(dphi[0]), im._pointwise(dphi[1]),
+                                             branch)
     assert disc is ref_disc and disc == (kind != "octonion_graph")
-    for f, r in zip(frames, ref):
-        assert f.shape == r.shape and f.flags.c_contiguous
+    assert frames.shape == (dphi.shape[1],) + dphi.shape[1:] and frames.flags.c_contiguous
+    for f, r in zip((frames[0], frames[1], frames[2:]), ref):
+        f = im._pointwise(f)
+        assert f.shape == r.shape
         assert np.max(np.abs(f - r)) <= 2e-15, kind
-    F = np.concatenate([frames[0][..., None, :], frames[1][..., None, :], frames[2]], axis=-2)
+    F = im._pointwise(frames)
     gram = np.einsum("uvam,uvbm->uvab", F, F)
     assert np.max(np.abs(gram - np.eye(F.shape[-2]))[~branch]) <= 1e-14, kind
 
@@ -222,7 +225,7 @@ def test_sphere_umbilic_II():
     assert np.max(np.abs(II.coeffs[..., 1, :])[mask]) <= 2 * h2 / r
     assert np.max(np.abs(II.coeffs[..., :, 1])[mask]) <= 2 * h2 / r
     H = im.mean_curvature(II)
-    assert np.max(np.abs(np.linalg.norm(H, axis=-1) - 1.0 / r)[mask]) <= 2 * h2 / r
+    assert np.max(np.abs(np.linalg.norm(H, axis=0) - 1.0 / r)[mask]) <= 2 * h2 / r
 
 
 def test_clifford_II_oracle():
@@ -234,7 +237,7 @@ def test_clifford_II_oracle():
     oracle = np.array([[-1.0, 1.0], [0.0, 0.0], [-1.0, -1.0]]) * sinc
     assert np.max(np.abs(II.coeffs - oracle)) <= 1e-12
     H = im.mean_curvature(II)
-    assert np.max(np.abs(np.linalg.norm(H, axis=-1) - sinc)) <= 1e-12
+    assert np.max(np.abs(np.linalg.norm(H, axis=0) - sinc)) <= 1e-12
     assert abs(sinc - 1.0) <= fld.grid.h ** 2
 
 
@@ -248,8 +251,8 @@ def test_II_mixed_slot_crosscheck():
         mask = fld.report_mask(1)
         rep.add(fld.grid.h, float(np.max(diff[mask])), 0.0)
     assert rep.final_sup <= 1e-3
-    # a copy: a view would keep the whole four-slot projection alive with II
-    assert II.crosscheck_12.base is None
+    # its own planes: a view would keep the whole four-slot projection alive with II
+    assert II.crosscheck_12.base is II.crosscheck_planes and II.crosscheck_planes.base is None
     assert converges_or_exact(rep, slope_min=1.9)
 
 
@@ -258,7 +261,7 @@ def test_helicoid_minimal():
     II = im.second_fundamental_form(fld)
     H = im.mean_curvature(II)
     mask = fld.report_mask(1)
-    assert np.max(np.linalg.norm(H, axis=-1)[mask]) <= 1e-8
+    assert np.max(np.linalg.norm(H, axis=0)[mask]) <= 1e-8
     assert np.max(np.abs(II.coeffs)) > 0.1  # curved, just minimal
 
 
@@ -344,26 +347,26 @@ def _hadamard_bound(M):
 @pytest.mark.parametrize("kind", ROTATION_LIFT_FIXTURES + ["helicoid", "perturbed_torus"])
 def test_column_det_matches_lapack_on_fixture_frames(kind):
     fld = im.build_immersion(kind, n=16)
-    cols = [fld.e1, fld.e2, fld.n1, fld.n2]
+    cols = list(fld.frame_planes)
     if fld.space.kind == "sphere4":
-        cols = [fld.phi / fld.space.radius] + cols
-    M = np.stack(cols, axis=-1)
+        cols = [fld.phi_planes / fld.space.radius] + cols
+    M = np.stack([im._pointwise(c) for c in cols], axis=-1)
     assert np.max(np.abs(im._column_det(cols) - np.linalg.det(M))) <= 1e-13, kind
 
 
 @pytest.mark.parametrize("m", [4, 5])
 def test_column_det_matches_lapack_on_random_stacks(m):
     M = np.random.default_rng(m).standard_normal((9, 7, m, m))
-    det = im._column_det([M[..., k] for k in range(m)])
+    det = im._column_det([np.moveaxis(M[..., k], -1, 0) for k in range(m)])
     assert np.max(np.abs(det - np.linalg.det(M)) / _hadamard_bound(M)) <= 1e-13
 
 
 def test_degenerate_frame_is_not_immersed():
     fld = im.build_immersion("clifford_torus", n=16)
-    N = fld.normal_frame.copy()
-    N[..., 1, :] = N[..., 0, :]
+    F = fld.frame_planes.copy()
+    F[3] = F[2]
     with pytest.raises(im.NotImmersed):
-        im.twistor_lift(dataclasses.replace(fld, normal_frame=N), +1)
+        im.twistor_lift(dataclasses.replace(fld, frame_planes=F), +1)
 
 
 def test_vertical_geometry_computed_once_per_lift(monkeypatch):
@@ -440,7 +443,7 @@ def test_lift_blocks_are_parallel():
     # structurally
     fld = im.build_immersion("clifford_torus", n=16)
     tw = im.twistor_lift(fld, +1)
-    om_u, om_v, wn_u, wn_v = im.frame_connection(fld)
+    om_u, om_v, wn_u, wn_v = fld.connection
     for blocks, conns in ((tw.j_T, (om_u, om_v)), (tw.j_N, (wn_u, wn_v))):
         assert np.max(np.abs(blocks - blocks[0, 0])) == 0.0
         for w in conns:
@@ -522,12 +525,12 @@ def test_codazzi_curvature_term_matches_operator_loop(kind, monkeypatch):
         return ResidualReport(name)
     monkeypatch.setattr(im, "masked_report", capture)
     im.codazzi_identity_residual(fld)
-    cols = [sum(im._matvec(symspace.curvature_operator(fld.space, ei, X), ei)
+    cols = [sum(np.einsum("uvij,uvj->uvi", symspace.curvature_operator(fld.space, ei, X), ei)
                 for ei in (fld.e1, fld.e2)) for X in (fld.e1, fld.e2)]
-    Rterm = fld.normal_frame @ np.stack(cols, axis=-1)
+    Rterm = np.moveaxis(fld.normal_frame @ np.stack(cols, axis=-1), (0, 1), (-2, -1))
     inv2 = 1.0 / np.maximum(fld.conformal_factor, 1e-30)
-    lhs = inv2[..., None, None] * im._hom_covariant_divergence(fld, fld.II.hom)
-    oracle = liealg._frobenius(lhs - (Rterm + 2.0 * im._grad_H_hom(fld)))
+    lhs = inv2 * im._hom_covariant_divergence(fld, fld.II.planes)
+    oracle = im._plane_norm(lhs - (Rterm + 2.0 * im._grad_H_hom(fld)))
     c = fld.space.curvature_constant
     if kind == "round_sphere":
         assert c == 0.0 and np.array_equal(captured["codazzi_identity"], oracle)
@@ -550,11 +553,12 @@ def test_cached_geometry_matches_public_functions():
     H = im.mean_curvature(II)
     assert np.array_equal(fld.II.coeffs, II.coeffs)
     assert np.array_equal(fld.II.crosscheck_12, II.crosscheck_12)
-    # II is stored once, as one C-contiguous Hom(T, N) array with equal mixed slots
-    assert fld.II.hom.flags.c_contiguous
+    # II is stored once, as one C-contiguous component-first Hom(T, N) array with
+    # equal mixed slots
+    assert fld.II.planes.flags.c_contiguous
     assert np.array_equal(fld.II.hom[..., 0, :, 1], fld.II.hom[..., 1, :, 0])
     assert np.array_equal(fld.H, H)
-    for cached, fresh in zip(fld.connection, im.frame_connection(ref)):
+    for cached, fresh in zip(fld.connection_planes, im.frame_connection(ref)):
         assert np.array_equal(cached, fresh)
     for cached, fresh in zip(fld.grad_H, im.normal_connection_derivative(ref, H)):
         assert np.array_equal(cached, fresh)
@@ -632,37 +636,37 @@ ORACLE_FIXTURES = ["round_sphere", "clifford_torus_s4", "product_torus", "octoni
 
 
 def _einsum_reference(fld, tw):
-    """The per-point einsum formulas the batched @ contractions replaced."""
+    """The per-point einsum formulas, on the grid-first views, that the plane kernels replaced."""
     grid = fld.grid
-    D11 = im.partial_u(grid, fld.dphi_u)
-    D12 = 0.5 * (im.partial_u(grid, fld.dphi_v) + im.partial_v(grid, fld.dphi_u))
-    D22 = im.partial_v(grid, fld.dphi_v)
+    D11 = partial_u(grid, fld.dphi_u)
+    D12 = 0.5 * (partial_u(grid, fld.dphi_v) + partial_v(grid, fld.dphi_u))
+    D22 = partial_v(grid, fld.dphi_v)
     inv = 1.0 / np.maximum(fld.conformal_factor, 1e-30)
     N = fld.normal_frame
     coeffs = np.stack([np.einsum("uvqm,uvm,uv->uvq", N, D, inv) for D in (D11, D12, D22)],
                       axis=-2)
-    cross = np.einsum("uvqm,uvm,uv->uvq", N, im.partial_v(grid, fld.dphi_u), inv)
+    cross = np.einsum("uvqm,uvm,uv->uvq", N, partial_v(grid, fld.dphi_u), inv)
     E = np.stack([fld.e1, fld.e2], axis=-2)
 
     def coeff(F, dF):
         raw = np.einsum("uvam,uvbm->uvab", F, dF)
         return 0.5 * (raw - np.swapaxes(raw, -1, -2))
 
-    connection = (coeff(E, im.partial_u(grid, E)), coeff(E, im.partial_v(grid, E)),
-                  coeff(N, im.partial_u(grid, N)), coeff(N, im.partial_v(grid, N)))
+    connection = (coeff(E, partial_u(grid, E)), coeff(E, partial_v(grid, E)),
+                  coeff(N, partial_u(grid, N)), coeff(N, partial_v(grid, N)))
     M = fld.II.hom
     split_conj = np.einsum("uvpq,uvxqb,uvbc->uvxpc", tw.j_N, M, tw.j_T)
-    H = fld.H
+    H = im._pointwise(fld.H)
     grad_H = tuple(d(grid, H) + np.einsum("uvpq,uvq->uvp", w, H)
-                   for d, w in ((im.partial_u, fld.connection[2]), (im.partial_v, fld.connection[3])))
-    Ghom = im._grad_H_hom(fld)
+                   for d, w in ((partial_u, fld.connection[2]), (partial_v, fld.connection[3])))
+    Ghom = im._pointwise(im._grad_H_hom(fld))
     div_conj = np.einsum("uvpq,uvqb,uvbc->uvpc", tw.j_N, Ghom, tw.j_T)
     om_u, om_v, wn_u, wn_v = connection
     lam = np.sqrt(fld.conformal_factor)[..., None, None]
     B_u, B_v = lam * M[..., 0, :, :], lam * M[..., 1, :, :]
-    hom_div = (im.partial_u(grid, B_u) + np.einsum("uvpq,uvqb->uvpb", wn_u, B_u)
+    hom_div = (partial_u(grid, B_u) + np.einsum("uvpq,uvqb->uvpb", wn_u, B_u)
                - np.einsum("uvpa,uvab->uvpb", B_u, om_u)
-               + im.partial_v(grid, B_v) + np.einsum("uvpq,uvqb->uvpb", wn_v, B_v)
+               + partial_v(grid, B_v) + np.einsum("uvpq,uvqb->uvpb", wn_v, B_v)
                - np.einsum("uvpa,uvab->uvpb", B_v, om_v))
     return dict(coeffs=coeffs, cross=cross, connection=connection, split_conj=split_conj,
                 grad_H=grad_H, Ghom=Ghom, div_conj=div_conj, hom_div=hom_div)
@@ -695,13 +699,16 @@ def test_batched_contractions_match_einsum(kind, monkeypatch):
         # exactly skew, with a zero diagonal: the divergence's column swap for B @ om relies on it
         assert np.array_equal(new, -np.swapaxes(new, -1, -2))
     # round_sphere has om != 0, octonion_graph q = 6 and wn != 0
-    assert _close(im._hom_covariant_divergence(fld, fld.II.hom), ref["hom_div"])
+    assert _close(im._pointwise(im._hom_covariant_divergence(fld, fld.II.planes)), ref["hom_div"])
     for new, old in zip(fld.grad_H, ref["grad_H"]):
-        assert _close(new, old)
+        assert _close(im._pointwise(new), old)
     M = fld.II.hom
     # on canonical lifts j_T and j_N are exact rotations, so the split is exact
     same = np.array_equal if kind != "octonion_graph" else _close
     assert same(tw.II_minus, 0.5 * (M + ref["split_conj"]))
+    # the same j-conjugation on the single-slot nabla_perp H
+    assert same(im._pointwise(im._anticommuting(tw, im._grad_H_hom(fld))),
+                0.5 * (ref["Ghom"] + ref["div_conj"]))
 
     captured = {}
 
@@ -711,21 +718,51 @@ def test_batched_contractions_match_einsum(kind, monkeypatch):
     monkeypatch.setattr(im, "masked_report", capture)
     im.divergence_identity_residual(fld, tw)
     inv2 = 1.0 / np.maximum(fld.conformal_factor, 1e-30)
-    lhs = inv2[..., None, None] * im._hom_covariant_divergence(fld, tw.II_minus)
+    lhs = inv2[..., None, None] * im._pointwise(
+        im._hom_covariant_divergence(fld, tw.II_minus_planes))
     oracle = np.linalg.norm(lhs - (ref["Ghom"] + ref["div_conj"]), axis=(-2, -1))
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(ref["Ghom"])))
     assert _close(captured["divergence_identity"], oracle, scale)
 
-    # the column-sum matrix-vector product on every shape it serves: equal to
-    # the einsum bit for bit over two columns, within roundoff over more
-    H = fld.H
-    for M, v in ((fld.connection[2], H), (tw.j_N, fld.grad_H[1]),
-                 (np.swapaxes(fld.normal_frame, -1, -2), H),
-                 (symspace.curvature_operator(fld.space, fld.e1, fld.e2), fld.e1)):
-        ref = np.einsum("uvij,uvj->uvi", M, v)
-        assert (np.array_equal if v.shape[-1] == 2 else _close)(im._matvec(M, v), ref)
-    # the column-sum right product by j_T on both shapes it serves: bit for bit
-    # on the exact rotations of canonical lifts, within roundoff on the octonion lift
-    for A, T in ((tw.j_N[:, :, None] @ fld.II.hom, tw.j_T[:, :, None]),
-                 (tw.j_N @ im._grad_H_hom(fld), tw.j_T)):
-        assert same(im._matmul_tangent(A, T), np.einsum("...pa,...ab->...pb", A, T))
+    # the plane product M X on every shape it serves, against the per-point einsum:
+    # equal bit for bit over two columns, within roundoff over more
+    H, F = fld.H, fld.frame_planes
+    cases = [(fld.connection_planes[2], H), (tw.j_N_planes, fld.grad_H[1]),
+             (H[None], F[2:]), (tw.j_T_planes[None, :, 0], F[:2]),
+             (tw.j_N_planes[None, :, 0], F[2:])]
+    if fld.space.kahler is not None:
+        cases += [(fld.space.kahler, F[0]), (fld.space.kahler, fld.dphi_planes[0])]
+    for M, X in cases:
+        planes = M if M.ndim == 4 else M[..., None, None]   # a constant J: one value per plane
+        want = np.einsum("pr...,r...->p...", np.broadcast_to(planes, M.shape[:2] + X.shape[-2:]),
+                         X)
+        got = im._plane_product(M, X)
+        assert got.shape == want.shape
+        assert (np.array_equal if len(X) == 2 else _close)(got, want)
+    # the grid-first views of the component-first storage, against the norms they feed
+    for G in fld.grad_H:
+        assert _close(im._plane_norm(G), np.linalg.norm(im._pointwise(G), axis=-1))
+
+
+def test_grid_first_names_are_views_of_the_planes():
+    # each quantity is stored once, component-first: the (nu, nv, ...) names read
+    # outside the Hom(T, N) calculus share memory with that storage, never copy it
+    for kind in ("round_sphere", "octonion_graph"):
+        fld = im.build_immersion(kind, n=16)
+        tw = octo.canonical_lift(fld)[1] if kind == "octonion_graph" else im.twistor_lift(fld)
+        pairs = [(fld.phi, fld.phi_planes), (fld.dphi_u, fld.dphi_planes),
+                 (fld.dphi_v, fld.dphi_planes), (fld.e1, fld.frame_planes),
+                 (fld.e2, fld.frame_planes), (fld.n1, fld.frame_planes),
+                 (fld.normal_frame, fld.frame_planes), (fld.II.hom, fld.II.planes),
+                 (fld.II.crosscheck_12, fld.II.crosscheck_planes),
+                 (tw.II_minus, tw.II_minus_planes), (tw.j_T, tw.j_T_planes),
+                 (tw.j_N, tw.j_N_planes), *zip(fld.connection, fld.connection_planes)]
+        for view, planes in pairs:
+            assert view.shape[:2] == (16, 16) and np.shares_memory(view, planes), kind
+        assert fld.normal_frame.shape == (16, 16, fld.normal_rank, fld.ambient_dim)
+        assert fld.II.hom.shape == tw.II_minus.shape == (16, 16, 2, fld.normal_rank, 2)
+        for planes in (fld.phi_planes, fld.dphi_planes, fld.frame_planes, fld.II.planes,
+                       tw.II_minus_planes, fld.H, *fld.connection_planes, *fld.grad_H):
+            assert planes.shape[-2:] == (16, 16) and planes.flags.c_contiguous, kind
+        if kind == "round_sphere":   # the canonical lift: views of one constant 2 x 2 matrix
+            assert tw.j_T_planes.strides[-2:] == tw.j_N_planes.strides[-2:] == (0, 0)

@@ -1,4 +1,6 @@
 """Lagrangian chain: pullback test, circle-bundle membership, Maslov form."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,19 @@ def test_maslov_rejects_non_lagrangian():
     fld, _ = build("complex_line")
     with pytest.raises(lg.NotLagrangian):
         lg.maslov_form(fld)
+
+
+def test_maslov_cross_check_raises_on_a_non_skew_structure():
+    # beta(X) = omega(H, dphi X) equals -omega(dphi X, H) only for a skew omega: a
+    # symmetric part of 1e-7 in J keeps the pullback far below the Lagrangian gate
+    # but moves the two closed forms apart by more than 1e-10
+    fld, _ = build("lagrangian_graph", {"potential": "cubic"})
+    J = fld.space.kahler + 1e-7 * np.diag([1.0, -1.0, 0.0, 0.0])
+    bent = dataclasses.replace(fld, space=dataclasses.replace(fld.space, kahler=J))
+    assert lg.lagrangian_residual(bent).final_sup <= 1e-12
+    with pytest.raises(lg.MaslovCrossCheckFailed):
+        lg.maslov_form(bent)
+    lg.maslov_form(fld)
 
 
 # ---------------------------------------------------------- Maslov identity

@@ -149,7 +149,9 @@ def test_closed_form_drift_bounds_the_sampled_drift(perturb, order):
     # component over the angles is delta (|B| = 2 delta) or 2 delta (|A| = 2 delta)
     delta = 1e-6
     fld = im.build_immersion("octonion_graph", n=16)
-    fld = dataclasses.replace(fld, e2=perturb(fld.e1, fld.e2, delta))
+    F = fld.frame_planes.copy()
+    F[1] = perturb(F[0], F[1], delta)
+    fld = dataclasses.replace(fld, frame_planes=F)
     q = octo.multiply(fld.e2, octo.conjugate(fld.e1))
     drift = octo.lift_residual(fld, q).meta["reframing_drift"]
     assert drift >= sampled_drift(fld, q)
