@@ -72,11 +72,14 @@ OCTONION_SIZES = (64, 128, 256)
 
 
 def stages(im, lagrangian, fld, tw):
-    """name -> zero-argument call, for the stages that apply to this field."""
+    """name -> zero-argument call, for the stages that apply to this field, whose
+    cached geometry it reads once first."""
     from twistorsys import ellsys
+    # the cached connection and II_minus: component-first where the checkout has the planes
+    conn = "connection_planes" if hasattr(im.ImmersionField, "connection_planes") else "connection"
+    minus = getattr(im.TwistorField, "II_minus_planes", None) or im.TwistorField.II_minus
+    fld.II, fld.H, getattr(fld, conn), fld.grad_H, getattr(tw, minus.attrname), tw.div_minus
     frame = ellsys.frame_from_geometry(fld, tw)[0]
-    # the lift's stored II_minus: component-first where the checkout has the planes
-    minus = getattr(im.TwistorField, "II_minus_planes", im.TwistorField.II_minus)
     kind, params, n = fld.meta["kind"], fld.meta["params"], fld.grid.nu
     out = {
         "build_immersion": lambda: im.build_immersion(kind, params, n=n, space=fld.space),
@@ -179,7 +182,6 @@ def main(argv=None):
             fld = im.build_immersion(kind, n=n,
                                      space=None if space is None else symspace.model_space(space))
             tw = im.twistor_lift(fld, +1)
-            fld.II, fld.H, fld.connection, fld.grad_H, tw.II_minus, tw.div_minus  # fill the caches
             return stages(im, lagrangian, fld, tw)
         return calls_at
 

@@ -275,7 +275,7 @@ def load_scenario(path):
     _check_params(f"fixture {kind!r} params", params, declared)
     try:
         immersion.check_param_values(kind, params) if surface else exp_frame_inputs(params)
-    except (LookupError, ValueError, ArithmeticError, OSError) as exc:
+    except (LookupError, ValueError, ArithmeticError, OSError, forms.GridError) as exc:
         raise ScenarioError(f"fixture {kind!r} cannot take params {params!r}: {exc}") from exc
 
     ms = scen.setdefault("model_space", {"kind": own})

@@ -18,11 +18,9 @@ contraction over the ambient index is one grid dot product (`_grid_dot`),
 and a product by a 2 x 2 or q x q field (j_T, j_N, the connection, a Kahler
 J) is a sum of plane products written into one output (`_plane_product`),
 so numpy's inner loops run over whole planes rather than over axes of
-length 2.  The grid-first (nu, nv, ...) names that readers outside this
-calculus use (`phi`, `dphi_u`, `dphi_v`, `e1`, `e2`, `normal_frame`,
-`II.hom`, `II_minus`, `connection`, `j_T`, `j_N`) are views of that storage
-(`_pointwise`), never copies.  The ambient (nu, nv, m, m) j that the
-ambient-matrix checks read stays grid-first.
+length 2.  A reader that needs grid-first (nu, nv, ...) arrays takes the
+`_pointwise` view at its own boundary.  The ambient (nu, nv, m, m) j that
+the ambient-matrix checks read stays grid-first.
 """
 from __future__ import annotations
 
@@ -111,16 +109,6 @@ class ImmersionField:
     def lam(self):
         return np.sqrt(self.conformal_factor)
 
-    # grid-first views: (nu, nv, m), normal_frame (nu, nv, q, m)
-    phi = property(lambda self: _pointwise(self.phi_planes))
-    dphi_u = property(lambda self: _pointwise(self.dphi_planes[0]))
-    dphi_v = property(lambda self: _pointwise(self.dphi_planes[1]))
-    e1 = property(lambda self: _pointwise(self.frame_planes[0]))
-    e2 = property(lambda self: _pointwise(self.frame_planes[1]))
-    n1 = property(lambda self: _pointwise(self.frame_planes[2]))
-    n2 = property(lambda self: _pointwise(self.frame_planes[3]))
-    normal_frame = property(lambda self: _pointwise(self.frame_planes[2:]))
-
     @functools.cached_property
     def II(self) -> SecondFundamentalForm:
         return second_fundamental_form(self)
@@ -134,11 +122,6 @@ class ImmersionField:
     def connection_planes(self):
         """(om_u, om_v, wn_u, wn_v) as returned by `frame_connection`."""
         return frame_connection(self)
-
-    @functools.cached_property
-    def connection(self):
-        """The (nu, nv, k, k) views of `connection_planes`."""
-        return tuple(_pointwise(w) for w in self.connection_planes)
 
     @functools.cached_property
     def grad_H(self):
@@ -165,13 +148,12 @@ class TwistorField:
     """A lift j of `field`, given by its frame components j_T and j_N.
 
     The components are stored component-first, (2, 2, nu, nv) and
-    (q, q, nu, nv), with the grid-first `j_T` and `j_N` as views.  The
-    vertical geometry of the lift (II_minus, its covariant divergence and
-    the ambient (nu, nv, m, m) matrix of j) is computed on first access and
-    cached on the lift, so every check on the same lift shares one copy; a
-    residual that takes (field, tw) reads these from tw, which must be a
-    lift of that field.  Like its field, a lift must not be mutated after
-    it is built.
+    (q, q, nu, nv).  The vertical geometry of the lift (II_minus, its
+    covariant divergence and the ambient (nu, nv, m, m) matrix of j) is
+    computed on first access and cached on the lift, so every check on the
+    same lift shares one copy; a residual that takes (field, tw) reads these
+    from tw, which must be a lift of that field.  Like its field, a lift
+    must not be mutated after it is built.
     """
 
     field: ImmersionField
@@ -179,11 +161,6 @@ class TwistorField:
     j_T_planes: np.ndarray     # (2, 2, nu, nv) frame components on the tangent
     j_N_planes: np.ndarray     # (q, q, nu, nv) frame components on the normal
     eps: int                   # rotation sense on the normal frame
-
-    # grid-first views: (nu, nv, 2, 2), (nu, nv, q, q) and II_minus (nu, nv, 2, q, 2)
-    j_T = property(lambda self: _pointwise(self.j_T_planes))
-    j_N = property(lambda self: _pointwise(self.j_N_planes))
-    II_minus = property(lambda self: _pointwise(self.II_minus_planes))
 
     @functools.cached_property
     def II_minus_planes(self):
@@ -201,9 +178,8 @@ class TwistorField:
         rotation lift whose tangent block is j_T = s rot.  s = -1 swaps the
         operands of the tangent difference instead of negating it.  The
         octonion lift sets this attribute to its L_q when it is built."""
-        f = self.field
-        t_a, t_b = (f.e2, f.e1) if self.j_T_planes[1, 0, 0, 0] > 0 else (f.e1, f.e2)
-        n1, n2 = f.n1, f.n2
+        e1, e2, n1, n2 = self.field.frame_planes
+        t_a, t_b = (e2, e1) if self.j_T_planes[1, 0, 0, 0] > 0 else (e1, e2)
         return _outer(t_a, t_b) - _outer(t_b, t_a) + self.eps * (_outer(n2, n1) - _outer(n1, n2))
 
 
@@ -215,19 +191,8 @@ class SecondFundamentalForm:
     crosscheck_planes holds the mixed slot differenced the other way round.
     """
 
-    grid: SurfaceGrid
     planes: np.ndarray              # (2, q, 2, nu, nv)
     crosscheck_planes: np.ndarray   # (q, nu, nv)
-
-    # grid-first views: hom (nu, nv, 2, q, 2), crosscheck_12 (nu, nv, q)
-    hom = property(lambda self: _pointwise(self.planes))
-    crosscheck_12 = property(lambda self: _pointwise(self.crosscheck_planes))
-
-    @property
-    def coeffs(self):
-        """(nu, nv, 3, q): the slots (11, 12, 22) of `hom`, as a new array."""
-        M = self.hom
-        return np.stack([M[..., 0, :, 0], M[..., 0, :, 1], M[..., 1, :, 1]], axis=-2)
 
 
 # --------------------------------------------------------------------- fixtures
@@ -479,12 +444,13 @@ def fixture_params(kind, params=None):
 
 
 def check_param_values(kind, params=None):
-    """Sample the fixture at the first point of its chart, so that a param value
-    it cannot take raises (ValueError, KeyError, ArithmeticError) before any grid."""
+    """Build the fixture's smallest grid and sample it at the first point of its
+    chart, so that a param value it cannot take raises (ValueError, KeyError,
+    ArithmeticError, forms.GridError) before any rung."""
     p = fixture_params(kind, params)
-    lo_u, _, lo_v, *_ = FIXTURES[kind].domain(p)
+    grid = _grid(8, *FIXTURES[kind].domain(p))
     with np.errstate(divide="raise", invalid="raise"):
-        FIXTURES[kind].builder(p, np.full((1, 1), lo_u), np.full((1, 1), lo_v))
+        FIXTURES[kind].builder(p, np.full((1, 1), grid.u0), np.full((1, 1), grid.v0))
 
 
 def build_immersion(kind, params=None, n=32, space=None) -> ImmersionField:
@@ -630,7 +596,7 @@ def second_fundamental_form(field: ImmersionField) -> SecondFundamentalForm:
             np.multiply(_grid_dot(n, D), inv, out=hom[a, p, b])
         hom[1, p, 0] = hom[0, p, 1]
         np.multiply(_grid_dot(n, D12_alt), inv, out=cross[p])
-    return SecondFundamentalForm(grid=grid, planes=hom, crosscheck_planes=cross)
+    return SecondFundamentalForm(planes=hom, crosscheck_planes=cross)
 
 
 def mean_curvature(II: SecondFundamentalForm):
@@ -672,7 +638,8 @@ def flip_tangent_orientation(field: ImmersionField, tw: TwistorField) -> Twistor
 
 
 def _outer(a, b):
-    return np.einsum("uvi,uvj->uvij", a, b)
+    """(nu, nv, m, m): the pointwise outer product of two (m, nu, nv) fields."""
+    return np.einsum("iuv,juv->uvij", a, b)
 
 
 def _column_det(cols):
@@ -844,7 +811,7 @@ def codazzi_identity_residual(field: ImmersionField) -> ResidualReport:
 def curvature_commutator_residual(field: ImmersionField, tw: TwistorField) -> ResidualReport:
     """Pointwise |[R(dphi e1, dphi e2), j]| in the field's model space:
     algebraic, no differencing."""
-    Rop = symspace.curvature_operator(field.space, field.e1, field.e2)
+    Rop = symspace.curvature_operator(field.space, *map(_pointwise, field.frame_planes[:2]))
     comm = Rop @ tw.j_ambient - tw.j_ambient @ Rop
     return masked_report("curvature_commutator", field.grid.h, liealg._frobenius(comm),
                          field.report_mask(0))

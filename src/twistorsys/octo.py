@@ -79,9 +79,10 @@ def basis_unit(i):
 
 
 def left_mult_structure(q):
-    """L_q with L_q x = q x; an orthogonal complex structure for unit imaginary q."""
+    """L_q with L_q x = q x; an orthogonal complex structure for unit imaginary q,
+    or a (..., 8, 8) stack of them for a (..., 8) stack of such q."""
     q = np.asarray(q, dtype=float)
-    if abs(norm(q) - 1.0) > 1e-8 or abs(q[..., 0]) > 1e-8:
+    if max(np.max(np.abs(norm(q) - 1.0)), np.max(np.abs(q[..., 0]))) > 1e-8:
         raise NotUnitImaginary("left multiplication needs a unit imaginary octonion")
     return _left_mult_field(q)
 
@@ -108,11 +109,13 @@ def canonical_q(field: immersion.ImmersionField):
         raise ValueError("the octonion lift lives in R^8")
     if field.branch_mask.any():
         raise immersion.NotImmersed("octonion lift across branch points")
-    q = multiply(field.e2, conjugate(field.e1))
+    e1, e2 = map(immersion._pointwise, field.frame_planes[:2])
+    q = multiply(e2, conjugate(e1))
     qerr = max(float(np.max(np.abs(norm(q) - 1.0))), float(np.max(np.abs(q[..., 0]))))
     if qerr > 1e-8:
         raise immersion.NotImmersed(f"tangent frame degenerate: q off S^6 by {qerr:.3e}")
-    resid = multiply(q, field.dphi_u) - field.dphi_v
+    dphi_u, dphi_v = map(immersion._pointwise, field.dphi_planes)
+    resid = multiply(q, dphi_u) - dphi_v
     scale = float(np.max(field.lam))
     rel = float(np.max(norm(resid))) / max(scale, 1e-30)
     if rel > 1e-8:
@@ -133,7 +136,7 @@ def lift_residual(field: immersion.ImmersionField, q) -> ResidualReport:
     so D = |A| + |B|/2 bounds the drift at every angle.  `meta` gives the sup of D as
     `reframing_drift` and names the part that gave the sup as `sup_component`.
     """
-    e1, e2 = field.e1, field.e2
+    e1, e2 = map(immersion._pointwise, field.frame_planes[:2])
     A = q + multiply(e1, conjugate(e2))
     B = multiply(e2, conjugate(e2)) - multiply(e1, conjugate(e1))
     parts = {"reframing_drift": norm(A) + 0.5 * norm(B),

@@ -206,6 +206,22 @@ def test_geometry_error_exit_two_without_report(tmp_path, fixture, check):
     assert not (tmp_path / "rep").exists()
 
 
+@pytest.mark.parametrize("params", [{"r1": -1.0}, {"r2": -0.6}])
+def test_negative_torus_radius_exit_two_without_report(tmp_path, monkeypatch, params):
+    # a negative radius gives the chart a negative grid spacing: rejected at load
+    def no_rung(*args, **kwargs):
+        raise AssertionError("a rung ran before the scenario was rejected")
+    monkeypatch.setattr(cli, "RungContext", no_rung)
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps({"fixture": {"kind": "product_torus", "params": params},
+                                "grid_ladder": [16], "checks": ["vertical_harmonicity"],
+                                "expect": "converge"}))
+    lines = []
+    assert cli.run(path, out_dir=tmp_path / "rep", echo=lines.append) == 2
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not (tmp_path / "rep").exists()
+
+
 def test_every_accepted_combination_exits_cleanly(tmp_path):
     # every fixture x model space x check that load_scenario accepts, one rung
     # at n = 16: an exit code, never an exception

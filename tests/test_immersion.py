@@ -29,6 +29,12 @@ def converges_or_exact(rep, slope_min=1.5, floor=1e-12):
     return rep.estimated_order is not None and rep.estimated_order >= slope_min
 
 
+def coeffs(II):
+    """(nu, nv, 3, q): the slots (11, 12, 22) of II, grid-first."""
+    M = im._pointwise(II.planes)
+    return np.stack([M[..., 0, :, 0], M[..., 0, :, 1], M[..., 1, :, 1]], axis=-2)
+
+
 # --------------------------------------------------------------------- fixtures
 
 def test_clifford_conformal_factor():
@@ -46,8 +52,7 @@ def test_fixture_catalog_is_conformal():
         fld = im.build_immersion(kind, params, n=16)
         assert fld.conformality_residual() <= 1e-6, kind
         # adapted frames are orthonormal and orthogonal to the tangent
-        E = np.stack([fld.e1, fld.e2], axis=-2)
-        F = np.concatenate([E, fld.normal_frame], axis=-2)
+        F = im._pointwise(fld.frame_planes)
         gram = np.einsum("uvam,uvbm->uvab", F, F)
         eye = np.eye(F.shape[-2])
         mask = fld.report_mask(0)
@@ -56,9 +61,9 @@ def test_fixture_catalog_is_conformal():
 
 def test_sphere_fixture_on_manifold():
     fld = im.build_immersion("round_sphere", {"r": 2.0}, n=16)
-    assert np.max(np.abs(np.linalg.norm(fld.phi[..., :3], axis=-1) - 2.0)) <= 1e-12
+    assert np.max(np.abs(np.linalg.norm(fld.phi_planes[:3], axis=0) - 2.0)) <= 1e-12
     fld5 = im.build_immersion("clifford_torus_s4", n=16)
-    assert np.max(np.abs(np.linalg.norm(fld5.phi, axis=-1) - 1.0)) <= 1e-12
+    assert np.max(np.abs(np.linalg.norm(fld5.phi_planes, axis=0) - 1.0)) <= 1e-12
 
 
 def test_graph_not_conformal():
@@ -179,8 +184,9 @@ def test_unknown_kind():
 
 def test_perturbed_chart_wraps():
     fld = im.build_immersion("perturbed_torus", {"eps": 0.1}, n=32)
-    jump = np.linalg.norm(fld.phi[0] - fld.phi[-1], axis=-1).max()
-    step = np.linalg.norm(np.diff(fld.phi, axis=0), axis=-1).max()
+    phi = im._pointwise(fld.phi_planes)
+    jump = np.linalg.norm(phi[0] - phi[-1], axis=-1).max()
+    step = np.linalg.norm(np.diff(phi, axis=0), axis=-1).max()
     assert jump <= 2.0 * step  # the seam looks like any other grid step
 
 
@@ -203,13 +209,15 @@ def test_plane_has_zero_II():
             normals = [unit[k] for k in (0, 1, 3, 4, 6, 7)]
         else:
             phi, e1, e2, normals = (U, V, Z, Z), unit[0], unit[1], [unit[2], unit[3]]
-        assert np.array_equal(fld.phi, np.stack(phi, axis=-1)), kind
-        for got, want in ((fld.dphi_u, e1), (fld.e1, e1), (fld.dphi_v, e2), (fld.e2, e2)):
-            assert np.array_equal(got, np.stack(want, axis=-1)), kind
-        assert np.array_equal(fld.normal_frame,
+        pw = im._pointwise
+        assert np.array_equal(pw(fld.phi_planes), np.stack(phi, axis=-1)), kind
+        for got, want in ((fld.dphi_planes[0], e1), (fld.frame_planes[0], e1),
+                          (fld.dphi_planes[1], e2), (fld.frame_planes[1], e2)):
+            assert np.array_equal(pw(got), np.stack(want, axis=-1)), kind
+        assert np.array_equal(pw(fld.frame_planes[2:]),
                               np.stack([np.stack(n, axis=-1) for n in normals], axis=-2)), kind
         II = im.second_fundamental_form(fld)
-        assert np.max(np.abs(II.coeffs)) == 0.0
+        assert np.max(np.abs(coeffs(II))) == 0.0
         assert np.max(np.abs(im.mean_curvature(II))) == 0.0
 
 
@@ -220,10 +228,11 @@ def test_sphere_umbilic_II():
     II = im.second_fundamental_form(fld)
     mask = fld.report_mask(1)
     h2 = fld.grid.h ** 2
-    assert np.max(np.abs(II.coeffs[..., 0, 0] + 1.0 / r)[mask]) <= 2 * h2 / r
-    assert np.max(np.abs(II.coeffs[..., 2, 0] + 1.0 / r)[mask]) <= 2 * h2 / r
-    assert np.max(np.abs(II.coeffs[..., 1, :])[mask]) <= 2 * h2 / r
-    assert np.max(np.abs(II.coeffs[..., :, 1])[mask]) <= 2 * h2 / r
+    C = coeffs(II)
+    assert np.max(np.abs(C[..., 0, 0] + 1.0 / r)[mask]) <= 2 * h2 / r
+    assert np.max(np.abs(C[..., 2, 0] + 1.0 / r)[mask]) <= 2 * h2 / r
+    assert np.max(np.abs(C[..., 1, :])[mask]) <= 2 * h2 / r
+    assert np.max(np.abs(C[..., :, 1])[mask]) <= 2 * h2 / r
     H = im.mean_curvature(II)
     assert np.max(np.abs(np.linalg.norm(H, axis=0) - 1.0 / r)[mask]) <= 2 * h2 / r
 
@@ -235,7 +244,7 @@ def test_clifford_II_oracle():
     II = im.second_fundamental_form(fld)
     sinc = np.sin(fld.grid.hu) / fld.grid.hu  # centered stencil factor
     oracle = np.array([[-1.0, 1.0], [0.0, 0.0], [-1.0, -1.0]]) * sinc
-    assert np.max(np.abs(II.coeffs - oracle)) <= 1e-12
+    assert np.max(np.abs(coeffs(II) - oracle)) <= 1e-12
     H = im.mean_curvature(II)
     assert np.max(np.abs(np.linalg.norm(H, axis=0) - sinc)) <= 1e-12
     assert abs(sinc - 1.0) <= fld.grid.h ** 2
@@ -247,12 +256,13 @@ def test_II_mixed_slot_crosscheck():
     for n in LADDER:
         fld = im.build_immersion("round_sphere", n=n)
         II = im.second_fundamental_form(fld)
-        diff = np.linalg.norm(II.coeffs[..., 1, :] - II.crosscheck_12, axis=-1)
+        diff = np.linalg.norm(coeffs(II)[..., 1, :] - im._pointwise(II.crosscheck_planes),
+                              axis=-1)
         mask = fld.report_mask(1)
         rep.add(fld.grid.h, float(np.max(diff[mask])), 0.0)
     assert rep.final_sup <= 1e-3
     # its own planes: a view would keep the whole four-slot projection alive with II
-    assert II.crosscheck_12.base is II.crosscheck_planes and II.crosscheck_planes.base is None
+    assert II.crosscheck_planes.base is None
     assert converges_or_exact(rep, slope_min=1.9)
 
 
@@ -262,7 +272,7 @@ def test_helicoid_minimal():
     H = im.mean_curvature(II)
     mask = fld.report_mask(1)
     assert np.max(np.linalg.norm(H, axis=0)[mask]) <= 1e-8
-    assert np.max(np.abs(II.coeffs)) > 0.1  # curved, just minimal
+    assert np.max(np.abs(coeffs(II))) > 0.1  # curved, just minimal
 
 
 # ----------------------------------------------------------------- twistor lift
@@ -290,14 +300,17 @@ def test_lift_invariants():
         j = tw.j_ambient
         # skew, squares to minus the projector onto the framed 4-plane
         assert np.max(np.abs(j + np.swapaxes(j, -1, -2))) <= 1e-12, kind
-        F = np.stack([fld.e1, fld.e2, fld.n1, fld.n2], axis=-1)
+        e1, e2, n1, n2 = map(im._pointwise, fld.frame_planes)
+        F = np.stack([e1, e2, n1, n2], axis=-1)
         P = F @ np.swapaxes(F, -1, -2)
         assert np.max(np.abs(j @ j + P)) <= 1e-12, kind
         # holomorphicity of phi for its own lift: j dphi(du) = dphi(dv)
-        resid = np.einsum("uvij,uvj->uvi", j, fld.dphi_u) - fld.dphi_v
+        dphi_u, dphi_v = map(im._pointwise, fld.dphi_planes)
+        resid = np.einsum("uvij,uvj->uvi", j, dphi_u) - dphi_v
         assert np.max(np.linalg.norm(resid, axis=-1)) <= 1e-8, kind
         if fld.ambient_dim == 5:
-            assert np.max(np.abs(np.einsum("uvij,uvj->uvi", j, fld.phi))) <= 1e-12
+            phi = im._pointwise(fld.phi_planes)
+            assert np.max(np.abs(np.einsum("uvij,uvj->uvi", j, phi))) <= 1e-12
 
 
 def test_lift_needs_rank_two():
@@ -324,10 +337,11 @@ def test_rotation_lift_ambient_j_closed_form(kind, sign):
     tw = im.twistor_lift(fld, sign)
     flipped = im.flip_tangent_orientation(fld, tw)
     assert flipped.field is fld and (flipped.sign, flipped.eps) == (tw.sign, tw.eps)
+    e1, e2, n1, n2 = map(im._pointwise, fld.frame_planes)
     for lift, s in ((tw, +1), (flipped, -1)):
         assert "j_ambient" not in vars(lift)
-        oracle = (s * (_outer(fld.e2, fld.e1) - _outer(fld.e1, fld.e2))
-                  + lift.eps * (_outer(fld.n2, fld.n1) - _outer(fld.n1, fld.n2)))
+        oracle = (s * (_outer(e2, e1) - _outer(e1, e2))
+                  + lift.eps * (_outer(n2, n1) - _outer(n1, n2)))
         assert np.max(np.abs(lift.j_ambient - oracle)) <= 1e-15, (kind, sign, s)
         assert lift.j_ambient is lift.j_ambient   # cached on the lift
 
@@ -396,13 +410,14 @@ def test_split_recombines_and_commutes():
     for kind in ("clifford_torus", "round_sphere"):
         fld = im.build_immersion(kind, n=16)
         tw = im.twistor_lift(fld, +1)
-        minus = tw.II_minus
-        plus = fld.II.hom - minus
-        assert np.max(np.abs(plus + minus - fld.II.hom)) <= 1e-13
+        II, minus = im._pointwise(fld.II.planes), im._pointwise(tw.II_minus_planes)
+        j_T, j_N = im._pointwise(tw.j_T_planes), im._pointwise(tw.j_N_planes)
+        plus = II - minus
+        assert np.max(np.abs(plus + minus - II)) <= 1e-13
         for X in (0, 1):
             P, M = plus[..., X, :, :], minus[..., X, :, :]
-            comm = tw.j_N @ P - P @ tw.j_T
-            anti = tw.j_N @ M + M @ tw.j_T
+            comm = j_N @ P - P @ j_T
+            anti = j_N @ M + M @ j_T
             assert np.max(np.abs(comm)) <= 1e-12
             assert np.max(np.abs(anti)) <= 1e-12
 
@@ -417,7 +432,7 @@ def test_split_umbilic_sphere_minus_parallel():
     tw = im.twistor_lift(fld, +1)
     oracle = -0.5 / r * np.array([[1.0, 0.0], [0.0, -float(tw.eps)]])
     mask = fld.report_mask(1)
-    err = np.linalg.norm(tw.II_minus[..., 0, :, :] - oracle, axis=(-2, -1))
+    err = np.linalg.norm(im._pointwise(tw.II_minus_planes[0]) - oracle, axis=(-2, -1))
     assert np.max(err[mask]) <= 5 * fld.grid.h ** 2
     rep = ladder_report(lambda n: run_residual("round_sphere",
                                                im.vertical_harmonicity_residual, n))
@@ -431,8 +446,9 @@ def test_split_clifford_minus_constant():
     tw = im.twistor_lift(fld, +1)
     sinc = np.sin(fld.grid.hu) / fld.grid.hu
     oracle = 0.5 * np.array([[-1.0, -1.0], [1.0, -1.0]]) * sinc
-    assert np.max(np.abs(tw.II_minus[..., 0, :, :] - oracle)) <= 1e-12
-    norms = np.linalg.norm(tw.II_minus[..., 0, :, :], axis=(-2, -1))
+    minus = im._pointwise(tw.II_minus_planes[0])
+    assert np.max(np.abs(minus - oracle)) <= 1e-12
+    norms = np.linalg.norm(minus, axis=(-2, -1))
     assert np.max(np.abs(norms - norms[0, 0])) <= 1e-12
     assert norms[0, 0] > 0.9
 
@@ -443,8 +459,9 @@ def test_lift_blocks_are_parallel():
     # structurally
     fld = im.build_immersion("clifford_torus", n=16)
     tw = im.twistor_lift(fld, +1)
-    om_u, om_v, wn_u, wn_v = fld.connection
-    for blocks, conns in ((tw.j_T, (om_u, om_v)), (tw.j_N, (wn_u, wn_v))):
+    om_u, om_v, wn_u, wn_v = map(im._pointwise, fld.connection_planes)
+    j_T, j_N = im._pointwise(tw.j_T_planes), im._pointwise(tw.j_N_planes)
+    for blocks, conns in ((j_T, (om_u, om_v)), (j_N, (wn_u, wn_v))):
         assert np.max(np.abs(blocks - blocks[0, 0])) == 0.0
         for w in conns:
             assert np.max(np.abs(w @ blocks - blocks @ w)) <= 1e-13
@@ -525,9 +542,11 @@ def test_codazzi_curvature_term_matches_operator_loop(kind, monkeypatch):
         return ResidualReport(name)
     monkeypatch.setattr(im, "masked_report", capture)
     im.codazzi_identity_residual(fld)
+    e1, e2 = map(im._pointwise, fld.frame_planes[:2])
     cols = [sum(np.einsum("uvij,uvj->uvi", symspace.curvature_operator(fld.space, ei, X), ei)
-                for ei in (fld.e1, fld.e2)) for X in (fld.e1, fld.e2)]
-    Rterm = np.moveaxis(fld.normal_frame @ np.stack(cols, axis=-1), (0, 1), (-2, -1))
+                for ei in (e1, e2)) for X in (e1, e2)]
+    normal_frame = im._pointwise(fld.frame_planes[2:])
+    Rterm = np.moveaxis(normal_frame @ np.stack(cols, axis=-1), (0, 1), (-2, -1))
     inv2 = 1.0 / np.maximum(fld.conformal_factor, 1e-30)
     lhs = inv2 * im._hom_covariant_divergence(fld, fld.II.planes)
     oracle = im._plane_norm(lhs - (Rterm + 2.0 * im._grad_H_hom(fld)))
@@ -551,18 +570,18 @@ def test_cached_geometry_matches_public_functions():
     ref = im.build_immersion("round_sphere", n=32)
     II = im.second_fundamental_form(ref)
     H = im.mean_curvature(II)
-    assert np.array_equal(fld.II.coeffs, II.coeffs)
-    assert np.array_equal(fld.II.crosscheck_12, II.crosscheck_12)
+    assert np.array_equal(fld.II.planes, II.planes)
+    assert np.array_equal(fld.II.crosscheck_planes, II.crosscheck_planes)
     # II is stored once, as one C-contiguous component-first Hom(T, N) array with
     # equal mixed slots
     assert fld.II.planes.flags.c_contiguous
-    assert np.array_equal(fld.II.hom[..., 0, :, 1], fld.II.hom[..., 1, :, 0])
+    assert np.array_equal(fld.II.planes[0, :, 1], fld.II.planes[1, :, 0])
     assert np.array_equal(fld.H, H)
     for cached, fresh in zip(fld.connection_planes, im.frame_connection(ref)):
         assert np.array_equal(cached, fresh)
     for cached, fresh in zip(fld.grad_H, im.normal_connection_derivative(ref, H)):
         assert np.array_equal(cached, fresh)
-    assert fld.II is fld.II and fld.connection is fld.connection
+    assert fld.II is fld.II and fld.connection_planes is fld.connection_planes
 
 
 def test_residuals_independent_of_cache_state():
@@ -636,17 +655,18 @@ ORACLE_FIXTURES = ["round_sphere", "clifford_torus_s4", "product_torus", "octoni
 
 
 def _einsum_reference(fld, tw):
-    """The per-point einsum formulas, on the grid-first views, that the plane kernels replaced."""
-    grid = fld.grid
-    D11 = partial_u(grid, fld.dphi_u)
-    D12 = 0.5 * (partial_u(grid, fld.dphi_v) + partial_v(grid, fld.dphi_u))
-    D22 = partial_v(grid, fld.dphi_v)
+    """The per-point einsum formulas, on grid-first views, that the plane kernels replaced."""
+    grid, pw = fld.grid, im._pointwise
+    dphi_u, dphi_v = map(pw, fld.dphi_planes)
+    D11 = partial_u(grid, dphi_u)
+    D12 = 0.5 * (partial_u(grid, dphi_v) + partial_v(grid, dphi_u))
+    D22 = partial_v(grid, dphi_v)
     inv = 1.0 / np.maximum(fld.conformal_factor, 1e-30)
-    N = fld.normal_frame
+    N = pw(fld.frame_planes[2:])
     coeffs = np.stack([np.einsum("uvqm,uvm,uv->uvq", N, D, inv) for D in (D11, D12, D22)],
                       axis=-2)
-    cross = np.einsum("uvqm,uvm,uv->uvq", N, partial_v(grid, fld.dphi_u), inv)
-    E = np.stack([fld.e1, fld.e2], axis=-2)
+    cross = np.einsum("uvqm,uvm,uv->uvq", N, partial_v(grid, dphi_u), inv)
+    E = pw(fld.frame_planes[:2])
 
     def coeff(F, dF):
         raw = np.einsum("uvam,uvbm->uvab", F, dF)
@@ -654,13 +674,15 @@ def _einsum_reference(fld, tw):
 
     connection = (coeff(E, partial_u(grid, E)), coeff(E, partial_v(grid, E)),
                   coeff(N, partial_u(grid, N)), coeff(N, partial_v(grid, N)))
-    M = fld.II.hom
-    split_conj = np.einsum("uvpq,uvxqb,uvbc->uvxpc", tw.j_N, M, tw.j_T)
-    H = im._pointwise(fld.H)
+    M = pw(fld.II.planes)
+    j_T, j_N = pw(tw.j_T_planes), pw(tw.j_N_planes)
+    split_conj = np.einsum("uvpq,uvxqb,uvbc->uvxpc", j_N, M, j_T)
+    H = pw(fld.H)
+    wn = pw(fld.connection_planes[2]), pw(fld.connection_planes[3])
     grad_H = tuple(d(grid, H) + np.einsum("uvpq,uvq->uvp", w, H)
-                   for d, w in ((partial_u, fld.connection[2]), (partial_v, fld.connection[3])))
-    Ghom = im._pointwise(im._grad_H_hom(fld))
-    div_conj = np.einsum("uvpq,uvqb,uvbc->uvpc", tw.j_N, Ghom, tw.j_T)
+                   for d, w in ((partial_u, wn[0]), (partial_v, wn[1])))
+    Ghom = pw(im._grad_H_hom(fld))
+    div_conj = np.einsum("uvpq,uvqb,uvbc->uvpc", j_N, Ghom, j_T)
     om_u, om_v, wn_u, wn_v = connection
     lam = np.sqrt(fld.conformal_factor)[..., None, None]
     B_u, B_v = lam * M[..., 0, :, :], lam * M[..., 1, :, :]
@@ -683,18 +705,20 @@ def test_batched_contractions_match_einsum(kind, monkeypatch):
     fld = im.build_immersion(kind, n=32)
     if kind == "octonion_graph":
         _, tw = octo.canonical_lift(fld)
-        e = np.stack([fld.e1, fld.e2], axis=-2)
-        N = fld.normal_frame
+        e, N = im._pointwise(fld.frame_planes[:2]), im._pointwise(fld.frame_planes[2:])
         assert fld.normal_rank == 6
-        assert _close(tw.j_T, np.einsum("uvam,uvmk,uvbk->uvab", e, tw.j_ambient, e))
-        assert _close(tw.j_N, np.einsum("uvpm,uvmk,uvqk->uvpq", N, tw.j_ambient, N))
+        assert _close(im._pointwise(tw.j_T_planes),
+                      np.einsum("uvam,uvmk,uvbk->uvab", e, tw.j_ambient, e))
+        assert _close(im._pointwise(tw.j_N_planes),
+                      np.einsum("uvpm,uvmk,uvqk->uvpq", N, tw.j_ambient, N))
     else:
         tw = im.twistor_lift(fld, +1)
     ref = _einsum_reference(fld, tw)
-    assert _close(fld.II.coeffs, ref["coeffs"])
+    assert _close(coeffs(fld.II), ref["coeffs"])
     # the mixed slot of an umbilic sphere is ~0: measure it against all of II
-    assert _close(fld.II.crosscheck_12, ref["cross"], scale=np.max(np.abs(ref["coeffs"])))
-    for new, old in zip(fld.connection, ref["connection"]):
+    assert _close(im._pointwise(fld.II.crosscheck_planes), ref["cross"],
+                  scale=np.max(np.abs(ref["coeffs"])))
+    for new, old in zip(map(im._pointwise, fld.connection_planes), ref["connection"]):
         assert _close(new, old)
         # exactly skew, with a zero diagonal: the divergence's column swap for B @ om relies on it
         assert np.array_equal(new, -np.swapaxes(new, -1, -2))
@@ -702,10 +726,10 @@ def test_batched_contractions_match_einsum(kind, monkeypatch):
     assert _close(im._pointwise(im._hom_covariant_divergence(fld, fld.II.planes)), ref["hom_div"])
     for new, old in zip(fld.grad_H, ref["grad_H"]):
         assert _close(im._pointwise(new), old)
-    M = fld.II.hom
+    M = im._pointwise(fld.II.planes)
     # on canonical lifts j_T and j_N are exact rotations, so the split is exact
     same = np.array_equal if kind != "octonion_graph" else _close
-    assert same(tw.II_minus, 0.5 * (M + ref["split_conj"]))
+    assert same(im._pointwise(tw.II_minus_planes), 0.5 * (M + ref["split_conj"]))
     # the same j-conjugation on the single-slot nabla_perp H
     assert same(im._pointwise(im._anticommuting(tw, im._grad_H_hom(fld))),
                 0.5 * (ref["Ghom"] + ref["div_conj"]))
@@ -744,23 +768,13 @@ def test_batched_contractions_match_einsum(kind, monkeypatch):
         assert _close(im._plane_norm(G), np.linalg.norm(im._pointwise(G), axis=-1))
 
 
-def test_grid_first_names_are_views_of_the_planes():
-    # each quantity is stored once, component-first: the (nu, nv, ...) names read
-    # outside the Hom(T, N) calculus share memory with that storage, never copy it
+def test_planes_are_contiguous_component_first():
+    # each quantity is stored once, component-first, as C-contiguous planes
     for kind in ("round_sphere", "octonion_graph"):
         fld = im.build_immersion(kind, n=16)
         tw = octo.canonical_lift(fld)[1] if kind == "octonion_graph" else im.twistor_lift(fld)
-        pairs = [(fld.phi, fld.phi_planes), (fld.dphi_u, fld.dphi_planes),
-                 (fld.dphi_v, fld.dphi_planes), (fld.e1, fld.frame_planes),
-                 (fld.e2, fld.frame_planes), (fld.n1, fld.frame_planes),
-                 (fld.normal_frame, fld.frame_planes), (fld.II.hom, fld.II.planes),
-                 (fld.II.crosscheck_12, fld.II.crosscheck_planes),
-                 (tw.II_minus, tw.II_minus_planes), (tw.j_T, tw.j_T_planes),
-                 (tw.j_N, tw.j_N_planes), *zip(fld.connection, fld.connection_planes)]
-        for view, planes in pairs:
-            assert view.shape[:2] == (16, 16) and np.shares_memory(view, planes), kind
-        assert fld.normal_frame.shape == (16, 16, fld.normal_rank, fld.ambient_dim)
-        assert fld.II.hom.shape == tw.II_minus.shape == (16, 16, 2, fld.normal_rank, 2)
+        assert fld.frame_planes[2:].shape == (fld.normal_rank, fld.ambient_dim, 16, 16)
+        assert fld.II.planes.shape == tw.II_minus_planes.shape == (2, fld.normal_rank, 2, 16, 16)
         for planes in (fld.phi_planes, fld.dphi_planes, fld.frame_planes, fld.II.planes,
                        tw.II_minus_planes, fld.H, *fld.connection_planes, *fld.grad_H):
             assert planes.shape[-2:] == (16, 16) and planes.flags.c_contiguous, kind

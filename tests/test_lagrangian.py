@@ -69,7 +69,8 @@ def test_membership_pairing_l2_is_the_rms_of_its_pointwise_field(kind):
     fld, tw = build(kind)
     J = np.asarray(C2.kahler)
     anti = np.linalg.norm(tw.j_ambient @ J + J @ tw.j_ambient, axis=(-2, -1))
-    lag = np.abs(np.sum((fld.dphi_u @ J.T) * fld.dphi_v, axis=-1))
+    dphi_u, dphi_v = map(im._pointwise, fld.dphi_planes)
+    lag = np.abs(np.sum((dphi_u @ J.T) * dphi_v, axis=-1))
     pw = np.maximum(anti, lag)[fld.report_mask(0)]
     res = lg.lagrangian_twistor_residual(fld, tw)
     assert res.final_sup == np.max(pw)
@@ -139,7 +140,7 @@ def test_maslov_identity_cubic_explicit_oracle():
     # (kappa / 2) I and beta(e1) = -kappa / 2 with J^N|T = +I in these frames
     fld, tw = build("lagrangian_graph", {"potential": "cubic"})
     bu, _ = lg.maslov_form(fld)
-    M1 = tw.II_minus[..., 0, :, :]
+    M1 = im._pointwise(tw.II_minus_planes[0])
     mask = fld.report_mask(2)
     offdiag = np.abs(M1[..., 0, 1]) + np.abs(M1[..., 1, 0])
     assert np.max(offdiag[mask]) <= 1e-12

@@ -87,6 +87,24 @@ def test_left_mult_rejects_non_imaginary():
         octo.left_mult_structure(2.0 * E[1])
 
 
+def test_left_mult_takes_stacks():
+    # a (3, 4, 8) stack of unit imaginary q gives (3, 4, 8, 8), slice by slice
+    rng = np.random.default_rng(5)
+    q = rng.standard_normal((3, 4, 8))
+    q[..., 0] = 0.0
+    q /= octo.norm(q)[..., None]
+    L = octo.left_mult_structure(q)
+    assert L.shape == (3, 4, 8, 8)
+    for i in np.ndindex(q.shape[:-1]):
+        assert np.array_equal(L[i], octo.left_mult_structure(q[i]))
+    # one bad entry rejects the whole stack
+    for bad in (E[0], 2.0 * E[1]):
+        q_bad = q.copy()
+        q_bad[2, 1] = bad
+        with pytest.raises(octo.NotUnitImaginary):
+            octo.left_mult_structure(q_bad)
+
+
 # --------------------------------------------------------------- canonical lift
 
 def test_lift_of_quaternion_line():
@@ -112,18 +130,20 @@ def test_lift_property_and_sphere_valued():
     assert np.max(np.abs(octo.norm(q) - 1.0)) <= 1e-10
     assert np.max(np.abs(q[..., 0])) <= 1e-10
     j = tw.j_ambient
-    resid = np.einsum("uvij,uvj->uvi", j, fld.dphi_u) - fld.dphi_v
+    dphi_u, dphi_v = map(im._pointwise, fld.dphi_planes)
+    resid = np.einsum("uvij,uvj->uvi", j, dphi_u) - dphi_v
     assert np.max(np.linalg.norm(resid, axis=-1)) <= 1e-8
 
 
 def sampled_drift(fld, q):
     """Largest component-wise change of q = e2 * conj(e1) over 100 frame rotations."""
     rng = np.random.default_rng(3)
+    e1, e2 = map(im._pointwise, fld.frame_planes[:2])
     drift = 0.0
     for _ in range(100):
         th = rng.uniform(0.0, 2.0 * np.pi)
-        q1 = np.cos(th) * fld.e1 + np.sin(th) * fld.e2
-        q2 = -np.sin(th) * fld.e1 + np.cos(th) * fld.e2
+        q1 = np.cos(th) * e1 + np.sin(th) * e2
+        q2 = -np.sin(th) * e1 + np.cos(th) * e2
         q_alt = octo.multiply(q2, octo.conjugate(q1))
         drift = max(drift, float(np.max(np.abs(q_alt - q))))
     return drift
@@ -152,7 +172,8 @@ def test_closed_form_drift_bounds_the_sampled_drift(perturb, order):
     F = fld.frame_planes.copy()
     F[1] = perturb(F[0], F[1], delta)
     fld = dataclasses.replace(fld, frame_planes=F)
-    q = octo.multiply(fld.e2, octo.conjugate(fld.e1))
+    e1, e2 = map(im._pointwise, F[:2])
+    q = octo.multiply(e2, octo.conjugate(e1))
     drift = octo.lift_residual(fld, q).meta["reframing_drift"]
     assert drift >= sampled_drift(fld, q)
     assert abs(drift - order * delta) <= 1e-3 * delta
@@ -161,7 +182,7 @@ def test_closed_form_drift_bounds_the_sampled_drift(perturb, order):
 def test_lift_residual_l2_is_the_rms_of_its_pointwise_field():
     fld = im.build_immersion("octonion_graph", n=16)
     q, _ = octo.canonical_lift(fld)
-    e1, e2 = fld.e1, fld.e2
+    e1, e2 = map(im._pointwise, fld.frame_planes[:2])
     A = octo.multiply(e2, octo.conjugate(e1)) + octo.multiply(e1, octo.conjugate(e2))
     B = octo.multiply(e2, octo.conjugate(e2)) - octo.multiply(e1, octo.conjugate(e1))
     parts = {"reframing_drift": octo.norm(A) + 0.5 * octo.norm(B),
@@ -182,13 +203,14 @@ def test_codimension_six_split_consistent():
     # the rank-generic Hom splitting applies unchanged with q = 6
     fld = im.build_immersion("octonion_graph", n=16)
     _, tw = octo.canonical_lift(fld)
-    minus = tw.II_minus
-    plus = fld.II.hom - minus
+    II, minus = im._pointwise(fld.II.planes), im._pointwise(tw.II_minus_planes)
+    j_T, j_N = im._pointwise(tw.j_T_planes), im._pointwise(tw.j_N_planes)
+    plus = II - minus
     assert minus.shape[-2:] == (6, 2)
-    assert np.max(np.abs(plus + minus - fld.II.hom)) <= 1e-12
+    assert np.max(np.abs(plus + minus - II)) <= 1e-12
     for X in (0, 1):
         M = minus[..., X, :, :]
-        anti = tw.j_N @ M + M @ tw.j_T
+        anti = j_N @ M + M @ j_T
         assert np.max(np.abs(anti)) <= 1e-10
 
 
