@@ -17,7 +17,9 @@ n = 64, 128, 256 and 512:
     conformality check;
   - `twistor_lift`: the canonical lift with its orientation determinant;
   - `second_fundamental_form`: II from the differenced derivatives;
-  - `frame_connection`: the four connection matrices from the frames;
+  - `frame_connection`: the four skew connections from the frames, each
+    stored as its upper-triangle planes (dense (k, k) matrices in a
+    checkout before that layout);
   - `frame_to_connection`: α = g⁻¹dg from the adapted frame g;
   - `II_minus`: the j-anticommuting part of II, as the uncached
     computation of the lift's stored II₋ (`TwistorField.II_minus_planes`,

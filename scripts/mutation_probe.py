@@ -5,7 +5,7 @@ Usage: python scripts/mutation_probe.py [--list]
 
 The targets are the residual functions of `immersion`, `lagrangian` and
 `ellsys`, the helpers that hold their equations (in `immersion` also the
-plane kernels, the second fundamental form,
+plane and connection kernels, the second fundamental form,
 the mean curvature, the frame connection, the j-anticommuting projection,
 the orientation determinant and the Gram-Schmidt frames with their jump
 test), the 6-sphere lift of `octo` and its residual, the centred stencil
@@ -38,7 +38,7 @@ PACKAGE = pathlib.Path("src") / "twistorsys"
 COPIED = ("src", "tests", "scenarios", "scripts", "perfbench", "pyproject.toml")
 TARGETS = {
     "immersion": ("_gram_schmidt_frames", "_max_neighbor_jump", "_plane_product",
-                  "_plane_norm", "second_fundamental_form",
+                  "_connection_product", "_plane_norm", "second_fundamental_form",
                   "mean_curvature", "_column_det", "frame_connection", "_anticommuting",
                   "normal_connection_derivative", "_hom_covariant_divergence", "_grad_H_hom",
                   "vertical_harmonicity_residual", "holomorphic_H_residual",

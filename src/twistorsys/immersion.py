@@ -11,15 +11,15 @@ Every sampled vector and every derived Hom(T, N) quantity is stored once,
 component-first: each of its components is one contiguous (nu, nv) plane,
 the grid axes last.  The chart is (m, nu, nv), its derivatives
 (2, m, nu, nv), the frames (e1, e2, then the normal frame) (2 + q, m, nu, nv),
-each connection matrix (k, k, nu, nv), H and nabla_perp H (q, nu, nv), a
-Hom(T, N)-valued 1-form such as II or II_minus (2, q, 2, nu, nv) as slot,
-normal row and tangent column, and its divergence (q, 2, nu, nv).  A
-contraction over the ambient index is one grid dot product (`_grid_dot`),
-and a product by a 2 x 2 or q x q field (j_T, j_N, the connection, a Kahler
-J) is a sum of plane products written into one output (`_plane_product`),
-so numpy's inner loops run over whole planes rather than over axes of
-length 2.  A reader that needs grid-first (nu, nv, ...) arrays takes the
-`_pointwise` view at its own boundary.  The ambient (nu, nv, m, m) j that
+each skew k x k connection its k(k - 1)/2 upper-triangle planes, H and
+nabla_perp H (q, nu, nv), a Hom(T, N)-valued 1-form such as II or II_minus
+(2, q, 2, nu, nv) as slot, normal row and tangent column, and its divergence
+(q, 2, nu, nv).  A contraction over the ambient index is one grid dot
+product (`_grid_dot`), and a product by a 2 x 2 or q x q field (j_T, j_N, a
+Kahler J; a connection through `_connection_product`) is a sum of plane
+products written into one output (`_plane_product`), so numpy's inner loops
+run over whole planes rather than over axes of length 2.  A reader that
+needs grid-first (nu, nv, ...) arrays takes the `_pointwise` view at its own boundary.  The ambient (nu, nv, m, m) j that
 the ambient-matrix checks read stays grid-first.
 """
 from __future__ import annotations
@@ -187,12 +187,10 @@ class TwistorField:
 class SecondFundamentalForm:
     """II as a Hom(T, N)-valued 1-form in frame slots, stored component-first.
 
-    planes[a, p, b] = <II(e_a, e_b), n_p>, symmetric in the slots a, b;
-    crosscheck_planes holds the mixed slot differenced the other way round.
+    planes[a, p, b] = <II(e_a, e_b), n_p>, symmetric in the slots a, b.
     """
 
-    planes: np.ndarray              # (2, q, 2, nu, nv)
-    crosscheck_planes: np.ndarray   # (q, nu, nv)
+    planes: np.ndarray   # (2, q, 2, nu, nv)
 
 
 # --------------------------------------------------------------------- fixtures
@@ -523,6 +521,19 @@ def _plane_product(M, X, out=None):
     return out
 
 
+def _connection_product(W, X, out):
+    """out[a] += sum_b w[a, b] X[b], term by term in the order of b, for a skew w
+    stored as the upper-triangle planes W of `frame_connection`; w[b, a] = -w[a, b]
+    enters as a subtraction, and an all-zero plane is skipped.  `out` may be a
+    view with moved axes: -B w is this product on the transposed B and out."""
+    term = np.empty(X.shape[1:])
+    for w, (a, b) in zip(W, itertools.combinations(range(len(X)), 2)):
+        if w.any():
+            out[a] += np.multiply(w, X[b], out=term)
+            out[b] -= np.multiply(w, X[a], out=term)
+    return out
+
+
 def _plane_norm(M):
     """The Frobenius norm over the component axes of a (..., nu, nv) field: (nu, nv)."""
     flat = M.reshape((-1,) + M.shape[-2:])
@@ -581,22 +592,19 @@ def second_fundamental_form(field: ImmersionField) -> SecondFundamentalForm:
     """
     grid = field.grid
     d_u, d_v = field.dphi_planes
-    D12_alt = partial_v(grid, d_u, axis=-1)
-    D12 = partial_u(grid, d_v, axis=-2)
-    D12 += D12_alt
-    D12 *= 0.5
-    slots = {(0, 0): partial_u(grid, d_u, axis=-2), (0, 1): D12,
-             (1, 1): partial_v(grid, d_v, axis=-1)}
     inv = 1.0 / np.maximum(field.conformal_factor, 1e-30)
     normals = field.frame_planes[2:]
     hom = np.empty((2, len(normals), 2) + inv.shape)
-    cross = np.empty((len(normals),) + inv.shape)
-    for p, n in enumerate(normals):
-        for (a, b), D in slots.items():
+    for a, b in ((0, 0), (0, 1), (1, 1)):
+        # one slot of second derivatives at a time; the mixed one averages both orders
+        D = partial_v(grid, d_v, axis=-1) if a else partial_u(grid, (d_u, d_v)[b], axis=-2)
+        if a != b:
+            D += partial_v(grid, d_u, axis=-1)
+            D *= 0.5
+        for p, n in enumerate(normals):
             np.multiply(_grid_dot(n, D), inv, out=hom[a, p, b])
-        hom[1, p, 0] = hom[0, p, 1]
-        np.multiply(_grid_dot(n, D12_alt), inv, out=cross[p])
-    return SecondFundamentalForm(planes=hom, crosscheck_planes=cross)
+    hom[1, :, 0] = hom[0, :, 1]
+    return SecondFundamentalForm(planes=hom)
 
 
 def mean_curvature(II: SecondFundamentalForm):
@@ -691,19 +699,19 @@ def lift_from_octonion_structure(field: ImmersionField, j_ambient) -> TwistorFie
 def frame_connection(field: ImmersionField):
     """Connection coefficients of the tangent and normal frames.
 
-    Returns (om_u, om_v, wn_u, wn_v): skew (k, k, nu, nv) matrices <f_a, d f_b>
-    per direction, by centered differences of the frames, each entry the skew
-    part (1/2)(<f_a, d f_b> - <f_b, d f_a>); the diagonal is exactly zero.
+    Returns (om_u, om_v, wn_u, wn_v): per direction, the skew part (1/2)(<f_a, d f_b>
+    - <f_b, d f_a>) of <f_a, d f_b> by centered differences of the frames, stored as
+    its (k(k - 1)/2, nu, nv) planes a < b in `itertools.combinations` order.
     """
     grid = field.grid
     E, N = field.frame_planes[:2], field.frame_planes[2:]
 
     def coeff(F, dF):
-        out = np.zeros((len(F), len(F)) + F.shape[2:])
-        for a, b in itertools.combinations(range(len(F)), 2):
-            np.subtract(_grid_dot(F[a], dF[b]), _grid_dot(F[b], dF[a]), out=out[a, b])
-            out[a, b] *= 0.5
-            np.negative(out[a, b], out=out[b, a])
+        pairs = list(itertools.combinations(range(len(F)), 2))
+        out = np.empty((len(pairs),) + F.shape[2:])
+        for w, (a, b) in zip(out, pairs):
+            np.subtract(_grid_dot(F[a], dF[b]), _grid_dot(F[b], dF[a]), out=w)
+            w *= 0.5
         return out
 
     return (coeff(E, partial_u(grid, E, axis=-2)), coeff(E, partial_v(grid, E, axis=-1)),
@@ -718,11 +726,11 @@ def _anticommuting(tw: TwistorField, A):
     A - pi_minus(A) is the j-commuting part.  The right product by j_T is
     the left product by its transpose on the transposed planes.
     """
-    jT_t = tw.j_T_planes.swapaxes(0, 1)
     out = A.copy()
-    for i in np.ndindex(A.shape[:-4]):
-        jA = _plane_product(tw.j_N_planes, A[i])
-        _plane_product(jT_t, jA.swapaxes(0, 1), out=out[i].swapaxes(0, 1))
+    for i, b in itertools.product(np.ndindex(A.shape[:-4]), range(2)):
+        # one column b of j_N A at a time, added to every column c as j_T[b, c] times it
+        jA = _plane_product(tw.j_N_planes, A[i][:, b])
+        _plane_product(tw.j_T_planes[b, :, None], jA[None], out=out[i].swapaxes(0, 1))
     out *= 0.5
     return out
 
@@ -737,15 +745,17 @@ def _hom_covariant_divergence(field: ImmersionField, hom):
     """
     grid = field.grid
     om_u, om_v, wn_u, wn_v = field.connection_planes
-    B_u, B_v = field.lam * hom
-    div = partial_u(grid, B_u, axis=-2)
-    for i, (B, om, wn) in enumerate(((B_u, om_u, wn_u), (B_v, om_v, wn_v))):
+    lam = field.lam
+    B = lam * hom[0]   # one slot at a time, reused for the v slot
+    div = partial_u(grid, B, axis=-2)
+    for i, (om, wn) in enumerate(((om_u, wn_u), (om_v, wn_v))):
         if i:
-            div += partial_v(grid, B, axis=-1)
-        _plane_product(wn, B, out=div)
-        # - B om: om = [[0, w], [-w, 0]] is skew, so B om = (-w B[:, 1], w B[:, 0])
-        div[:, 0] += om[0, 1] * B[:, 1]
-        div[:, 1] -= om[0, 1] * B[:, 0]
+            np.multiply(lam, hom[1], out=B)
+            for c in range(B.shape[1]):
+                div[:, c] += partial_v(grid, B[:, c], axis=-1)
+        _connection_product(wn, B, div)
+        # - B om = om B^T on the transposed planes, om being skew
+        _connection_product(om, B.swapaxes(0, 1), div.swapaxes(0, 1))
     return div
 
 
@@ -753,8 +763,8 @@ def normal_connection_derivative(field: ImmersionField, H):
     """(nabla_perp_du H, nabla_perp_dv H) in normal coefficients, each (q, nu, nv)."""
     grid = field.grid
     _, _, wn_u, wn_v = field.connection_planes
-    return (_plane_product(wn_u, H, out=partial_u(grid, H, axis=-2)),
-            _plane_product(wn_v, H, out=partial_v(grid, H, axis=-1)))
+    return (_connection_product(wn_u, H, partial_u(grid, H, axis=-2)),
+            _connection_product(wn_v, H, partial_v(grid, H, axis=-1)))
 
 
 def vertical_harmonicity_residual(field: ImmersionField, tw: TwistorField) -> ResidualReport:
@@ -787,10 +797,10 @@ def divergence_identity_residual(field: ImmersionField, tw: TwistorField) -> Res
     Holds for every conformal immersion into the shipped space forms,
     solutions and non-solutions alike.
     """
-    inv2 = 1.0 / np.maximum(field.conformal_factor, 1e-30)
-    lhs = inv2 * tw.div_minus
-    rhs = 2.0 * _anticommuting(tw, _grad_H_hom(field))
-    return masked_report("divergence_identity", field.grid.h, _plane_norm(lhs - rhs),
+    resid = _anticommuting(tw, _grad_H_hom(field))
+    resid *= -2.0
+    resid += 1.0 / np.maximum(field.conformal_factor, 1e-30) * tw.div_minus
+    return masked_report("divergence_identity", field.grid.h, _plane_norm(resid),
                          field.report_mask(2))
 
 
@@ -802,10 +812,11 @@ def codazzi_identity_residual(field: ImmersionField) -> ResidualReport:
     so its normal part is zero and the identity reads * d * II = 2 nabla_perp H
     for every curvature constant c: this residual does not test c.
     """
-    inv2 = 1.0 / np.maximum(field.conformal_factor, 1e-30)
-    lhs = inv2 * _hom_covariant_divergence(field, field.II.planes)
-    return masked_report("codazzi_identity", field.grid.h,
-                         _plane_norm(lhs - 2.0 * _grad_H_hom(field)), field.report_mask(2))
+    resid = _hom_covariant_divergence(field, field.II.planes)
+    resid *= 1.0 / np.maximum(field.conformal_factor, 1e-30)
+    resid -= 2.0 * _grad_H_hom(field)
+    return masked_report("codazzi_identity", field.grid.h, _plane_norm(resid),
+                         field.report_mask(2))
 
 
 def curvature_commutator_residual(field: ImmersionField, tw: TwistorField) -> ResidualReport:

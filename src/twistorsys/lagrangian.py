@@ -98,10 +98,9 @@ def maslov_identity_residual(field: immersion.ImmersionField,
     # J^N|T in frames: <n_p, J e_b>, (q, 2, nu, nv)
     JNT = np.array([[immersion._grid_dot(n, Je) for Je in JE] for n in F[2:]])
     inv = 1.0 / np.maximum(field.lam, 1e-30)
-    resid = tw.II_minus_planes.copy()
-    for a, beta in enumerate((beta_u, beta_v)):
-        resid[a] += beta * inv * JNT   # beta(e_a) J^N|T
-    pw = np.maximum(*(immersion._plane_norm(r) for r in resid))
+    # II_minus(e_a, .) + beta(e_a) J^N|T, one slot at a time
+    pw = np.maximum(*(immersion._plane_norm(tw.II_minus_planes[a] + beta * inv * JNT)
+                      for a, beta in enumerate((beta_u, beta_v))))
     return masked_report("maslov_identity", field.grid.h, pw, field.report_mask(2))
 
 

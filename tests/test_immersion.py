@@ -1,5 +1,8 @@
 """Immersion fixtures, second fundamental form, lifts, harmonicity residuals."""
 import dataclasses
+import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +36,24 @@ def coeffs(II):
     """(nu, nv, 3, q): the slots (11, 12, 22) of II, grid-first."""
     M = im._pointwise(II.planes)
     return np.stack([M[..., 0, :, 0], M[..., 0, :, 1], M[..., 1, :, 1]], axis=-2)
+
+
+def dense_skew(W):
+    """(k, k, nu, nv): the skew matrices of a connection stored as the k(k - 1)/2
+    upper-triangle planes W that `frame_connection` returns."""
+    k = (1 + math.isqrt(1 + 8 * len(W))) // 2
+    M = np.zeros((k, k) + W.shape[1:])
+    for w, (a, b) in zip(W, itertools.combinations(range(k), 2)):
+        M[a, b], M[b, a] = w, -w
+    return M
+
+
+def other_order_mixed(fld):
+    """(nu, nv, q): the mixed slot of II from d_v(d_u phi) alone, one of the two
+    difference orders that II's mixed slot averages."""
+    D = partial_v(fld.grid, fld.dphi_planes[0], axis=-1)
+    inv = 1.0 / np.maximum(fld.conformal_factor, 1e-30)
+    return np.stack([im._grid_dot(n, D) * inv for n in fld.frame_planes[2:]], axis=-1)
 
 
 # --------------------------------------------------------------------- fixtures
@@ -256,13 +277,10 @@ def test_II_mixed_slot_crosscheck():
     for n in LADDER:
         fld = im.build_immersion("round_sphere", n=n)
         II = im.second_fundamental_form(fld)
-        diff = np.linalg.norm(coeffs(II)[..., 1, :] - im._pointwise(II.crosscheck_planes),
-                              axis=-1)
+        diff = np.linalg.norm(coeffs(II)[..., 1, :] - other_order_mixed(fld), axis=-1)
         mask = fld.report_mask(1)
         rep.add(fld.grid.h, float(np.max(diff[mask])), 0.0)
     assert rep.final_sup <= 1e-3
-    # its own planes: a view would keep the whole four-slot projection alive with II
-    assert II.crosscheck_planes.base is None
     assert converges_or_exact(rep, slope_min=1.9)
 
 
@@ -459,7 +477,7 @@ def test_lift_blocks_are_parallel():
     # structurally
     fld = im.build_immersion("clifford_torus", n=16)
     tw = im.twistor_lift(fld, +1)
-    om_u, om_v, wn_u, wn_v = map(im._pointwise, fld.connection_planes)
+    om_u, om_v, wn_u, wn_v = (im._pointwise(dense_skew(w)) for w in fld.connection_planes)
     j_T, j_N = im._pointwise(tw.j_T_planes), im._pointwise(tw.j_N_planes)
     for blocks, conns in ((j_T, (om_u, om_v)), (j_N, (wn_u, wn_v))):
         assert np.max(np.abs(blocks - blocks[0, 0])) == 0.0
@@ -571,7 +589,6 @@ def test_cached_geometry_matches_public_functions():
     II = im.second_fundamental_form(ref)
     H = im.mean_curvature(II)
     assert np.array_equal(fld.II.planes, II.planes)
-    assert np.array_equal(fld.II.crosscheck_planes, II.crosscheck_planes)
     # II is stored once, as one C-contiguous component-first Hom(T, N) array with
     # equal mixed slots
     assert fld.II.planes.flags.c_contiguous
@@ -630,6 +647,26 @@ def test_geometry_computed_once_per_rung(monkeypatch):
     assert calls == {"second_fundamental_form": len(ladder), "frame_connection": len(ladder)}
 
 
+def test_round_sphere_rung_peak_memory():
+    # the traced high-water mark of one n = 128 rung of the benchmark's
+    # round_sphere scenario, in grid planes of 8 n^2 bytes: the field and its
+    # cached geometry hold about 59 planes, and no stage may add more than about
+    # one slot or one column of derivatives or products on top of them
+    n = 128
+    scen = {"name": "round_sphere", "fixture": {"kind": "round_sphere", "params": {"r": 1.0}},
+            "model_space": {"kind": "euclidean4"}, "grid_ladder": [n],
+            "checks": ["vertical_harmonicity", "holomorphic_H", "divergence_identity",
+                       "codazzi_identity"], "expect": "converge"}
+    cli.run_scenario(scen)   # imports and first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        cli.run_scenario(scen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * n * n) <= 76.0
+
+
 @pytest.mark.parametrize("checks, lifts", [(["octonion_lift"], 0),
                                            (["vertical_harmonicity", "holomorphic_H",
                                              "octonion_lift"], 1)])
@@ -678,7 +715,7 @@ def _einsum_reference(fld, tw):
     j_T, j_N = pw(tw.j_T_planes), pw(tw.j_N_planes)
     split_conj = np.einsum("uvpq,uvxqb,uvbc->uvxpc", j_N, M, j_T)
     H = pw(fld.H)
-    wn = pw(fld.connection_planes[2]), pw(fld.connection_planes[3])
+    wn = pw(dense_skew(fld.connection_planes[2])), pw(dense_skew(fld.connection_planes[3]))
     grad_H = tuple(d(grid, H) + np.einsum("uvpq,uvq->uvp", w, H)
                    for d, w in ((partial_u, wn[0]), (partial_v, wn[1])))
     Ghom = pw(im._grad_H_hom(fld))
@@ -716,11 +753,12 @@ def test_batched_contractions_match_einsum(kind, monkeypatch):
     ref = _einsum_reference(fld, tw)
     assert _close(coeffs(fld.II), ref["coeffs"])
     # the mixed slot of an umbilic sphere is ~0: measure it against all of II
-    assert _close(im._pointwise(fld.II.crosscheck_planes), ref["cross"],
-                  scale=np.max(np.abs(ref["coeffs"])))
-    for new, old in zip(map(im._pointwise, fld.connection_planes), ref["connection"]):
+    assert _close(other_order_mixed(fld), ref["cross"], scale=np.max(np.abs(ref["coeffs"])))
+    for new, old in zip(fld.connection_planes, ref["connection"]):
+        new = im._pointwise(dense_skew(new))
         assert _close(new, old)
-        # exactly skew, with a zero diagonal: the divergence's column swap for B @ om relies on it
+        # exactly skew, with a zero diagonal: the upper-triangle planes that the
+        # connection kernel applies, also on the right, hold all of it
         assert np.array_equal(new, -np.swapaxes(new, -1, -2))
     # round_sphere has om != 0, octonion_graph q = 6 and wn != 0
     assert _close(im._pointwise(im._hom_covariant_divergence(fld, fld.II.planes)), ref["hom_div"])
@@ -751,7 +789,7 @@ def test_batched_contractions_match_einsum(kind, monkeypatch):
     # the plane product M X on every shape it serves, against the per-point einsum:
     # equal bit for bit over two columns, within roundoff over more
     H, F = fld.H, fld.frame_planes
-    cases = [(fld.connection_planes[2], H), (tw.j_N_planes, fld.grad_H[1]),
+    cases = [(dense_skew(fld.connection_planes[2]), H), (tw.j_N_planes, fld.grad_H[1]),
              (H[None], F[2:]), (tw.j_T_planes[None, :, 0], F[:2]),
              (tw.j_N_planes[None, :, 0], F[2:])]
     if fld.space.kahler is not None:
@@ -768,6 +806,30 @@ def test_batched_contractions_match_einsum(kind, monkeypatch):
         assert _close(im._plane_norm(G), np.linalg.norm(im._pointwise(G), axis=-1))
 
 
+@pytest.mark.parametrize("k", [2, 6])
+def test_connection_product_matches_dense_einsum(k):
+    # the one connection kernel against the per-point dense product: on the left
+    # (the normal connection), and on the right through transposed views of the
+    # operand and of the output (the tangent one), with random skew fields, an
+    # all-zero plane among them, and bit for bit over two columns
+    rng = np.random.default_rng(k)
+    pairs = k * (k - 1) // 2
+    fields = [rng.standard_normal((pairs, 5, 7)) for _ in range(2)]
+    fields[1][pairs // 2] = 0.0
+    X, B = rng.standard_normal((k, 3, 5, 7)), rng.standard_normal((3, k, 5, 7))
+    same = np.array_equal if k == 2 else _close
+    for W in fields:
+        w = dense_skew(W)
+        start = rng.standard_normal(X.shape)
+        got = im._connection_product(W, X, start.copy())
+        assert same(got, start + np.einsum("abuv,b...uv->a...uv", w, X))
+        # - B w: the transposed planes of B in, a transposed view of the output out
+        start = rng.standard_normal(B.shape)
+        out = start.copy()
+        im._connection_product(W, B.swapaxes(0, 1), out.swapaxes(0, 1))
+        assert same(out, start - np.einsum("pauv,abuv->pbuv", B, w))
+
+
 def test_planes_are_contiguous_component_first():
     # each quantity is stored once, component-first, as C-contiguous planes
     for kind in ("round_sphere", "octonion_graph"):
@@ -778,5 +840,8 @@ def test_planes_are_contiguous_component_first():
         for planes in (fld.phi_planes, fld.dphi_planes, fld.frame_planes, fld.II.planes,
                        tw.II_minus_planes, fld.H, *fld.connection_planes, *fld.grad_H):
             assert planes.shape[-2:] == (16, 16) and planes.flags.c_contiguous, kind
+        # a skew connection as its upper-triangle planes: one for each rank-2 frame
+        q = fld.normal_rank
+        assert [len(w) for w in fld.connection_planes] == [1, 1] + [q * (q - 1) // 2] * 2, kind
         if kind == "round_sphere":   # the canonical lift: views of one constant 2 x 2 matrix
             assert tw.j_T_planes.strides[-2:] == tw.j_N_planes.strides[-2:] == (0, 0)
