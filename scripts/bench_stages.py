@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the frame-calculus and frame-development stages of a rung over a grid ladder.
+"""Time the frame-calculus, frame-development and graded stages of a rung over a grid ladder.
 
 Usage: python scripts/bench_stages.py [--src DIR] [--label TEXT] [--append FILE]
 
@@ -42,12 +42,19 @@ n = 64, 128, 256 and 512:
     checkout without it, `canonical_lift`, which also builds the lift
     j = L_q in frames);
   - `lift_residual`: the `octonion_lift` check on that q.
+- *graded_stages*: on α = g⁻¹dg of the adapted frames of `clifford_torus`
+  (`ellsys.frame_from_geometry`), over n = 64, 128, 256 and 512, it times
+  - `_graded`: α in the grade-adapted basis of the frame group's grading;
+  - `_laurent_graded`: the Laurent pass, all five coefficients F_k;
+  - `brackets`: the nine block brackets of that pass on its own operands
+    (the dz coefficients and c± of α, in the layout the checkout gives them);
+  - `zero_curvature_scan`: the scan with its 24 default samples.
 
 A stage's time is the minimum over 20 calls, in milliseconds, and p is the
 least-squares slope of log time against log n (time ∝ n^p).  At n = 256
 each stage runs once more under `tracemalloc`, in a separate pass, and its
 transient peak (peak minus the allocation at its start) is recorded in MB.
-The row (label, numpy and Python versions, CPU count and the three tables) is
+The row (label, numpy and Python versions, CPU count and the four tables) is
 printed as JSON and, with `--append`, appended to the `rows` list of FILE,
 which is created when missing.  Standard library and numpy only.
 """
@@ -71,6 +78,7 @@ MEM_N = 256
 FRAME_FIXTURE = "so5_s4"
 OCTONION_FIXTURE = "octonion_graph"
 OCTONION_SIZES = (64, 128, 256)
+GRADED_FIXTURE = "clifford_torus"
 
 
 def stages(im, lagrangian, fld, tw):
@@ -127,6 +135,28 @@ def octonion_stages(n):
             "_gram_schmidt_frames": lambda: im._gram_schmidt_frames(*dphi, fld.branch_mask),
             name: lambda: lift(fld),
             "lift_residual": lambda: octo.lift_residual(fld, q)}
+
+
+def graded_stages(n):
+    """name -> zero-argument call, for the graded frame-route stages at grid size n."""
+    from twistorsys import ellsys, forms, immersion as im
+    fld = im.build_immersion(GRADED_FIXTURE, n=n)
+    alpha = ellsys.frame_from_geometry(fld, im.twistor_lift(fld))[1]
+    aut = fld.space.algebra_fixture().aut
+    # the operands of the Laurent pass, as `forms._laurent_graded` forms them
+    gb, x = forms._graded(alpha, aut)
+    a, e = forms._dz_parts(gb.block(x, 2))
+    b = forms._dz_parts(gb.block(x, 1))[0]
+    d = forms._dz_parts(gb.block(x, -1))[1]
+    c_u, c_v = gb.block(x, 0)
+    c_plus, c_minus = c_u + 1j * c_v, c_u - 1j * c_v
+    pairs = [(0, 2, c_plus, a), (2, -1, a, d), (1, 0, b, c_plus), (0, 0, c_u, c_v),
+             (2, 2, a, e), (1, -1, b, d), (1, 2, b, e), (0, -1, c_minus, d),
+             (0, 2, c_minus, e)]
+    return {"_graded": lambda: forms._graded(alpha, aut),
+            "_laurent_graded": lambda: forms._laurent_graded(alpha, aut),
+            "brackets": lambda: [gb.bracket(*pair) for pair in pairs],
+            "zero_curvature_scan": lambda: forms.zero_curvature_scan(alpha, aut)}
 
 
 def best_ms(call):
@@ -190,9 +220,10 @@ def main(argv=None):
     result = {kind: table(geometry_stages(kind, space)) for kind, space in FIXTURES.items()}
     frames = {FRAME_FIXTURE: table(frame_stages)}
     octonion = {OCTONION_FIXTURE: table(octonion_stages, OCTONION_SIZES)}
+    graded = {GRADED_FIXTURE: table(graded_stages)}
     row = {"label": args.label, "numpy": np.__version__, "python": platform.python_version(),
            "cpus": os.cpu_count(), "repeats": REPEATS, "stages": result, "frame_stages": frames,
-           "octonion_stages": octonion}
+           "octonion_stages": octonion, "graded_stages": graded}
     print(json.dumps(row, indent=1))
     if args.append:
         doc = (json.loads(args.append.read_text()) if args.append.exists()

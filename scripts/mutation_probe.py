@@ -5,22 +5,25 @@ Usage: python scripts/mutation_probe.py [--list]
 
 The targets are the residual functions of `immersion`, `lagrangian` and
 `ellsys`, the helpers that hold their equations (in `immersion` also the
-plane and connection kernels, the second fundamental form,
-the mean curvature, the frame connection, the j-anticommuting projection,
-the orientation determinant and the Gram-Schmidt frames with their jump
-test), the 6-sphere lift of `octo` and its residual, the centred stencil
-and the graded Laurent pass of `forms`, the trapezoidal steps and the
-plaquette pass of `ellsys` and the 1-norms and Taylor polynomial of
-`liealg.matrix_exp`.  Each binary `+` or `-` and each `+=` or
-`-=` there becomes one mutant with that single operator flipped.  The probe
-copies what the suite reads (`src/`, `tests/`, `scenarios/`, `scripts/`,
-`perfbench/`) to a temporary directory, writes one mutant at a time into the
-copy, and runs the tier-1 suite there (`pytest -x`), so the checkout is never
-touched.  It prints `killed` or `survived` per mutant and the counts at the
-end; `--list` prints the mutants without running anything.  A mutant is
-killed when the suite fails or times out.  Bytecode caching is off, so two
-mutants of the same size written within one second cannot share a stale
-`.pyc`.  It takes about ten minutes on two cores.
+plane and connection products, the second fundamental form, the mean
+curvature, the frame connection, the j-anticommuting projection, the
+orientation determinant and the Gram-Schmidt frames with their jump test),
+the 6-sphere lift of `octo` and its residual, the centred stencil, the
+component-plane norm and the graded Laurent pass of `forms`, the trapezoidal
+steps and the plaquette pass of `ellsys`, the 1-norms and Taylor polynomial
+of `liealg.matrix_exp`, and the sparse bilinear kernel of `liealg` behind
+every bracket and plane product, with its grid-last boundary and the graded
+block bracket (a method is named `Class.method`).  Each binary `+` or `-`
+and each `+=` or `-=` there becomes one mutant with that single operator
+flipped.  The probe copies what the suite reads (`src/`, `tests/`,
+`scenarios/`, `scripts/`, `perfbench/`) to a temporary directory, writes one
+mutant at a time into the copy, and runs the tier-1 suite there
+(`pytest -x`), so the checkout is never touched.  It prints `killed` or `survived`
+per mutant and the counts at the end; `--list` prints the mutants without
+running anything.  A mutant is killed when the suite fails or times out.
+Bytecode caching is off, so two mutants of the same size written within one
+second cannot share a stale `.pyc`.  It takes about ten minutes on two
+cores.
 """
 import argparse
 import ast
@@ -38,7 +41,7 @@ PACKAGE = pathlib.Path("src") / "twistorsys"
 COPIED = ("src", "tests", "scenarios", "scripts", "perfbench", "pyproject.toml")
 TARGETS = {
     "immersion": ("_gram_schmidt_frames", "_max_neighbor_jump", "_plane_product",
-                  "_connection_product", "_plane_norm", "second_fundamental_form",
+                  "_connection_product", "second_fundamental_form",
                   "mean_curvature", "_column_det", "frame_connection", "_anticommuting",
                   "normal_connection_derivative", "_hom_covariant_divergence", "_grad_H_hom",
                   "vertical_harmonicity_residual", "holomorphic_H_residual",
@@ -46,11 +49,11 @@ TARGETS = {
                   "curvature_commutator_residual"),
     "lagrangian": ("lagrangian_residual", "lagrangian_twistor_residual", "maslov_form",
                    "maslov_identity_residual", "hamiltonian_stationary_residual"),
-    "forms": ("_centred", "_dz_parts", "_covariant_closure", "_laurent_graded",
+    "forms": ("_centred", "_dz_parts", "_sq_norm", "_covariant_closure", "_laurent_graded",
               "zero_curvature_scan"),
     "ellsys": ("holomorphicity_residual", "covariant_closure_residual", "_avg",
                "_step_exponentials", "plaquette_defects"),
-    "liealg": ("matrix_exp", "_taylor"),
+    "liealg": ("matrix_exp", "_taylor", "_sparse_product", "_bilinear", "GradedBasis.bracket"),
     "octo": ("canonical_lift", "canonical_q", "twistor_from_q", "lift_residual"),
 }
 FLIP = {"+": "-", "-": "+"}
@@ -75,7 +78,10 @@ def mutants(module):
     source = (ROOT / PACKAGE / f"{module}.py").read_text()
     lines = source.splitlines(keepends=True)
     ops = _operator_tokens(source)
-    funcs = {f.name: f for f in ast.parse(source).body if isinstance(f, ast.FunctionDef)}
+    tree = ast.parse(source).body
+    funcs = {f.name: f for f in tree if isinstance(f, ast.FunctionDef)}
+    funcs.update({f"{c.name}.{f.name}": f for c in tree if isinstance(c, ast.ClassDef)
+                  for f in c.body if isinstance(f, ast.FunctionDef)})
     missing = set(TARGETS[module]) - set(funcs)
     if missing:
         raise SystemExit(f"{module}: no function(s) {sorted(missing)}")

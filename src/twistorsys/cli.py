@@ -274,7 +274,7 @@ def load_scenario(path):
         raise ScenarioError(f"unknown fixture {kind!r}")
     _check_params(f"fixture {kind!r} params", params, declared)
     try:
-        immersion.check_param_values(kind, params) if surface else exp_frame_inputs(params)
+        sample = immersion.check_param_values(kind, params) if surface else exp_frame_inputs(params)
     except (LookupError, ValueError, ArithmeticError, OSError, forms.GridError) as exc:
         raise ScenarioError(f"fixture {kind!r} cannot take params {params!r}: {exc}") from exc
 
@@ -293,6 +293,9 @@ def load_scenario(path):
     if surface and space.ambient_dim != symspace.model_space(own).ambient_dim:
         raise ScenarioError(f"fixture {kind!r} lives in {own!r}, not in the "
                             f"{space.ambient_dim}-dimensional {ms_kind!r}")
+    off = abs(np.linalg.norm(sample["phi"]) - space.radius) if surface and space.radius else 0.0
+    if off > 8 * np.finfo(float).eps * space.radius:
+        raise ScenarioError(f"fixture {kind!r} is {off:.3e} off its sphere of radius {space.radius}")
     # exp_frame has no lift, and the octonion lift of a surface in R^8 has no sign
     signs = (1, -1) if surface and space.ambient_dim != 8 else (1,)
     if scen.get("lift_sign", 1) not in signs:

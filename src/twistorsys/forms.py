@@ -312,20 +312,19 @@ def default_lambda_samples():
 # the grade-adapted unitary basis of the automorphism (`liealg.GradedBasis`):
 # one change of basis, then every grade split is a slice and every wedge
 # brackets only its blocks [g_j, g_k] -> g_(j+k).  alpha in graded coordinates
-# is one (2, nu, nv, d) array of its (u, v) components; a (1,0) part p dz or a
-# (0,1) part q dz-bar is its one (nu, nv, d_k) coefficient, since
+# is one component-first (2, d, nu, nv) array of its (u, v) components; a (1,0)
+# part p dz or a (0,1) part q dz-bar is its one (d_k, nu, nv) coefficient, since
 # (dz ^ dz-bar)(du, dv) = -2i makes each wedge of two typed parts one bracket.
 
 def _graded(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism):
-    """The grade-adapted basis of `aut` and alpha's (u, v) components in it."""
+    """The grade-adapted basis of `aut` and alpha's (u, v) components in it, (2, d, nu, nv)."""
     if aut.algebra is not alpha.algebra:
         raise AlgebraMismatch("automorphism acts on a different algebra")
-    gb = aut.graded
-    dual = gb.rows.conj().T   # original -> graded coordinates
+    gb, d = aut.graded, alpha.algebra.dim
     # the graded basis is complex: here a real alpha enters complex arithmetic
-    x = np.empty((2,) + alpha.a_u.shape, complex)
-    np.matmul(alpha.a_u, dual, out=x[0])
-    np.matmul(alpha.a_v, dual, out=x[1])
+    x = np.empty((2, d, alpha.grid.nu, alpha.grid.nv), complex)
+    for xc, a in zip(x, (alpha.a_u, alpha.a_v)):
+        np.matmul(gb.rows.conj(), a.reshape(-1, d).astype(complex).T, out=xc.reshape(d, -1))
     return gb, x
 
 
@@ -337,19 +336,22 @@ def _dz_parts(x):
 
 
 def _sq_norm(x):
-    """Pointwise squared Euclidean norm over the last axis of a complex array."""
-    parts = np.ascontiguousarray(x).view(float)   # real and imaginary parts interleaved
-    return np.einsum("...i,...i->...", parts, parts)
+    """Pointwise squared Euclidean norm over the component axes of a real or complex
+    (..., nu, nv) field: one grid dot product, with complex parts interleaved."""
+    flat = np.ascontiguousarray(x).reshape((-1,) + x.shape[-2:]).view(float)
+    sq = np.einsum("k...,k...->...", flat, flat)
+    return sq[..., ::2] + sq[..., 1::2] if np.iscomplexobj(x) else sq
 
 
 def _covariant_closure(grid, gb, c_plus, a):
     """F_2 = d(a dz) + [C ^ a dz] = i(du a + i dv a + [c_+, a]) in the g_2 block,
     for alpha_2^(1,0) = a dz and c_+ = c_u + i c_v from C = alpha_0."""
-    return 1j * (partial_u(grid, a) + 1j * partial_v(grid, a) + gb.bracket(0, 2, c_plus, a))
+    return 1j * (partial_u(grid, a, -2) + 1j * partial_v(grid, a, -1)
+                 + gb.bracket(0, 2, c_plus, a))
 
 
 def _laurent_graded(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism) -> dict:
-    """`laurent_curvature` in graded coordinates: {k: (nu, nv, d_k)} with F_k
+    """`laurent_curvature` in graded coordinates: {k: (d_k, nu, nv)} with F_k
     in g_k for k = 2, 1, 0, -1 and F_-2 in g_2."""
     gb, x = _graded(alpha, aut)
     grid = alpha.grid
@@ -358,13 +360,14 @@ def _laurent_graded(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism) -> 
     d = _dz_parts(gb.block(x, -1))[1]
     c_u, c_v = gb.block(x, 0)
     c_plus, c_minus = c_u + 1j * c_v, c_u - 1j * c_v
-    F1 = 1j * (partial_u(grid, b) + 1j * partial_v(grid, b)
+    F1 = 1j * (partial_u(grid, b, -2) + 1j * partial_v(grid, b, -1)
                - 2 * gb.bracket(2, -1, a, d) - gb.bracket(1, 0, b, c_plus))
-    F0 = partial_u(grid, c_v) - partial_v(grid, c_u) + gb.bracket(0, 0, c_u, c_v) \
+    F0 = partial_u(grid, c_v, -2) - partial_v(grid, c_u, -1) + gb.bracket(0, 0, c_u, c_v) \
         - 2j * (gb.bracket(2, 2, a, e) + gb.bracket(1, -1, b, d))
-    Fm1 = -1j * (partial_u(grid, d) - 1j * partial_v(grid, d)
+    Fm1 = -1j * (partial_u(grid, d, -2) - 1j * partial_v(grid, d, -1)
                  + 2 * gb.bracket(1, 2, b, e) + gb.bracket(0, -1, c_minus, d))
-    Fm2 = -1j * (partial_u(grid, e) - 1j * partial_v(grid, e) + gb.bracket(0, 2, c_minus, e))
+    Fm2 = -1j * (partial_u(grid, e, -2) - 1j * partial_v(grid, e, -1)
+                 + gb.bracket(0, 2, c_minus, e))
     return {2: _covariant_closure(grid, gb, c_plus, a), 1: F1, 0: F0, -1: Fm1, -2: Fm2}
 
 
@@ -426,15 +429,9 @@ def zero_curvature_scan(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism,
     out = ResidualReport("zero_curvature_scan", meta={"n_lambda": len(lam_samples)})
     for k in F:
         out.meta[f"laurent_sup_{k}"] = report(sq[k]).final_sup
-    sup = 0.0
-    l2 = 0.0
-    for lam in lam_samples:
-        r2 = abs(lam) ** 2
-        e = report(_sq_norm(lam ** 2 * F[2] + lam ** -2 * F[-2])
-                   + r2 * sq[1] + sq[0] + sq[-1] / r2).entries[0]
-        sup = max(sup, e.sup)
-        l2 = max(l2, e.l2)
-    return out.add(grid.h, sup, l2)
+    samples = [report(_sq_norm(lam ** 2 * F[2] + lam ** -2 * F[-2]) + abs(lam) ** 2 * sq[1]
+                      + sq[0] + sq[-1] / abs(lam) ** 2).entries[0] for lam in lam_samples]
+    return out.add(grid.h, max(e.sup for e in samples), max(e.l2 for e in samples))
 
 
 def constant_form(grid: SurfaceGrid, algebra, xi_u, xi_v) -> LieValuedOneForm:

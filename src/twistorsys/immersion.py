@@ -14,13 +14,13 @@ the grid axes last.  The chart is (m, nu, nv), its derivatives
 each skew k x k connection its k(k - 1)/2 upper-triangle planes, H and
 nabla_perp H (q, nu, nv), a Hom(T, N)-valued 1-form such as II or II_minus
 (2, q, 2, nu, nv) as slot, normal row and tangent column, and its divergence
-(q, 2, nu, nv).  A contraction over the ambient index is one grid dot
-product (`_grid_dot`), and a product by a 2 x 2 or q x q field (j_T, j_N, a
-Kahler J; a connection through `_connection_product`) is a sum of plane
-products written into one output (`_plane_product`), so numpy's inner loops
-run over whole planes rather than over axes of length 2.  A reader that
-needs grid-first (nu, nv, ...) arrays takes the `_pointwise` view at its own boundary.  The ambient (nu, nv, m, m) j that
-the ambient-matrix checks read stays grid-first.
+(q, 2, nu, nv).  A contraction over the ambient index is one grid dot product
+(`_grid_dot`); a product by a 2 x 2 or q x q field (j_T, j_N, a Kahler J, a
+connection) is a term list of plane products (`_plane_product`,
+`_connection_product`) for the one sparse kernel `liealg._sparse_product`, so
+numpy's inner loops run over whole planes.  A reader that needs grid-first
+(nu, nv, ...) arrays takes the `_pointwise` view at its own boundary; the
+ambient (nu, nv, m, m) j of the ambient-matrix checks stays grid-first.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import liealg, symspace
-from .forms import ResidualReport, SurfaceGrid, masked_report, partial_u, partial_v
+from .forms import ResidualReport, SurfaceGrid, _sq_norm, masked_report, partial_u, partial_v
 
 
 class ImmersionError(Exception):
@@ -444,11 +444,11 @@ def fixture_params(kind, params=None):
 def check_param_values(kind, params=None):
     """Build the fixture's smallest grid and sample it at the first point of its
     chart, so that a param value it cannot take raises (ValueError, KeyError,
-    ArithmeticError, forms.GridError) before any rung."""
+    ArithmeticError, forms.GridError) before any rung; returns that sample."""
     p = fixture_params(kind, params)
     grid = _grid(8, *FIXTURES[kind].domain(p))
     with np.errstate(divide="raise", invalid="raise"):
-        FIXTURES[kind].builder(p, np.full((1, 1), grid.u0), np.full((1, 1), grid.v0))
+        return FIXTURES[kind].builder(p, np.full((1, 1), grid.u0), np.full((1, 1), grid.v0))
 
 
 def build_immersion(kind, params=None, n=32, space=None) -> ImmersionField:
@@ -501,43 +501,33 @@ _grid_dot = functools.partial(np.einsum, "m...,m...->...")
 
 
 def _plane_product(M, X, out=None):
-    """M X on component planes: out[p] += sum_r M[p, r] X[r], term by term.
+    """M X on component planes: out[p] += sum_r M[p, r] X[r] by `liealg._sparse_product`.
 
-    Each M[p, r] is a (nu, nv) plane, or anything that broadcasts against the
-    (..., nu, nv) block X[r], such as a constant or a plane of a broadcast
-    view; `out` (k, ..., nu, nv), zeros when not given, may be a view with
-    moved axes.  A term whose M[p, r] is one value over the whole grid, and
-    that value zero (the zero entries of a canonical lift's rotations or of
-    a Kahler J), adds nothing and is skipped.  Returns out.
+    Each M[p, r] is a (nu, nv) plane, or anything that broadcasts against the block
+    X[r] (..., nu, nv), such as a constant or a plane of a broadcast view; `out`
+    (k, ..., nu, nv), zeros when not given, may be a view with moved axes.  A term
+    whose M[p, r] is one value over the whole grid, and that value zero (a zero
+    entry of a canonical lift's rotations or of a Kahler J), adds no term.  Returns out.
     """
     if out is None:
         out = np.zeros(M.shape[:1] + X.shape[1:])
-    term = np.empty(X.shape[1:])
-    for p, r in itertools.product(range(len(out)), range(len(X))):
-        c = np.asarray(M[p, r])
-        if not any(c.strides) and c.flat[0] == 0:
-            continue
-        out[p] += np.multiply(c, X[r], out=term)
-    return out
+    terms = {p: [((p, r), r, 1) for r in range(len(X))
+                 if any((c := np.asarray(M[p, r])).strides) or c.flat[0] != 0]
+             for p in range(len(out))}
+    return liealg._sparse_product(terms, M, X, out)
 
 
 def _connection_product(W, X, out):
-    """out[a] += sum_b w[a, b] X[b], term by term in the order of b, for a skew w
-    stored as the upper-triangle planes W of `frame_connection`; w[b, a] = -w[a, b]
-    enters as a subtraction, and an all-zero plane is skipped.  `out` may be a
-    view with moved axes: -B w is this product on the transposed B and out."""
-    term = np.empty(X.shape[1:])
-    for w, (a, b) in zip(W, itertools.combinations(range(len(X)), 2)):
-        if w.any():
-            out[a] += np.multiply(w, X[b], out=term)
-            out[b] -= np.multiply(w, X[a], out=term)
-    return out
-
-
-def _plane_norm(M):
-    """The Frobenius norm over the component axes of a (..., nu, nv) field: (nu, nv)."""
-    flat = M.reshape((-1,) + M.shape[-2:])
-    return np.sqrt(_grid_dot(flat, flat))
+    """out[a] += sum_b w[a, b] X[b] by `liealg._sparse_product`, in the order of b, for
+    a skew w stored as the upper-triangle planes W of `frame_connection`: w[b, a]
+    enters with c = -1, and an all-zero plane adds no term.  `out` may be a view
+    with moved axes: -B w is this product on the transposed B and out."""
+    terms = {a: [] for a in range(len(X))}
+    for i, (a, b) in enumerate(itertools.combinations(range(len(X)), 2)):
+        if W[i].any():
+            terms[a].append((i, b, 1))
+            terms[b].append((i, a, -1))
+    return liealg._sparse_product(terms, W, X, out)
 
 
 def _gram_schmidt_frames(dphi, branch):
@@ -769,7 +759,7 @@ def normal_connection_derivative(field: ImmersionField, H):
 
 def vertical_harmonicity_residual(field: ImmersionField, tw: TwistorField) -> ResidualReport:
     """Norm of d^(nabla, nabla_perp) * II_minus over the interior."""
-    return masked_report("vertical_harmonicity", field.grid.h, _plane_norm(tw.div_minus),
+    return masked_report("vertical_harmonicity", field.grid.h, np.sqrt(_sq_norm(tw.div_minus)),
                          field.report_mask(2))
 
 
@@ -777,7 +767,7 @@ def holomorphic_H_residual(field: ImmersionField, tw: TwistorField) -> ResidualR
     """Norm of nabla_perp_du H + j nabla_perp_dv H (the anti-holomorphic part)."""
     G_u, G_v = field.grad_H
     resid = G_u + _plane_product(tw.j_N_planes, G_v)
-    return masked_report("holomorphic_H", field.grid.h, _plane_norm(resid),
+    return masked_report("holomorphic_H", field.grid.h, np.sqrt(_sq_norm(resid)),
                          field.report_mask(2))
 
 
@@ -800,7 +790,7 @@ def divergence_identity_residual(field: ImmersionField, tw: TwistorField) -> Res
     resid = _anticommuting(tw, _grad_H_hom(field))
     resid *= -2.0
     resid += 1.0 / np.maximum(field.conformal_factor, 1e-30) * tw.div_minus
-    return masked_report("divergence_identity", field.grid.h, _plane_norm(resid),
+    return masked_report("divergence_identity", field.grid.h, np.sqrt(_sq_norm(resid)),
                          field.report_mask(2))
 
 
@@ -815,7 +805,7 @@ def codazzi_identity_residual(field: ImmersionField) -> ResidualReport:
     resid = _hom_covariant_divergence(field, field.II.planes)
     resid *= 1.0 / np.maximum(field.conformal_factor, 1e-30)
     resid -= 2.0 * _grad_H_hom(field)
-    return masked_report("codazzi_identity", field.grid.h, _plane_norm(resid),
+    return masked_report("codazzi_identity", field.grid.h, np.sqrt(_sq_norm(resid)),
                          field.report_mask(2))
 
 

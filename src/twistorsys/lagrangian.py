@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import immersion, liealg
-from .forms import ResidualReport, masked_report, partial_u, partial_v
+from .forms import ResidualReport, _sq_norm, masked_report, partial_u, partial_v
 
 
 class NotKahler(Exception):
@@ -99,8 +99,8 @@ def maslov_identity_residual(field: immersion.ImmersionField,
     JNT = np.array([[immersion._grid_dot(n, Je) for Je in JE] for n in F[2:]])
     inv = 1.0 / np.maximum(field.lam, 1e-30)
     # II_minus(e_a, .) + beta(e_a) J^N|T, one slot at a time
-    pw = np.maximum(*(immersion._plane_norm(tw.II_minus_planes[a] + beta * inv * JNT)
-                      for a, beta in enumerate((beta_u, beta_v))))
+    pw = np.sqrt(np.maximum(*(_sq_norm(tw.II_minus_planes[a] + beta * inv * JNT)
+                              for a, beta in enumerate((beta_u, beta_v)))))
     return masked_report("maslov_identity", field.grid.h, pw, field.report_mask(2))
 
 

@@ -143,53 +143,59 @@ def _nonzero_terms(table):
     return terms
 
 
-def _axis_first_parts(x, dtype):
-    """x cast to dtype, last axis first, as (real,) or (real, imaginary) arrays."""
-    x = np.moveaxis(np.asarray(x, dtype=dtype), -1, 0)
-    parts = (x.real, x.imag) if dtype.kind == "c" else (x,)
-    return tuple(np.ascontiguousarray(p) for p in parts)
+def _sparse_product(terms, x, y, out):
+    """out[k] += c x[i] y[j] over the terms {k: [(i, j, c), ...]}, each k's in their
+    order: the one sparse bilinear kernel, on component-first arrays.
+
+    i and j index the leading axes of x and y (an integer, or a pair for a
+    matrix of planes), and x[i] y[j] broadcasts to out[k].  A complex product
+    is formed from parts as np.einsum forms it, (xr yr - xi yi) + i(xr yi +
+    xi yr), and a complex c multiplies the same way; c = +-1 adds or
+    subtracts with no multiply.  Products go into one fixed set of temporaries,
+    or at a single point are numpy scalars (a tenth of a ufunc call's cost).
+    """
+    x, y, parts = ((a.real, a.imag) if np.iscomplexobj(a) else (a,) for a in (x, y, out))
+    tmp = [np.empty(out.shape[1:]) for _ in range(len(parts) ** 2)] if out.ndim > 1 else None
+
+    def mul(a, b, t):
+        return np.multiply(a, b, out=tmp[t]) if tmp else a * b
+
+    for k, row in terms.items():
+        for i, j, c in row:
+            if len(x) == 1:
+                p = [mul(x[0][i], y[0][j], 0)]
+            else:
+                p = [mul(x[0][i], y[0][j], 0), mul(x[0][i], y[1][j], 1)]
+                p[0] -= mul(x[1][i], y[1][j], 2)
+                p[1] += mul(x[1][i], y[0][j], 2)
+            if complex(c).imag:
+                re = mul(p[0], c.real, 2)
+                re -= mul(p[1], c.imag, 3)
+                p[1] *= c.real
+                p[1] += mul(p[0], c.imag, 3)
+                p[0], c = re, 1
+            for part, q in zip(parts, p):
+                if abs(c) != 1:
+                    q *= c.real
+                if c == -1:
+                    part[k] -= q
+                else:
+                    part[k] += q
+    return out
 
 
 def _bilinear(x, y, table, terms):
-    """sum_ij x[..., i] y[..., j] table[i, j, k] from the nonzero `terms` of `table`.
+    """sum_ij x[..., i] y[..., j] table[i, j, k] from the nonzero `terms` of `table`:
+    `_sparse_product` at the grid-last boundary of `bracket_coords` and `octo.multiply`.
 
-    x and y broadcast over their leading axes.  For a real table the result
-    equals np.einsum("...i,...j,ijk->...k", x, y, table) bit for bit: each k
-    sums its terms in the einsum's order, and a complex product is formed
-    from real and imaginary parts the way the einsum forms it (numpy's
-    complex multiply rounds differently).  A complex table (the graded
-    structure blocks of `GradedBasis`) multiplies each product by its
-    coefficient from the same real and imaginary parts.
+    x and y broadcast over their leading axes; each is copied once, component
+    first, in the result type.  The result equals np.einsum("...i,...j,ijk->...k",
+    x, y, table) bit for bit (numpy's complex multiply would round differently).
     """
     dtype = np.result_type(x, y, table)
-    xs = _axis_first_parts(x, dtype)
-    ys = _axis_first_parts(y, dtype)
-    out = np.zeros(np.broadcast_shapes(xs[0].shape[1:], ys[0].shape[1:]) + (table.shape[2],),
-                   dtype)
-    if dtype.kind == "c":
-        (xr, xi), (yr, yi) = xs, ys
-
-        def product(i, j):
-            return xr[i] * yr[j] - xi[i] * yi[j], xr[i] * yi[j] + xi[i] * yr[j]
-    else:
-        def product(i, j):
-            return (xs[0][i] * ys[0][j],)
-
-    if np.iscomplexobj(table):
-        def times(p, c):
-            return p[0] * c.real - p[1] * c.imag, p[0] * c.imag + p[1] * c.real
-    else:
-        def times(p, c):
-            return tuple(q * c for q in p)
-
-    out_parts = (out.real, out.imag)[:len(xs)]
-    for k, row in terms.items():
-        acc = [0.0] * len(xs)
-        for i, j, c in row:
-            acc = [a + q for a, q in zip(acc, times(product(i, j), c))]
-        for part, a in zip(out_parts, acc):
-            part[..., k] = a
-    return out
+    x, y = (np.ascontiguousarray(np.moveaxis(np.asarray(a, dtype), -1, 0)) for a in (x, y))
+    out = np.zeros((table.shape[2],) + np.broadcast_shapes(x.shape[1:], y.shape[1:]), dtype)
+    return np.ascontiguousarray(np.moveaxis(_sparse_product(terms, x, y, out), 0, -1))
 
 
 def _vec(mats):
@@ -326,10 +332,11 @@ class GradedBasis:
     rows: (d, d) complex; rows[slices[k]] is an orthonormal basis of g_k.
     blocks: (j, k) -> (table, terms), the structure constants of
         [g_j, g_k] -> g_(j+k) in that basis, entries below _GRADED_ZERO of
-        the largest dropped, and their nonzero terms for `_bilinear`.
+        the largest dropped, and their nonzero terms for `_sparse_product`.
 
-    Graded coordinates x of a vector xi are xi @ rows^H; because the basis
-    is unitary, pointwise Euclidean norms are the same in both.
+    Graded coordinates x = conj(rows) xi are stored component first, (..., d,
+    nu, nv), so a grade block is a slice of (nu, nv) planes; because the basis
+    is unitary, pointwise Euclidean norms are the same in both coordinates.
     """
 
     rows: np.ndarray
@@ -337,17 +344,19 @@ class GradedBasis:
     blocks: dict
 
     def vector(self, x, k: int):
-        """Graded coordinates of grade k -> original coordinates."""
-        return x @ self.rows[self.slices[k]]
+        """Grade-k graded coordinates (d_k, ...) -> original coordinates, grid-last (..., d)."""
+        return np.tensordot(x, self.rows[self.slices[k]], axes=(0, 0))
 
     def block(self, x, k: int):
-        """The grade-k slice of graded coordinates."""
-        return x[..., self.slices[k]]
+        """The grade-k block (..., d_k, nu, nv) of graded coordinates (..., d, nu, nv)."""
+        return x[..., self.slices[k], :, :]
 
     def bracket(self, j: int, k: int, x, y):
-        """[x, y] for x in g_j, y in g_k given by their blocks; a g_(j+k) block."""
+        """[x, y] for complex component-first blocks x (d_j, ...) in g_j and y (d_k, ...)
+        in g_k: the (d_(j+k), ...) block, with no copy or axis move of either."""
         table, terms = self.blocks[j, k]
-        return _bilinear(x, y, table, terms)
+        out = np.zeros((table.shape[2],) + np.broadcast_shapes(x.shape[1:], y.shape[1:]), complex)
+        return _sparse_product(terms, x, y, out)
 
 
 def _graded_basis(algebra: LieAlgebraRep, projectors: dict) -> GradedBasis:

@@ -1,4 +1,4 @@
-"""scripts/bench_stages.py: the fitted exponent and the two stage tables."""
+"""scripts/bench_stages.py: the fitted exponent and the stage tables."""
 import importlib.util
 import pathlib
 
@@ -47,5 +47,12 @@ def test_every_octonion_stage_runs(bench_stages):
     calls = bench_stages.octonion_stages(16)
     assert set(calls) == {"build_immersion", "_gram_schmidt_frames", "canonical_q",
                           "lift_residual"}
+    for call in calls.values():
+        call()
+
+
+def test_every_graded_stage_runs(bench_stages):
+    calls = bench_stages.graded_stages(16)
+    assert set(calls) == {"_graded", "_laurent_graded", "brackets", "zero_curvature_scan"}
     for call in calls.values():
         call()

@@ -149,6 +149,22 @@ MALFORMED = [
 ]
 
 
+def test_chart_off_its_model_sphere_exit_two(tmp_path):
+    # clifford_torus_s4 lies on the unit sphere: in S^4(2) six of its eight checks
+    # would read converged-exact on a surface that is not in the space
+    checks = ["holomorphicity", "covariant_closure", "flatness", "zero_curvature_scan",
+              "vertical_harmonicity", "holomorphic_H", "divergence_identity",
+              "codazzi_identity"]
+    on, off = ({"kind": "sphere4", "params": {"r": r}} for r in (1.0, 2.0))
+    fixture = {"kind": "clifford_torus_s4", "params": {}}
+    cli.load_scenario(write_scenario(tmp_path, fixture=fixture, model_space=on, checks=checks))
+    path = write_scenario(tmp_path, fixture=fixture, model_space=off, checks=checks)
+    with pytest.raises(cli.ScenarioError, match="off its sphere of radius 2.0"):
+        cli.load_scenario(path)
+    assert cli.run(path, out_dir=tmp_path / "rep", echo=quiet) == 2
+    assert not (tmp_path / "rep").exists()
+
+
 @pytest.mark.parametrize("overrides", MALFORMED)
 def test_malformed_or_misspelt_field_exit_two(tmp_path, overrides):
     path = write_scenario(tmp_path, **{"checks": ["zero_curvature_scan"], **overrides})

@@ -1,4 +1,6 @@
 """Grid forms: decompositions, stencils, curvature, the spectral family."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -510,7 +512,8 @@ def test_laurent_top_slot_is_covariant_closure(so5, source):
 
 def test_graded_pass_brackets_single_coefficients(monkeypatch):
     # a (1,0) or (0,1) part is its one dz or dz-bar coefficient, so each wedge
-    # of the Laurent pass is one block bracket of (nu, nv, d_k) operands
+    # of the Laurent pass is one block bracket of component-first (d_k, nu, nv)
+    # operands
     alpha, aut = adapted_frame_form("clifford_torus", 16)
     calls = []
 
@@ -520,15 +523,33 @@ def test_graded_pass_brackets_single_coefficients(monkeypatch):
 
     monkeypatch.setattr(liealg.GradedBasis, "bracket", counted)
     forms.laurent_curvature(alpha, aut)
-    width = {k: aut.graded.block(np.empty(aut.dim), k).size for k in liealg.GRADES}
+    width = {k: len(range(aut.dim)[aut.graded.slices[k]]) for k in liealg.GRADES}
     assert len(calls) == 9 and len({(j, k) for j, k, _, _ in calls}) == 8
-    assert all(xs == (16, 16, width[j]) and ys == (16, 16, width[k]) for j, k, xs, ys in calls)
+    assert all(xs == (width[j], 16, 16) and ys == (width[k], 16, 16) for j, k, xs, ys in calls)
     calls.clear()
     ellsys.covariant_closure_residual(alpha, aut)
     assert len(calls) == 1
     calls.clear()
     ellsys.holomorphicity_residual(alpha, aut)
     assert calls == []
+
+
+def test_scan_rung_peak_memory():
+    # the traced high-water mark of the loop-family scan on one n = 128
+    # clifford_torus rung, in grid planes of 8 n^2 bytes: alpha in graded
+    # coordinates is 40 planes (two directions of 10 complex components), its
+    # dz coefficients and c_+- 32 more and the five Laurent coefficients 24;
+    # the brackets add their output and a few temporaries, and no operand copy
+    n = 128
+    alpha, aut = adapted_frame_form("clifford_torus", n)
+    forms.zero_curvature_scan(alpha, aut)   # first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        forms.zero_curvature_scan(alpha, aut)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * n * n) <= 112.0
 
 
 def test_scan_meta_names_the_failing_slot(so5):

@@ -1,4 +1,5 @@
 """Algebraic layer: brackets, Killing form, gradings, characterisations."""
+import functools
 import math
 from fractions import Fraction
 
@@ -115,30 +116,47 @@ def test_jacobi_identity(so5, su2, se4):
             assert np.max(np.abs(s)) <= TOL
 
 
-@pytest.mark.parametrize("table", ["se4_r4", "so5_s4", "su2_order4", "octonion"])
+@pytest.mark.parametrize("table", ["se4_r4", "so5_s4", "su2_order4", "octonion", "graded"])
 def test_sparse_bracket_kernel_equals_einsum(table):
     # oracle: the dense three-operand einsum the kernel replaces, bit for bit,
-    # for real, complex and mixed operands with 1 to 3 leading axes, some of
-    # them broadcast
+    # for real, complex and mixed operands with 0 to 3 leading axes, some of
+    # them broadcast, through both doors of the one kernel: the grid-last
+    # `_bilinear` (with `bracket_coords` and `octo.multiply` on it) and
+    # `_sparse_product` itself on component-first views, as `GradedBasis.bracket`
+    # (the graded block tables of every fixture, complex) calls it
     if table == "octonion":
-        T, call = octo.OCTONION_TABLE, None
+        cases = [(octo.OCTONION_TABLE, liealg._nonzero_terms(octo.OCTONION_TABLE), None)]
+    elif table == "graded":
+        cases = [(T, terms, functools.partial(gb.bracket, j, k))
+                 for gb in (load_algebra_fixture(name).aut.graded for name in sorted(GRADE_DIMS))
+                 for (j, k), (T, terms) in gb.blocks.items()]
     else:
         alg = load_algebra_fixture(table).algebra
-        T, call = alg.structure, alg.bracket_coords
-    terms = liealg._nonzero_terms(T)
-    assert sum(len(row) for row in terms.values()) == np.count_nonzero(T)
-    d = T.shape[0]
+        cases = [(alg.structure, liealg._nonzero_terms(alg.structure), None)]
     rng = np.random.default_rng(11)
     shapes = [((), ()), ((5,), (5,)), ((7, 6), (7, 6)), ((3, 4, 5), (3, 4, 5)),
               ((4, 1), (1, 6)), ((), (3, 5)), ((2, 3, 1), (4,))]
-    for xs, ys in shapes:
-        for cx, cy in ((False, False), (True, True), (False, True), (True, False)):
-            x = rng.standard_normal(xs + (d,)) + (1j * rng.standard_normal(xs + (d,)) if cx else 0)
-            y = rng.standard_normal(ys + (d,)) + (1j * rng.standard_normal(ys + (d,)) if cy else 0)
-            oracle = np.einsum("...i,...j,ijk->...k", x, y, T)
-            for out in [liealg._bilinear(x, y, T, terms)] + ([call(x, y)] if call else []):
-                assert out.dtype == oracle.dtype and out.shape == oracle.shape
-                assert np.array_equal(out, oracle), (xs, ys, cx, cy)
+    for T, terms, graded_bracket in cases:
+        assert sum(len(row) for row in terms.values()) == np.count_nonzero(T)
+        for xs, ys in shapes:
+            for cx, cy in ((False, False), (True, True), (False, True), (True, False)):
+                x = (rng.standard_normal(xs + T.shape[:1])
+                     + (1j * rng.standard_normal(xs + T.shape[:1]) if cx else 0))
+                y = (rng.standard_normal(ys + T.shape[1:2])
+                     + (1j * rng.standard_normal(ys + T.shape[1:2]) if cy else 0))
+                oracle = np.einsum("...i,...j,ijk->...k", x, y, T)
+                grid_last = liealg._bilinear(x, y, T, terms)
+                outs = [grid_last] + ([alg.bracket_coords(x, y)] if table in GRADE_DIMS else [])
+                for out in outs:
+                    assert out.dtype == oracle.dtype and out.shape == oracle.shape
+                    assert np.array_equal(out, oracle), (xs, ys, cx, cy)
+                # the component-first door, on views with the last axis moved first
+                xf, yf = (np.moveaxis(np.asarray(a, oracle.dtype), -1, 0) for a in (x, y))
+                kernel = np.zeros(oracle.shape[-1:] + oracle.shape[:-1], oracle.dtype)
+                liealg._sparse_product(terms, xf, yf, kernel)
+                first = [kernel] + ([graded_bracket(xf, yf)] if graded_bracket else [])
+                for out in first:
+                    assert np.array_equal(np.moveaxis(out, 0, -1), grid_last), (xs, ys, cx, cy)
     if table == "octonion":
         x, y = rng.standard_normal((2, 9, 8)), rng.standard_normal((9, 8))
         assert np.array_equal(octo.multiply(x, y), np.einsum("...i,...j,ijk->...k", x, y, T))
@@ -314,11 +332,12 @@ def test_graded_structure_blocks_hold_all_the_structure(name):
 @given(st.sampled_from(sorted(GRADE_DIMS)), st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_graded_bracket_equals_bracket_coords(name, seed):
+    # graded coordinates are component first: (d, nu, nv) over a 5 x 3 grid
     fx = load_algebra_fixture(name)
     gb, d = fx.aut.graded, fx.algebra.dim
     rng = np.random.default_rng(seed)
-    xi, eta = rng.standard_normal((2, 5, d)) + 1j * rng.standard_normal((2, 5, d))
-    x, y = xi @ gb.rows.conj().T, eta @ gb.rows.conj().T
+    xi, eta = rng.standard_normal((2, 5, 3, d)) + 1j * rng.standard_normal((2, 5, 3, d))
+    x, y = (np.moveaxis(v @ gb.rows.conj().T, -1, 0) for v in (xi, eta))
     back = sum(gb.vector(gb.bracket(j, k, gb.block(x, j), gb.block(y, k)), liealg._grade_sum(j, k))
                for j in liealg.GRADES for k in liealg.GRADES)
     scale = np.linalg.norm(xi, axis=-1) * np.linalg.norm(eta, axis=-1)
