@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Flip each `+`/`-` in the residual code and see whether tier-1 notices.
+"""Flip each `+`/`-` in the residual code, scale each residual by 2, and see
+whether tier-1 notices.
 
 Usage: python scripts/mutation_probe.py [--list]
 
@@ -13,14 +14,16 @@ component-plane norm and the graded Laurent pass of `forms`, the trapezoidal
 steps and the plaquette pass of `ellsys`, the 1-norms and Taylor polynomial
 of `liealg.matrix_exp`, and the sparse bilinear kernel of `liealg` behind
 every bracket and plane product, with its grid-last boundary and the graded
-block bracket (a method is named `Class.method`).  Each binary `+` or `-`
-and each `+=` or `-=` there becomes one mutant with that single operator
-flipped.  The probe copies what the suite reads (`src/`, `tests/`,
-`scenarios/`, `scripts/`, `perfbench/`) to a temporary directory, writes one
-mutant at a time into the copy, and runs the tier-1 suite there
-(`pytest -x`), so the checkout is never touched.  It prints `killed` or `survived`
-per mutant and the counts at the end; `--list` prints the mutants without
-running anything.  A mutant is killed when the suite fails or times out.
+block bracket (a method is named `Class.method`).  Two operators make the
+mutants: *flip* turns each binary `+` or `-` and each `+=` or `-=` there into
+one mutant with that single operator flipped, and *scale* multiplies by 2 the
+pointwise argument of each `masked_report` call there, one mutant per check
+(`forms.curvature_residual` is a target for its call alone).  The probe
+copies what the suite reads (`src/`, `tests/`, `scenarios/`, `scripts/`,
+`perfbench/`) to a temporary directory, writes one mutant at a time into the
+copy, and runs the tier-1 suite there (`pytest -x`), so the checkout is never
+touched.  It prints `killed` or `survived` per mutant and the counts per
+operator at the end; `--list` prints the mutants without running anything.  A mutant is killed when the suite fails or times out.
 Bytecode caching is off, so two mutants of the same size written within one
 second cannot share a stale `.pyc`.  It takes about ten minutes on two
 cores.
@@ -50,13 +53,14 @@ TARGETS = {
     "lagrangian": ("lagrangian_residual", "lagrangian_twistor_residual", "maslov_form",
                    "maslov_identity_residual", "hamiltonian_stationary_residual"),
     "forms": ("_centred", "_dz_parts", "_sq_norm", "_covariant_closure", "_laurent_graded",
-              "zero_curvature_scan"),
+              "zero_curvature_scan", "curvature_residual"),
     "ellsys": ("holomorphicity_residual", "covariant_closure_residual", "_avg",
                "_step_exponentials", "plaquette_defects"),
     "liealg": ("matrix_exp", "_taylor", "_sparse_product", "_bilinear", "GradedBasis.bracket"),
     "octo": ("canonical_lift", "canonical_q", "twistor_from_q", "lift_residual"),
 }
 FLIP = {"+": "-", "-": "+"}
+SCALED = "masked_report"   # the call whose pointwise argument (the third) the scale operator doubles
 TIMEOUT_S = 900
 
 
@@ -72,9 +76,13 @@ def _operator_tokens(source):
             if t.type == tokenize.OP and t.string in ("+", "-", "+=", "-=")}
 
 
+def _callee(call):
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
 def mutants(module):
-    """(function, line, marked line, mutated source) for each flippable operator,
-    the flipped operator shown in brackets."""
+    """(operator, function, line, marked line, mutated source) for each flippable
+    operator and each scaled `masked_report` argument, the change shown in brackets."""
     source = (ROOT / PACKAGE / f"{module}.py").read_text()
     lines = source.splitlines(keepends=True)
     ops = _operator_tokens(source)
@@ -86,8 +94,11 @@ def mutants(module):
     if missing:
         raise SystemExit(f"{module}: no function(s) {sorted(missing)}")
     for name in TARGETS[module]:
-        found = []
+        found, scaled = [], []
         for node in ast.walk(funcs[name]):
+            if isinstance(node, ast.Call) and _callee(node) == SCALED:
+                scaled.append(node.args[2])
+                continue
             if isinstance(node, ast.BinOp):
                 left, right = node.left, node.right
             elif isinstance(node, ast.AugAssign):
@@ -103,7 +114,16 @@ def mutants(module):
             line = lines[row - 1]
             mutated = lines[:row - 1] + [line[:col] + FLIP[line[col]] + line[col + 1:]] + lines[row:]
             marked = f"{line[:col]}[{line[col]}]{line[col + 1:]}".strip()
-            yield name, row, marked, "".join(mutated)
+            yield "flip", name, row, marked, "".join(mutated)
+        for arg in scaled:
+            # the argument's start and end as offsets into the source
+            a, b = (sum(map(len, lines[:row - 1])) + _char_col(lines[row - 1], col)
+                    for row, col in ((arg.lineno, arg.col_offset),
+                                     (arg.end_lineno, arg.end_col_offset)))
+            line = lines[arg.lineno - 1]
+            col = _char_col(line, arg.col_offset)
+            marked = f"{line[:col]}[2 *] {line[col:]}".strip()
+            yield "scale", name, arg.lineno, marked, f"{source[:a]}2 * ({source[a:b]}){source[b:]}"
 
 
 def run_suite(copy):
@@ -123,9 +143,10 @@ def main():
     args = ap.parse_args()
     todo = [(module, *m) for module in TARGETS for m in mutants(module)]
     if args.list:
-        for module, name, row, marked, _ in todo:
-            print(f"{module}.{name}:{row}  {marked}")
-        print(f"{len(todo)} mutants")
+        for module, op, name, row, marked, _ in todo:
+            print(f"{op:5s}  {module}.{name}:{row}  {marked}")
+        for op in ("flip", "scale"):
+            print(f"{sum(t[1] == op for t in todo)} {op} mutants")
         return 0
     with tempfile.TemporaryDirectory(prefix="mutation_probe_") as tmp:
         copy = pathlib.Path(tmp)
@@ -139,8 +160,8 @@ def main():
         if not run_suite(copy):
             print("the unmutated suite fails; nothing to probe")
             return 2
-        survivors = 0
-        for module, name, row, marked, mutated in todo:
+        survivors = {"flip": 0, "scale": 0}
+        for module, op, name, row, marked, mutated in todo:
             target = copy / PACKAGE / f"{module}.py"
             original = target.read_text()
             target.write_text(mutated)
@@ -148,10 +169,12 @@ def main():
                 killed = not run_suite(copy)
             finally:
                 target.write_text(original)
-            survivors += not killed
-            print(f"{'killed  ' if killed else 'SURVIVED'}  {module}.{name}:{row}  {marked}",
+            survivors[op] += not killed
+            print(f"{'killed  ' if killed else 'SURVIVED'}  {op:5s}  {module}.{name}:{row}  {marked}",
                   flush=True)
-    print(f"{len(todo)} mutants, {len(todo) - survivors} killed, {survivors} survived")
+    for op, left in survivors.items():
+        total = sum(t[1] == op for t in todo)
+        print(f"{op}: {total} mutants, {total - left} killed, {left} survived")
     return 0
 
 

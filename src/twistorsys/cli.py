@@ -293,7 +293,7 @@ def load_scenario(path):
     if surface and space.ambient_dim != symspace.model_space(own).ambient_dim:
         raise ScenarioError(f"fixture {kind!r} lives in {own!r}, not in the "
                             f"{space.ambient_dim}-dimensional {ms_kind!r}")
-    off = abs(np.linalg.norm(sample["phi"]) - space.radius) if surface and space.radius else 0.0
+    off = abs(np.linalg.norm(sample) - space.radius) if surface and space.radius else 0.0
     if off > 8 * np.finfo(float).eps * space.radius:
         raise ScenarioError(f"fixture {kind!r} is {off:.3e} off its sphere of radius {space.radius}")
     # exp_frame has no lift, and the octonion lift of a surface in R^8 has no sign

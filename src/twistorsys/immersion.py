@@ -5,7 +5,11 @@ conformality invariant holds at roundoff and every discretised quantity
 (second fundamental form, connection coefficients, divergences) is built
 from centered stencils applied to smooth sampled data.  Frame components:
 tangent indices run over (e1, e2), normal indices over the normal frame
-rows.  Hodge star on 1-forms: *du = dv, *dv = -du.
+rows.  Hodge star on 1-forms: *du = dv, *dv = -du.  A fixture's builder
+returns (phi, (d_u phi, d_v phi), frames), each vector the list of its m
+components (a plane, a row that broadcasts to one, or a number), and frames
+(e1, e2, then the normals) None where Gram-Schmidt completes them from the
+coordinate axes; `build_immersion` writes each sampled plane once (`_planes`).
 
 Every sampled vector and every derived Hom(T, N) quantity is stored once,
 component-first: each of its components is one contiguous (nu, nv) plane,
@@ -165,7 +169,7 @@ class TwistorField:
     @functools.cached_property
     def II_minus_planes(self):
         """The j-anticommuting part of the field's II: (2, q, 2, nu, nv)."""
-        return _anticommuting(self, self.field.II.planes)
+        return _anticommuting(self, self.field.II.planes.copy())
 
     @functools.cached_property
     def div_minus(self):
@@ -201,9 +205,14 @@ def _grid(n, lo_u, hi_u, lo_v, hi_v, periodic=False):
                        periodic_u=periodic, periodic_v=periodic, u0=lo_u, v0=lo_v)
 
 
-def _stack(*comps):
-    """The component planes `comps`, broadcast to one grid, as one (m, nu, nv) array."""
-    return np.stack(np.broadcast_arrays(*comps))
+def _planes(vectors, shape):
+    """The `vectors`, each a list of its m components (a plane, a row that broadcasts
+    to `shape` or a number), written into one component-first (k, m) + shape array."""
+    out = np.empty((len(vectors), len(vectors[0])) + shape)
+    for planes, vector in zip(out, vectors):
+        for plane, c in zip(planes, vector):
+            plane[...] = c
+    return out
 
 
 def _coordinate_plane(U, V, m, axes):
@@ -211,54 +220,40 @@ def _coordinate_plane(U, V, m, axes):
     i, j = axes
     if i == j or not {i, j} <= set(range(m)):
         raise ValueError(f"axes {axes!r} are not two distinct coordinates 0..{m - 1}")
-    phi = np.zeros((m,) + U.shape)
-    unit = [phi + axis[:, None, None] for axis in np.eye(m)]   # the constant coordinate fields
+    phi = [0.0] * m
     phi[i], phi[j] = U, V
-    return dict(phi=phi, dphi_u=unit[i], dphi_v=unit[j], e1=unit[i], e2=unit[j],
-                normals=[unit[k] for k in range(m) if k not in (i, j)])
+    unit = np.eye(m)   # the constant coordinate fields
+    return phi, (unit[i], unit[j]), [unit[i], unit[j], *(unit[k] for k in range(m) if k not in axes)]
 
 
 def _round_sphere(p, U, V):
     # stereographic chart of the round 2-sphere of radius r inside R^3 x {0}
     r = p["r"]
     D = 1.0 + U ** 2 + V ** 2
-    Z = np.zeros_like(U)
-    phi = _stack(2 * r * U / D, 2 * r * V / D, r * (U ** 2 + V ** 2 - 1) / D, Z)
-    dphi_u = _stack(2 * r * (D - 2 * U ** 2) / D ** 2, -4 * r * U * V / D ** 2,
-                    4 * r * U / D ** 2, Z)
-    dphi_v = _stack(-4 * r * U * V / D ** 2, 2 * r * (D - 2 * V ** 2) / D ** 2,
-                    4 * r * V / D ** 2, Z)
+    phi = [2 * r * U / D, 2 * r * V / D, r * (U ** 2 + V ** 2 - 1) / D, 0.0]
+    dphi_u = [2 * r * (D - 2 * U ** 2) / D ** 2, -4 * r * U * V / D ** 2, 4 * r * U / D ** 2, 0.0]
+    dphi_v = [-4 * r * U * V / D ** 2, 2 * r * (D - 2 * V ** 2) / D ** 2, 4 * r * V / D ** 2, 0.0]
     lam = 2 * r / D
-    return dict(phi=phi, dphi_u=dphi_u, dphi_v=dphi_v,
-                e1=dphi_u / lam, e2=dphi_v / lam,
-                normals=[phi / r, _stack(Z, Z, Z, np.ones_like(U))])
+    return phi, (dphi_u, dphi_v), [[c / lam for c in dphi_u], [c / lam for c in dphi_v],
+                                   [c / r for c in phi], [0.0, 0.0, 0.0, 1.0]]
 
 
 def _clifford_torus(p, U, V):
     a = p["a"]
     cu, su, cv, sv = np.cos(U), np.sin(U), np.cos(V), np.sin(V)
-    Z = np.zeros_like(U)
-    phi = a * _stack(cu, su, cv, sv)
-    dphi_u = a * _stack(-su, cu, Z, Z)
-    dphi_v = a * _stack(Z, Z, -sv, cv)
+    e1, e2 = [-su, cu, 0.0, 0.0], [0.0, 0.0, -sv, cv]
     s2 = 1.0 / math.sqrt(2.0)
-    return dict(phi=phi, dphi_u=dphi_u, dphi_v=dphi_v,
-                e1=_stack(-su, cu, Z, Z), e2=_stack(Z, Z, -sv, cv),
-                normals=[s2 * _stack(cu, su, cv, sv), s2 * _stack(-cu, -su, cv, sv)])
+    return ([a * c for c in (cu, su, cv, sv)], ([a * c for c in e1], [a * c for c in e2]),
+            [e1, e2, [s2 * c for c in (cu, su, cv, sv)], [s2 * c for c in (-cu, -su, cv, sv)]])
 
 
 def _clifford_torus_s4(p, U, V):
     # the same torus as a minimal surface of the unit 4-sphere in R^5
     cu, su, cv, sv = np.cos(U), np.sin(U), np.cos(V), np.sin(V)
-    Z = np.zeros_like(U)
-    O = np.ones_like(U)
+    e1, e2 = [-su, cu, 0.0, 0.0, 0.0], [0.0, 0.0, -sv, cv, 0.0]
     s2 = 1.0 / math.sqrt(2.0)
-    phi = s2 * _stack(cu, su, cv, sv, Z)
-    dphi_u = s2 * _stack(-su, cu, Z, Z, Z)
-    dphi_v = s2 * _stack(Z, Z, -sv, cv, Z)
-    return dict(phi=phi, dphi_u=dphi_u, dphi_v=dphi_v,
-                e1=_stack(-su, cu, Z, Z, Z), e2=_stack(Z, Z, -sv, cv, Z),
-                normals=[s2 * _stack(cu, su, -cv, -sv, Z), _stack(Z, Z, Z, Z, O)])
+    return ([s2 * c for c in (cu, su, cv, sv, 0.0)], ([s2 * c for c in e1], [s2 * c for c in e2]),
+            [e1, e2, [s2 * c for c in (cu, su, -cv, -sv, 0.0)], [0.0, 0.0, 0.0, 0.0, 1.0]])
 
 
 def _product_torus(p, U, V):
@@ -266,24 +261,19 @@ def _product_torus(p, U, V):
     r2 = p["r2"]
     cu, su = np.cos(U / r1), np.sin(U / r1)
     cv, sv = np.cos(V / r2), np.sin(V / r2)
-    Z = np.zeros_like(U)
-    phi = _stack(r1 * cu, r1 * su, r2 * cv, r2 * sv)
-    return dict(phi=phi, dphi_u=_stack(-su, cu, Z, Z), dphi_v=_stack(Z, Z, -sv, cv),
-                e1=_stack(-su, cu, Z, Z), e2=_stack(Z, Z, -sv, cv),
-                normals=[_stack(cu, su, Z, Z), _stack(Z, Z, cv, sv)])
+    e1, e2 = [-su, cu, 0.0, 0.0], [0.0, 0.0, -sv, cv]
+    return ([r1 * cu, r1 * su, r2 * cv, r2 * sv], (e1, e2),
+            [e1, e2, [cu, su, 0.0, 0.0], [0.0, 0.0, cv, sv]])
 
 
 def _helicoid(p, U, V):
-    Z = np.zeros_like(U)
     ch, sh = np.cosh(U), np.sinh(U)
     cv, sv = np.cos(V), np.sin(V)
-    phi = _stack(sh * cv, sh * sv, V, Z)
-    dphi_u = _stack(ch * cv, ch * sv, Z, Z)
-    dphi_v = _stack(-sh * sv, sh * cv, np.ones_like(U), Z)
-    return dict(phi=phi, dphi_u=dphi_u, dphi_v=dphi_v,
-                e1=dphi_u / ch, e2=dphi_v / ch,
-                normals=[_stack(sv / ch, -cv / ch, sh / ch, Z),
-                         _stack(Z, Z, Z, np.ones_like(U))])
+    dphi_u = [ch * cv, ch * sv, 0.0, 0.0]
+    dphi_v = [-sh * sv, sh * cv, 1.0, 0.0]
+    return ([sh * cv, sh * sv, V, 0.0], (dphi_u, dphi_v),
+            [[c / ch for c in dphi_u], [c / ch for c in dphi_v],
+             [sv / ch, -cv / ch, sh / ch, 0.0], [0.0, 0.0, 0.0, 1.0]])
 
 
 def _revolution_torus_chart(eps):
@@ -305,14 +295,9 @@ def _perturbed_torus(p, U, V):
     ct, st = np.cos(theta), np.sin(theta)
     cv, sv = np.cos(V), np.sin(V)
     rho = R + r * ct
-    Z = np.zeros_like(U)
-    phi = _stack(rho * cv, rho * sv, r * st, Z)
-    e1 = _stack(-st * cv, -st * sv, ct, Z)
-    e2 = _stack(-sv, cv, Z, Z)
-    return dict(phi=phi, dphi_u=rho * e1, dphi_v=rho * e2,
-                e1=e1, e2=e2,
-                normals=[_stack(ct * cv, ct * sv, st, Z),
-                         _stack(Z, Z, Z, np.ones_like(U))])
+    e1, e2 = [-st * cv, -st * sv, ct, 0.0], [-sv, cv, 0.0, 0.0]
+    return ([rho * cv, rho * sv, r * st, 0.0], ([rho * c for c in e1], [rho * c for c in e2]),
+            [e1, e2, [ct * cv, ct * sv, st, 0.0], [0.0, 0.0, 0.0, 1.0]])
 
 
 def _saddle_arclength(x):
@@ -330,60 +315,46 @@ def _invert_arclength(svals):
 
 def _lagrangian_graph(p, U, V):
     potential = p["potential"]
-    Z = np.zeros_like(U)
-    O = np.ones_like(U)
     if potential == "saddle":
         # gradient graph of x1^2 - x2^2: conformal as-is since Hess^2 = 4 I
-        phi = _stack(U, 2 * U, V, -2 * V)
         s5 = 1.0 / math.sqrt(5.0)
-        return dict(phi=phi, dphi_u=_stack(O, 2 * O, Z, Z), dphi_v=_stack(Z, Z, O, -2 * O),
-                    e1=s5 * _stack(O, 2 * O, Z, Z), e2=s5 * _stack(Z, Z, O, -2 * O),
-                    normals=[s5 * _stack(-2 * O, O, Z, Z), s5 * _stack(Z, Z, 2 * O, O)])
+        e1, e2 = [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, -2.0]
+        return ([U, 2 * U, V, -2 * V], (e1, e2),
+                [[s5 * c for c in vector] for vector in
+                 (e1, e2, (-2.0, 1.0, 0.0, 0.0), (0.0, 0.0, 2.0, 1.0))])
     if potential == "cubic":
         # gradient graph of x1^3: a cylinder over the parabola y1 = 3 x1^2,
         # parametrised by arclength u of the profile (isothermal, lambda = 1)
-        x = _invert_arclength(U[:, :1])   # U is constant along v; _stack broadcasts
+        x = _invert_arclength(U[:, :1])   # U is constant along v: one column broadcasts
         xp = 1.0 / np.sqrt(1.0 + 36.0 * x ** 2)   # dx/du along the profile
-        phi = _stack(x, 3.0 * x ** 2, V, Z)
-        e1 = _stack(xp, 6.0 * x * xp, Z, Z)
-        e2 = _stack(Z, Z, O, Z)
-        return dict(phi=phi, dphi_u=e1, dphi_v=e2, e1=e1, e2=e2,
-                    normals=[_stack(-6.0 * x * xp, xp, Z, Z), _stack(Z, Z, Z, O)])
+        e1, e2 = [xp, 6.0 * x * xp, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]
+        return ([x, 3.0 * x ** 2, V, 0.0], (e1, e2),
+                [e1, e2, [-6.0 * x * xp, xp, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
     raise KeyError(f"unknown potential {potential!r}")
 
 
 def _graph(p, U, V):
     # generic graph over the plane: a non-conformal negative control
     amp = p["amplitude"]
-    Z = np.zeros_like(U)
-    O = np.ones_like(U)
-    phi = _stack(U, V, amp * np.sin(U) * np.sin(V), Z)
-    dphi_u = _stack(O, Z, amp * np.cos(U) * np.sin(V), Z)
-    dphi_v = _stack(Z, O, amp * np.sin(U) * np.cos(V), Z)
-    return dict(phi=phi, dphi_u=dphi_u, dphi_v=dphi_v, gram_schmidt=True)
+    return ([U, V, amp * np.sin(U) * np.sin(V), 0.0],
+            ([1.0, 0.0, amp * np.cos(U) * np.sin(V), 0.0],
+             [0.0, 1.0, amp * np.sin(U) * np.cos(V), 0.0]), None)
 
 
 def _branched_disk(p, U, V):
     # image of z -> z^2: conformal with a branch point at the origin
-    Z = np.zeros_like(U)
-    phi = _stack(U ** 2 - V ** 2, 2 * U * V, Z, Z)
-    dphi_u = _stack(2 * U, 2 * V, Z, Z)
-    dphi_v = _stack(-2 * V, 2 * U, Z, Z)
-    return dict(phi=phi, dphi_u=dphi_u, dphi_v=dphi_v, gram_schmidt=True)
+    return ([U ** 2 - V ** 2, 2 * U * V, 0.0, 0.0],
+            ([2 * U, 2 * V, 0.0, 0.0], [-2 * V, 2 * U, 0.0, 0.0]), None)
 
 
 def _octonion_graph(p, U, V):
     # the holomorphic curve (z, z^2) inside the first two complex slots of R^8
-    Z = np.zeros_like(U)
-    O = np.ones_like(U)
-    phi = _stack(U, V, U ** 2 - V ** 2, 2 * U * V, Z, Z, Z, Z)
-    dphi_u = _stack(O, Z, 2 * U, 2 * V, Z, Z, Z, Z)
-    dphi_v = _stack(Z, O, -2 * V, 2 * U, Z, Z, Z, Z)
-    return dict(phi=phi, dphi_u=dphi_u, dphi_v=dphi_v, gram_schmidt=True)
+    return ([U, V, U ** 2 - V ** 2, 2 * U * V] + [0.0] * 4,
+            ([1.0, 0.0, 2 * U, 2 * V] + [0.0] * 4, [0.0, 1.0, -2 * V, 2 * U] + [0.0] * 4), None)
 
 
 class SurfaceFixture(NamedTuple):
-    builder: Callable   # (p, U, V) -> sampled chart, derivatives and frames
+    builder: Callable   # (p, U, V) -> (phi, (d_u phi, d_v phi), frames or None)
     space: str          # the model space the fixture lives in
     params: dict        # name -> default; builder and domain read p[name]
     domain: Callable    # p -> (lo_u, hi_u, lo_v, hi_v[, periodic]) of the chart
@@ -444,11 +415,13 @@ def fixture_params(kind, params=None):
 def check_param_values(kind, params=None):
     """Build the fixture's smallest grid and sample it at the first point of its
     chart, so that a param value it cannot take raises (ValueError, KeyError,
-    ArithmeticError, forms.GridError) before any rung; returns that sample."""
+    ArithmeticError, forms.GridError) before any rung; returns the sampled chart
+    point as an (m, 1, 1) array."""
     p = fixture_params(kind, params)
     grid = _grid(8, *FIXTURES[kind].domain(p))
     with np.errstate(divide="raise", invalid="raise"):
-        return FIXTURES[kind].builder(p, np.full((1, 1), grid.u0), np.full((1, 1), grid.v0))
+        phi, _, _ = FIXTURES[kind].builder(p, np.full((1, 1), grid.u0), np.full((1, 1), grid.v0))
+    return _planes([phi], (1, 1))[0]
 
 
 def build_immersion(kind, params=None, n=32, space=None) -> ImmersionField:
@@ -465,27 +438,27 @@ def build_immersion(kind, params=None, n=32, space=None) -> ImmersionField:
     p = fixture_params(kind, params)
     grid = _grid(n, *FIXTURES[kind].domain(p))
     U, V = grid.mesh()
-    data = FIXTURES[kind].builder(p, U, V)
+    phi, dphi, frames = FIXTURES[kind].builder(p, U, V)
     if space is None:
         space = symspace.model_space(FIXTURES[kind].space)
-    m = len(data["phi"])
+    m = len(phi)
     if space.ambient_dim != m:
         raise ValueError(f"fixture {kind!r} is {m}-dimensional, "
                          f"model space expects {space.ambient_dim}")
 
-    # popped, so that each builder array is freed once its copy is stacked
-    dphi = np.stack([data.pop("dphi_u"), data.pop("dphi_v")])
+    # rebound, so that each builder plane is freed once it is written
+    phi, dphi = _planes([phi], U.shape)[0], _planes(dphi, U.shape)
     conf = np.sum(dphi[0] ** 2, axis=0)
     branch = conf < 1e-10
     if np.mean(branch) > 0.1:
         raise BranchPoint(f"fixture {kind!r}: {np.mean(branch):.0%} of the grid is degenerate")
 
-    if data.get("gram_schmidt"):
+    if frames is None:
         frames, disc = _gram_schmidt_frames(dphi, branch)
     else:
-        frames, disc = np.stack([data.pop("e1"), data.pop("e2"), *data.pop("normals")]), False
+        frames, disc = _planes(frames, U.shape), False
 
-    out = ImmersionField(grid=grid, space=space, phi_planes=data["phi"], dphi_planes=dphi,
+    out = ImmersionField(grid=grid, space=space, phi_planes=phi, dphi_planes=dphi,
                          conformal_factor=conf, frame_planes=frames, branch_mask=branch,
                          meta={"kind": kind, "params": p,
                                "frame_discontinuity": disc})
@@ -710,19 +683,22 @@ def frame_connection(field: ImmersionField):
 
 def _anticommuting(tw: TwistorField, A):
     """pi_minus(A) = (1/2)(A + j_N A j_T): the part of the Hom(T, N) field A,
-    of shape (..., q, 2, nu, nv), that anticommutes with the lift.
+    of shape (..., q, 2, nu, nv), that anticommutes with the lift, written
+    over A in place; returns A.
 
     The conjugation C(A) = j_N A j_T is an involution on Hom(T, N), and
     A - pi_minus(A) is the j-commuting part.  The right product by j_T is
     the left product by its transpose on the transposed planes.
     """
-    out = A.copy()
-    for i, b in itertools.product(np.ndindex(A.shape[:-4]), range(2)):
-        # one column b of j_N A at a time, added to every column c as j_T[b, c] times it
-        jA = _plane_product(tw.j_N_planes, A[i][:, b])
-        _plane_product(tw.j_T_planes[b, :, None], jA[None], out=out[i].swapaxes(0, 1))
-    out *= 0.5
-    return out
+    jA = np.empty(A.shape[-4:])
+    for i in np.ndindex(A.shape[:-4]):
+        # both columns of j_N A before either is added to A, each column b to
+        # every column c as j_T[b, c] times it
+        jA.fill(0.0)
+        _plane_product(tw.j_N_planes, A[i], out=jA)
+        _plane_product(tw.j_T_planes.swapaxes(0, 1), jA.swapaxes(0, 1), out=A[i].swapaxes(0, 1))
+    A *= 0.5
+    return A
 
 
 def _hom_covariant_divergence(field: ImmersionField, hom):

@@ -145,8 +145,8 @@ def _sampled_derivatives(kind, n):
     """The fixture's sampled (2, m, nu, nv) derivative planes."""
     p = im.fixture_params(kind)
     U, V = im._grid(n, *im.FIXTURES[kind].domain(p)).mesh()
-    data = im.FIXTURES[kind].builder(p, U, V)
-    return np.stack([data["dphi_u"], data["dphi_v"]])
+    _, dphi, _ = im.FIXTURES[kind].builder(p, U, V)
+    return im._planes(dphi, U.shape)
 
 
 @pytest.mark.parametrize("kind, n", [("graph", 33), ("branched_disk", 33),
@@ -209,6 +209,26 @@ def test_perturbed_chart_wraps():
     jump = np.linalg.norm(phi[0] - phi[-1], axis=-1).max()
     step = np.linalg.norm(np.diff(phi, axis=0), axis=-1).max()
     assert jump <= 2.0 * step  # the seam looks like any other grid step
+
+
+@pytest.mark.parametrize("kind", sorted(set(im.FIXTURES) - {"graph", "branched_disk",
+                                                            "octonion_graph"}))
+def test_analytic_build_peak_memory(kind):
+    # the traced high-water mark of one n = 128 build of a fixture with analytic
+    # frames, in grid planes of 8 n^2 bytes above the field it returns: each
+    # sampled plane is written once into its component-first array, and a
+    # constant component is a number that fills its plane in place
+    n = 128
+    im.build_immersion(kind, n=n)   # imports and first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        fld = im.build_immersion(kind, n=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (fld.phi_planes, fld.dphi_planes, fld.frame_planes,
+                                  fld.conformal_factor, fld.branch_mask))
+    assert (peak - held) / (8 * n * n) <= 15.0
 
 
 # -------------------------------------------------------- second fundamental II
