@@ -42,12 +42,18 @@ n = 64, 128, 256 and 512:
     checkout without it, `canonical_lift`, which also builds the lift
     j = L_q in frames);
   - `lift_residual`: the `octonion_lift` check on that q.
-- *graded_stages*: on α = g⁻¹dg of the adapted frames of `clifford_torus`
-  (`ellsys.frame_from_geometry`), over n = 64, 128, 256 and 512, it times
-  - `_graded`: α in the grade-adapted basis of the frame group's grading;
-  - `_laurent_graded`: the Laurent pass, all five coefficients F_k;
+- *graded_stages*: on the adapted frames g of `clifford_torus` and their
+  α = g⁻¹dg (`ellsys.frame_from_geometry`), over n = 64, 128, 256 and 512, it
+  times
+  - `frame_to_connection`: α from g;
+  - `_dz_coefficients`: the graded dz coefficients P and Q of α that the
+    scan reads (in a checkout before them, `_graded`: α's (u, v) components
+    in the grade-adapted basis of the frame group's grading);
+  - `_laurent`: the Laurent pass, all five coefficients F_k, each dropped
+    as the next is formed (before it, `_laurent_graded`);
   - `brackets`: the nine block brackets of that pass on its own operands
-    (the dz coefficients and c± of α, in the layout the checkout gives them);
+    (the dz coefficients of α, or its dz parts and c±, as the checkout
+    forms them);
   - `zero_curvature_scan`: the scan with its 24 default samples.
 
 A stage's time is the minimum over 20 calls, in milliseconds, and p is the
@@ -59,6 +65,7 @@ printed as JSON and, with `--append`, appended to the `rows` list of FILE,
 which is created when missing.  Standard library and numpy only.
 """
 import argparse
+import collections
 import json
 import math
 import os
@@ -138,25 +145,38 @@ def octonion_stages(n):
 
 
 def graded_stages(n):
-    """name -> zero-argument call, for the graded frame-route stages at grid size n."""
+    """name -> zero-argument call, for the frame-route stages at grid size n."""
     from twistorsys import ellsys, forms, immersion as im
     fld = im.build_immersion(GRADED_FIXTURE, n=n)
-    alpha = ellsys.frame_from_geometry(fld, im.twistor_lift(fld))[1]
+    frame, alpha = ellsys.frame_from_geometry(fld, im.twistor_lift(fld))
     aut = fld.space.algebra_fixture().aut
-    # the operands of the Laurent pass, as `forms._laurent_graded` forms them
-    gb, x = forms._graded(alpha, aut)
-    a, e = forms._dz_parts(gb.block(x, 2))
-    b = forms._dz_parts(gb.block(x, 1))[0]
-    d = forms._dz_parts(gb.block(x, -1))[1]
-    c_u, c_v = gb.block(x, 0)
-    c_plus, c_minus = c_u + 1j * c_v, c_u - 1j * c_v
-    pairs = [(0, 2, c_plus, a), (2, -1, a, d), (1, 0, b, c_plus), (0, 0, c_u, c_v),
-             (2, 2, a, e), (1, -1, b, d), (1, 2, b, e), (0, -1, c_minus, d),
-             (0, 2, c_minus, e)]
-    return {"_graded": lambda: forms._graded(alpha, aut),
-            "_laurent_graded": lambda: forms._laurent_graded(alpha, aut),
-            "brackets": lambda: [gb.bracket(*pair) for pair in pairs],
-            "zero_curvature_scan": lambda: forms.zero_curvature_scan(alpha, aut)}
+    gb, grid = aut.graded, alpha.grid
+    calls = {"frame_to_connection": lambda: ellsys.frame_to_connection(frame)}
+    if hasattr(forms, "_dz_coefficients"):
+        grades = forms.GRADED_CHECKS["zero_curvature_scan"]
+        P, Q = forms._dz_coefficients(alpha, gb, *grades)
+        a, b, e, d, P0, Q0 = P[2], P[1], Q[2], Q[-1], P[0], Q[0]
+        pairs = [(0, 2, Q0, a), (2, -1, a, d), (1, 0, b, Q0), (0, 0, P0, Q0), (2, 2, a, e),
+                 (1, -1, b, d), (1, 2, b, e), (0, -1, P0, d), (0, 2, P0, e)]
+        calls["_dz_coefficients"] = lambda: forms._dz_coefficients(alpha, gb, *grades)
+        # each coefficient dropped as the next is formed, as the scan takes them
+        calls["_laurent"] = lambda: collections.deque(forms._laurent(grid, gb, P, Q), maxlen=0)
+    else:
+        # a checkout before the dz-coefficient pass: alpha's graded (u, v) components
+        gb, x = forms._graded(alpha, aut)
+        a, e = forms._dz_parts(gb.block(x, 2))
+        b = forms._dz_parts(gb.block(x, 1))[0]
+        d = forms._dz_parts(gb.block(x, -1))[1]
+        c_u, c_v = gb.block(x, 0)
+        c_plus, c_minus = c_u + 1j * c_v, c_u - 1j * c_v
+        pairs = [(0, 2, c_plus, a), (2, -1, a, d), (1, 0, b, c_plus), (0, 0, c_u, c_v),
+                 (2, 2, a, e), (1, -1, b, d), (1, 2, b, e), (0, -1, c_minus, d),
+                 (0, 2, c_minus, e)]
+        calls["_graded"] = lambda: forms._graded(alpha, aut)
+        calls["_laurent_graded"] = lambda: forms._laurent_graded(alpha, aut)
+    calls["brackets"] = lambda: [gb.bracket(*pair) for pair in pairs]
+    calls["zero_curvature_scan"] = lambda: forms.zero_curvature_scan(alpha, aut)
+    return calls
 
 
 def best_ms(call):

@@ -10,8 +10,10 @@ plane and connection products, the second fundamental form, the mean
 curvature, the frame connection, the j-anticommuting projection, the
 orientation determinant and the Gram-Schmidt frames with their jump test),
 the 6-sphere lift of `octo` and its residual, the centred stencil, the
-component-plane norm and the graded Laurent pass of `forms`, the trapezoidal
-steps and the plaquette pass of `ellsys`, the 1-norms and Taylor polynomial
+component-plane norm and the graded pass of `forms` (the dz coefficients,
+the dz derivatives, the Laurent coefficients, the scan and the pass's own
+reports), the frame's g^-1 dg with its term list in `fixtures`, the
+trapezoidal steps and the plaquette pass of `ellsys`, the 1-norms and Taylor polynomial
 of `liealg.matrix_exp`, and the sparse bilinear kernel of `liealg` behind
 every bracket and plane product, with its grid-last boundary and the graded
 block bracket (a method is named `Class.method`).  Two operators make the
@@ -52,10 +54,10 @@ TARGETS = {
                   "curvature_commutator_residual"),
     "lagrangian": ("lagrangian_residual", "lagrangian_twistor_residual", "maslov_form",
                    "maslov_identity_residual", "hamiltonian_stationary_residual"),
-    "forms": ("_centred", "_dz_parts", "_sq_norm", "_covariant_closure", "_laurent_graded",
-              "zero_curvature_scan", "curvature_residual"),
-    "ellsys": ("holomorphicity_residual", "covariant_closure_residual", "_avg",
-               "_step_exponentials", "plaquette_defects"),
+    "forms": ("_centred", "_dz_coefficients", "_sq_norm", "_dz_derivative", "_laurent",
+              "_scan", "graded_checks", "curvature_residual"),
+    "ellsys": ("frame_to_connection", "_avg", "_step_exponentials", "plaquette_defects"),
+    "fixtures": ("AlgebraFixture._connection_terms",),
     "liealg": ("matrix_exp", "_taylor", "_sparse_product", "_bilinear", "GradedBasis.bracket"),
     "octo": ("canonical_lift", "canonical_q", "twistor_from_q", "lift_residual"),
 }

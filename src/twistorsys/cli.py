@@ -154,6 +154,13 @@ class RungContext:
         alpha = ellsys.frame_from_geometry(self.field, self.tw, self.space)[1]
         return alpha, self.space.algebra_fixture().aut
 
+    @functools.cached_property
+    def graded(self):
+        """{name: report} of every graded check in the scenario, from one
+        `forms.graded_checks` pass."""
+        names = [c for c in self.scenario["checks"] if c in forms.GRADED_CHECKS]
+        return forms.graded_checks(self.alpha, self.aut, names, self.lambda_samples())
+
     @property
     def alpha(self):
         return self._form_and_aut[0]
@@ -195,11 +202,10 @@ KAHLER = {"complex2"}
 
 # check name -> (check of a RungContext, what it needs)
 CHECKS = {
-    "holomorphicity": (lambda c: ellsys.holomorphicity_residual(c.alpha, c.aut), FRAME),
-    "covariant_closure": (lambda c: ellsys.covariant_closure_residual(c.alpha, c.aut), FRAME),
+    "holomorphicity": (lambda c: c.graded["holomorphicity"], FRAME),
+    "covariant_closure": (lambda c: c.graded["covariant_closure"], FRAME),
     "flatness": (lambda c: forms.curvature_residual(c.alpha), FRAME),
-    "zero_curvature_scan": (
-        lambda c: forms.zero_curvature_scan(c.alpha, c.aut, c.lambda_samples()), FRAME),
+    "zero_curvature_scan": (lambda c: c.graded["zero_curvature_scan"], FRAME),
     "vertical_harmonicity": (
         lambda c: immersion.vertical_harmonicity_residual(c.field, c.tw), SURFACE),
     "holomorphic_H": (lambda c: immersion.holomorphic_H_residual(c.field, c.tw), SURFACE),

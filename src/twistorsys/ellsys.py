@@ -35,7 +35,7 @@ class NotInH(Exception):
 class FrameField:
     grid: SurfaceGrid
     fixture: AlgebraFixture
-    g: np.ndarray            # (nu, nv, n, n) group elements
+    g: np.ndarray            # (nu, nv, n, n) group elements, maybe a view of (n, n, nu, nv) planes
     meta: dict = dc_field(default_factory=dict)
 
 
@@ -44,30 +44,21 @@ class FrameField:
 def holomorphicity_residual(alpha: LieValuedOneForm,
                             aut: liealg.GradedAutomorphism) -> ResidualReport:
     """Norms of the (0,1) part of the grade-1 component of alpha (taken in
-    the grade-adapted unitary basis, which keeps pointwise norms)."""
-    gb, x = forms._graded(alpha, aut)
-    # the (0,1) part q dz-bar has components (q, -i q)
-    pw = np.sqrt(2 * forms._sq_norm(forms._dz_parts(gb.block(x, 1))[1]))
-    return forms.masked_report("holomorphicity", alpha.grid.h, pw, alpha.grid.interior_mask(1))
+    the grade-adapted unitary basis, which keeps pointwise norms): |Q_1 dz-bar|
+    of `forms.graded_checks`, which forms Q_1 alone for it."""
+    return forms.graded_checks(alpha, aut, ["holomorphicity"])["holomorphicity"]
 
 
 def covariant_closure_residual(alpha: LieValuedOneForm,
                                aut: liealg.GradedAutomorphism) -> ResidualReport:
     """Norms of d a2^(1,0) + [a0 ^ a2^(1,0)] over the interior: the F_2
     coefficient of `forms.laurent_curvature`, formed by the same code."""
-    gb, x = forms._graded(alpha, aut)
-    c_u, c_v = gb.block(x, 0)
-    a = forms._dz_parts(gb.block(x, 2))[0]
-    pw = np.sqrt(forms._sq_norm(forms._covariant_closure(alpha.grid, gb, c_u + 1j * c_v, a)))
-    return forms.masked_report("covariant_closure", alpha.grid.h, pw, alpha.grid.interior_mask(2))
+    return forms.graded_checks(alpha, aut, ["covariant_closure"])["covariant_closure"]
 
 
 def system_residuals(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism) -> dict:
-    return {
-        "holomorphicity": holomorphicity_residual(alpha, aut),
-        "covariant_closure": covariant_closure_residual(alpha, aut),
-        "flatness": forms.curvature_residual(alpha),
-    }
+    return {**forms.graded_checks(alpha, aut, ["holomorphicity", "covariant_closure"]),
+            "flatness": forms.curvature_residual(alpha)}
 
 
 # ------------------------------------------------------------ sampled frames
@@ -98,17 +89,40 @@ def exp_frame_form(grid: SurfaceGrid, fixture: AlgebraFixture, xi, eta) -> LieVa
 def frame_to_connection(frame: FrameField) -> LieValuedOneForm:
     """alpha = g^-1 dg by centered differences, projected to the fixture basis.
 
-    g^-1 is taken as g^T, which it is in SO(5).  For an affine frame [[F, phi],
-    [0, 1]], g^T dg shares the first four rows [F^T dF, F^T dphi] of g^-1 dg,
-    and the projection weights the last row by exactly 0.  The discrete
-    logarithmic derivative of exact group frames sits O(h^2) off the algebra,
-    so the projection is unchecked; that error is part of the stencil error.
+    g^-1 is taken as g^T, which it is in SO(5), and the projection is folded
+    into the product: with G[l, a] the (nu, nv) plane of g's entry (l, a),
+        alpha_k = sum_(a, b) pinv[k, a, b] (g^T dg)[a, b],
+        (g^T dg)[a, b] = sum_l G[l, a] dG[l, b],
+    so each entry that pinv reads is one grid dot product over the rows of g,
+    added to each alpha_k with its weight (the fixture's `_connection_terms`),
+    column by column in b, so only one column's derivative is alive at a time.
+    For an affine frame [[F, phi], [0, 1]], g^T dg shares the first four rows
+    [F^T dF, F^T dphi] of g^-1 dg, and pinv's last row is exactly 0, so no
+    entry of that row is read; the constant last row of g differentiates to 0,
+    so the sums leave it out.  The discrete logarithmic derivative of exact
+    group frames sits O(h^2) off the algebra, so the projection is unchecked;
+    that error is part of the stencil error.  g is read as (n, n, nu, nv)
+    planes: those of `frame_from_geometry` as they are, a grid-first g such as
+    `develop_frame`'s through one copy (on a strided view the products take
+    two to three times as long).  alpha is stored component first, as
+    (d, nu, nv) planes behind (nu, nv, d) views.
     """
-    grid, alg = frame.grid, frame.fixture.algebra
-    gT = np.swapaxes(frame.g, -1, -2)
-    a_u = alg.coords(gT @ forms.partial_u(grid, frame.g), atol=None)
-    a_v = alg.coords(gT @ forms.partial_v(grid, frame.g), atol=None)
-    return LieValuedOneForm(grid, alg, a_u, a_v)
+    grid, fixture = frame.grid, frame.fixture
+    G = np.ascontiguousarray(np.moveaxis(frame.g, (0, 1), (-2, -1)))
+    rows, terms = fixture._connection_terms
+    # one block per direction: a single (2, d, nu, nv) block left the allocator's
+    # heap larger for later stages (frame_development's peak RSS 0.5-1.6 MB higher)
+    components = []
+    for partial, axis in ((forms.partial_u, -2), (forms.partial_v, -1)):
+        out = np.zeros((fixture.algebra.dim, grid.nu, grid.nv))
+        for b, column in terms.items():
+            dG = partial(grid, G[:rows, b], axis)
+            for a, weights in column.items():
+                gTdg = immersion._grid_dot(G[:rows, a], dG)
+                for k, c in weights:
+                    out[k] += c * gTdg
+        components.append(immersion._pointwise(out))
+    return LieValuedOneForm(grid, fixture.algebra, *components)
 
 
 # -------------------------------------------------------------- development
@@ -235,7 +249,8 @@ def frame_from_geometry(field: immersion.ImmersionField, tw: immersion.TwistorFi
     Flat targets use the affine group in homogeneous 5x5 form with the
     frame block (e1, j e1, n1, j n1) and phi in the last column; the round
     4-sphere uses SO(5) with the same frame block and phi/r in the last
-    column (the fixture base point).
+    column (the fixture base point).  g is written as (5, 5, nu, nv) planes;
+    `FrameField.g` is their grid-first view.
     """
     space = space or field.space
     fixture = space.algebra_fixture()
@@ -247,16 +262,17 @@ def frame_from_geometry(field: immersion.ImmersionField, tw: immersion.TwistorFi
     if field.ambient_dim != space.ambient_dim:
         raise ValueError("immersion and model space disagree on the ambient dimension")
 
-    # j e1 and j n1 from the first columns of the frame components of j
-    F = field.frame_planes
-    je1 = immersion._plane_product(tw.j_T_planes[None, :, 0], F[:2])[0]
-    jn1 = immersion._plane_product(tw.j_N_planes[None, :, 0], F[2:])[0]
-    last = field.phi_planes / space.radius if space.kind == "sphere4" else field.phi_planes
-    g = np.zeros((field.grid.nu, field.grid.nv, 5, 5))
-    for c, col in enumerate((F[0], je1, F[2], jn1, last)):
-        g[..., :len(col), c] = immersion._pointwise(col)
-    if space.kind != "sphere4":
-        g[..., 4, 4] = 1.0
-    frame = FrameField(grid=field.grid, fixture=fixture, g=g)
+    # columns e1, j e1, n1, j n1 and the base point, with j e1 and j n1 from the
+    # first columns of the frame components of j, each written as it is formed
+    F, m = field.frame_planes, field.ambient_dim
+    G = np.zeros((5, 5, field.grid.nu, field.grid.nv))
+    G[:m, 0], G[:m, 2], G[:m, 4] = F[0], F[2], field.phi_planes
+    G[:m, 1] = immersion._plane_product(tw.j_T_planes[None, :, 0], F[:2])[0]
+    G[:m, 3] = immersion._plane_product(tw.j_N_planes[None, :, 0], F[2:])[0]
+    if space.kind == "sphere4":
+        G[:m, 4] /= space.radius
+    else:
+        G[4, 4] = 1.0
+    frame = FrameField(grid=field.grid, fixture=fixture, g=immersion._pointwise(G))
     alpha = frame_to_connection(frame)
     return frame, alpha

@@ -52,6 +52,21 @@ class AlgebraFixture:
         J[:4, :4] = j4
         return J
 
+    @functools.cached_property
+    def _connection_terms(self):
+        """(rows, terms) of `ellsys.frame_to_connection`'s alpha_k = sum_(a, b) pinv[k, a, b]
+        (g^T dg)[a, b] over pinv's nonzeros, column by column: terms is {b: {a: [(k,
+        pinv[k, a, b]), ...]}}, and (g^T dg)[a, b] sums over the first `rows` rows of g;
+        an affine frame's last row is constant, so rows leaves it out."""
+        alg = self.algebra
+        n = alg.ambient_dim
+        pinv = alg.pinv.reshape(alg.dim, n, n)
+        terms = {}
+        for k, a, b in zip(*np.nonzero(pinv)):
+            weights = terms.setdefault(int(b), {}).setdefault(int(a), [])
+            weights.append((int(k), pinv[k, a, b].item()))
+        return (n - 1 if self.affine else n), terms
+
     def tangent_matrix(self, v):
         """Tangent vector(s) at the base point -> p-element as ambient matrix."""
         v = np.asarray(v, dtype=float)

@@ -13,6 +13,7 @@ Conventions fixed here and used everywhere:
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,7 +131,9 @@ def partial_v(grid: SurfaceGrid, f, axis=1):
 class LieValuedOneForm:
     grid: SurfaceGrid
     algebra: liealg.LieAlgebraRep
-    a_u: np.ndarray  # (nu, nv, d), float64 for real data, complex128 for complex
+    # (nu, nv, d), float64 for real data, complex128 for complex; either may be a
+    # grid-first view of component-first (d, nu, nv) planes, as g^-1 dg of a frame is
+    a_u: np.ndarray
     a_v: np.ndarray
 
     def __post_init__(self):
@@ -310,29 +313,51 @@ def default_lambda_samples():
 #
 # The loop family's pieces each live in one grade.  Below, alpha is carried in
 # the grade-adapted unitary basis of the automorphism (`liealg.GradedBasis`):
-# one change of basis, then every grade split is a slice and every wedge
-# brackets only its blocks [g_j, g_k] -> g_(j+k).  alpha in graded coordinates
-# is one component-first (2, d, nu, nv) array of its (u, v) components; a (1,0)
-# part p dz or a (0,1) part q dz-bar is its one (d_k, nu, nv) coefficient, since
+# every grade split is a slice of its rows, and every wedge brackets only its
+# blocks [g_j, g_k] -> g_(j+k).  alpha = P dz + Q dz-bar, with the graded dz
+# coefficients P = conj(rows) (a_u - i a_v)/2 and Q = conj(rows) (a_u + i a_v)/2
+# formed straight from alpha, one component-first (d_k, nu, nv) block per grade.
+# A (1,0) part of grade k is P_k dz and a (0,1) part Q_k dz-bar, and
 # (dz ^ dz-bar)(du, dv) = -2i makes each wedge of two typed parts one bracket.
+# With a = P_2, e = Q_2, b = P_1, d = Q_-1 and C = alpha_0 = P_0 dz + Q_0 dz-bar
+# the five Laurent coefficients are, with D = du + i dv and D-bar = du - i dv,
+#     F_2 = i(D a + 2[Q_0, a])
+#     F_1 = i(D b - 2[a, d] - 2[b, Q_0])
+#     F_0 = i(D P_0 - D-bar Q_0) - 2i([P_0, Q_0] + [a, e] + [b, d])
+#     F_-1 = -i(D-bar d + 2[b, e] + 2[P_0, d])
+#     F_-2 = -i(D-bar e + 2[P_0, e]).
 
-def _graded(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism):
-    """The grade-adapted basis of `aut` and alpha's (u, v) components in it, (2, d, nu, nv)."""
-    if aut.algebra is not alpha.algebra:
-        raise AlgebraMismatch("automorphism acts on a different algebra")
-    gb, d = aut.graded, alpha.algebra.dim
-    # the graded basis is complex: here a real alpha enters complex arithmetic
-    x = np.empty((2, d, alpha.grid.nu, alpha.grid.nv), complex)
-    for xc, a in zip(x, (alpha.a_u, alpha.a_v)):
-        np.matmul(gb.rows.conj(), a.reshape(-1, d).astype(complex).T, out=xc.reshape(d, -1))
-    return gb, x
+# the graded checks, each with the grades of P and of Q that it reads
+GRADED_CHECKS = {"holomorphicity": ((), (1,)),
+                 "covariant_closure": ((2,), (0,)),
+                 "zero_curvature_scan": ((2, 1, 0), (2, 0, -1))}
 
 
-def _dz_parts(x):
-    """p and q with x = p dz + q dz-bar, the (1,0) and (0,1) parts that
-    `type_decompose` splits off: p = (x_u - i x_v)/2, q = (x_u + i x_v)/2."""
-    u, v = x
-    return 0.5 * (u - 1j * v), 0.5 * (u + 1j * v)
+def _dz_coefficients(alpha: LieValuedOneForm, gb: liealg.GradedBasis, p_grades, q_grades):
+    """({k: P_k}, {k: Q_k}) for the grades named, each (d_k, nu, nv) complex, with
+    alpha = P dz + Q dz-bar in graded coordinates: P_k = conj(rows_k) (a_u - i a_v)/2
+    and Q_k = conj(rows_k) (a_u + i a_v)/2.  One product per grade block, so a block
+    comes out the same whichever other blocks are formed beside it."""
+    grid, d = alpha.grid, alpha.algebra.dim
+    # (d, nu nv) views of either layout, component-first planes or grid-first rows
+    u, v = (np.moveaxis(a, -1, 0).reshape(d, -1) for a in (alpha.a_u, alpha.a_v))
+    P, Q = ({k: np.empty((len(gb.rows[gb.slices[k]]), grid.nu, grid.nv), complex)
+             for k in grades} for grades in (p_grades, q_grades))
+    x = np.empty(u.shape, complex)
+    for sign, blocks in ((-1, P), (1, Q)):
+        if blocks:
+            # x = u -+ i v, written as its parts when alpha is real
+            if np.iscomplexobj(u) or np.iscomplexobj(v):
+                np.multiply(v, sign * 1j, out=x)
+                x += u
+            else:
+                x.real = u
+                np.multiply(v, sign, out=x.imag)
+            for k, out in blocks.items():
+                # the 1/2 scales the rows, exactly (it only lowers the exponent)
+                np.matmul(0.5 * gb.rows[gb.slices[k]].conj(), x,
+                          out=out.reshape(len(out), u.shape[1]))
+    return P, Q
 
 
 def _sq_norm(x):
@@ -343,32 +368,46 @@ def _sq_norm(x):
     return sq[..., ::2] + sq[..., 1::2] if np.iscomplexobj(x) else sq
 
 
-def _covariant_closure(grid, gb, c_plus, a):
-    """F_2 = d(a dz) + [C ^ a dz] = i(du a + i dv a + [c_+, a]) in the g_2 block,
-    for alpha_2^(1,0) = a dz and c_+ = c_u + i c_v from C = alpha_0."""
-    return 1j * (partial_u(grid, a, -2) + 1j * partial_v(grid, a, -1)
-                 + gb.bracket(0, 2, c_plus, a))
+def _dz_derivative(grid, x, conj=False):
+    """D x = du x + i dv x, or D-bar x = du x - i dv x with `conj`, of (..., nu, nv) planes."""
+    out = partial_v(grid, x, -1)
+    out *= -1j if conj else 1j
+    out += partial_u(grid, x, -2)
+    return out
 
 
-def _laurent_graded(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism) -> dict:
-    """`laurent_curvature` in graded coordinates: {k: (d_k, nu, nv)} with F_k
-    in g_k for k = 2, 1, 0, -1 and F_-2 in g_2."""
-    gb, x = _graded(alpha, aut)
-    grid = alpha.grid
-    a, e = _dz_parts(gb.block(x, 2))
-    b = _dz_parts(gb.block(x, 1))[0]
-    d = _dz_parts(gb.block(x, -1))[1]
-    c_u, c_v = gb.block(x, 0)
-    c_plus, c_minus = c_u + 1j * c_v, c_u - 1j * c_v
-    F1 = 1j * (partial_u(grid, b, -2) + 1j * partial_v(grid, b, -1)
-               - 2 * gb.bracket(2, -1, a, d) - gb.bracket(1, 0, b, c_plus))
-    F0 = partial_u(grid, c_v, -2) - partial_v(grid, c_u, -1) + gb.bracket(0, 0, c_u, c_v) \
-        - 2j * (gb.bracket(2, 2, a, e) + gb.bracket(1, -1, b, d))
-    Fm1 = -1j * (partial_u(grid, d, -2) - 1j * partial_v(grid, d, -1)
-                 + 2 * gb.bracket(1, 2, b, e) + gb.bracket(0, -1, c_minus, d))
-    Fm2 = -1j * (partial_u(grid, e, -2) - 1j * partial_v(grid, e, -1)
-                 + gb.bracket(0, 2, c_minus, e))
-    return {2: _covariant_closure(grid, gb, c_plus, a), 1: F1, 0: F0, -1: Fm1, -2: Fm2}
+def _laurent(grid, gb: liealg.GradedBasis, P, Q):
+    """The Laurent coefficients (k, F_k) in graded coordinates, (d_k, nu, nv) each, for
+    k = 2, 1, 0, -1, -2 (F_-2 in g_2), each formed when the previous one is taken,
+    from the dz coefficients P_2, P_1, P_0 and Q_2, Q_0, Q_-1 (F_2 reads only P_2, Q_0)."""
+    a, Q0 = P[2], Q[0]
+    F = _dz_derivative(grid, a)
+    F += 2 * gb.bracket(0, 2, Q0, a)
+    F *= 1j
+    yield 2, F
+    b, e, d, P0 = P[1], Q[2], Q[-1], P[0]
+    F = _dz_derivative(grid, b)
+    F -= 2 * gb.bracket(2, -1, a, d)
+    F -= 2 * gb.bracket(1, 0, b, Q0)
+    F *= 1j
+    yield 1, F
+    F = gb.bracket(0, 0, P0, Q0)
+    F += gb.bracket(2, 2, a, e)
+    F += gb.bracket(1, -1, b, d)
+    F *= -2
+    F += _dz_derivative(grid, P0)
+    F -= _dz_derivative(grid, Q0, conj=True)
+    F *= 1j
+    yield 0, F
+    F = _dz_derivative(grid, d, conj=True)
+    F += 2 * gb.bracket(1, 2, b, e)
+    F += 2 * gb.bracket(0, -1, P0, d)
+    F *= -1j
+    yield -1, F
+    F = _dz_derivative(grid, e, conj=True)
+    F += 2 * gb.bracket(0, 2, P0, e)
+    F *= -1j
+    yield -2, F
 
 
 def laurent_curvature(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism) -> dict:
@@ -380,20 +419,79 @@ def laurent_curvature(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism) -
         F_2 = dA + [C ^ A]              F_-2 = dE + [C ^ E]
         F_1 = dB + [A ^ D] + [B ^ C]    F_-1 = dD + [B ^ E] + [C ^ D]
         F_0 = dC + [A ^ E] + [B ^ D] + (1/2)[C ^ C].
-    With A = a dz, B = b dz, D = d dz-bar, E = e dz-bar and c_+- = c_u +- i c_v,
-    on (du, dv) these are one bracket per wedge:
-        F_2 = i(du a + i dv a + [c_+, a])
-        F_1 = i(du b + i dv b - 2[a, d] - [b, c_+])
-        F_0 = dC + [c_u, c_v] - 2i([a, e] + [b, d])
-        F_-1 = -i(du d - i dv d + 2[b, e] + [c_-, d])
-        F_-2 = -i(du e - i dv e + [c_-, e]).
-    F_2 is the covariant-closure two-form.  Each F_k lies in one grade (F_-2
-    in g_2), so the coefficients are formed in the grade-adapted basis and
-    mapped back; returns {k: (nu, nv, d) array} for k = 2, 1, 0, -1, -2.
+    On (du, dv) each wedge is one bracket of dz coefficients (see the formulas
+    above `GRADED_CHECKS`); F_2 is the covariant-closure two-form.  Each F_k lies
+    in one grade (F_-2 in g_2), so the coefficients are formed in the
+    grade-adapted basis and mapped back; returns {k: (nu, nv, d) array} for
+    k = 2, 1, 0, -1, -2.
     """
+    if aut.algebra is not alpha.algebra:
+        raise AlgebraMismatch("automorphism acts on a different algebra")
     gb = aut.graded
-    return {k: gb.vector(Fk, liealg._grade_sum(k, 0))
-            for k, Fk in _laurent_graded(alpha, aut).items()}
+    P, Q = _dz_coefficients(alpha, gb, *GRADED_CHECKS["zero_curvature_scan"])
+    return {k: gb.vector(Fk, liealg._grade_sum(k, 0)) for k, Fk in _laurent(alpha.grid, gb, P, Q)}
+
+
+def _scan(grid, laurent, lam_samples) -> ResidualReport:
+    """`zero_curvature_scan`'s report from the Laurent coefficients as `laurent` forms
+    them: |F_1|^2, |F_0|^2 and |F_-1|^2 are reduced as each comes, and only F_2 and
+    F_-2 are kept for the samples."""
+    mask = grid.interior_mask(2)
+
+    def report(sq):
+        return masked_report("zero_curvature_scan", grid.h, np.sqrt(sq), mask)
+
+    out = ResidualReport("zero_curvature_scan", meta={"n_lambda": len(lam_samples)})
+    F, sq = {}, {}
+    for k, Fk in laurent:
+        sq[k] = _sq_norm(Fk)
+        out.meta[f"laurent_sup_{k}"] = report(sq[k]).final_sup
+        if k in (2, -2):
+            F[k] = Fk
+        del Fk   # dropped before the next coefficient is formed
+    samples = [report(_sq_norm(lam ** 2 * F[2] + lam ** -2 * F[-2]) + abs(lam) ** 2 * sq[1]
+                      + sq[0] + sq[-1] / abs(lam) ** 2).entries[0] for lam in lam_samples]
+    return out.add(grid.h, max(e.sup for e in samples), max(e.l2 for e in samples))
+
+
+def graded_checks(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism, names,
+                  lam_samples=None) -> dict:
+    """{name: report} for the graded checks `names` (keys of GRADED_CHECKS) of alpha,
+    from one pass that forms only the dz coefficients those checks read, and each
+    once: `ellsys.holomorphicity_residual`, `ellsys.covariant_closure_residual` and
+    `zero_curvature_scan` (on `lam_samples`) are this pass for one check each."""
+    if aut.algebra is not alpha.algebra:
+        raise AlgebraMismatch("automorphism acts on a different algebra")
+    names = set(names)
+    if "zero_curvature_scan" in names:
+        lam_samples = default_lambda_samples() if lam_samples is None \
+            else [complex(lam) for lam in lam_samples]
+        if not lam_samples:
+            raise ZeroLambda("need at least one spectral sample")
+        if 0 in lam_samples:
+            raise ZeroLambda("spectral parameter must be nonzero")
+        if not np.isfinite(lam_samples).all():
+            raise ValueError(f"spectral parameters must be finite: {lam_samples}")
+    grid, gb = alpha.grid, aut.graded
+    P, Q = _dz_coefficients(alpha, gb, *({k for name in names for k in GRADED_CHECKS[name][i]}
+                                         for i in (0, 1)))
+    out = {}
+    if "holomorphicity" in names:
+        # the (0,1) part Q_1 dz-bar has components (Q_1, -i Q_1)
+        out["holomorphicity"] = masked_report("holomorphicity", grid.h,
+                                              np.sqrt(2 * _sq_norm(Q.pop(1))),
+                                              grid.interior_mask(1))
+    if names.isdisjoint(("covariant_closure", "zero_curvature_scan")):
+        return out
+    laurent = _laurent(grid, gb, P, Q)
+    k, F2 = next(laurent)
+    if "covariant_closure" in names:
+        out["covariant_closure"] = masked_report("covariant_closure", grid.h,
+                                                 np.sqrt(_sq_norm(F2)), grid.interior_mask(2))
+    if "zero_curvature_scan" in names:
+        out["zero_curvature_scan"] = _scan(grid, itertools.chain([(k, F2)], laurent),
+                                           lam_samples)
+    return out
 
 
 def zero_curvature_scan(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism,
@@ -409,29 +507,7 @@ def zero_curvature_scan(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism,
     samples and the masked sup of each coefficient (laurent_sup_2 ...
     laurent_sup_-2), which says which power of lam a large residual comes from.
     """
-    if lam_samples is None:
-        lam_samples = default_lambda_samples()
-    lam_samples = [complex(lam) for lam in lam_samples]
-    if not lam_samples:
-        raise ZeroLambda("need at least one spectral sample")
-    if 0 in lam_samples:
-        raise ZeroLambda("spectral parameter must be nonzero")
-    if not np.isfinite(lam_samples).all():
-        raise ValueError(f"spectral parameters must be finite: {lam_samples}")
-    grid = alpha.grid
-    mask = grid.interior_mask(2)
-
-    def report(sq):
-        return masked_report("zero_curvature_scan", grid.h, np.sqrt(sq), mask)
-
-    F = _laurent_graded(alpha, aut)
-    sq = {k: _sq_norm(Fk) for k, Fk in F.items()}
-    out = ResidualReport("zero_curvature_scan", meta={"n_lambda": len(lam_samples)})
-    for k in F:
-        out.meta[f"laurent_sup_{k}"] = report(sq[k]).final_sup
-    samples = [report(_sq_norm(lam ** 2 * F[2] + lam ** -2 * F[-2]) + abs(lam) ** 2 * sq[1]
-                      + sq[0] + sq[-1] / abs(lam) ** 2).entries[0] for lam in lam_samples]
-    return out.add(grid.h, max(e.sup for e in samples), max(e.l2 for e in samples))
+    return graded_checks(alpha, aut, ["zero_curvature_scan"], lam_samples)["zero_curvature_scan"]
 
 
 def constant_form(grid: SurfaceGrid, algebra, xi_u, xi_v) -> LieValuedOneForm:

@@ -334,9 +334,9 @@ class GradedBasis:
         [g_j, g_k] -> g_(j+k) in that basis, entries below _GRADED_ZERO of
         the largest dropped, and their nonzero terms for `_sparse_product`.
 
-    Graded coordinates x = conj(rows) xi are stored component first, (..., d,
-    nu, nv), so a grade block is a slice of (nu, nv) planes; because the basis
-    is unitary, pointwise Euclidean norms are the same in both coordinates.
+    Graded coordinates x = conj(rows) xi are stored component first, (d, nu, nv),
+    so the grade-k block x[slices[k]] is a slice of (nu, nv) planes; because the
+    basis is unitary, pointwise Euclidean norms are the same in both coordinates.
     """
 
     rows: np.ndarray
@@ -346,10 +346,6 @@ class GradedBasis:
     def vector(self, x, k: int):
         """Grade-k graded coordinates (d_k, ...) -> original coordinates, grid-last (..., d)."""
         return np.tensordot(x, self.rows[self.slices[k]], axes=(0, 0))
-
-    def block(self, x, k: int):
-        """The grade-k block (..., d_k, nu, nv) of graded coordinates (..., d, nu, nv)."""
-        return x[..., self.slices[k], :, :]
 
     def bracket(self, j: int, k: int, x, y):
         """[x, y] for complex component-first blocks x (d_j, ...) in g_j and y (d_k, ...)

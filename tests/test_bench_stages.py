@@ -53,6 +53,7 @@ def test_every_octonion_stage_runs(bench_stages):
 
 def test_every_graded_stage_runs(bench_stages):
     calls = bench_stages.graded_stages(16)
-    assert set(calls) == {"_graded", "_laurent_graded", "brackets", "zero_curvature_scan"}
+    assert set(calls) == {"frame_to_connection", "_dz_coefficients", "_laurent", "brackets",
+                          "zero_curvature_scan"}
     for call in calls.values():
         call()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistorsys import ellsys, forms, liealg
+from twistorsys import cli, ellsys, forms, liealg
 from twistorsys import immersion as im
 from twistorsys.fixtures import load_algebra_fixture
 
@@ -536,20 +536,83 @@ def test_graded_pass_brackets_single_coefficients(monkeypatch):
 
 def test_scan_rung_peak_memory():
     # the traced high-water mark of the loop-family scan on one n = 128
-    # clifford_torus rung, in grid planes of 8 n^2 bytes: alpha in graded
-    # coordinates is 40 planes (two directions of 10 complex components), its
-    # dz coefficients and c_+- 32 more and the five Laurent coefficients 24;
-    # the brackets add their output and a few temporaries, and no operand copy
+    # clifford_torus rung, in grid planes of 8 n^2 bytes: the dz coefficients
+    # P_2, P_1, P_0 and Q_2, Q_0, Q_-1 are 32 planes (16 complex components), and
+    # one Laurent coefficient is formed at a time beside F_2, the kept F_-2 and the
+    # squared norms; each call gets a fresh form, so nothing a first call leaves
+    # on it can hide the pass's own memory
     n = 128
+    forms.zero_curvature_scan(*adapted_frame_form("clifford_torus", n))   # first-call set-up
     alpha, aut = adapted_frame_form("clifford_torus", n)
-    forms.zero_curvature_scan(alpha, aut)   # first-call set-up outside the trace
     tracemalloc.start()
     try:
         forms.zero_curvature_scan(alpha, aut)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (8 * n * n) <= 112.0
+    assert peak / (8 * n * n) <= 66.0
+
+
+FRAME_CHECKS = ["holomorphicity", "covariant_closure", "flatness", "zero_curvature_scan"]
+
+
+@pytest.mark.parametrize("kind, space", [("clifford_torus", "euclidean4"),
+                                         ("clifford_torus_s4", "sphere4")])
+def test_frame_rung_peak_memory(kind, space):
+    # one n = 128 rung of the frame checks in clifford_system order, in grid
+    # planes of 8 n^2 bytes above what each stage starts with: building alpha
+    # holds g (25 planes), alpha (20), one column of dg and a few grid dot
+    # products, above the field and lift; the checks' one graded pass holds the
+    # dz coefficients (36 planes) and one Laurent coefficient at a time, above alpha
+    n = 128
+    scen = {"fixture": {"kind": kind}, "model_space": {"kind": space}, "checks": FRAME_CHECKS}
+    warm = cli.RungContext(scen, 16)   # first-call set-up outside the trace
+    for name in FRAME_CHECKS:
+        cli.CHECKS[name][0](warm)
+    ctx = cli.RungContext(scen, n)
+    ctx.field, ctx.tw
+    tracemalloc.start()
+    try:
+        ctx.alpha
+        build, held = tracemalloc.get_traced_memory()[::-1]
+        tracemalloc.reset_peak()
+        for name in FRAME_CHECKS:
+            cli.CHECKS[name][0](ctx)
+        checks = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert build / (8 * n * n) <= 60.0
+    assert checks / (8 * n * n) <= 66.0
+
+
+def test_one_rung_forms_the_dz_coefficients_once(monkeypatch):
+    # the rung asks for every graded check of its scenario at once, and
+    # system_residuals for its two; holomorphicity alone reads Q_1 and no bracket
+    calls, brackets = [], []
+
+    def counted(alpha, gb, p_grades, q_grades, _orig=forms._dz_coefficients):
+        P, Q = _orig(alpha, gb, p_grades, q_grades)
+        calls.append((sorted(P), sorted(Q)))
+        return P, Q
+
+    def bracket(self, j, k, x, y, _orig=liealg.GradedBasis.bracket):
+        brackets.append((j, k))
+        return _orig(self, j, k, x, y)
+
+    monkeypatch.setattr(forms, "_dz_coefficients", counted)
+    monkeypatch.setattr(liealg.GradedBasis, "bracket", bracket)
+    ctx = cli.RungContext({"fixture": {"kind": "clifford_torus"},
+                           "model_space": {"kind": "euclidean4"}, "checks": FRAME_CHECKS}, 16)
+    for name in FRAME_CHECKS:
+        cli.CHECKS[name][0](ctx)
+    assert calls == [([0, 1, 2], [-1, 0, 1, 2])] and len(brackets) == 9
+    calls.clear()
+    ellsys.system_residuals(ctx.alpha, ctx.aut)
+    assert calls == [([2], [0, 1])]
+    calls.clear()
+    brackets.clear()
+    ellsys.holomorphicity_residual(ctx.alpha, ctx.aut)
+    assert calls == [([], [1])] and brackets == []
 
 
 def test_scan_meta_names_the_failing_slot(so5):
