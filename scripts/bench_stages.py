@@ -21,10 +21,14 @@ n = 64, 128, 256 and 512:
     stored as its upper-triangle planes (dense (k, k) matrices in a
     checkout before that layout);
   - `frame_to_connection`: α = g⁻¹dg from the adapted frame g;
-  - `II_minus`: the j-anticommuting part of II, as the uncached
-    computation of the lift's stored II₋ (`TwistorField.II_minus_planes`,
-    or `TwistorField.II_minus` in a checkout without component planes);
-  - `_hom_covariant_divergence`: the Hom(T, N) divergence of II₋;
+  - `II_minus`: the j-anticommuting part of II, both slots formed one at a
+    time by `TwistorField.II_minus_slot`, each dropped as the next is formed
+    (in a checkout that stores II₋, the uncached computation of the stored
+    `TwistorField.II_minus_planes`, or `TwistorField.II_minus` without
+    component planes);
+  - `_hom_covariant_divergence`: the Hom(T, N) divergence of II₋ as the
+    uncached computation of the lift's `div_minus`, so it forms the slots of
+    II₋ it reads where II₋ is not stored, and reads the stored II₋ otherwise;
   - `divergence_identity_residual` and `maslov_identity_residual`: the
     residual and its report, with the cached inputs above already read.
 - *frame_stages*: on the `so5_s4` connection `exp_frame_form` of a seeded
@@ -92,10 +96,18 @@ def stages(im, lagrangian, fld, tw):
     """name -> zero-argument call, for the stages that apply to this field, whose
     cached geometry it reads once first."""
     from twistorsys import ellsys
-    # the cached connection and II_minus: component-first where the checkout has the planes
+    # the cached connection: component-first where the checkout has the planes
     conn = "connection_planes" if hasattr(im.ImmersionField, "connection_planes") else "connection"
-    minus = getattr(im.TwistorField, "II_minus_planes", None) or im.TwistorField.II_minus
-    fld.II, fld.H, getattr(fld, conn), fld.grad_H, getattr(tw, minus.attrname), tw.div_minus
+    fld.II, fld.H, getattr(fld, conn), fld.grad_H, tw.div_minus
+    if hasattr(im.TwistorField, "II_minus_slot"):
+        def minus():
+            collections.deque(map(tw.II_minus_slot, range(2)), maxlen=0)
+    else:
+        # a checkout that caches all of II_minus on the lift
+        cached = getattr(im.TwistorField, "II_minus_planes", None) or im.TwistorField.II_minus
+        getattr(tw, cached.attrname)
+        def minus():
+            cached.func(tw)
     frame = ellsys.frame_from_geometry(fld, tw)[0]
     kind, params, n = fld.meta["kind"], fld.meta["params"], fld.grid.nu
     out = {
@@ -104,9 +116,8 @@ def stages(im, lagrangian, fld, tw):
         "second_fundamental_form": lambda: im.second_fundamental_form(fld),
         "frame_connection": lambda: im.frame_connection(fld),
         "frame_to_connection": lambda: ellsys.frame_to_connection(frame),
-        "II_minus": lambda: minus.func(tw),
-        "_hom_covariant_divergence": lambda: im._hom_covariant_divergence(
-            fld, getattr(tw, minus.attrname)),
+        "II_minus": minus,
+        "_hom_covariant_divergence": lambda: im.TwistorField.div_minus.func(tw),
         "divergence_identity_residual": lambda: im.divergence_identity_residual(fld, tw),
     }
     if fld.space.kahler is not None:

@@ -27,7 +27,6 @@ sup to stay above stay_large_min; exact requires it below exact_max.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import inspect
 import json
@@ -392,6 +391,8 @@ def run(path, out_dir="reports", deterministic=False, echo=print):
 
 
 def main(argv=None):
+    import argparse   # here, its one user, so that importing the module does not load it
+
     parser = argparse.ArgumentParser(prog="twistorsys",
                                      description="scenario-driven residual checks")
     sub = parser.add_subparsers(dest="command")

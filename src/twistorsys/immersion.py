@@ -16,10 +16,12 @@ component-first: each of its components is one contiguous (nu, nv) plane,
 the grid axes last.  The chart is (m, nu, nv), its derivatives
 (2, m, nu, nv), the frames (e1, e2, then the normal frame) (2 + q, m, nu, nv),
 each skew k x k connection its k(k - 1)/2 upper-triangle planes, H and
-nabla_perp H (q, nu, nv), a Hom(T, N)-valued 1-form such as II or II_minus
+nabla_perp H (q, nu, nv), a Hom(T, N)-valued 1-form such as II
 (2, q, 2, nu, nv) as slot, normal row and tangent column, and its divergence
-(q, 2, nu, nv).  A contraction over the ambient index is one grid dot product
-(`_grid_dot`); a product by a 2 x 2 or q x q field (j_T, j_N, a Kahler J, a
+(q, 2, nu, nv).  II_minus is never stored whole: each of its (q, 2, nu, nv)
+slots is formed where it is read (`TwistorField.II_minus_slot`).  A
+contraction over the ambient index is one grid dot product (`_grid_dot`); a
+product by a 2 x 2 or q x q field (j_T, j_N, a Kahler J, a
 connection) is a term list of plane products (`_plane_product`,
 `_connection_product`) for the one sparse kernel `liealg._sparse_product`, so
 numpy's inner loops run over whole planes.  A reader that needs grid-first
@@ -152,12 +154,13 @@ class TwistorField:
     """A lift j of `field`, given by its frame components j_T and j_N.
 
     The components are stored component-first, (2, 2, nu, nv) and
-    (q, q, nu, nv).  The vertical geometry of the lift (II_minus, its
-    covariant divergence and the ambient (nu, nv, m, m) matrix of j) is
+    (q, q, nu, nv).  The vertical geometry of the lift (the covariant
+    divergence of II_minus and the ambient (nu, nv, m, m) matrix of j) is
     computed on first access and cached on the lift, so every check on the
     same lift shares one copy; a residual that takes (field, tw) reads these
-    from tw, which must be a lift of that field.  Like its field, a lift
-    must not be mutated after it is built.
+    from tw, which must be a lift of that field.  II_minus itself is not
+    stored: `II_minus_slot` forms one slot afresh for each reader.  Like its
+    field, a lift must not be mutated after it is built.
     """
 
     field: ImmersionField
@@ -166,15 +169,16 @@ class TwistorField:
     j_N_planes: np.ndarray     # (q, q, nu, nv) frame components on the normal
     eps: int                   # rotation sense on the normal frame
 
-    @functools.cached_property
-    def II_minus_planes(self):
-        """The j-anticommuting part of the field's II: (2, q, 2, nu, nv)."""
-        return _anticommuting(self, self.field.II.planes.copy())
+    def II_minus_slot(self, a):
+        """Slot a of the j-anticommuting part of the field's II, (q, 2, nu, nv),
+        formed on each call into an array the caller owns."""
+        return _anticommuting(self, self.field.II.planes[a].copy())
 
     @functools.cached_property
     def div_minus(self):
-        """d^(nabla, nabla_perp) * II_minus on (du, dv), as `_hom_covariant_divergence`."""
-        return _hom_covariant_divergence(self.field, self.II_minus_planes)
+        """d^(nabla, nabla_perp) * II_minus on (du, dv), as `_hom_covariant_divergence`
+        of the slots of II_minus, each formed as the divergence reads it."""
+        return _hom_covariant_divergence(self.field, map(self.II_minus_slot, range(2)))
 
     @functools.cached_property
     def j_ambient(self):
@@ -596,11 +600,11 @@ def twistor_lift(field: ImmersionField, sign: int = +1) -> TwistorField:
     mask = field.report_mask(0)
     if np.min(np.abs(det[mask])) < 1e-6:
         raise NotImmersed("degenerate adapted frame")
-    eps_field = sign * np.sign(det)
-    vals = np.unique(eps_field[mask])
-    if vals.size != 1:
+    signs = sign * np.sign(det[mask])
+    eps = signs.min()
+    if eps != signs.max():
         raise FrameDiscontinuity("orientation flips across the grid")
-    return _frame_rotation_lift(field, sign, +1, int(vals[0]))
+    return _frame_rotation_lift(field, sign, +1, int(eps))
 
 
 def flip_tangent_orientation(field: ImmersionField, tw: TwistorField) -> TwistorField:
@@ -701,27 +705,31 @@ def _anticommuting(tw: TwistorField, A):
     return A
 
 
-def _hom_covariant_divergence(field: ImmersionField, hom):
+def _hom_covariant_divergence(field: ImmersionField, slots):
     """sum_dir nabla_dir of the dir-slot of a Hom-valued 1-form.
 
-    hom has shape (2, q, 2, nu, nv) with slots evaluated on the orthonormal
-    tangent vectors; the slots are rescaled by lambda to coordinate
-    components before differencing, so the result, (q, 2, nu, nv), is the
-    value of d^(nabla, nabla_perp) of the Hodge-starred form on (du, dv).
+    slots gives the form's two (q, 2, nu, nv) slots, evaluated on the
+    orthonormal tangent vectors, in order: a (2, q, 2, nu, nv) array, or an
+    iterable that forms each slot as it is read.  They are rescaled by lambda
+    to coordinate components before differencing, into an array of this
+    call's own, so the result, (q, 2, nu, nv), is the value of
+    d^(nabla, nabla_perp) of the Hodge-starred form on (du, dv).
     """
     grid = field.grid
     om_u, om_v, wn_u, wn_v = field.connection_planes
     lam = field.lam
-    B = lam * hom[0]   # one slot at a time, reused for the v slot
-    div = partial_u(grid, B, axis=-2)
-    for i, (om, wn) in enumerate(((om_u, wn_u), (om_v, wn_v))):
-        if i:
-            np.multiply(lam, hom[1], out=B)
+    slots, div = iter(slots), None
+    for om, wn in ((om_u, wn_u), (om_v, wn_v)):
+        B = lam * next(slots)
+        if div is None:
+            div = partial_u(grid, B, axis=-2)
+        else:
             for c in range(B.shape[1]):
                 div[:, c] += partial_v(grid, B[:, c], axis=-1)
         _connection_product(wn, B, div)
         # - B om = om B^T on the transposed planes, om being skew
         _connection_product(om, B.swapaxes(0, 1), div.swapaxes(0, 1))
+        del B   # one slot at a time: freed before the next is formed
     return div
 
 

@@ -94,12 +94,16 @@ def maslov_identity_residual(field: immersion.ImmersionField,
     J = _require_kahler(field)
     beta_u, beta_v = maslov_form(field)
     F = field.frame_planes
-    JE = [immersion._plane_product(J, e) for e in F[:2]]
-    # J^N|T in frames: <n_p, J e_b>, (q, 2, nu, nv)
-    JNT = np.array([[immersion._grid_dot(n, Je) for Je in JE] for n in F[2:]])
+    # J^N|T in frames: <n_p, J e_b>, (q, 2, nu, nv), one J e_b at a time
+    JNT = np.empty((len(F) - 2, 2) + F.shape[2:])
+    for b, e in enumerate(F[:2]):
+        Je = immersion._plane_product(J, e)
+        for p, n in enumerate(F[2:]):
+            JNT[p, b] = immersion._grid_dot(n, Je)
+    del Je
     inv = 1.0 / np.maximum(field.lam, 1e-30)
     # II_minus(e_a, .) + beta(e_a) J^N|T, one slot at a time
-    pw = np.sqrt(np.maximum(*(_sq_norm(tw.II_minus_planes[a] + beta * inv * JNT)
+    pw = np.sqrt(np.maximum(*(_sq_norm(tw.II_minus_slot(a) + beta * inv * JNT)
                               for a, beta in enumerate((beta_u, beta_v)))))
     return masked_report("maslov_identity", field.grid.h, pw, field.report_mask(2))
 

@@ -48,6 +48,11 @@ def dense_skew(W):
     return M
 
 
+def II_minus(tw):
+    """(2, q, 2, nu, nv): both slots of II_minus, as the lift forms them one at a time."""
+    return np.stack([tw.II_minus_slot(a) for a in range(2)])
+
+
 def other_order_mixed(fld):
     """(nu, nv, q): the mixed slot of II from d_v(d_u phi) alone, one of the two
     difference orders that II's mixed slot averages."""
@@ -413,6 +418,16 @@ def test_column_det_matches_lapack_on_random_stacks(m):
     assert np.max(np.abs(det - np.linalg.det(M)) / _hadamard_bound(M)) <= 1e-13
 
 
+def test_orientation_flip_is_a_frame_discontinuity():
+    # a normal frame whose second vector turns over on half the grid flips the
+    # sign of the orientation determinant there, and no one eps fits the lift
+    fld = im.build_immersion("clifford_torus", n=16)
+    F = fld.frame_planes.copy()
+    F[3, :, :8] *= -1.0
+    with pytest.raises(im.FrameDiscontinuity, match="orientation flips"):
+        im.twistor_lift(dataclasses.replace(fld, frame_planes=F), +1)
+
+
 def test_degenerate_frame_is_not_immersed():
     fld = im.build_immersion("clifford_torus", n=16)
     F = fld.frame_planes.copy()
@@ -422,9 +437,10 @@ def test_degenerate_frame_is_not_immersed():
 
 
 def test_vertical_geometry_computed_once_per_lift(monkeypatch):
-    # three checks on one rung share one II_minus and one divergence of it,
-    # and none of them forms the ambient j: the j-conjugation runs once on II
-    # and once on nabla_perp H
+    # three checks on one rung share one divergence of II_minus, and none of
+    # them forms the ambient j or stores II_minus: the j-conjugation runs once
+    # per slot of II that a reader takes (two for the divergence, two for the
+    # Maslov identity) and once on nabla_perp H
     calls = {"_anticommuting": 0, "_hom_covariant_divergence": 0}
     for fname in calls:
         def counted(*args, _orig=getattr(im, fname), _name=fname, **kwargs):
@@ -438,8 +454,9 @@ def test_vertical_geometry_computed_once_per_lift(monkeypatch):
     ctx = cli.RungContext(scen, 32)
     for name in scen["checks"]:
         cli.CHECKS[name][0](ctx)
-    assert calls == {"_anticommuting": 2, "_hom_covariant_divergence": 1}
-    assert "j_ambient" not in vars(ctx.tw)
+    assert calls == {"_anticommuting": 5, "_hom_covariant_divergence": 1}
+    fields = {f.name for f in dataclasses.fields(ctx.tw)}
+    assert set(vars(ctx.tw)) - fields == {"div_minus"}
 
 
 # --------------------------------------------------------------------- split II
@@ -448,7 +465,7 @@ def test_split_recombines_and_commutes():
     for kind in ("clifford_torus", "round_sphere"):
         fld = im.build_immersion(kind, n=16)
         tw = im.twistor_lift(fld, +1)
-        II, minus = im._pointwise(fld.II.planes), im._pointwise(tw.II_minus_planes)
+        II, minus = im._pointwise(fld.II.planes), im._pointwise(II_minus(tw))
         j_T, j_N = im._pointwise(tw.j_T_planes), im._pointwise(tw.j_N_planes)
         plus = II - minus
         assert np.max(np.abs(plus + minus - II)) <= 1e-13
@@ -470,7 +487,7 @@ def test_split_umbilic_sphere_minus_parallel():
     tw = im.twistor_lift(fld, +1)
     oracle = -0.5 / r * np.array([[1.0, 0.0], [0.0, -float(tw.eps)]])
     mask = fld.report_mask(1)
-    err = np.linalg.norm(im._pointwise(tw.II_minus_planes[0]) - oracle, axis=(-2, -1))
+    err = np.linalg.norm(im._pointwise(tw.II_minus_slot(0)) - oracle, axis=(-2, -1))
     assert np.max(err[mask]) <= 5 * fld.grid.h ** 2
     rep = ladder_report(lambda n: run_residual("round_sphere",
                                                im.vertical_harmonicity_residual, n))
@@ -484,7 +501,7 @@ def test_split_clifford_minus_constant():
     tw = im.twistor_lift(fld, +1)
     sinc = np.sin(fld.grid.hu) / fld.grid.hu
     oracle = 0.5 * np.array([[-1.0, -1.0], [1.0, -1.0]]) * sinc
-    minus = im._pointwise(tw.II_minus_planes[0])
+    minus = im._pointwise(tw.II_minus_slot(0))
     assert np.max(np.abs(minus - oracle)) <= 1e-12
     norms = np.linalg.norm(minus, axis=(-2, -1))
     assert np.max(np.abs(norms - norms[0, 0])) <= 1e-12
@@ -667,24 +684,38 @@ def test_geometry_computed_once_per_rung(monkeypatch):
     assert calls == {"second_fundamental_form": len(ladder), "frame_connection": len(ladder)}
 
 
-def test_round_sphere_rung_peak_memory():
-    # the traced high-water mark of one n = 128 rung of the benchmark's
-    # round_sphere scenario, in grid planes of 8 n^2 bytes: the field and its
-    # cached geometry hold about 59 planes, and no stage may add more than about
-    # one slot or one column of derivatives or products on top of them
-    n = 128
-    scen = {"name": "round_sphere", "fixture": {"kind": "round_sphere", "params": {"r": 1.0}},
-            "model_space": {"kind": "euclidean4"}, "grid_ladder": [n],
-            "checks": ["vertical_harmonicity", "holomorphic_H", "divergence_identity",
-                       "codazzi_identity"], "expect": "converge"}
-    cli.run_scenario(scen)   # imports and first-call set-up outside the trace
+def _rung_peak_planes(kind, space, params, checks, n=128):
+    """The traced high-water mark of one n-rung of a scenario, in grid planes of
+    8 n^2 bytes, with imports and first-call set-up outside the trace."""
+    scen = {"name": kind, "fixture": {"kind": kind, "params": params},
+            "model_space": {"kind": space}, "grid_ladder": [n], "checks": checks,
+            "expect": "converge"}
+    cli.run_scenario(scen)
     tracemalloc.start()
     try:
         cli.run_scenario(scen)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (8 * n * n) <= 76.0
+    return peak / (8 * n * n)
+
+
+def test_round_sphere_rung_peak_memory():
+    # one n = 128 rung of the benchmark's round_sphere scenario: the field and
+    # its cached geometry hold about 51 planes, and no stage may add more than
+    # about one slot or one column of derivatives or products on top of them;
+    # II_minus is never held whole
+    checks = ["vertical_harmonicity", "holomorphic_H", "divergence_identity", "codazzi_identity"]
+    assert _rung_peak_planes("round_sphere", "euclidean4", {"r": 1.0}, checks) <= 66.0
+
+
+def test_product_torus_rung_peak_memory():
+    # the benchmark's product_torus rung, in its check order: the Maslov identity
+    # and the divergence of II_minus each form one slot of II_minus at a time
+    checks = ["maslov_identity", "hamiltonian_stationary", "vertical_harmonicity",
+              "divergence_identity"]
+    assert _rung_peak_planes("product_torus", "complex2", {"r1": 1.0, "r2": 0.6},
+                             checks) <= 64.0
 
 
 @pytest.mark.parametrize("checks, lifts", [(["octonion_lift"], 0),
@@ -781,13 +812,15 @@ def test_batched_contractions_match_einsum(kind, monkeypatch):
         # connection kernel applies, also on the right, hold all of it
         assert np.array_equal(new, -np.swapaxes(new, -1, -2))
     # round_sphere has om != 0, octonion_graph q = 6 and wn != 0
+    II = fld.II.planes.copy()
     assert _close(im._pointwise(im._hom_covariant_divergence(fld, fld.II.planes)), ref["hom_div"])
+    assert np.array_equal(fld.II.planes, II)   # the divergence leaves its input alone
     for new, old in zip(fld.grad_H, ref["grad_H"]):
         assert _close(im._pointwise(new), old)
     M = im._pointwise(fld.II.planes)
     # on canonical lifts j_T and j_N are exact rotations, so the split is exact
     same = np.array_equal if kind != "octonion_graph" else _close
-    assert same(im._pointwise(tw.II_minus_planes), 0.5 * (M + ref["split_conj"]))
+    assert same(im._pointwise(II_minus(tw)), 0.5 * (M + ref["split_conj"]))
     # the same j-conjugation on the single-slot nabla_perp H
     assert same(im._pointwise(im._anticommuting(tw, im._grad_H_hom(fld))),
                 0.5 * (ref["Ghom"] + ref["div_conj"]))
@@ -801,7 +834,7 @@ def test_batched_contractions_match_einsum(kind, monkeypatch):
     im.divergence_identity_residual(fld, tw)
     inv2 = 1.0 / np.maximum(fld.conformal_factor, 1e-30)
     lhs = inv2[..., None, None] * im._pointwise(
-        im._hom_covariant_divergence(fld, tw.II_minus_planes))
+        im._hom_covariant_divergence(fld, map(tw.II_minus_slot, range(2))))
     oracle = np.linalg.norm(lhs - (ref["Ghom"] + ref["div_conj"]), axis=(-2, -1))
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(ref["Ghom"])))
     assert _close(captured["divergence_identity"], oracle, scale)
@@ -856,9 +889,10 @@ def test_planes_are_contiguous_component_first():
         fld = im.build_immersion(kind, n=16)
         tw = octo.canonical_lift(fld)[1] if kind == "octonion_graph" else im.twistor_lift(fld)
         assert fld.frame_planes[2:].shape == (fld.normal_rank, fld.ambient_dim, 16, 16)
-        assert fld.II.planes.shape == tw.II_minus_planes.shape == (2, fld.normal_rank, 2, 16, 16)
+        assert fld.II.planes.shape == (2, fld.normal_rank, 2, 16, 16)
+        assert tw.II_minus_slot(1).shape == (fld.normal_rank, 2, 16, 16)
         for planes in (fld.phi_planes, fld.dphi_planes, fld.frame_planes, fld.II.planes,
-                       tw.II_minus_planes, fld.H, *fld.connection_planes, *fld.grad_H):
+                       tw.II_minus_slot(0), fld.H, *fld.connection_planes, *fld.grad_H):
             assert planes.shape[-2:] == (16, 16) and planes.flags.c_contiguous, kind
         # a skew connection as its upper-triangle planes: one for each rank-2 frame
         q = fld.normal_rank

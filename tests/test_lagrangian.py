@@ -140,7 +140,7 @@ def test_maslov_identity_cubic_explicit_oracle():
     # (kappa / 2) I and beta(e1) = -kappa / 2 with J^N|T = +I in these frames
     fld, tw = build("lagrangian_graph", {"potential": "cubic"})
     bu, _ = lg.maslov_form(fld)
-    M1 = im._pointwise(tw.II_minus_planes[0])
+    M1 = im._pointwise(tw.II_minus_slot(0))
     mask = fld.report_mask(2)
     offdiag = np.abs(M1[..., 0, 1]) + np.abs(M1[..., 1, 0])
     assert np.max(offdiag[mask]) <= 1e-12

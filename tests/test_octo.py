@@ -203,7 +203,8 @@ def test_codimension_six_split_consistent():
     # the rank-generic Hom splitting applies unchanged with q = 6
     fld = im.build_immersion("octonion_graph", n=16)
     _, tw = octo.canonical_lift(fld)
-    II, minus = im._pointwise(fld.II.planes), im._pointwise(tw.II_minus_planes)
+    II = im._pointwise(fld.II.planes)
+    minus = im._pointwise(np.stack([tw.II_minus_slot(a) for a in range(2)]))
     j_T, j_N = im._pointwise(tw.j_T_planes), im._pointwise(tw.j_N_planes)
     plus = II - minus
     assert minus.shape[-2:] == (6, 2)
