@@ -16,19 +16,17 @@ n = 64, 128, 256 and 512:
   - `build_immersion`: sampling the fixture, its frames and the
     conformality check;
   - `twistor_lift`: the canonical lift with its orientation determinant;
+  - `j_ambient`: the ambient (nu, nv, m, m) matrix of that lift from its
+    frame components, as the uncached computation of `TwistorField.j_ambient`;
   - `second_fundamental_form`: II from the differenced derivatives;
   - `frame_connection`: the four skew connections from the frames, each
-    stored as its upper-triangle planes (dense (k, k) matrices in a
-    checkout before that layout);
+    stored as its upper-triangle planes;
   - `frame_to_connection`: α = g⁻¹dg from the adapted frame g;
   - `II_minus`: the j-anticommuting part of II, both slots formed one at a
-    time by `TwistorField.II_minus_slot`, each dropped as the next is formed
-    (in a checkout that stores II₋, the uncached computation of the stored
-    `TwistorField.II_minus_planes`, or `TwistorField.II_minus` without
-    component planes);
+    time by `TwistorField.II_minus_slot`, each dropped as the next is formed;
   - `_hom_covariant_divergence`: the Hom(T, N) divergence of II₋ as the
-    uncached computation of the lift's `div_minus`, so it forms the slots of
-    II₋ it reads where II₋ is not stored, and reads the stored II₋ otherwise;
+    uncached computation of the lift's `div_minus`, which forms the slots of
+    II₋ it reads;
   - `divergence_identity_residual` and `maslov_identity_residual`: the
     residual and its report, with the cached inputs above already read.
 - *frame_stages*: on the `so5_s4` connection `exp_frame_form` of a seeded
@@ -42,22 +40,19 @@ n = 64, 128, 256 and 512:
   - `build_immersion`: sampling, the Gram-Schmidt frames and the
     conformality check;
   - `_gram_schmidt_frames`: the tangent and normal frames alone;
-  - `canonical_q`: the 6-sphere valued lift q and its two gates (in a
-    checkout without it, `canonical_lift`, which also builds the lift
-    j = L_q in frames);
+  - `canonical_q`: the 6-sphere valued lift q and its two gates;
+  - `twistor_from_q`: the lift j = L_q of that q in frames, j_T and j_N;
   - `lift_residual`: the `octonion_lift` check on that q.
 - *graded_stages*: on the adapted frames g of `clifford_torus` and their
   α = g⁻¹dg (`ellsys.frame_from_geometry`), over n = 64, 128, 256 and 512, it
   times
   - `frame_to_connection`: α from g;
   - `_dz_coefficients`: the graded dz coefficients P and Q of α that the
-    scan reads (in a checkout before them, `_graded`: α's (u, v) components
-    in the grade-adapted basis of the frame group's grading);
+    scan reads;
   - `_laurent`: the Laurent pass, all five coefficients F_k, each dropped
-    as the next is formed (before it, `_laurent_graded`);
-  - `brackets`: the nine block brackets of that pass on its own operands
-    (the dz coefficients of α, or its dz parts and c±, as the checkout
-    forms them);
+    as the next is formed;
+  - `brackets`: the nine block brackets of that pass on the dz
+    coefficients of α;
   - `zero_curvature_scan`: the scan with its 24 default samples.
 
 A stage's time is the minimum over 20 calls, in milliseconds, and p is the
@@ -96,27 +91,17 @@ def stages(im, lagrangian, fld, tw):
     """name -> zero-argument call, for the stages that apply to this field, whose
     cached geometry it reads once first."""
     from twistorsys import ellsys
-    # the cached connection: component-first where the checkout has the planes
-    conn = "connection_planes" if hasattr(im.ImmersionField, "connection_planes") else "connection"
-    fld.II, fld.H, getattr(fld, conn), fld.grad_H, tw.div_minus
-    if hasattr(im.TwistorField, "II_minus_slot"):
-        def minus():
-            collections.deque(map(tw.II_minus_slot, range(2)), maxlen=0)
-    else:
-        # a checkout that caches all of II_minus on the lift
-        cached = getattr(im.TwistorField, "II_minus_planes", None) or im.TwistorField.II_minus
-        getattr(tw, cached.attrname)
-        def minus():
-            cached.func(tw)
+    fld.II, fld.H, fld.connection_planes, fld.grad_H, tw.div_minus
     frame = ellsys.frame_from_geometry(fld, tw)[0]
     kind, params, n = fld.meta["kind"], fld.meta["params"], fld.grid.nu
     out = {
         "build_immersion": lambda: im.build_immersion(kind, params, n=n, space=fld.space),
         "twistor_lift": lambda: im.twistor_lift(fld, +1),
+        "j_ambient": lambda: im.TwistorField.j_ambient.func(tw),
         "second_fundamental_form": lambda: im.second_fundamental_form(fld),
         "frame_connection": lambda: im.frame_connection(fld),
         "frame_to_connection": lambda: ellsys.frame_to_connection(frame),
-        "II_minus": minus,
+        "II_minus": lambda: collections.deque(map(tw.II_minus_slot, range(2)), maxlen=0),
         "_hom_covariant_divergence": lambda: im.TwistorField.div_minus.func(tw),
         "divergence_identity_residual": lambda: im.divergence_identity_residual(fld, tw),
     }
@@ -144,14 +129,12 @@ def octonion_stages(n):
     """name -> zero-argument call, for the R^8 lift stages at grid size n."""
     from twistorsys import immersion as im, octo
     fld = im.build_immersion(OCTONION_FIXTURE, n=n)
-    name = "canonical_q" if hasattr(octo, "canonical_q") else "canonical_lift"
-    lift = getattr(octo, name)
-    q = octo.canonical_lift(fld)[0]
-    # the derivatives as stored: component-first where the checkout has the planes
-    dphi = (fld.dphi_planes,) if hasattr(fld, "dphi_planes") else (fld.dphi_u, fld.dphi_v)
+    q = octo.canonical_q(fld)
     return {"build_immersion": lambda: im.build_immersion(OCTONION_FIXTURE, n=n),
-            "_gram_schmidt_frames": lambda: im._gram_schmidt_frames(*dphi, fld.branch_mask),
-            name: lambda: lift(fld),
+            "_gram_schmidt_frames": lambda: im._gram_schmidt_frames(fld.dphi_planes,
+                                                                    fld.branch_mask),
+            "canonical_q": lambda: octo.canonical_q(fld),
+            "twistor_from_q": lambda: octo.twistor_from_q(fld, q),
             "lift_residual": lambda: octo.lift_residual(fld, q)}
 
 
@@ -162,32 +145,17 @@ def graded_stages(n):
     frame, alpha = ellsys.frame_from_geometry(fld, im.twistor_lift(fld))
     aut = fld.space.algebra_fixture().aut
     gb, grid = aut.graded, alpha.grid
-    calls = {"frame_to_connection": lambda: ellsys.frame_to_connection(frame)}
-    if hasattr(forms, "_dz_coefficients"):
-        grades = forms.GRADED_CHECKS["zero_curvature_scan"]
-        P, Q = forms._dz_coefficients(alpha, gb, *grades)
-        a, b, e, d, P0, Q0 = P[2], P[1], Q[2], Q[-1], P[0], Q[0]
-        pairs = [(0, 2, Q0, a), (2, -1, a, d), (1, 0, b, Q0), (0, 0, P0, Q0), (2, 2, a, e),
-                 (1, -1, b, d), (1, 2, b, e), (0, -1, P0, d), (0, 2, P0, e)]
-        calls["_dz_coefficients"] = lambda: forms._dz_coefficients(alpha, gb, *grades)
-        # each coefficient dropped as the next is formed, as the scan takes them
-        calls["_laurent"] = lambda: collections.deque(forms._laurent(grid, gb, P, Q), maxlen=0)
-    else:
-        # a checkout before the dz-coefficient pass: alpha's graded (u, v) components
-        gb, x = forms._graded(alpha, aut)
-        a, e = forms._dz_parts(gb.block(x, 2))
-        b = forms._dz_parts(gb.block(x, 1))[0]
-        d = forms._dz_parts(gb.block(x, -1))[1]
-        c_u, c_v = gb.block(x, 0)
-        c_plus, c_minus = c_u + 1j * c_v, c_u - 1j * c_v
-        pairs = [(0, 2, c_plus, a), (2, -1, a, d), (1, 0, b, c_plus), (0, 0, c_u, c_v),
-                 (2, 2, a, e), (1, -1, b, d), (1, 2, b, e), (0, -1, c_minus, d),
-                 (0, 2, c_minus, e)]
-        calls["_graded"] = lambda: forms._graded(alpha, aut)
-        calls["_laurent_graded"] = lambda: forms._laurent_graded(alpha, aut)
-    calls["brackets"] = lambda: [gb.bracket(*pair) for pair in pairs]
-    calls["zero_curvature_scan"] = lambda: forms.zero_curvature_scan(alpha, aut)
-    return calls
+    grades = forms.GRADED_CHECKS["zero_curvature_scan"]
+    P, Q = forms._dz_coefficients(alpha, gb, *grades)
+    a, b, e, d, P0, Q0 = P[2], P[1], Q[2], Q[-1], P[0], Q[0]
+    pairs = [(0, 2, Q0, a), (2, -1, a, d), (1, 0, b, Q0), (0, 0, P0, Q0), (2, 2, a, e),
+             (1, -1, b, d), (1, 2, b, e), (0, -1, P0, d), (0, 2, P0, e)]
+    return {"frame_to_connection": lambda: ellsys.frame_to_connection(frame),
+            "_dz_coefficients": lambda: forms._dz_coefficients(alpha, gb, *grades),
+            # each coefficient dropped as the next is formed, as the scan takes them
+            "_laurent": lambda: collections.deque(forms._laurent(grid, gb, P, Q), maxlen=0),
+            "brackets": lambda: [gb.bracket(*pair) for pair in pairs],
+            "zero_curvature_scan": lambda: forms.zero_curvature_scan(alpha, aut)}
 
 
 def best_ms(call):

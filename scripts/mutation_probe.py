@@ -8,15 +8,16 @@ The targets are the residual functions of `immersion`, `lagrangian` and
 `ellsys`, the helpers that hold their equations (in `immersion` also the
 plane and connection products, the second fundamental form, the mean
 curvature, the frame connection, the j-anticommuting projection, the
-orientation determinant and the Gram-Schmidt frames with their jump test),
+orientation determinant, the Gram-Schmidt frames with their jump test and the
+ambient j of a lift from its frame components),
 the 6-sphere lift of `octo` and its residual, the centred stencil, the
 component-plane norm and the graded pass of `forms` (the dz coefficients,
 the dz derivatives, the Laurent coefficients, the scan and the pass's own
 reports), the frame's g^-1 dg with its term list in `fixtures`, the
 trapezoidal steps and the plaquette pass of `ellsys`, the 1-norms and Taylor polynomial
 of `liealg.matrix_exp`, and the sparse bilinear kernel of `liealg` behind
-every bracket and plane product, with its grid-last boundary and the graded
-block bracket (a method is named `Class.method`).  Two operators make the
+every bracket and plane product, with its one grid-last door `bracket_coords`
+and the graded block bracket (a method is named `Class.method`).  Two operators make the
 mutants: *flip* turns each binary `+` or `-` and each `+=` or `-=` there into
 one mutant with that single operator flipped, and *scale* multiplies by 2 the
 pointwise argument of each `masked_report` call there, one mutant per check
@@ -51,14 +52,15 @@ TARGETS = {
                   "normal_connection_derivative", "_hom_covariant_divergence", "_grad_H_hom",
                   "vertical_harmonicity_residual", "holomorphic_H_residual",
                   "divergence_identity_residual", "codazzi_identity_residual",
-                  "curvature_commutator_residual"),
+                  "curvature_commutator_residual", "TwistorField.j_ambient"),
     "lagrangian": ("lagrangian_residual", "lagrangian_twistor_residual", "maslov_form",
                    "maslov_identity_residual", "hamiltonian_stationary_residual"),
     "forms": ("_centred", "_dz_coefficients", "_sq_norm", "_dz_derivative", "_laurent",
               "_scan", "graded_checks", "curvature_residual"),
     "ellsys": ("frame_to_connection", "_avg", "_step_exponentials", "plaquette_defects"),
     "fixtures": ("AlgebraFixture._connection_terms",),
-    "liealg": ("matrix_exp", "_taylor", "_sparse_product", "_bilinear", "GradedBasis.bracket"),
+    "liealg": ("matrix_exp", "_taylor", "_sparse_product", "LieAlgebraRep.bracket_coords",
+               "GradedBasis.bracket"),
     "octo": ("canonical_lift", "canonical_q", "twistor_from_q", "lift_residual"),
 }
 FLIP = {"+": "-", "-": "+"}

@@ -194,10 +194,10 @@ def exp_frame_inputs(params):
 
 
 # What a check needs: the model spaces of the surface fixtures it serves, and
-# "exp_frame" if it serves that fixture.  Only complex2 is Kahler.
+# "exp_frame" if it serves that fixture.  KAHLER: the spaces with a Kahler structure.
 FRAME = {"exp_frame", *symspace.FRAME_GROUPS}
 SURFACE = set(symspace.MODEL_SPACES)
-KAHLER = {"complex2"}
+KAHLER = {kind for kind, make in symspace.MODEL_SPACES.items() if make().kahler is not None}
 
 # check name -> (check of a RungContext, what it needs)
 CHECKS = {

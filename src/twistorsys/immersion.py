@@ -25,14 +25,16 @@ product by a 2 x 2 or q x q field (j_T, j_N, a Kahler J, a
 connection) is a term list of plane products (`_plane_product`,
 `_connection_product`) for the one sparse kernel `liealg._sparse_product`, so
 numpy's inner loops run over whole planes.  A reader that needs grid-first
-(nu, nv, ...) arrays takes the `_pointwise` view at its own boundary; the
-ambient (nu, nv, m, m) j of the ambient-matrix checks stays grid-first.
+(nu, nv, ...) arrays takes the `_pointwise` view at its own boundary.  A lift
+is its frame components j_T and j_N; the ambient (nu, nv, m, m) j that only
+the ambient-matrix checks read is formed from them, grid-first, when read.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -151,16 +153,17 @@ class ImmersionField:
 
 @dataclass
 class TwistorField:
-    """A lift j of `field`, given by its frame components j_T and j_N.
+    """A lift j of `field`, given by its frame components j_T and j_N alone.
 
     The components are stored component-first, (2, 2, nu, nv) and
-    (q, q, nu, nv).  The vertical geometry of the lift (the covariant
-    divergence of II_minus and the ambient (nu, nv, m, m) matrix of j) is
-    computed on first access and cached on the lift, so every check on the
-    same lift shares one copy; a residual that takes (field, tw) reads these
-    from tw, which must be a lift of that field.  II_minus itself is not
-    stored: `II_minus_slot` forms one slot afresh for each reader.  Like its
-    field, a lift must not be mutated after it is built.
+    (q, q, nu, nv), for the canonical and the octonion lift alike.  The
+    vertical geometry of the lift (the covariant divergence of II_minus and
+    the ambient (nu, nv, m, m) matrix of j) is computed on first access and
+    cached on the lift, so every check on the same lift shares one copy; a
+    residual that takes (field, tw) reads these from tw, which must be a lift
+    of that field.  II_minus itself is not stored: `II_minus_slot` forms one
+    slot afresh for each reader.  Like its field, a lift must not be mutated
+    after it is built.
     """
 
     field: ImmersionField
@@ -182,13 +185,15 @@ class TwistorField:
 
     @functools.cached_property
     def j_ambient(self):
-        """(nu, nv, m, m): s (e2 x e1 - e1 x e2) + eps (n2 x n1 - n1 x n2), the
-        rotation lift whose tangent block is j_T = s rot.  s = -1 swaps the
-        operands of the tangent difference instead of negating it.  The
-        octonion lift sets this attribute to its L_q when it is built."""
-        e1, e2, n1, n2 = self.field.frame_planes
-        t_a, t_b = (e2, e1) if self.j_T_planes[1, 0, 0, 0] > 0 else (e1, e2)
-        return _outer(t_a, t_b) - _outer(t_b, t_a) + self.eps * (_outer(n2, n1) - _outer(n1, n2))
+        """(nu, nv, m, m): j = sum_a f_a x (sum_b j[a, b] f_b) over the frame vectors f_a,
+        summed over the tangent frame with j_T, then over the normal frame with j_N,
+        and the two sums added: one formula for every lift."""
+        F = self.field.frame_planes
+        # each sum in place on its first term, a fresh outer product
+        T, N = (functools.reduce(operator.iadd, map(_outer, frame, _plane_product(block, frame)))
+                for frame, block in ((F[:2], self.j_T_planes), (F[2:], self.j_N_planes)))
+        T += N
+        return T
 
 
 @dataclass
@@ -644,21 +649,6 @@ def _frame_rotation_lift(field: ImmersionField, sign, s, eps) -> TwistorField:
     j_T = np.broadcast_to(s * rot, (2, 2) + grid_shape)
     j_N = np.broadcast_to(eps * rot, (2, 2) + grid_shape)
     return TwistorField(field=field, sign=sign, j_T_planes=j_T, j_N_planes=j_N, eps=eps)
-
-
-def lift_from_octonion_structure(field: ImmersionField, j_ambient) -> TwistorField:
-    """Wrap an ambient orthogonal complex structure as a TwistorField in frames:
-    j_T[a, b] = <e_a, j e_b> and j_N[p, r] = <n_p, j n_r>."""
-    F = field.frame_planes
-    jF = np.einsum("uvik,bkuv->biuv", j_ambient, F)   # j f_b, component-first
-
-    def block(rows):
-        return np.array([[_grid_dot(F[a], jF[b]) for b in rows] for a in rows])
-
-    tw = TwistorField(field=field, sign=+1, j_T_planes=block(range(2)),
-                      j_N_planes=block(range(2, len(F))), eps=0)
-    tw.j_ambient = np.asarray(j_ambient)
-    return tw
 
 
 # ------------------------------------------------------------------ connections

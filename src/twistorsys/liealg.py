@@ -184,20 +184,6 @@ def _sparse_product(terms, x, y, out):
     return out
 
 
-def _bilinear(x, y, table, terms):
-    """sum_ij x[..., i] y[..., j] table[i, j, k] from the nonzero `terms` of `table`:
-    `_sparse_product` at the grid-last boundary of `bracket_coords` and `octo.multiply`.
-
-    x and y broadcast over their leading axes; each is copied once, component
-    first, in the result type.  The result equals np.einsum("...i,...j,ijk->...k",
-    x, y, table) bit for bit (numpy's complex multiply would round differently).
-    """
-    dtype = np.result_type(x, y, table)
-    x, y = (np.ascontiguousarray(np.moveaxis(np.asarray(a, dtype), -1, 0)) for a in (x, y))
-    out = np.zeros((table.shape[2],) + np.broadcast_shapes(x.shape[1:], y.shape[1:]), dtype)
-    return np.ascontiguousarray(np.moveaxis(_sparse_product(terms, x, y, out), 0, -1))
-
-
 def _vec(mats):
     mats = np.asarray(mats, dtype=float)
     return mats.reshape(mats.shape[0], -1)
@@ -261,12 +247,16 @@ class LieAlgebraRep:
         return _nonzero_terms(self.structure)
 
     def bracket_coords(self, xi, eta):
-        """Bracket of coordinate vectors via structure constants (any leading axes).
-
-        Loops over the nonzero structure constants (52 of 1000 for se4_r4,
-        60 for so5_s4), found once per algebra.
-        """
-        return _bilinear(xi, eta, self.structure, self._structure_terms)
+        """Bracket of coordinate vectors with broadcast leading axes: `_sparse_product`
+        over the nonzero structure constants (52 of 1000 for se4_r4, 60 for so5_s4),
+        at its one grid-last door, each operand copied once, component first, in
+        the result type.  Equals np.einsum("...i,...j,ijk->...k", xi, eta, structure)
+        bit for bit (numpy's complex multiply would round differently)."""
+        dtype = np.result_type(xi, eta, self.structure)
+        x, y = (np.ascontiguousarray(np.moveaxis(np.asarray(a, dtype), -1, 0)) for a in (xi, eta))
+        out = np.zeros((self.dim,) + np.broadcast_shapes(x.shape[1:], y.shape[1:]), dtype)
+        out = _sparse_product(self._structure_terms, x, y, out)
+        return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
     def ad(self, xi):
         """Coordinate matrix of ad(xi): eta -> [xi, eta]."""

@@ -5,6 +5,8 @@ quaternions (i j = k convention): (a, b)(c, d) = (a c - d* b, d a + b c*).
 Basis order: e0 = 1, e1 = i, e2 = j, e3 = k, e4 = (0, 1), e5 = (0, i),
 e6 = (0, j), e7 = (0, k).  Norm multiplicativity guards the table against
 transcription errors.
+Octonions are component first, (8,) or an (8, ...) field such as a frame's
+planes, and the lift j = L_q is formed in frames with no (8, 8) field L_q.
 """
 from __future__ import annotations
 
@@ -55,21 +57,22 @@ _OCTONION_TERMS = liealg._nonzero_terms(OCTONION_TABLE)
 
 
 def multiply(a, b):
-    """Octonion product; supports leading broadcast axes on 8-vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return liealg._bilinear(a, b, OCTONION_TABLE, _OCTONION_TERMS)
+    """Octonion product of component-first octonions: an (8,) octonion or an (8, ...)
+    field of them, the fields broadcasting over their trailing axes."""
+    a, b = (np.asarray(x, dtype=float) for x in (a, b))
+    out = np.zeros((8,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    return liealg._sparse_product(_OCTONION_TERMS, a, b, out)
 
 
 def conjugate(a):
     a = np.asarray(a, dtype=float)
-    out = -a.copy()
-    out[..., 0] = a[..., 0]
+    out = -a
+    out[0] = a[0]
     return out
 
 
 def norm(a):
-    return np.linalg.norm(np.asarray(a, dtype=float), axis=-1)
+    return np.linalg.norm(np.asarray(a, dtype=float), axis=0)
 
 
 def basis_unit(i):
@@ -80,25 +83,21 @@ def basis_unit(i):
 
 def left_mult_structure(q):
     """L_q with L_q x = q x; an orthogonal complex structure for unit imaginary q,
-    or a (..., 8, 8) stack of them for a (..., 8) stack of such q."""
+    or an (8, 8, ...) field of them for an (8, ...) field of such q."""
     q = np.asarray(q, dtype=float)
-    if max(np.max(np.abs(norm(q) - 1.0)), np.max(np.abs(q[..., 0]))) > 1e-8:
+    if max(np.max(np.abs(norm(q) - 1.0)), np.max(np.abs(q[0]))) > 1e-8:
         raise NotUnitImaginary("left multiplication needs a unit imaginary octonion")
-    return _left_mult_field(q)
-
-
-def _left_mult_field(q):
-    return np.einsum("...i,ijk->...kj", np.asarray(q, dtype=float), OCTONION_TABLE)
+    return np.einsum("i...,ijk->kj...", q, OCTONION_TABLE)
 
 
 def canonical_lift(field: immersion.ImmersionField):
-    """(q, TwistorField wrapping j = L_q) of `canonical_q` and `twistor_from_q`."""
+    """(q, the TwistorField of j = L_q) of `canonical_q` and `twistor_from_q`."""
     q = canonical_q(field)
     return q, twistor_from_q(field, q)
 
 
 def canonical_q(field: immersion.ImmersionField):
-    """The 6-sphere valued lift q of a conformal immersion into R^8.
+    """The 6-sphere valued lift q of a conformal immersion into R^8, an (8, nu, nv) field.
 
     q = e2 * conj(e1) for the oriented orthonormal tangent basis (e1, e2);
     this order makes left multiplication rotate dphi(du) onto dphi(dv),
@@ -109,12 +108,12 @@ def canonical_q(field: immersion.ImmersionField):
         raise ValueError("the octonion lift lives in R^8")
     if field.branch_mask.any():
         raise immersion.NotImmersed("octonion lift across branch points")
-    e1, e2 = map(immersion._pointwise, field.frame_planes[:2])
+    e1, e2 = field.frame_planes[:2]
     q = multiply(e2, conjugate(e1))
-    qerr = max(float(np.max(np.abs(norm(q) - 1.0))), float(np.max(np.abs(q[..., 0]))))
+    qerr = max(float(np.max(np.abs(norm(q) - 1.0))), float(np.max(np.abs(q[0]))))
     if qerr > 1e-8:
         raise immersion.NotImmersed(f"tangent frame degenerate: q off S^6 by {qerr:.3e}")
-    dphi_u, dphi_v = map(immersion._pointwise, field.dphi_planes)
+    dphi_u, dphi_v = field.dphi_planes
     resid = multiply(q, dphi_u) - dphi_v
     scale = float(np.max(field.lam))
     rel = float(np.max(norm(resid))) / max(scale, 1e-30)
@@ -124,8 +123,20 @@ def canonical_q(field: immersion.ImmersionField):
 
 
 def twistor_from_q(field: immersion.ImmersionField, q) -> immersion.TwistorField:
-    """The lift j = L_q of `canonical_q` as a TwistorField in frames."""
-    return immersion.lift_from_octonion_structure(field, _left_mult_field(q))
+    """The lift j = L_q of `canonical_q` as a TwistorField in frames:
+    j_T[a, b] = <e_a, q e_b> and j_N[p, r] = <n_p, q n_r>, one frame vector at a time."""
+    F = field.frame_planes
+
+    def block(rows):
+        out = np.empty((len(rows), len(rows)) + F.shape[2:])
+        for b, r in enumerate(rows):
+            qf = multiply(q, F[r])   # column b from q f_b alone
+            for a, p in enumerate(rows):
+                immersion._grid_dot(F[p], qf, out=out[a, b])
+        return out
+
+    return immersion.TwistorField(field=field, sign=+1, j_T_planes=block(range(2)),
+                                  j_N_planes=block(range(2, len(F))), eps=0)
 
 
 def lift_residual(field: immersion.ImmersionField, q) -> ResidualReport:
@@ -136,11 +147,11 @@ def lift_residual(field: immersion.ImmersionField, q) -> ResidualReport:
     so D = |A| + |B|/2 bounds the drift at every angle.  `meta` gives the sup of D as
     `reframing_drift` and names the part that gave the sup as `sup_component`.
     """
-    e1, e2 = map(immersion._pointwise, field.frame_planes[:2])
+    e1, e2 = field.frame_planes[:2]
     A = q + multiply(e1, conjugate(e2))
     B = multiply(e2, conjugate(e2)) - multiply(e1, conjugate(e1))
     parts = {"reframing_drift": norm(A) + 0.5 * norm(B),
-             "unit_norm": np.abs(norm(q) - 1.0), "real_part": np.abs(q[..., 0])}
+             "unit_norm": np.abs(norm(q) - 1.0), "real_part": np.abs(q[0])}
     mask = field.report_mask(0)
     rep = masked_report("octonion_lift", field.grid.h, np.maximum.reduce(list(parts.values())),
                         mask)

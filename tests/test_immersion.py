@@ -337,14 +337,14 @@ def test_lift_orientations():
 
 
 def test_lift_invariants():
-    for kind in ("clifford_torus", "round_sphere", "clifford_torus_s4", "helicoid"):
+    for kind in ("clifford_torus", "round_sphere", "clifford_torus_s4", "helicoid",
+                 "octonion_graph"):
         fld = im.build_immersion(kind, n=16)
-        tw = im.twistor_lift(fld, +1)
+        tw = octo.canonical_lift(fld)[1] if kind == "octonion_graph" else im.twistor_lift(fld, +1)
         j = tw.j_ambient
-        # skew, squares to minus the projector onto the framed 4-plane
+        # skew, squares to minus the projector onto the span of the 2 + q frame vectors
         assert np.max(np.abs(j + np.swapaxes(j, -1, -2))) <= 1e-12, kind
-        e1, e2, n1, n2 = map(im._pointwise, fld.frame_planes)
-        F = np.stack([e1, e2, n1, n2], axis=-1)
+        F = np.moveaxis(fld.frame_planes, (0, 2, 3), (-1, 0, 1))   # (nu, nv, m, 2 + q)
         P = F @ np.swapaxes(F, -1, -2)
         assert np.max(np.abs(j @ j + P)) <= 1e-12, kind
         # holomorphicity of phi for its own lift: j dphi(du) = dphi(dv)
@@ -385,16 +385,18 @@ def test_rotation_lift_ambient_j_closed_form(kind, sign):
         assert "j_ambient" not in vars(lift)
         oracle = (s * (_outer(e2, e1) - _outer(e1, e2))
                   + lift.eps * (_outer(n2, n1) - _outer(n1, n2)))
-        assert np.max(np.abs(lift.j_ambient - oracle)) <= 1e-15, (kind, sign, s)
+        assert np.array_equal(lift.j_ambient, oracle), (kind, sign, s)
         assert lift.j_ambient is lift.j_ambient   # cached on the lift
 
 
 def test_octonion_lift_keeps_the_given_structure():
+    # the octonion lift is built from its frame components alone: its ambient j is
+    # formed on read, by the formula of every lift, and is L_q up to roundoff
     fld = im.build_immersion("octonion_graph", n=16)
     q, tw = octo.canonical_lift(fld)
-    j = octo._left_mult_field(q)
-    assert np.array_equal(tw.j_ambient, j)
-    assert im.lift_from_octonion_structure(fld, j).j_ambient is j
+    assert "j_ambient" not in vars(tw)
+    L = np.moveaxis(octo.left_mult_structure(q), (2, 3), (0, 1))
+    assert np.max(np.abs(tw.j_ambient - L)) <= 1e-15
 
 
 def _hadamard_bound(M):
@@ -722,19 +724,19 @@ def test_product_torus_rung_peak_memory():
                                            (["vertical_harmonicity", "holomorphic_H",
                                              "octonion_lift"], 1)])
 def test_octonion_structure_built_only_for_checks_that_read_it(monkeypatch, checks, lifts):
-    calls = {"lift_from_octonion_structure": 0, "_left_mult_field": 0}
-    for mod, fname in ((im, "lift_from_octonion_structure"), (octo, "_left_mult_field")):
-        def counted(*args, _orig=getattr(mod, fname), _name=fname, **kwargs):
-            calls[_name] += 1
-            return _orig(*args, **kwargs)
-        monkeypatch.setattr(mod, fname, counted)
+    calls = 0
+
+    def counted(*args, _orig=octo.twistor_from_q, **kwargs):
+        nonlocal calls
+        calls += 1
+        return _orig(*args, **kwargs)
+    monkeypatch.setattr(octo, "twistor_from_q", counted)
     ladder = [16, 24]
     scen = {"name": "octonion_graph", "fixture": {"kind": "octonion_graph", "params": {}},
             "model_space": {"kind": "euclidean8"}, "grid_ladder": ladder, "checks": checks,
             "expect": "exact"}
     cli.run_scenario(scen)
-    assert calls == {"lift_from_octonion_structure": lifts * len(ladder),
-                     "_left_mult_field": lifts * len(ladder)}
+    assert calls == lifts * len(ladder)
 
 
 # ------------------------------------------- batched contractions vs einsum

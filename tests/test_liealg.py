@@ -120,10 +120,10 @@ def test_jacobi_identity(so5, su2, se4):
 def test_sparse_bracket_kernel_equals_einsum(table):
     # oracle: the dense three-operand einsum the kernel replaces, bit for bit,
     # for real, complex and mixed operands with 0 to 3 leading axes, some of
-    # them broadcast, through both doors of the one kernel: the grid-last
-    # `_bilinear` (with `bracket_coords` and `octo.multiply` on it) and
-    # `_sparse_product` itself on component-first views, as `GradedBasis.bracket`
-    # (the graded block tables of every fixture, complex) calls it
+    # them broadcast, through every door of the one kernel: `_sparse_product`
+    # itself on component-first views, its one grid-last door `bracket_coords`,
+    # `octo.multiply` on component-first octonions (real), and
+    # `GradedBasis.bracket` (the graded block tables of every fixture, complex)
     if table == "octonion":
         cases = [(octo.OCTONION_TABLE, liealg._nonzero_terms(octo.OCTONION_TABLE), None)]
     elif table == "graded":
@@ -145,21 +145,23 @@ def test_sparse_bracket_kernel_equals_einsum(table):
                 y = (rng.standard_normal(ys + T.shape[1:2])
                      + (1j * rng.standard_normal(ys + T.shape[1:2]) if cy else 0))
                 oracle = np.einsum("...i,...j,ijk->...k", x, y, T)
-                grid_last = liealg._bilinear(x, y, T, terms)
-                outs = [grid_last] + ([alg.bracket_coords(x, y)] if table in GRADE_DIMS else [])
-                for out in outs:
+                if table in GRADE_DIMS:
+                    out = alg.bracket_coords(x, y)
                     assert out.dtype == oracle.dtype and out.shape == oracle.shape
                     assert np.array_equal(out, oracle), (xs, ys, cx, cy)
-                # the component-first door, on views with the last axis moved first
+                # the component-first doors, on views with the last axis moved first
                 xf, yf = (np.moveaxis(np.asarray(a, oracle.dtype), -1, 0) for a in (x, y))
                 kernel = np.zeros(oracle.shape[-1:] + oracle.shape[:-1], oracle.dtype)
                 liealg._sparse_product(terms, xf, yf, kernel)
                 first = [kernel] + ([graded_bracket(xf, yf)] if graded_bracket else [])
+                if table == "octonion" and not (cx or cy):
+                    first.append(octo.multiply(xf, yf))
                 for out in first:
-                    assert np.array_equal(np.moveaxis(out, 0, -1), grid_last), (xs, ys, cx, cy)
+                    assert out.dtype == oracle.dtype and out.shape == kernel.shape
+                    assert np.array_equal(np.moveaxis(out, 0, -1), oracle), (xs, ys, cx, cy)
     if table == "octonion":
-        x, y = rng.standard_normal((2, 9, 8)), rng.standard_normal((9, 8))
-        assert np.array_equal(octo.multiply(x, y), np.einsum("...i,...j,ijk->...k", x, y, T))
+        x, y = rng.standard_normal((8, 2, 9)), rng.standard_normal((8, 9))
+        assert np.array_equal(octo.multiply(x, y), np.einsum("i...,j...,ijk->k...", x, y, T))
 
 
 # ------------------------------------------------- automorphisms and projectors

@@ -88,19 +88,19 @@ def test_left_mult_rejects_non_imaginary():
 
 
 def test_left_mult_takes_stacks():
-    # a (3, 4, 8) stack of unit imaginary q gives (3, 4, 8, 8), slice by slice
+    # an (8, 3, 4) field of unit imaginary q gives (8, 8, 3, 4), point by point
     rng = np.random.default_rng(5)
-    q = rng.standard_normal((3, 4, 8))
-    q[..., 0] = 0.0
-    q /= octo.norm(q)[..., None]
+    q = rng.standard_normal((8, 3, 4))
+    q[0] = 0.0
+    q /= octo.norm(q)
     L = octo.left_mult_structure(q)
-    assert L.shape == (3, 4, 8, 8)
-    for i in np.ndindex(q.shape[:-1]):
-        assert np.array_equal(L[i], octo.left_mult_structure(q[i]))
-    # one bad entry rejects the whole stack
+    assert L.shape == (8, 8, 3, 4)
+    for i in np.ndindex(q.shape[1:]):
+        assert np.array_equal(L[(...,) + i], octo.left_mult_structure(q[(...,) + i]))
+    # one bad entry rejects the whole field
     for bad in (E[0], 2.0 * E[1]):
         q_bad = q.copy()
-        q_bad[2, 1] = bad
+        q_bad[:, 2, 1] = bad
         with pytest.raises(octo.NotUnitImaginary):
             octo.left_mult_structure(q_bad)
 
@@ -112,7 +112,8 @@ def test_lift_of_quaternion_line():
     # by e1 rotates 1 to e1 as the lift property demands
     fld = im.build_immersion("octonion_plane", {"axes": (0, 1)}, n=16)
     q, tw = octo.canonical_lift(fld)
-    assert np.max(np.abs(q - E[1])) <= 1e-12
+    assert q.shape == (8, 16, 16)
+    assert np.max(np.abs(q - E[1][:, None, None])) <= 1e-12
 
 
 def test_lift_of_imaginary_plane():
@@ -120,7 +121,7 @@ def test_lift_of_imaginary_plane():
     fld = im.build_immersion("octonion_plane", {"axes": (2, 3)}, n=16)
     q, tw = octo.canonical_lift(fld)
     oracle = octo.multiply(E[3], octo.conjugate(E[2]))
-    assert np.max(np.abs(q - oracle)) <= 1e-12
+    assert np.max(np.abs(q - oracle[:, None, None])) <= 1e-12
     assert abs(octo.norm(oracle) - 1.0) <= 1e-15 and abs(oracle[0]) <= 1e-15
 
 
@@ -128,7 +129,7 @@ def test_lift_property_and_sphere_valued():
     fld = im.build_immersion("octonion_graph", n=24)
     q, tw = octo.canonical_lift(fld)
     assert np.max(np.abs(octo.norm(q) - 1.0)) <= 1e-10
-    assert np.max(np.abs(q[..., 0])) <= 1e-10
+    assert np.max(np.abs(q[0])) <= 1e-10
     j = tw.j_ambient
     dphi_u, dphi_v = map(im._pointwise, fld.dphi_planes)
     resid = np.einsum("uvij,uvj->uvi", j, dphi_u) - dphi_v
@@ -138,7 +139,7 @@ def test_lift_property_and_sphere_valued():
 def sampled_drift(fld, q):
     """Largest component-wise change of q = e2 * conj(e1) over 100 frame rotations."""
     rng = np.random.default_rng(3)
-    e1, e2 = map(im._pointwise, fld.frame_planes[:2])
+    e1, e2 = fld.frame_planes[:2]
     drift = 0.0
     for _ in range(100):
         th = rng.uniform(0.0, 2.0 * np.pi)
@@ -172,7 +173,7 @@ def test_closed_form_drift_bounds_the_sampled_drift(perturb, order):
     F = fld.frame_planes.copy()
     F[1] = perturb(F[0], F[1], delta)
     fld = dataclasses.replace(fld, frame_planes=F)
-    e1, e2 = map(im._pointwise, F[:2])
+    e1, e2 = F[:2]
     q = octo.multiply(e2, octo.conjugate(e1))
     drift = octo.lift_residual(fld, q).meta["reframing_drift"]
     assert drift >= sampled_drift(fld, q)
@@ -182,11 +183,11 @@ def test_closed_form_drift_bounds_the_sampled_drift(perturb, order):
 def test_lift_residual_l2_is_the_rms_of_its_pointwise_field():
     fld = im.build_immersion("octonion_graph", n=16)
     q, _ = octo.canonical_lift(fld)
-    e1, e2 = map(im._pointwise, fld.frame_planes[:2])
+    e1, e2 = fld.frame_planes[:2]
     A = octo.multiply(e2, octo.conjugate(e1)) + octo.multiply(e1, octo.conjugate(e2))
     B = octo.multiply(e2, octo.conjugate(e2)) - octo.multiply(e1, octo.conjugate(e1))
     parts = {"reframing_drift": octo.norm(A) + 0.5 * octo.norm(B),
-             "unit_norm": np.abs(octo.norm(q) - 1.0), "real_part": np.abs(q[..., 0])}
+             "unit_norm": np.abs(octo.norm(q) - 1.0), "real_part": np.abs(q[0])}
     pw = np.maximum.reduce(list(parts.values()))
     rep = octo.lift_residual(fld, q)
     assert rep.final_sup == np.max(pw) == np.max(parts[rep.meta["sup_component"]])
