@@ -48,12 +48,15 @@ n = 64, 128, 256 and 512:
   times
   - `frame_to_connection`: α from g;
   - `_dz_coefficients`: the graded dz coefficients P and Q of α that the
-    scan reads;
+    scan reads, over the whole grid as one tile;
   - `_laurent`: the Laurent pass, all five coefficients F_k, each dropped
-    as the next is formed;
+    as the next is formed, over the whole grid as one tile;
   - `brackets`: the nine block brackets of that pass on the dz
     coefficients of α;
-  - `zero_curvature_scan`: the scan with its 24 default samples.
+  - `zero_curvature_scan`: the scan, with its default sup over each
+    spectral circle;
+  - `graded_checks`: the whole graded pass of a rung, holomorphicity,
+    covariant closure and the scan, over its tiles of grid rows.
 
 A stage's time is the minimum over 20 calls, in milliseconds, and p is the
 least-squares slope of log time against log n (time ∝ n^p).  At n = 256
@@ -146,16 +149,19 @@ def graded_stages(n):
     aut = fld.space.algebra_fixture().aut
     gb, grid = aut.graded, alpha.grid
     grades = forms.GRADED_CHECKS["zero_curvature_scan"]
-    P, Q = forms._dz_coefficients(alpha, gb, *grades)
+    P, Q = forms._dz_coefficients(*forms._components(alpha), gb, *grades)
     a, b, e, d, P0, Q0 = P[2], P[1], Q[2], Q[-1], P[0], Q[0]
     pairs = [(0, 2, Q0, a), (2, -1, a, d), (1, 0, b, Q0), (0, 0, P0, Q0), (2, 2, a, e),
              (1, -1, b, d), (1, 2, b, e), (0, -1, P0, d), (0, 2, P0, e)]
     return {"frame_to_connection": lambda: ellsys.frame_to_connection(frame),
-            "_dz_coefficients": lambda: forms._dz_coefficients(alpha, gb, *grades),
+            "_dz_coefficients": lambda: forms._dz_coefficients(*forms._components(alpha), gb,
+                                                               *grades),
             # each coefficient dropped as the next is formed, as the scan takes them
-            "_laurent": lambda: collections.deque(forms._laurent(grid, gb, P, Q), maxlen=0),
+            "_laurent": lambda: collections.deque(forms._laurent(grid, grid.periodic_u, gb, P, Q),
+                                                  maxlen=0),
             "brackets": lambda: [gb.bracket(*pair) for pair in pairs],
-            "zero_curvature_scan": lambda: forms.zero_curvature_scan(alpha, aut)}
+            "zero_curvature_scan": lambda: forms.zero_curvature_scan(alpha, aut),
+            "graded_checks": lambda: forms.graded_checks(alpha, aut, list(forms.GRADED_CHECKS))}
 
 
 def best_ms(call):

@@ -11,9 +11,10 @@ curvature, the frame connection, the j-anticommuting projection, the
 orientation determinant, the Gram-Schmidt frames with their jump test and the
 ambient j of a lift from its frame components),
 the 6-sphere lift of `octo` and its residual, the centred stencil, the
-component-plane norm and the graded pass of `forms` (the dz coefficients,
-the dz derivatives, the Laurent coefficients, the scan and the pass's own
-reports), the frame's g^-1 dg with its term list in `fixtures`, the
+component-plane norm and the graded pass of `forms` (its tiles of grid
+rows, the dz coefficients, the dz derivatives, the Laurent coefficients, the
+per-tile planes, the scan and the pass's own reports), the frame's g^-1 dg
+with its term list in `fixtures`, the
 trapezoidal steps and the plaquette pass of `ellsys`, the 1-norms and Taylor polynomial
 of `liealg.matrix_exp`, and the sparse bilinear kernel of `liealg` behind
 every bracket and plane product, with its one grid-last door `bracket_coords`
@@ -55,8 +56,8 @@ TARGETS = {
                   "curvature_commutator_residual", "TwistorField.j_ambient"),
     "lagrangian": ("lagrangian_residual", "lagrangian_twistor_residual", "maslov_form",
                    "maslov_identity_residual", "hamiltonian_stationary_residual"),
-    "forms": ("_centred", "_dz_coefficients", "_sq_norm", "_dz_derivative", "_laurent",
-              "_scan", "graded_checks", "curvature_residual"),
+    "forms": ("_centred", "_row_tiles", "_dz_coefficients", "_sq_norm", "_dz_derivative",
+              "_laurent", "_tile_planes", "_scan", "graded_checks", "curvature_residual"),
     "ellsys": ("frame_to_connection", "_avg", "_step_exponentials", "plaquette_defects"),
     "fixtures": ("AlgebraFixture._connection_terms",),
     "liealg": ("matrix_exp", "_taylor", "_sparse_product", "LieAlgebraRep.bracket_coords",

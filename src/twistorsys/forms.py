@@ -13,7 +13,6 @@ Conventions fixed here and used everywhere:
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -229,9 +228,16 @@ class ResidualReport:
                 "estimated_order": self.estimated_order}
 
 
+def _masked(plane, mask):
+    """The values of a (nu, nv) plane over `mask`, in order: the flat view of the
+    plane when the mask is all true, as on a periodic grid, with no gather."""
+    plane = np.asarray(plane)
+    return plane.reshape(-1) if mask.all() else plane[mask]
+
+
 def masked_report(name, h, pointwise, mask) -> ResidualReport:
     """One-rung report of the sup and root-mean-square of `pointwise` over `mask`."""
-    vals = np.asarray(pointwise)[mask]
+    vals = _masked(pointwise, mask)
     if vals.size == 0:
         raise GridTooSmall("empty interior after masking")
     return ResidualReport(name).add(h, float(np.max(vals)), float(np.sqrt(np.mean(vals ** 2))))
@@ -303,12 +309,6 @@ def loop_form(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism, lam: comp
     return total
 
 
-def default_lambda_samples():
-    """8th roots of unity on radii 1/2, 1, 2: separates the five Laurent slots."""
-    roots = np.exp(2j * np.pi * np.arange(8) / 8.0)
-    return [complex(r * w) for r in (0.5, 1.0, 2.0) for w in roots]
-
-
 # ------------------------------------------------------------ graded coordinates
 #
 # The loop family's pieces each live in one grade.  Below, alpha is carried in
@@ -333,19 +333,59 @@ GRADED_CHECKS = {"holomorphicity": ((), (1,)),
                  "zero_curvature_scan": ((2, 1, 0), (2, 0, -1))}
 
 
-def _dz_coefficients(alpha: LieValuedOneForm, gb: liealg.GradedBasis, p_grades, q_grades):
-    """({k: P_k}, {k: Q_k}) for the grades named, each (d_k, nu, nv) complex, with
-    alpha = P dz + Q dz-bar in graded coordinates: P_k = conj(rows_k) (a_u - i a_v)/2
-    and Q_k = conj(rows_k) (a_u + i a_v)/2.  One product per grade block, so a block
-    comes out the same whichever other blocks are formed beside it."""
-    grid, d = alpha.grid, alpha.algebra.dim
-    # (d, nu nv) views of either layout, component-first planes or grid-first rows
-    u, v = (np.moveaxis(a, -1, 0).reshape(d, -1) for a in (alpha.a_u, alpha.a_v))
-    P, Q = ({k: np.empty((len(gb.rows[gb.slices[k]]), grid.nu, grid.nv), complex)
-             for k in grades} for grades in (p_grades, q_grades))
+# the radii |lam| of the spectral circles over which the default scan takes its sup
+CIRCLE_RADII = (0.5, 1.0, 2.0)
+
+# grid rows per tile of the graded pass, like liealg._BATCH a measured constant: on
+# the benchmark's n = 128 rungs, tiles of 16, 24, 32, 48 and 64 rows put the peak
+# resident memory at 55.1, 55.2, 55.3, 55.6 and 57.7 MB (58.2 MB untiled), and below
+# 32 rows the fixed cost of each tile made the pass slower
+_TILE_ROWS = 32
+
+
+def _row_tiles(grid: SurfaceGrid):
+    """(rows, keep, dest, wraps) for each tile of grid rows that the graded pass
+    runs over: the u rows the tile reads, a slice or, for a wrapped halo, an index
+    array; the slice of those rows that it writes to the grid rows `dest`; and
+    whether its u stencil wraps.  A grid no taller than _TILE_ROWS is one tile that
+    wraps as the grid does.  Otherwise a tile reads one halo row on each side, the
+    wrapped neighbour on a periodic axis, and at an open edge the rows that the
+    one-sided stencil reads, so every kept row has the whole grid's u stencil."""
+    nu = grid.nu
+    if nu <= _TILE_ROWS:
+        yield slice(None), slice(None), slice(None), grid.periodic_u
+        return
+    for lo in range(0, nu, _TILE_ROWS):
+        hi = min(lo + _TILE_ROWS, nu)
+        start, stop = lo - 1, hi + 1
+        if grid.periodic_u:
+            rows = slice(start, stop) if 0 <= start and stop <= nu else np.arange(start, stop) % nu
+        else:
+            # the last row's one-sided stencil reads the two rows before it
+            start, stop = max(min(start, nu - 3), 0), min(stop, nu)
+            rows = slice(start, stop)
+        yield rows, slice(lo - start, hi - start), slice(lo, hi), False
+
+
+def _components(alpha: LieValuedOneForm):
+    """alpha's components a_u and a_v as (d, nu, nv) views of either layout."""
+    return [np.moveaxis(a, -1, 0) for a in (alpha.a_u, alpha.a_v)]
+
+
+def _dz_coefficients(u, v, gb: liealg.GradedBasis, p_grades, q_grades):
+    """({k: P_k}, {k: Q_k}) for the grades named, each (d_k, rows, nv) complex, from
+    alpha's components u = a_u and v = a_v as (d, rows, nv) planes over some grid
+    rows, with alpha = P dz + Q dz-bar in graded coordinates:
+    P_k = conj(rows_k) (a_u - i a_v)/2 and Q_k = conj(rows_k) (a_u + i a_v)/2.  One
+    product per side, over the basis rows of its grades; each block is a view of it."""
+    d, shape = u.shape[0], u.shape[1:]
+    u, v = u.reshape(d, -1), v.reshape(d, -1)
     x = np.empty(u.shape, complex)
-    for sign, blocks in ((-1, P), (1, Q)):
-        if blocks:
+    out = []
+    for sign, grades in ((-1, p_grades), (1, q_grades)):
+        basis = {k: gb.rows[gb.slices[k]] for k in liealg.GRADES if k in grades}
+        blocks = {}
+        if basis:
             # x = u -+ i v, written as its parts when alpha is real
             if np.iscomplexobj(u) or np.iscomplexobj(v):
                 np.multiply(v, sign * 1j, out=x)
@@ -353,11 +393,13 @@ def _dz_coefficients(alpha: LieValuedOneForm, gb: liealg.GradedBasis, p_grades, 
             else:
                 x.real = u
                 np.multiply(v, sign, out=x.imag)
-            for k, out in blocks.items():
-                # the 1/2 scales the rows, exactly (it only lowers the exponent)
-                np.matmul(0.5 * gb.rows[gb.slices[k]].conj(), x,
-                          out=out.reshape(len(out), u.shape[1]))
-    return P, Q
+            # the 1/2 scales the rows, exactly (it only lowers the exponent)
+            prod = 0.5 * np.concatenate(list(basis.values())).conj() @ x
+            ends = np.cumsum([len(b) for b in basis.values()])
+            blocks = {k: prod[e - len(b):e].reshape((len(b),) + shape)
+                      for (k, b), e in zip(basis.items(), ends)}
+        out.append(blocks)
+    return out
 
 
 def _sq_norm(x):
@@ -368,25 +410,27 @@ def _sq_norm(x):
     return sq[..., ::2] + sq[..., 1::2] if np.iscomplexobj(x) else sq
 
 
-def _dz_derivative(grid, x, conj=False):
-    """D x = du x + i dv x, or D-bar x = du x - i dv x with `conj`, of (..., nu, nv) planes."""
+def _dz_derivative(grid, wraps, x, conj=False):
+    """D x = du x + i dv x, or D-bar x = du x - i dv x with `conj`, of (..., rows, nv)
+    planes over grid rows whose u stencil wraps when `wraps`."""
     out = partial_v(grid, x, -1)
     out *= -1j if conj else 1j
-    out += partial_u(grid, x, -2)
+    out += _centred(x, grid.hu, -2, wraps)
     return out
 
 
-def _laurent(grid, gb: liealg.GradedBasis, P, Q):
-    """The Laurent coefficients (k, F_k) in graded coordinates, (d_k, nu, nv) each, for
-    k = 2, 1, 0, -1, -2 (F_-2 in g_2), each formed when the previous one is taken,
-    from the dz coefficients P_2, P_1, P_0 and Q_2, Q_0, Q_-1 (F_2 reads only P_2, Q_0)."""
+def _laurent(grid, wraps, gb: liealg.GradedBasis, P, Q):
+    """The Laurent coefficients (k, F_k) in graded coordinates, (d_k, rows, nv) each,
+    for k = 2, 1, 0, -1, -2 (F_-2 in g_2), each formed when the previous one is taken,
+    from the dz coefficients P_2, P_1, P_0 and Q_2, Q_0, Q_-1 (F_2 reads only P_2, Q_0)
+    over grid rows whose u stencil wraps when `wraps`."""
     a, Q0 = P[2], Q[0]
-    F = _dz_derivative(grid, a)
+    F = _dz_derivative(grid, wraps, a)
     F += 2 * gb.bracket(0, 2, Q0, a)
     F *= 1j
     yield 2, F
     b, e, d, P0 = P[1], Q[2], Q[-1], P[0]
-    F = _dz_derivative(grid, b)
+    F = _dz_derivative(grid, wraps, b)
     F -= 2 * gb.bracket(2, -1, a, d)
     F -= 2 * gb.bracket(1, 0, b, Q0)
     F *= 1j
@@ -395,16 +439,16 @@ def _laurent(grid, gb: liealg.GradedBasis, P, Q):
     F += gb.bracket(2, 2, a, e)
     F += gb.bracket(1, -1, b, d)
     F *= -2
-    F += _dz_derivative(grid, P0)
-    F -= _dz_derivative(grid, Q0, conj=True)
+    F += _dz_derivative(grid, wraps, P0)
+    F -= _dz_derivative(grid, wraps, Q0, conj=True)
     F *= 1j
     yield 0, F
-    F = _dz_derivative(grid, d, conj=True)
+    F = _dz_derivative(grid, wraps, d, conj=True)
     F += 2 * gb.bracket(1, 2, b, e)
     F += 2 * gb.bracket(0, -1, P0, d)
     F *= -1j
     yield -1, F
-    F = _dz_derivative(grid, e, conj=True)
+    F = _dz_derivative(grid, wraps, e, conj=True)
     F += 2 * gb.bracket(0, 2, P0, e)
     F *= -1j
     yield -2, F
@@ -422,36 +466,65 @@ def laurent_curvature(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism) -
     On (du, dv) each wedge is one bracket of dz coefficients (see the formulas
     above `GRADED_CHECKS`); F_2 is the covariant-closure two-form.  Each F_k lies
     in one grade (F_-2 in g_2), so the coefficients are formed in the
-    grade-adapted basis and mapped back; returns {k: (nu, nv, d) array} for
+    grade-adapted basis, by the core of `graded_checks` with the whole grid as
+    its one tile, and mapped back; returns {k: (nu, nv, d) array} for
     k = 2, 1, 0, -1, -2.
     """
     if aut.algebra is not alpha.algebra:
         raise AlgebraMismatch("automorphism acts on a different algebra")
-    gb = aut.graded
-    P, Q = _dz_coefficients(alpha, gb, *GRADED_CHECKS["zero_curvature_scan"])
-    return {k: gb.vector(Fk, liealg._grade_sum(k, 0)) for k, Fk in _laurent(alpha.grid, gb, P, Q)}
+    gb, grid = aut.graded, alpha.grid
+    P, Q = _dz_coefficients(*_components(alpha), gb, *GRADED_CHECKS["zero_curvature_scan"])
+    return {k: gb.vector(Fk, liealg._grade_sum(k, 0))
+            for k, Fk in _laurent(grid, grid.periodic_u, gb, P, Q)}
 
 
-def _scan(grid, laurent, lam_samples) -> ResidualReport:
-    """`zero_curvature_scan`'s report from the Laurent coefficients as `laurent` forms
-    them: |F_1|^2, |F_0|^2 and |F_-1|^2 are reduced as each comes, and only F_2 and
-    F_-2 are kept for the samples."""
-    mask = grid.interior_mask(2)
-
-    def report(sq):
-        return masked_report("zero_curvature_scan", grid.h, np.sqrt(sq), mask)
-
-    out = ResidualReport("zero_curvature_scan", meta={"n_lambda": len(lam_samples)})
-    F, sq = {}, {}
-    for k, Fk in laurent:
-        sq[k] = _sq_norm(Fk)
-        out.meta[f"laurent_sup_{k}"] = report(sq[k]).final_sup
+def _tile_planes(grid, wraps, gb: liealg.GradedBasis, u, v, names, lam_samples):
+    """(key, plane) for each real per-point plane that the reports of the graded
+    checks `names` read, over the grid rows of alpha's components u and v (see
+    `_dz_coefficients`): 2|Q_1|^2 ("holomorphicity"), s_k = |F_k|^2 (k), and for the
+    scan either 2|<F_2, F_-2>| ("c") or, for each explicit sample lam,
+    |lam^2 F_2 + lam^-2 F_-2|^2 (("lam", its index))."""
+    P, Q = _dz_coefficients(u, v, gb, *({k for name in names for k in GRADED_CHECKS[name][i]}
+                                        for i in (0, 1)))
+    if "holomorphicity" in names:
+        # the (0,1) part Q_1 dz-bar has components (Q_1, -i Q_1)
+        yield "holomorphicity", 2 * _sq_norm(Q.pop(1))
+    if names.isdisjoint(("covariant_closure", "zero_curvature_scan")):
+        return
+    F = {}
+    for k, Fk in _laurent(grid, wraps, gb, P, Q):
+        yield k, _sq_norm(Fk)
+        if "zero_curvature_scan" not in names:
+            return
         if k in (2, -2):
             F[k] = Fk
         del Fk   # dropped before the next coefficient is formed
-    samples = [report(_sq_norm(lam ** 2 * F[2] + lam ** -2 * F[-2]) + abs(lam) ** 2 * sq[1]
-                      + sq[0] + sq[-1] / abs(lam) ** 2).entries[0] for lam in lam_samples]
-    return out.add(grid.h, max(e.sup for e in samples), max(e.l2 for e in samples))
+    if lam_samples is None:
+        yield "c", 2 * np.abs(np.einsum("k...,k...->...", F[2].conj(), F[-2]))
+    else:
+        for i, lam in enumerate(lam_samples):
+            yield ("lam", i), _sq_norm(lam ** 2 * F[2] + lam ** -2 * F[-2])
+
+
+def _scan(grid, s, lam_samples) -> ResidualReport:
+    """`zero_curvature_scan`'s report from the planes s of `_tile_planes`."""
+    mask = grid.interior_mask(2)
+
+    def report(sq):
+        return masked_report("zero_curvature_scan", grid.h, np.sqrt(sq), mask).entries[0]
+
+    out = ResidualReport("zero_curvature_scan")
+    for k in (2, 1, 0, -1, -2):
+        out.meta[f"laurent_sup_{k}"] = float(np.sqrt(np.max(_masked(s[k], mask))))
+    if lam_samples is None:
+        entries = [report(r ** 4 * s[2] + r ** -4 * s[-2] + s["c"] + r ** 2 * s[1] + s[0]
+                          + s[-1] / r ** 2) for r in CIRCLE_RADII]
+        out.meta.update({f"circle_sup_{r:g}": e.sup for r, e in zip(CIRCLE_RADII, entries)})
+    else:
+        out.meta["n_lambda"] = len(lam_samples)
+        entries = [report(s["lam", i] + abs(lam) ** 2 * s[1] + s[0] + s[-1] / abs(lam) ** 2)
+                   for i, lam in enumerate(lam_samples)]
+    return out.add(grid.h, max(e.sup for e in entries), max(e.l2 for e in entries))
 
 
 def graded_checks(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism, names,
@@ -459,13 +532,18 @@ def graded_checks(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism, names
     """{name: report} for the graded checks `names` (keys of GRADED_CHECKS) of alpha,
     from one pass that forms only the dz coefficients those checks read, and each
     once: `ellsys.holomorphicity_residual`, `ellsys.covariant_closure_residual` and
-    `zero_curvature_scan` (on `lam_samples`) are this pass for one check each."""
+    `zero_curvature_scan` (on the circles of CIRCLE_RADII, or at `lam_samples`) are
+    this pass for one check each.
+
+    The pass runs over tiles of grid rows (`_row_tiles`): each tile forms its dz
+    coefficients and Laurent coefficients, with the u stencil of the whole grid,
+    and writes only the real per-point planes of `_tile_planes` into whole-grid
+    planes, from which the reports are taken as `masked_report` takes them."""
     if aut.algebra is not alpha.algebra:
         raise AlgebraMismatch("automorphism acts on a different algebra")
     names = set(names)
-    if "zero_curvature_scan" in names:
-        lam_samples = default_lambda_samples() if lam_samples is None \
-            else [complex(lam) for lam in lam_samples]
+    if "zero_curvature_scan" in names and lam_samples is not None:
+        lam_samples = [complex(lam) for lam in lam_samples]
         if not lam_samples:
             raise ZeroLambda("need at least one spectral sample")
         if 0 in lam_samples:
@@ -473,39 +551,46 @@ def graded_checks(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism, names
         if not np.isfinite(lam_samples).all():
             raise ValueError(f"spectral parameters must be finite: {lam_samples}")
     grid, gb = alpha.grid, aut.graded
-    P, Q = _dz_coefficients(alpha, gb, *({k for name in names for k in GRADED_CHECKS[name][i]}
-                                         for i in (0, 1)))
+    u, v = _components(alpha)
+    planes = {}
+    for rows, keep, dest, wraps in _row_tiles(grid):
+        for key, plane in _tile_planes(grid, wraps, gb, u[:, rows], v[:, rows], names,
+                                       lam_samples):
+            if key not in planes:
+                planes[key] = np.empty((grid.nu, grid.nv))
+            planes[key][dest] = plane[keep]
     out = {}
     if "holomorphicity" in names:
-        # the (0,1) part Q_1 dz-bar has components (Q_1, -i Q_1)
         out["holomorphicity"] = masked_report("holomorphicity", grid.h,
-                                              np.sqrt(2 * _sq_norm(Q.pop(1))),
+                                              np.sqrt(planes.pop("holomorphicity")),
                                               grid.interior_mask(1))
-    if names.isdisjoint(("covariant_closure", "zero_curvature_scan")):
-        return out
-    laurent = _laurent(grid, gb, P, Q)
-    k, F2 = next(laurent)
     if "covariant_closure" in names:
         out["covariant_closure"] = masked_report("covariant_closure", grid.h,
-                                                 np.sqrt(_sq_norm(F2)), grid.interior_mask(2))
+                                                 np.sqrt(planes[2]), grid.interior_mask(2))
     if "zero_curvature_scan" in names:
-        out["zero_curvature_scan"] = _scan(grid, itertools.chain([(k, F2)], laurent),
-                                           lam_samples)
+        out["zero_curvature_scan"] = _scan(grid, planes, lam_samples)
     return out
 
 
 def zero_curvature_scan(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism,
                         lam_samples=None) -> ResidualReport:
-    """Max curvature residual of the loop family over the sample set.
+    """Max curvature residual of the loop family over the circles |lam| = r of
+    CIRCLE_RADII, or at the explicit samples `lam_samples`.
 
-    Each F(lam) = sum_k lam^k F_k is evaluated from the Laurent coefficients
-    in the grade-adapted unitary basis, where F_k lies in grade k (F_-2 in
-    g_2), so its pointwise norm is
-        |F(lam)|^2 = |lam^2 F_2 + lam^-2 F_-2|^2 + |lam|^2 |F_1|^2 + |F_0|^2
-                     + |lam|^-2 |F_-1|^2
-    and a sample touches only the g_2 block.  meta carries the number of
-    samples and the masked sup of each coefficient (laurent_sup_2 ...
-    laurent_sup_-2), which says which power of lam a large residual comes from.
+    F(lam) = sum_k lam^k F_k is evaluated from the Laurent coefficients in the
+    grade-adapted unitary basis, where F_k lies in grade k (F_-2 in g_2), so with
+    s_k = |F_k|^2 its pointwise norm is
+        |F(lam)|^2 = |lam^2 F_2 + lam^-2 F_-2|^2 + |lam|^2 s_1 + s_0 + |lam|^-2 s_-1.
+    At an explicit sample the g_2 block is summed as a vector, which keeps a
+    residual where the two terms nearly cancel.  By default, on |lam| = r with
+    c = <F_2, F_-2>, the g_2 term is r^4 s_2 + r^-4 s_-2 + 2 Re(e^(4i theta) c),
+    whose sup over theta is exact with 2|c| in place of the real part: the circle
+    value r^4 s_2 + r^-4 s_-2 + 2|c| + r^2 s_1 + s_0 + r^-2 s_-1 has no term that
+    can cancel and is never below any sample of its circle.  meta carries the
+    masked sup of each coefficient (laurent_sup_2 ... laurent_sup_-2), which says
+    which power of lam a large residual comes from, and either the circle sup of
+    each radius (circle_sup_0.5, circle_sup_1, circle_sup_2) or the number of
+    samples (n_lambda).
     """
     return graded_checks(alpha, aut, ["zero_curvature_scan"], lam_samples)["zero_curvature_scan"]
 

@@ -362,10 +362,20 @@ def test_loop_form_zero_lambda(so5):
         forms.loop_form(alpha, so5.aut, 0.0)
 
 
-def test_default_lambda_samples():
-    samples = forms.default_lambda_samples()
-    assert len(samples) == 24
-    assert all(abs(s) in (0.5, 1.0, 2.0) for s in np.round(np.abs(samples), 12))
+def test_default_scan_is_the_sup_over_each_circle(so5):
+    # on a drawn complex form <F_2, F_-2> is complex, so the sup over a circle sits
+    # between samples: the circle sup is at least every sample of its circle and,
+    # with 64 angles 4 theta is within pi/16 of the maximiser, at most about 1 % above
+    alpha = random_form(unit_grid(10), so5.algebra, 3)
+    rep = forms.zero_curvature_scan(alpha, so5.aut)
+    keys = [f"circle_sup_{r:g}" for r in forms.CIRCLE_RADII]
+    assert keys == ["circle_sup_0.5", "circle_sup_1", "circle_sup_2"]
+    assert set(rep.meta) == set(keys) | {f"laurent_sup_{k}" for k in (2, 1, 0, -1, -2)}
+    assert rep.final_sup == max(rep.meta[key] for key in keys)
+    angles = np.exp(2j * np.pi * np.arange(64) / 64)
+    for r, key in zip(forms.CIRCLE_RADII, keys):
+        dense = forms.zero_curvature_scan(alpha, so5.aut, list(r * angles)).final_sup
+        assert dense * (1 - 1e-12) <= rep.meta[key] <= 1.01 * dense, (r, rep.meta[key], dense)
 
 
 # ----------------------------------------------------------- zero curvature scan
@@ -431,15 +441,37 @@ def sampled_scan(alpha, aut, lams):
     return max(e.sup for e in entries), max(e.l2 for e in entries)
 
 
-def assert_scan_matches_oracle(alpha, aut, lams=None):
+# the scan's samples before it took the sup over each circle: the 8th roots of unity
+# on the radii 1/2, 1 and 2
+EIGHTH_ROOTS = [complex(r * w) for r in forms.CIRCLE_RADII
+                for w in np.exp(2j * np.pi * np.arange(8) / 8.0)]
+
+
+def assert_scan_matches_oracle(alpha, aut, lams):
     rep = forms.zero_curvature_scan(alpha, aut, lams)
-    lams = forms.default_lambda_samples() if lams is None else lams
     assert rep.meta["n_lambda"] == len(lams)
     got = (rep.entries[0].sup, rep.entries[0].l2)
     for value, oracle in zip(got, sampled_scan(alpha, aut, lams)):
         # relative above the roundoff floor, absolute at it
         assert abs(value - oracle) <= (1e-12 * oracle if oracle > 1e-10 else 1e-14), (value, oracle)
     return rep
+
+
+def assert_circle_sup_bounds_samples(alpha, aut):
+    """The default scan's sup and l2 are at least the 24 samples' (each pointwise
+    circle value bounds every sample of its circle), up to roundoff; the sup equals
+    theirs where <F_2, F_-2> is real, up to the same roundoff.  Returns both reports."""
+    circle = forms.zero_curvature_scan(alpha, aut)
+    samples = forms.zero_curvature_scan(alpha, aut, EIGHTH_ROOTS)
+    e, s = circle.entries[0], samples.entries[0]
+    for value, oracle in [(e.sup, s.sup), (e.l2, s.l2)]:
+        assert value >= oracle - (1e-12 * oracle if oracle > 1e-10 else 1e-14), (value, oracle)
+    F = forms.laurent_curvature(alpha, aut)
+    c = np.sum(F[2].conj() * F[-2], axis=-1)[alpha.grid.interior_mask(2)]
+    # real up to roundoff: the products of two coefficients at their 1e-10 floor are 1e-20
+    if np.max(np.abs(c.imag)) <= 1e-12 * np.max(np.abs(c)) + 1e-20:
+        assert _agrees(circle.final_sup, samples.final_sup), (circle.final_sup, samples.final_sup)
+    return circle, samples
 
 
 def adapted_frame_form(kind, n):
@@ -451,17 +483,79 @@ def adapted_frame_form(kind, n):
 @pytest.mark.parametrize("kind", ["clifford_torus", "clifford_torus_s4"])
 def test_scan_equals_sampled_oracle_on_clifford_tori(kind):
     alpha, aut = adapted_frame_form(kind, 32)
-    rep = assert_scan_matches_oracle(alpha, aut)
-    assert rep.final_sup <= 1e-10
+    assert assert_scan_matches_oracle(alpha, aut, EIGHTH_ROOTS).final_sup <= 1e-10
+    assert assert_circle_sup_bounds_samples(alpha, aut)[0].final_sup <= 1e-10
+
+
+def exp_frame_alpha(so5, n, seed):
+    rng = np.random.default_rng(seed)
+    xi, eta = rng.standard_normal(10), rng.standard_normal(10)
+    return ellsys.exp_frame_form(unit_grid(n), so5, xi / np.linalg.norm(xi),
+                                 eta / np.linalg.norm(eta))
 
 
 def test_scan_equals_sampled_oracle_on_exp_frame(so5):
-    rng = np.random.default_rng(4)
-    xi, eta = rng.standard_normal(10), rng.standard_normal(10)
-    alpha = ellsys.exp_frame_form(unit_grid(24), so5, xi / np.linalg.norm(xi),
-                                  eta / np.linalg.norm(eta))
-    assert_scan_matches_oracle(alpha, so5.aut)
+    alpha = exp_frame_alpha(so5, 24, 4)
+    assert_scan_matches_oracle(alpha, so5.aut, EIGHTH_ROOTS)
+    # <F_2, F_-2> is complex here, and the circle sup lies above every sample
+    circle, samples = assert_circle_sup_bounds_samples(alpha, so5.aut)
+    assert circle.final_sup >= (1 + 1e-3) * samples.final_sup
     assert assert_scan_matches_oracle(alpha, so5.aut, [1j]).final_sup >= 1e-2
+
+
+# every fixture the frame route takes (octonion fixtures have no frame algebra, and
+# graph and branched_disk stop at their own geometry checks)
+FRAME_FIXTURES = ["plane", "round_sphere", "clifford_torus", "clifford_torus_s4", "product_torus",
+                  "perturbed_torus", "helicoid", "lagrangian_plane", "lagrangian_graph",
+                  "complex_line"]
+
+
+@pytest.mark.parametrize("kind", FRAME_FIXTURES + ["exp_frame"])
+def test_circle_sup_bounds_the_samples_on_every_fixture(so5, kind):
+    if kind == "exp_frame":
+        alpha, aut = exp_frame_alpha(so5, 32, 1), so5.aut
+    else:
+        alpha, aut = adapted_frame_form(kind, 32)
+    assert_circle_sup_bounds_samples(alpha, aut)
+
+
+def graded_reports(alpha, aut, lams):
+    reports = forms.graded_checks(alpha, aut, list(forms.GRADED_CHECKS), lams)
+    return {name: (rep.entries[0].sup, rep.entries[0].l2, rep.meta)
+            for name, rep in reports.items()}
+
+
+@pytest.mark.parametrize("kind, n", [("clifford_torus", 33), ("clifford_torus", 100),
+                                     ("clifford_torus_s4", 33), ("round_sphere", 33),
+                                     ("round_sphere", 100), ("exp_frame", 33),
+                                     ("exp_frame", 66), ("drawn", 45)])
+@pytest.mark.parametrize("lams", [None, [1j, 0.5 + 0.3j]])
+def test_tiled_pass_equals_one_tile(monkeypatch, so5, kind, n, lams):
+    # every n here is taller than one tile, and the last tile is short: 1 row at
+    # n = 33 and 66, 4 at 100, 13 at 45; clifford tori and the drawn complex form
+    # on an n x 12 grid wrap in u, round_sphere and exp_frame have open edges.  The
+    # tolerance is `_agrees`'s: 1e-12 relative above the 1e-10 roundoff floor,
+    # 1e-14 absolute at it, where the complex products of different widths may
+    # round differently (at n = 33 the l2 of roundoff-level values moves by at
+    # most 2.1e-20)
+    assert n > forms._TILE_ROWS and n % forms._TILE_ROWS
+    if kind == "drawn":
+        grid = forms.SurfaceGrid(nu=n, nv=12, hu=2 * np.pi / n, hv=0.1, periodic_u=True)
+        alpha, aut = random_form(grid, so5.algebra, 5), so5.aut
+    elif kind == "exp_frame":
+        alpha, aut = exp_frame_alpha(so5, n, 2), so5.aut
+    else:
+        alpha, aut = adapted_frame_form(kind, n)
+    assert alpha.grid.periodic_u == (kind in ("clifford_torus", "clifford_torus_s4", "drawn"))
+    tiled = graded_reports(alpha, aut, lams)
+    monkeypatch.setattr(forms, "_TILE_ROWS", n)
+    whole = graded_reports(alpha, aut, lams)
+    assert tiled.keys() == whole.keys() == set(forms.GRADED_CHECKS)
+    for name, (sup, l2, meta) in tiled.items():
+        assert meta.keys() == whole[name][2].keys()
+        for value, ref in zip([sup, l2] + list(meta.values()),
+                              list(whole[name][:2]) + list(whole[name][2].values())):
+            assert _agrees(value, ref), (name, value, ref)
 
 
 @given(st.integers(0, 2**32 - 1),
@@ -536,11 +630,14 @@ def test_graded_pass_brackets_single_coefficients(monkeypatch):
 
 def test_scan_rung_peak_memory():
     # the traced high-water mark of the loop-family scan on one n = 128
-    # clifford_torus rung, in grid planes of 8 n^2 bytes: the dz coefficients
-    # P_2, P_1, P_0 and Q_2, Q_0, Q_-1 are 32 planes (16 complex components), and
-    # one Laurent coefficient is formed at a time beside F_2, the kept F_-2 and the
-    # squared norms; each call gets a fresh form, so nothing a first call leaves
-    # on it can hide the pass's own memory
+    # clifford_torus rung, in grid planes of 8 n^2 bytes (30.8 measured): the
+    # pass runs over tiles of 32 + 2 halo rows, 0.27 of a plane per real
+    # component, and peaks in the last tile's dz coefficients, which hold its
+    # wrapped halo's gathered a_u and a_v (5.3 planes), u -+ i v (5.3) and the
+    # 16 complex components of P_2, P_1, P_0, Q_2, Q_0, Q_-1 (8.5), beside the
+    # six whole-grid planes s_2 ... s_-2 and 2|<F_2, F_-2>| that the reports read;
+    # each call gets a fresh form, so nothing a first call leaves on it can hide
+    # the pass's own memory
     n = 128
     forms.zero_curvature_scan(*adapted_frame_form("clifford_torus", n))   # first-call set-up
     alpha, aut = adapted_frame_form("clifford_torus", n)
@@ -550,7 +647,7 @@ def test_scan_rung_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (8 * n * n) <= 66.0
+    assert peak / (8 * n * n) <= 32.0
 
 
 FRAME_CHECKS = ["holomorphicity", "covariant_closure", "flatness", "zero_curvature_scan"]
@@ -562,8 +659,9 @@ def test_frame_rung_peak_memory(kind, space):
     # one n = 128 rung of the frame checks in clifford_system order, in grid
     # planes of 8 n^2 bytes above what each stage starts with: building alpha
     # holds g (25 planes), alpha (20), one column of dg and a few grid dot
-    # products, above the field and lift; the checks' one graded pass holds the
-    # dz coefficients (36 planes) and one Laurent coefficient at a time, above alpha
+    # products, above the field and lift; above alpha, the checks' one graded pass
+    # peaks at 32.9 planes over its row tiles (see test_scan_rung_peak_memory; its
+    # holomorphicity plane and Q_1 add to the scan's), and flatness at 30.1
     n = 128
     scen = {"fixture": {"kind": kind}, "model_space": {"kind": space}, "checks": FRAME_CHECKS}
     warm = cli.RungContext(scen, 16)   # first-call set-up outside the trace
@@ -582,7 +680,7 @@ def test_frame_rung_peak_memory(kind, space):
     finally:
         tracemalloc.stop()
     assert build / (8 * n * n) <= 60.0
-    assert checks / (8 * n * n) <= 66.0
+    assert checks / (8 * n * n) <= 34.0
 
 
 def test_one_rung_forms_the_dz_coefficients_once(monkeypatch):
@@ -590,8 +688,8 @@ def test_one_rung_forms_the_dz_coefficients_once(monkeypatch):
     # system_residuals for its two; holomorphicity alone reads Q_1 and no bracket
     calls, brackets = [], []
 
-    def counted(alpha, gb, p_grades, q_grades, _orig=forms._dz_coefficients):
-        P, Q = _orig(alpha, gb, p_grades, q_grades)
+    def counted(u, v, gb, p_grades, q_grades, _orig=forms._dz_coefficients):
+        P, Q = _orig(u, v, gb, p_grades, q_grades)
         calls.append((sorted(P), sorted(Q)))
         return P, Q
 
@@ -623,7 +721,8 @@ def test_scan_meta_names_the_failing_slot(so5):
     alpha = ellsys.exp_frame_form(unit_grid(24), so5, xi / np.linalg.norm(xi),
                                   eta / np.linalg.norm(eta))
     meta = forms.zero_curvature_scan(alpha, so5.aut).meta
-    assert sorted(meta) == sorted(["n_lambda"] + [f"laurent_sup_{k}" for k in (2, 1, 0, -1, -2)])
+    assert sorted(meta) == sorted([f"circle_sup_{r:g}" for r in forms.CIRCLE_RADII]
+                                  + [f"laurent_sup_{k}" for k in (2, 1, 0, -1, -2)])
     assert meta["laurent_sup_1"] <= 1e-14 and meta["laurent_sup_-1"] <= 1e-14
     assert min(meta["laurent_sup_2"], meta["laurent_sup_-2"]) >= 1e-2
 
