@@ -18,7 +18,10 @@ bound": yes when the change's median is worse than the parent's by more
 than the metric's bound, a share of the parent's median; otherwise
 unresolved when the parent's quartile distance is wider than that bound and
 not every change run beats every parent run, the runs then being too spread
-to tell; otherwise no.  Exits 1 when a run exits non-zero, its last line is not
+to tell; otherwise no.  It also prints whether a gain claim on the metric
+holds: yes when the change wins at least nine tenths of the pairs and its
+median beats the parent's by more than the parent's quartile distance;
+otherwise no.  Exits 1 when a run exits non-zero, its last line is not
 a JSON object, or it reports `correct` false or `failed` > 0; 0 otherwise.
 Standard library only.
 """
@@ -44,10 +47,11 @@ def summarize(parent, change, better, bound):
         worse = "unresolved"
     else:
         worse = "no"
+    wins = sum(p > c for p, c in zip(p_cost, c_cost))
+    gain = wins >= 0.9 * len(parent) and sign * (p_med - c_med) > q3 - q1
     return {"parent_median": p_med, "change_median": c_med, "parent_q1": q1,
-            "parent_q3": q3, "parent_iqr": q3 - q1,
-            "wins": sum(p > c for p, c in zip(p_cost, c_cost)),
-            "worse_beyond_bound": worse}
+            "parent_q3": q3, "parent_iqr": q3 - q1, "wins": wins,
+            "worse_beyond_bound": worse, "gain_holds": "yes" if gain else "no"}
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -107,7 +111,7 @@ def main(argv=None):
               f"parent median {s['parent_median']:.4g}, change median {s['change_median']:.4g}, "
               f"parent quartiles {s['parent_q1']:.4g}-{s['parent_q3']:.4g} "
               f"(IQR {s['parent_iqr']:.4g}), change wins {s['wins']}/{args.pairs}, "
-              f"worse beyond bound: {s['worse_beyond_bound']}")
+              f"worse beyond bound: {s['worse_beyond_bound']}, gain holds: {s['gain_holds']}")
     return 0
 
 

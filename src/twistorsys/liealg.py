@@ -148,39 +148,23 @@ def _sparse_product(terms, x, y, out):
     order: the one sparse bilinear kernel, on component-first arrays.
 
     i and j index the leading axes of x and y (an integer, or a pair for a
-    matrix of planes), and x[i] y[j] broadcasts to out[k].  A complex product
-    is formed from parts as np.einsum forms it, (xr yr - xi yi) + i(xr yi +
-    xi yr), and a complex c multiplies the same way; c = +-1 adds or
-    subtracts with no multiply.  Products go into one fixed set of temporaries,
-    or at a single point are numpy scalars (a tenth of a ufunc call's cost).
+    matrix of planes), and x[i] y[j] broadcasts to out[k].  Each product is one
+    np.multiply into one fixed temporary, or at a single point a numpy scalar (a
+    tenth of a ufunc call's cost); a c other than +-1 scales it with one more
+    call, and c = +-1 adds or subtracts with no multiply.  With a real operand
+    this equals np.einsum("...i,...j,ijk->...k") bit for bit; a product of two
+    complex operands is numpy's complex multiply, which rounds differently.
     """
-    x, y, parts = ((a.real, a.imag) if np.iscomplexobj(a) else (a,) for a in (x, y, out))
-    tmp = [np.empty(out.shape[1:]) for _ in range(len(parts) ** 2)] if out.ndim > 1 else None
-
-    def mul(a, b, t):
-        return np.multiply(a, b, out=tmp[t]) if tmp else a * b
-
+    tmp = np.empty(out.shape[1:], np.result_type(x, y)) if out.ndim > 1 else None
     for k, row in terms.items():
         for i, j, c in row:
-            if len(x) == 1:
-                p = [mul(x[0][i], y[0][j], 0)]
+            p = np.multiply(x[i], y[j], out=tmp) if tmp is not None else x[i] * y[j]
+            if c not in (1, -1):
+                p *= c
+            if c == -1:
+                out[k] -= p
             else:
-                p = [mul(x[0][i], y[0][j], 0), mul(x[0][i], y[1][j], 1)]
-                p[0] -= mul(x[1][i], y[1][j], 2)
-                p[1] += mul(x[1][i], y[0][j], 2)
-            if complex(c).imag:
-                re = mul(p[0], c.real, 2)
-                re -= mul(p[1], c.imag, 3)
-                p[1] *= c.real
-                p[1] += mul(p[0], c.imag, 3)
-                p[0], c = re, 1
-            for part, q in zip(parts, p):
-                if abs(c) != 1:
-                    q *= c.real
-                if c == -1:
-                    part[k] -= q
-                else:
-                    part[k] += q
+                out[k] += p
     return out
 
 
@@ -251,7 +235,8 @@ class LieAlgebraRep:
         over the nonzero structure constants (52 of 1000 for se4_r4, 60 for so5_s4),
         at its one grid-last door, each operand copied once, component first, in
         the result type.  Equals np.einsum("...i,...j,ijk->...k", xi, eta, structure)
-        bit for bit (numpy's complex multiply would round differently)."""
+        bit for bit when an operand is real, and within roundoff when both are
+        complex (one complex multiply per term, where einsum forms it from parts)."""
         dtype = np.result_type(xi, eta, self.structure)
         x, y = (np.ascontiguousarray(np.moveaxis(np.asarray(a, dtype), -1, 0)) for a in (xi, eta))
         out = np.zeros((self.dim,) + np.broadcast_shapes(x.shape[1:], y.shape[1:]), dtype)

@@ -119,11 +119,19 @@ def test_jacobi_identity(so5, su2, se4):
 @pytest.mark.parametrize("table", ["se4_r4", "so5_s4", "su2_order4", "octonion", "graded"])
 def test_sparse_bracket_kernel_equals_einsum(table):
     # oracle: the dense three-operand einsum the kernel replaces, bit for bit,
-    # for real, complex and mixed operands with 0 to 3 leading axes, some of
-    # them broadcast, through every door of the one kernel: `_sparse_product`
+    # wherever an operand is real, for operands with 0 to 3 leading axes, some
+    # of them broadcast, through every door of the one kernel: `_sparse_product`
     # itself on component-first views, its one grid-last door `bracket_coords`,
     # `octo.multiply` on component-first octonions (real), and
-    # `GradedBasis.bracket` (the graded block tables of every fixture, complex)
+    # `GradedBasis.bracket` (the graded block tables of every fixture, complex).
+    # Where both operands are complex the kernel forms each product with numpy's
+    # complex multiply, which rounds differently from einsum's parts formula;
+    # the oracle is then a dense reference in that arithmetic,
+    # ref[k] += (x[i] y[j]) T[i, j, k] over the nonzeros in C order, bit for
+    # bit, and that reference is within 2 (n_k + 4) 2^-53 sum |T||x||y| of the
+    # einsum: each side is within (n_k + 4) 2^-53 of the exact sum of its n_k
+    # terms (n_k - 1 additions, and a complex product and its scaling by T at
+    # most sqrt(5) 2^-53 each)
     if table == "octonion":
         cases = [(octo.OCTONION_TABLE, liealg._nonzero_terms(octo.OCTONION_TABLE), None)]
     elif table == "graded":
@@ -138,6 +146,7 @@ def test_sparse_bracket_kernel_equals_einsum(table):
               ((4, 1), (1, 6)), ((), (3, 5)), ((2, 3, 1), (4,))]
     for T, terms, graded_bracket in cases:
         assert sum(len(row) for row in terms.values()) == np.count_nonzero(T)
+        n_terms = np.count_nonzero(T, axis=(0, 1))
         for xs, ys in shapes:
             for cx, cy in ((False, False), (True, True), (False, True), (True, False)):
                 x = (rng.standard_normal(xs + T.shape[:1])
@@ -145,6 +154,15 @@ def test_sparse_bracket_kernel_equals_einsum(table):
                 y = (rng.standard_normal(ys + T.shape[1:2])
                      + (1j * rng.standard_normal(ys + T.shape[1:2]) if cy else 0))
                 oracle = np.einsum("...i,...j,ijk->...k", x, y, T)
+                if cx and cy:
+                    xf, yf = (np.moveaxis(a, -1, 0) for a in (x, y))
+                    ref = np.zeros(oracle.shape[-1:] + oracle.shape[:-1], complex)
+                    for i, j, k in zip(*np.nonzero(T)):
+                        ref[k] += (xf[i] * yf[j]) * T[i, j, k]
+                    ref = np.moveaxis(ref, 0, -1)
+                    scale = np.einsum("...i,...j,ijk->...k", abs(x), abs(y), abs(T))
+                    assert np.all(abs(ref - oracle) <= 2 * (n_terms + 4) * 2.0 ** -53 * scale)
+                    oracle = ref
                 if table in GRADE_DIMS:
                     out = alg.bracket_coords(x, y)
                     assert out.dtype == oracle.dtype and out.shape == oracle.shape
