@@ -33,8 +33,13 @@ n = 64, 128, 256 and 512:
   pair of unit directions over the open n x n unit grid, it times
   - `matrix_exp`: one call on the stack of every trapezoidal edge step
     h (A_i + A_(i+1)) / 2 along u and along v, the last edge of a line
-    wrapping, which are the exponentials of a development and a plaquette pass;
-  - `plaquette_defects`: the whole plaquette pass, steps included.
+    wrapping, which are the exponentials of a development and a plaquette pass
+    (both passes form them one tile at a time);
+  - `develop_frame`: the development of that connection to its frame g,
+    its flatness check and steps included;
+  - `plaquette_defects`: the whole plaquette pass, steps included;
+  - `gauge_transform`: the action on it of the stabiliser field
+    h = exp(f Xi), f = 0.3 sin(2 pi u) cos(2 pi v), with its membership test.
 - *octonion_stages*: for `octonion_graph` in R⁸, over n = 64, 128 and 256
   (at 512 the normal frame alone is 100 MB), it times
   - `build_immersion`: sampling, the Gram-Schmidt frames and the
@@ -124,8 +129,13 @@ def frame_stages(n):
     A_u, A_v = fx.algebra.matrix(alpha.a_u), fx.algebra.matrix(alpha.a_v)
     steps = np.stack([h * (0.5 * (A_u + np.roll(A_u, -1, axis=0))),
                       h * (0.5 * (A_v + np.roll(A_v, -1, axis=1)))])
+    U, V = alpha.grid.mesh()
+    gauge = ellsys.stabilizer_gauge_field(
+        fx, alpha.grid, 0.3 * np.sin(2 * math.pi * U) * np.cos(2 * math.pi * V))
     return {"matrix_exp": lambda: liealg.matrix_exp(steps),
-            "plaquette_defects": lambda: ellsys.plaquette_defects(alpha, fx)}
+            "develop_frame": lambda: ellsys.develop_frame(alpha, fx),
+            "plaquette_defects": lambda: ellsys.plaquette_defects(alpha, fx),
+            "gauge_transform": lambda: ellsys.gauge_transform(alpha, gauge, fx)}
 
 
 def octonion_stages(n):

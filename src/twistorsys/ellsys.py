@@ -130,7 +130,8 @@ def frame_to_connection(frame: FrameField) -> LieValuedOneForm:
 def _avg(A, axis, h):
     """h times the average (A_i + A_(i+1)) / 2 over each edge along axis, the
     last edge wrapping to A_0: the sum goes through slices into one output,
-    scaled in place (x 1/2 is exact)."""
+    scaled in place (x 1/2 is exact).  Over a tile whose last line is a halo,
+    `_avg(...)[:-1]` along that axis are the tile's own edges."""
     S = np.empty(A.shape)
     a, s = np.moveaxis(A, axis, 0), np.moveaxis(S, axis, 0)
     np.add(a[:-1], a[1:], out=s[:-1])
@@ -140,11 +141,14 @@ def _avg(A, axis, h):
     return S
 
 
-def _step_exponentials(grid: SurfaceGrid, A_u, A_v):
-    """Trapezoidal steps exp(h * (A_i + A_(i+1)) / 2): E_u[i, j] from (i, j) to
-    (i+1, j), E_v[i, j] from (i, j) to (i, j+1); the last edge of a line wraps."""
-    return (liealg.matrix_exp(_avg(A_u, 0, grid.hu)),
-            liealg.matrix_exp(_avg(A_v, 1, grid.hv)))
+def _halo_tiles(n, edges):
+    """(lo, hi, lines) for each tile of at most forms._TILE_ROWS edges lo ... hi - 1 of
+    `edges` edges along an axis of n lines, edge i from line i to line i + 1 (mod n):
+    the lines lo ... hi the tile's edges read, line hi its halo, a slice or, where the
+    last edge wraps to line 0, an index array."""
+    for lo in range(0, edges, forms._TILE_ROWS):
+        hi = min(lo + forms._TILE_ROWS, edges)
+        yield lo, hi, slice(lo, hi + 1) if hi < n else np.arange(lo, hi + 1) % n
 
 
 def develop_frame(alpha: LieValuedOneForm, fixture: AlgebraFixture, g0=None) -> FrameField:
@@ -152,7 +156,9 @@ def develop_frame(alpha: LieValuedOneForm, fixture: AlgebraFixture, g0=None) -> 
 
     Steps use the trapezoidal exponent exp(h * (a_i + a_(i+1)) / 2), which
     recovers smooth frames to second order.  Periodic directions report
-    the holonomy defect |g_return - g_start| instead of wrapping.
+    the holonomy defect |g_return - g_start| instead of wrapping.  The v-steps
+    are formed one tile of _TILE_ROWS columns at a time as the sweep reaches
+    them, so no whole-grid stack of steps is held beside g.
     """
     if not (np.all(np.isfinite(alpha.a_u)) and np.all(np.isfinite(alpha.a_v))):
         raise NonFiniteExp("non-finite connection coefficient during development")
@@ -165,44 +171,54 @@ def develop_frame(alpha: LieValuedOneForm, fixture: AlgebraFixture, g0=None) -> 
     if np.max(np.abs(alpha.a_u.imag)) > 1e-12 or np.max(np.abs(alpha.a_v.imag)) > 1e-12:
         raise ValueError("can only develop real forms")
     # the path leaves row v = 0 only along u, so only that row needs u-steps
-    E_u, E_v = _step_exponentials(grid, alg.matrix(alpha.a_u[:, :1].real),
-                                  alg.matrix(alpha.a_v.real))
-    g = np.zeros(E_v.shape)
+    E_u = liealg.matrix_exp(_avg(alg.matrix(alpha.a_u[:, :1].real), 0, grid.hu))
+    g = np.zeros((grid.nu, grid.nv) + E_u.shape[2:])
     g[0, 0] = np.eye(alg.ambient_dim) if g0 is None else np.asarray(g0, dtype=float)
     for i in range(1, grid.nu):
         g[i, 0] = g[i - 1, 0] @ E_u[i - 1, 0]
-    for j in range(1, grid.nv):
-        g[:, j] = g[:, j - 1] @ E_v[:, j - 1]
 
     meta = {}
     if grid.periodic_u:
         ret = g[-1, 0] @ E_u[-1, 0]
         meta["holonomy_u"] = float(np.linalg.norm(ret - g[0, 0]))
-    if grid.periodic_v:
-        ret = g[:, -1] @ E_v[:, -1]
-        meta["holonomy_v"] = float(np.max(liealg._frobenius(ret - g[:, 0])))
+    # v-steps one tile of columns at a time, column first so that each column's are
+    # contiguous; a periodic line's last step, back to column 0, gives the holonomy
+    a_v = np.swapaxes(alpha.a_v.real, 0, 1)
+    for lo, hi, cols in _halo_tiles(grid.nv, grid.nv if grid.periodic_v else grid.nv - 1):
+        E_v = liealg.matrix_exp(_avg(alg.matrix(a_v[cols]), 0, grid.hv)[:-1])
+        for j in range(lo, hi):
+            step = g[:, j] @ E_v[j - lo]
+            if j + 1 < grid.nv:
+                g[:, j + 1] = step
+            else:
+                meta["holonomy_v"] = float(np.max(liealg._frobenius(step - g[:, 0])))
+        del E_v   # before the next tile's steps are formed
     return FrameField(grid=grid, fixture=fixture, g=g, meta=meta)
 
 
 def plaquette_defects(alpha: LieValuedOneForm, fixture: AlgebraFixture) -> float:
-    """Max over elementary cells of |exp-step path A - path B| (u-then-v vs v-then-u)."""
+    """Max over elementary cells of |exp-step path A - path B| (u-then-v vs v-then-u),
+    one tile of _TILE_ROWS rows of cells at a time, each tile's steps formed from the
+    grid rows it reads."""
     alg = fixture.algebra
     grid = alpha.grid
-    E_u, E_v = _step_exponentials(grid, alg.matrix(alpha.a_u.real), alg.matrix(alpha.a_v.real))
-    # cell (i, j): bottom then right edge against left then top edge; a cell
-    # closing through a wrapped step exists only along a periodic direction
+    a_u, a_v = alpha.a_u.real, alpha.a_v.real
+    # a cell closing through a wrapped step exists only along a periodic direction
     cu = grid.nu if grid.periodic_u else grid.nu - 1
     cv = grid.nv if grid.periodic_v else grid.nv - 1
-    D = np.empty((cu, cv) + E_u.shape[2:])
-    np.matmul(E_u[:-1, :cv], E_v[1:, :cv], out=D[:grid.nu - 1])
-    if grid.periodic_u:
-        np.matmul(E_u[-1, :cv], E_v[0, :cv], out=D[-1])
-    W = np.empty_like(D)
-    np.matmul(E_v[:cu, :-1], E_u[:cu, 1:], out=W[:, :grid.nv - 1])
-    if grid.periodic_v:
-        np.matmul(E_v[:cu, -1], E_u[:cu, 0], out=W[:, -1])
-    D -= W
-    return float(np.max(liealg._frobenius(D)))
+    worst = 0.0
+    for _, _, rows in _halo_tiles(grid.nu, cu):
+        E_u = liealg.matrix_exp(_avg(alg.matrix(a_u[rows]), 0, grid.hu)[:-1])
+        E_v = liealg.matrix_exp(_avg(alg.matrix(a_v[rows]), 1, grid.hv))
+        # cell (i, j): bottom then right edge against left then top edge
+        D = E_u[:, :cv] @ E_v[1:, :cv]
+        W = np.empty_like(D)
+        np.matmul(E_v[:-1, :-1], E_u[:, 1:], out=W[:, :grid.nv - 1])
+        if grid.periodic_v:
+            np.matmul(E_v[:-1, -1], E_u[:, 0], out=W[:, -1])
+        D -= W
+        worst = max(worst, float(np.max(liealg._frobenius(D))))
+    return worst
 
 
 # -------------------------------------------------------------- gauge action
@@ -212,22 +228,34 @@ def gauge_transform(alpha: LieValuedOneForm, h_field, fixture: AlgebraFixture) -
 
     H is the centraliser of J in the frame group: NotInH unless, pointwise,
     h^T h = I, hJ = Jh and, if affine, h's last row is e_n; then h^-1 = h^T.
+    Both the membership test and the transform run over the row tiles of
+    `forms._row_tiles`, the test over every tile before any is transformed.
     """
     alg = fixture.algebra
     grid = alpha.grid
     h = np.asarray(h_field, dtype=float)
-    hT = np.swapaxes(h, -1, -2)
     J, eye = fixture.J, np.eye(alg.ambient_dim)
-    off = max(np.max(np.abs(hT @ h - eye)), np.max(np.abs(h @ J - J @ h)),
-              np.max(np.abs(h[..., -1, :] - eye[-1])) if fixture.affine else 0.0)
+    tiles = list(forms._row_tiles(grid))
+    offs = []
+    for _, _, dest, _ in tiles:
+        t = h[dest]
+        offs.append((np.max(np.abs(np.swapaxes(t, -1, -2) @ t - eye)),
+                     np.max(np.abs(t @ J - J @ t)),
+                     np.max(np.abs(t[..., -1, :] - eye[-1])) if fixture.affine else 0.0))
+    off = max(np.max(column) for column in zip(*offs))
     if not off <= 1e-8:
         raise NotInH(f"h is not in the centraliser of J in the frame group (residual {off:.3e})")
 
     # the discrete h^-1 dh part is only O(h^2) close to the algebra: project
-    new_u = hT @ alg.matrix(alpha.a_u) @ h + hT @ forms.partial_u(grid, h)
-    new_v = hT @ alg.matrix(alpha.a_v) @ h + hT @ forms.partial_v(grid, h)
-    return LieValuedOneForm(grid, alg, alg.coords(new_u, atol=None),
-                            alg.coords(new_v, atol=None))
+    new_u, new_v = (np.empty((grid.nu, grid.nv, alg.dim), alpha.a_u.dtype) for _ in range(2))
+    for rows, keep, dest, wraps in tiles:
+        t = h[dest]
+        tT = np.swapaxes(t, -1, -2)
+        dh_u = forms._centred(h[rows], grid.hu, 0, wraps)[keep]
+        new_u[dest] = alg.coords(tT @ alg.matrix(alpha.a_u[dest]) @ t + tT @ dh_u, atol=None)
+        new_v[dest] = alg.coords(tT @ alg.matrix(alpha.a_v[dest]) @ t
+                                 + tT @ forms.partial_v(grid, t), atol=None)
+    return LieValuedOneForm(grid, alg, new_u, new_v)
 
 
 def stabilizer_gauge_field(fixture: AlgebraFixture, grid: SurfaceGrid, f, xi=None):

@@ -107,9 +107,15 @@ def _centred(f, h, axis, periodic):
     if periodic:
         np.subtract(g[1], g[-1], out=o[0])
         np.subtract(g[0], g[-2], out=o[-1])
-        out /= 2.0 * h
+        interior = out
+    if np.iscomplexobj(out):
+        # numpy's complex division by the real 2h multiplies each part by 1 / (2h);
+        # two real passes give the same values (up to the sign of a zero part) faster
+        interior.real *= 1.0 / (2.0 * h)
+        interior.imag *= 1.0 / (2.0 * h)
     else:
         interior /= 2.0 * h
+    if not periodic:
         o[0] = -1.5 / h * g[0] + 2.0 / h * g[1] + -0.5 / h * g[2]
         o[-1] = 0.5 / h * g[-3] + -2.0 / h * g[-2] + 1.5 / h * g[-1]
     return out

@@ -215,8 +215,9 @@ def _grid(n, lo_u, hi_u, lo_v, hi_v, periodic=False):
 
 
 def _planes(vectors, shape):
-    """The `vectors`, each a list of its m components (a plane, a row that broadcasts
-    to `shape` or a number), written into one component-first (k, m) + shape array."""
+    """The `vectors`, each a list of its m components (a plane, a row or column that
+    broadcasts to `shape`, or a number), written into one component-first (k, m) + shape
+    array."""
     out = np.empty((len(vectors), len(vectors[0])) + shape)
     for planes, vector in zip(out, vectors):
         for plane, c in zip(planes, vector):
@@ -446,8 +447,10 @@ def build_immersion(kind, params=None, n=32, space=None) -> ImmersionField:
         raise KeyError(f"unknown fixture kind {kind!r}")
     p = fixture_params(kind, params)
     grid = _grid(n, *FIXTURES[kind].domain(p))
-    U, V = grid.mesh()
-    phi, dphi, frames = FIXTURES[kind].builder(p, U, V)
+    # the open mesh: builders broadcast a (nu, 1) column of u against a (1, nv) row of v
+    shape = (grid.nu, grid.nv)
+    phi, dphi, frames = FIXTURES[kind].builder(p, *np.meshgrid(grid.u_coords(), grid.v_coords(),
+                                                               indexing="ij", sparse=True))
     if space is None:
         space = symspace.model_space(FIXTURES[kind].space)
     m = len(phi)
@@ -456,7 +459,7 @@ def build_immersion(kind, params=None, n=32, space=None) -> ImmersionField:
                          f"model space expects {space.ambient_dim}")
 
     # rebound, so that each builder plane is freed once it is written
-    phi, dphi = _planes([phi], U.shape)[0], _planes(dphi, U.shape)
+    phi, dphi = _planes([phi], shape)[0], _planes(dphi, shape)
     conf = np.sum(dphi[0] ** 2, axis=0)
     branch = conf < 1e-10
     if np.mean(branch) > 0.1:
@@ -465,7 +468,7 @@ def build_immersion(kind, params=None, n=32, space=None) -> ImmersionField:
     if frames is None:
         frames, disc = _gram_schmidt_frames(dphi, branch)
     else:
-        frames, disc = _planes(frames, U.shape), False
+        frames, disc = _planes(frames, shape), False
 
     out = ImmersionField(grid=grid, space=space, phi_planes=phi, dphi_planes=dphi,
                          conformal_factor=conf, frame_planes=frames, branch_mask=branch,
@@ -633,9 +636,17 @@ def _column_det(cols):
     m = len(cols)
     minors = {(): 1.0}
     for k, rows in enumerate(reversed(cols), 1):
-        minors = {S: sum((-1) ** t * rows[i] * minors[S[:t] + S[t + 1:]]
-                         for t, i in enumerate(S))
-                  for S in itertools.combinations(range(m), k)}
+        expanded = {}
+        for S in itertools.combinations(range(m), k):
+            # one product per term, added or subtracted in place by its sign
+            det = rows[S[0]] * minors[S[1:]]
+            for t, i in enumerate(S[1:], 1):
+                if t % 2:
+                    det -= rows[i] * minors[S[:t] + S[t + 1:]]
+                else:
+                    det += rows[i] * minors[S[:t] + S[t + 1:]]
+            expanded[S] = det
+        minors = expanded
     return minors[tuple(range(m))]
 
 

@@ -38,7 +38,7 @@ def test_every_stage_runs_where_it_applies(bench_stages, kind, space, maslov):
 
 def test_every_frame_stage_runs(bench_stages):
     calls = bench_stages.frame_stages(16)
-    assert set(calls) == {"matrix_exp", "plaquette_defects"}
+    assert set(calls) == {"matrix_exp", "develop_frame", "plaquette_defects", "gauge_transform"}
     for call in calls.values():
         call()
 

@@ -1,4 +1,5 @@
 """System residuals on frames, development, gauge action."""
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -348,6 +349,131 @@ def test_batched_paths_equal_loop_references():
         f = 0.3 * np.sin(U) * np.cos(2 * V)
         assert np.array_equal(ellsys.stabilizer_gauge_field(fixture, alpha.grid, f),
                               loop_stabilizer_gauge_field(fixture, alpha.grid, f))
+
+
+# whole-grid references: the development, plaquette and gauge passes with every
+# step, path and product formed over the whole grid at once; the tiled passes
+# do the same arithmetic per point, so they must agree bit for bit
+
+def whole_grid_develop_frame(alpha, fixture, g0=None):
+    alg, grid = fixture.algebra, alpha.grid
+    E_u = liealg.matrix_exp(ellsys._avg(alg.matrix(alpha.a_u.real), 0, grid.hu))
+    E_v = liealg.matrix_exp(ellsys._avg(alg.matrix(alpha.a_v.real), 1, grid.hv))
+    g = np.zeros(E_v.shape)
+    g[0, 0] = np.eye(alg.ambient_dim) if g0 is None else g0
+    for i in range(1, grid.nu):
+        g[i, 0] = g[i - 1, 0] @ E_u[i - 1, 0]
+    for j in range(1, grid.nv):
+        g[:, j] = g[:, j - 1] @ E_v[:, j - 1]
+    meta = {}
+    if grid.periodic_u:
+        meta["holonomy_u"] = float(np.linalg.norm(g[-1, 0] @ E_u[-1, 0] - g[0, 0]))
+    if grid.periodic_v:
+        meta["holonomy_v"] = float(np.max(liealg._frobenius(g[:, -1] @ E_v[:, -1] - g[:, 0])))
+    return g, meta
+
+
+def whole_grid_plaquette_defects(alpha, fixture):
+    alg, grid = fixture.algebra, alpha.grid
+    E_u = liealg.matrix_exp(ellsys._avg(alg.matrix(alpha.a_u.real), 0, grid.hu))
+    E_v = liealg.matrix_exp(ellsys._avg(alg.matrix(alpha.a_v.real), 1, grid.hv))
+    # cell (i, j) closes through its wrapped steps where the grid is periodic
+    D = E_u @ np.roll(E_v, -1, axis=0) - E_v @ np.roll(E_u, -1, axis=1)
+    cells = D[:None if grid.periodic_u else -1, :None if grid.periodic_v else -1]
+    return float(np.max(liealg._frobenius(cells)))
+
+
+def whole_grid_gauge_transform(alpha, h, fixture):
+    alg, grid = fixture.algebra, alpha.grid
+    hT = np.swapaxes(h, -1, -2)
+    new_u = hT @ alg.matrix(alpha.a_u) @ h + hT @ forms.partial_u(grid, h)
+    new_v = hT @ alg.matrix(alpha.a_v) @ h + hT @ forms.partial_v(grid, h)
+    return alg.coords(new_u, atol=None), alg.coords(new_v, atol=None)
+
+
+def multi_tile_forms():
+    """pytest params (alpha, fixture, g0) on grids taller and wider than one tile, with
+    sizes that are no multiple of forms._TILE_ROWS: open and periodic exp_frame
+    forms in both frame groups, the adapted frames of both Clifford tori, and those
+    of the round sphere's open chart, whose coefficients vary along both axes."""
+    rng = np.random.default_rng(4)
+    for name in ("so5_s4", "se4_r4"):
+        fx = load_algebra_fixture(name)
+        xi, eta = rng.standard_normal((2, fx.algebra.dim))
+        for periodic in (False, True):
+            grid = SurfaceGrid(nu=45, nv=70, hu=0.02, hv=0.015,
+                               periodic_u=periodic, periodic_v=periodic)
+            yield pytest.param(ellsys.exp_frame_form(grid, fx, xi, eta), fx, None,
+                               id=f"{name}-{'periodic' if periodic else 'open'}")
+    for kind in ("clifford_torus", "clifford_torus_s4", "round_sphere"):
+        _, _, frame, alpha, fx = geometry(kind, 67)
+        yield pytest.param(alpha, fx, frame.g[0, 0], id=kind)
+
+
+@pytest.mark.parametrize("alpha, fx, g0", list(multi_tile_forms()))
+def test_tiled_frame_chain_equals_whole_grid(alpha, fx, g0):
+    assert max(alpha.grid.nu, alpha.grid.nv) > forms._TILE_ROWS
+    assert alpha.grid.nu % forms._TILE_ROWS and alpha.grid.nv % forms._TILE_ROWS
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the sampled torus frames are O(h^2) off flat
+        dev = ellsys.develop_frame(alpha, fx, g0=g0)
+    g, meta = whole_grid_develop_frame(alpha, fx, g0)
+    assert np.array_equal(dev.g, g)
+    assert dev.meta == meta
+    assert ("holonomy_u" in meta, "holonomy_v" in meta) == (alpha.grid.periodic_u,
+                                                            alpha.grid.periodic_v)
+    assert ellsys.plaquette_defects(alpha, fx) == whole_grid_plaquette_defects(alpha, fx)
+    U, V = alpha.grid.mesh()
+    h = ellsys.stabilizer_gauge_field(fx, alpha.grid, 0.3 * np.sin(3 * U) * np.cos(2 * V))
+    for form in (alpha, alpha.scaled(1 + 0.5j)):
+        beta = ellsys.gauge_transform(form, h, fx)
+        ref_u, ref_v = whole_grid_gauge_transform(form, h, fx)
+        assert beta.a_u.dtype == form.a_u.dtype
+        assert np.array_equal(beta.a_u, ref_u) and np.array_equal(beta.a_v, ref_v)
+
+
+def test_gauge_membership_is_checked_on_every_tile():
+    # a single point off H in the last tile raises before any tile is transformed
+    _, _, _, alpha, fx = geometry("clifford_torus", 67)
+    U, V = alpha.grid.mesh()
+    h = ellsys.stabilizer_gauge_field(fx, alpha.grid, 0.3 * np.sin(U) * np.cos(V))
+    h[-1, 5] *= 1.5
+    with pytest.raises(ellsys.NotInH, match="residual 1.250e"):
+        ellsys.gauge_transform(alpha, h, fx)
+
+
+def _transient_stacks(call, n):
+    """call()'s traced high-water mark above what it starts with, in (n, n, 5, 5)
+    stacks of 8 * 25 n^2 bytes; the first call, outside the trace, does the set-up."""
+    call()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / (8 * 25 * n * n)
+
+
+def test_frame_chain_peak_memory():
+    # the frame_development rung at n = 96, in stacks of (96, 96, 5, 5) matrices:
+    # no pass holds a whole-grid stack of steps, paths or products (whole-grid
+    # passes took 3.9, 5.9 and 4.0).  The development peaks at 2.45 with g (1.0),
+    # one tile's steps (32 of 96 columns, 0.34 a stack) and their exponentials'
+    # batches (its flatness check holds 2.0 before g); the plaquette pass at 2.76
+    # with one tile's E_u, E_v, D and W; the gauge action at 2.16 with its output
+    # coordinates (0.8) and one tile's products
+    n = 96
+    fx = load_algebra_fixture("so5_s4")
+    xi, eta = np.random.default_rng([1, 2]).standard_normal((2, 10))
+    grid = SurfaceGrid(nu=n, nv=n, hu=1.0 / (n - 1), hv=1.0 / (n - 1))
+    alpha = ellsys.exp_frame_form(grid, fx, xi / np.linalg.norm(xi), eta / np.linalg.norm(eta))
+    U, V = grid.mesh()
+    h = ellsys.stabilizer_gauge_field(fx, grid, 0.3 * np.sin(2 * np.pi * U) * np.cos(2 * np.pi * V))
+    assert _transient_stacks(lambda: ellsys.develop_frame(alpha, fx), n) <= 2.6
+    assert _transient_stacks(lambda: ellsys.plaquette_defects(alpha, fx), n) <= 3.0
+    assert _transient_stacks(lambda: ellsys.gauge_transform(alpha, h, fx), n) <= 2.4
 
 
 def test_develop_nonfinite():

@@ -205,6 +205,27 @@ def test_centred_differences_match_roll_and_gradient_forms(n, trailing, kind):
             assert got.dtype == f.dtype and got.flags.c_contiguous
 
 
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_complex_centred_differences_its_parts_separately(periodic, axis):
+    # a complex stencil is its two parts differenced separately, each difference
+    # scaled by 1 / (2h), which is what numpy's complex division by the real 2h
+    # computes (see the test above); the one-sided edges are the parts' own, and
+    # axis -1 takes the flat-shift path
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal((9, 11, 4)) + 1j * rng.standard_normal((9, 11, 4))
+    h = 0.3
+    got = forms._centred(f, h, axis, periodic)
+    for part, x in ((got.real, f.real), (got.imag, f.imag)):
+        want = np.moveaxis(forms._centred(x, h, axis, periodic), axis, 0).copy()
+        g = np.moveaxis(x, axis, 0)
+        want[1:-1] = (g[2:] - g[:-2]) * (1.0 / (2.0 * h))
+        if periodic:
+            want[0] = (g[1] - g[-1]) * (1.0 / (2.0 * h))
+            want[-1] = (g[0] - g[-2]) * (1.0 / (2.0 * h))
+        assert np.array_equal(np.moveaxis(part, axis, 0), want)
+
+
 # --------------------------------------------------------- exterior derivative
 
 def test_exterior_derivative_of_df_converges(so5):

@@ -203,6 +203,22 @@ def test_fixture_reads_exactly_its_declared_params(kind):
     assert set(im.fixture_params(kind)) == set(fixture.params) | {"allow_nonconformal"}
 
 
+@pytest.mark.parametrize("kind, params", [(kind, {}) for kind in im.list_fixture_kinds()]
+                         + [("lagrangian_graph", {"potential": "cubic"})])
+def test_open_mesh_field_equals_the_full_mesh_builder(kind, params):
+    # build_immersion samples on the open mesh, a (nu, 1) column of u and a (1, nv)
+    # row of v; every plane is the builder's on the full (nu, nv) mesh, bit for bit
+    p = im.fixture_params(kind, {**params, "allow_nonconformal": True})
+    grid = im._grid(33, *im.FIXTURES[kind].domain(p))
+    U, V = grid.mesh()
+    phi, dphi, frames = im.FIXTURES[kind].builder(p, U, V)
+    fld = im.build_immersion(kind, p, n=33)
+    assert np.array_equal(fld.phi_planes, im._planes([phi], U.shape)[0])
+    assert np.array_equal(fld.dphi_planes, im._planes(dphi, U.shape))
+    if frames is not None:
+        assert np.array_equal(fld.frame_planes, im._planes(frames, U.shape))
+
+
 def test_unknown_kind():
     with pytest.raises(KeyError):
         im.build_immersion("moebius", n=16)
