@@ -167,7 +167,7 @@ def graded_stages(n):
             "_dz_coefficients": lambda: forms._dz_coefficients(*forms._components(alpha), gb,
                                                                *grades),
             # each coefficient dropped as the next is formed, as the scan takes them
-            "_laurent": lambda: collections.deque(forms._laurent(grid, grid.periodic_u, gb, P, Q),
+            "_laurent": lambda: collections.deque(forms._laurent(grid, gb, P, Q),
                                                   maxlen=0),
             "brackets": lambda: [gb.bracket(*pair) for pair in pairs],
             "zero_curvature_scan": lambda: forms.zero_curvature_scan(alpha, aut),

@@ -15,7 +15,7 @@ component-plane norm and the graded pass of `forms` (its tiles of grid
 rows, the dz coefficients, the dz derivatives, the Laurent coefficients, the
 per-tile planes, the scan and the pass's own reports), the frame's g^-1 dg
 with its term list in `fixtures`, the
-trapezoidal steps, their tiles, the development, the plaquette pass and the gauge
+trapezoidal steps, the development, the plaquette pass and the gauge
 action of `ellsys`, the 1-norms and Taylor polynomial
 of `liealg.matrix_exp`, and the sparse bilinear kernel of `liealg` behind
 every bracket and plane product, with its one grid-last door `bracket_coords`
@@ -57,10 +57,10 @@ TARGETS = {
                   "curvature_commutator_residual", "TwistorField.j_ambient"),
     "lagrangian": ("lagrangian_residual", "lagrangian_twistor_residual", "maslov_form",
                    "maslov_identity_residual", "hamiltonian_stationary_residual"),
-    "forms": ("_centred", "_row_tiles", "_dz_coefficients", "_sq_norm", "_dz_derivative",
+    "forms": ("_centred", "_tiles", "_dz_coefficients", "_sq_norm", "_dz_derivative",
               "_laurent", "_tile_planes", "_scan", "graded_checks", "curvature_residual"),
-    "ellsys": ("frame_to_connection", "_avg", "_halo_tiles", "develop_frame",
-               "plaquette_defects", "gauge_transform"),
+    "ellsys": ("frame_to_connection", "_avg", "develop_frame", "plaquette_defects",
+               "gauge_transform"),
     "fixtures": ("AlgebraFixture._connection_terms",),
     "liealg": ("matrix_exp", "_taylor", "_sparse_product", "LieAlgebraRep.bracket_coords",
                "GradedBasis.bracket"),

@@ -13,7 +13,6 @@ the frame group's order-4 automorphism fixture.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -130,8 +129,8 @@ def frame_to_connection(frame: FrameField) -> LieValuedOneForm:
 def _avg(A, axis, h):
     """h times the average (A_i + A_(i+1)) / 2 over each edge along axis, the
     last edge wrapping to A_0: the sum goes through slices into one output,
-    scaled in place (x 1/2 is exact).  Over a tile whose last line is a halo,
-    `_avg(...)[:-1]` along that axis are the tile's own edges."""
+    scaled in place (x 1/2 is exact).  Over lines whose last one is a halo,
+    `_avg(...)[:-1]` along that axis are the edges between them."""
     S = np.empty(A.shape)
     a, s = np.moveaxis(A, axis, 0), np.moveaxis(S, axis, 0)
     np.add(a[:-1], a[1:], out=s[:-1])
@@ -141,31 +140,19 @@ def _avg(A, axis, h):
     return S
 
 
-def _halo_tiles(n, edges):
-    """(lo, hi, lines) for each tile of at most forms._TILE_ROWS edges lo ... hi - 1 of
-    `edges` edges along an axis of n lines, edge i from line i to line i + 1 (mod n):
-    the lines lo ... hi the tile's edges read, line hi its halo, a slice or, where the
-    last edge wraps to line 0, an index array."""
-    for lo in range(0, edges, forms._TILE_ROWS):
-        hi = min(lo + forms._TILE_ROWS, edges)
-        yield lo, hi, slice(lo, hi + 1) if hi < n else np.arange(lo, hi + 1) % n
-
-
 def develop_frame(alpha: LieValuedOneForm, fixture: AlgebraFixture, g0=None) -> FrameField:
     """Integrate d + alpha along row-major paths (u first, then v).
 
     Steps use the trapezoidal exponent exp(h * (a_i + a_(i+1)) / 2), which
     recovers smooth frames to second order.  Periodic directions report
     the holonomy defect |g_return - g_start| instead of wrapping.  The v-steps
-    are formed one tile of _TILE_ROWS columns at a time as the sweep reaches
-    them, so no whole-grid stack of steps is held beside g.
+    are formed one column tile of `forms._tiles` at a time as the sweep reaches
+    them, so no whole-grid stack of steps is held beside g.  Flatness is not
+    checked here: the holonomy defects, `plaquette_defects` and the flatness
+    residual measure how far the frame depends on the path.
     """
     if not (np.all(np.isfinite(alpha.a_u)) and np.all(np.isfinite(alpha.a_v))):
         raise NonFiniteExp("non-finite connection coefficient during development")
-    rep = forms.curvature_residual(alpha)
-    if rep.final_sup > 1e-3 * max(1.0, float(np.max(alpha.pointwise_norm()))):
-        warnings.warn(f"developing a connection with flatness residual {rep.final_sup:.3e}; "
-                      "the frame will be path-dependent", stacklevel=2)
     alg = fixture.algebra
     grid = alpha.grid
     if np.max(np.abs(alpha.a_u.imag)) > 1e-12 or np.max(np.abs(alpha.a_v.imag)) > 1e-12:
@@ -184,10 +171,13 @@ def develop_frame(alpha: LieValuedOneForm, fixture: AlgebraFixture, g0=None) -> 
     # v-steps one tile of columns at a time, column first so that each column's are
     # contiguous; a periodic line's last step, back to column 0, gives the holonomy
     a_v = np.swapaxes(alpha.a_v.real, 0, 1)
-    for lo, hi, cols in _halo_tiles(grid.nv, grid.nv if grid.periodic_v else grid.nv - 1):
-        E_v = liealg.matrix_exp(_avg(alg.matrix(a_v[cols]), 0, grid.hv)[:-1])
-        for j in range(lo, hi):
-            step = g[:, j] @ E_v[j - lo]
+    for cols, keep, dest in forms._tiles(grid.nv, grid.periodic_v):
+        # the tile's edges, over its kept columns and the halo after them, which the
+        # slice leaves out past an open axis's last column (that column starts no edge)
+        span = slice(keep.start, keep.stop + 1)
+        E_v = liealg.matrix_exp(_avg(alg.matrix(a_v[cols][span]), 0, grid.hv)[:-1])
+        for j in range(dest.start, dest.start + len(E_v)):
+            step = g[:, j] @ E_v[j - dest.start]
             if j + 1 < grid.nv:
                 g[:, j + 1] = step
             else:
@@ -198,18 +188,22 @@ def develop_frame(alpha: LieValuedOneForm, fixture: AlgebraFixture, g0=None) -> 
 
 def plaquette_defects(alpha: LieValuedOneForm, fixture: AlgebraFixture) -> float:
     """Max over elementary cells of |exp-step path A - path B| (u-then-v vs v-then-u),
-    one tile of _TILE_ROWS rows of cells at a time, each tile's steps formed from the
-    grid rows it reads."""
+    one row tile of `forms._tiles` at a time, each tile's steps formed from the grid
+    rows it reads."""
     alg = fixture.algebra
     grid = alpha.grid
     a_u, a_v = alpha.a_u.real, alpha.a_v.real
     # a cell closing through a wrapped step exists only along a periodic direction
-    cu = grid.nu if grid.periodic_u else grid.nu - 1
     cv = grid.nv if grid.periodic_v else grid.nv - 1
     worst = 0.0
-    for _, _, rows in _halo_tiles(grid.nu, cu):
-        E_u = liealg.matrix_exp(_avg(alg.matrix(a_u[rows]), 0, grid.hu)[:-1])
-        E_v = liealg.matrix_exp(_avg(alg.matrix(a_v[rows]), 1, grid.hv))
+    for rows, keep, _ in forms._tiles(grid.nu, grid.periodic_u):
+        # the tile's cells, over its kept rows and the halo after them, which the slice
+        # leaves out past an open axis's last row (that row starts no cell)
+        span = slice(keep.start, keep.stop + 1)
+        E_u = liealg.matrix_exp(_avg(alg.matrix(a_u[rows][span]), 0, grid.hu)[:-1])
+        if not len(E_u):   # a tile of that row alone
+            continue
+        E_v = liealg.matrix_exp(_avg(alg.matrix(a_v[rows][span]), 1, grid.hv))
         # cell (i, j): bottom then right edge against left then top edge
         D = E_u[:, :cv] @ E_v[1:, :cv]
         W = np.empty_like(D)
@@ -229,15 +223,15 @@ def gauge_transform(alpha: LieValuedOneForm, h_field, fixture: AlgebraFixture) -
     H is the centraliser of J in the frame group: NotInH unless, pointwise,
     h^T h = I, hJ = Jh and, if affine, h's last row is e_n; then h^-1 = h^T.
     Both the membership test and the transform run over the row tiles of
-    `forms._row_tiles`, the test over every tile before any is transformed.
+    `forms._tiles`, the test over every tile before any is transformed.
     """
     alg = fixture.algebra
     grid = alpha.grid
     h = np.asarray(h_field, dtype=float)
     J, eye = fixture.J, np.eye(alg.ambient_dim)
-    tiles = list(forms._row_tiles(grid))
+    tiles = list(forms._tiles(grid.nu, grid.periodic_u))
     offs = []
-    for _, _, dest, _ in tiles:
+    for _, _, dest in tiles:
         t = h[dest]
         offs.append((np.max(np.abs(np.swapaxes(t, -1, -2) @ t - eye)),
                      np.max(np.abs(t @ J - J @ t)),
@@ -248,10 +242,10 @@ def gauge_transform(alpha: LieValuedOneForm, h_field, fixture: AlgebraFixture) -
 
     # the discrete h^-1 dh part is only O(h^2) close to the algebra: project
     new_u, new_v = (np.empty((grid.nu, grid.nv, alg.dim), alpha.a_u.dtype) for _ in range(2))
-    for rows, keep, dest, wraps in tiles:
+    for rows, keep, dest in tiles:
         t = h[dest]
         tT = np.swapaxes(t, -1, -2)
-        dh_u = forms._centred(h[rows], grid.hu, 0, wraps)[keep]
+        dh_u = forms._centred(h[rows], grid.hu, 0, False)[keep]
         new_u[dest] = alg.coords(tT @ alg.matrix(alpha.a_u[dest]) @ t + tT @ dh_u, atol=None)
         new_v[dest] = alg.coords(tT @ alg.matrix(alpha.a_v[dest]) @ t
                                  + tT @ forms.partial_v(grid, t), atol=None)

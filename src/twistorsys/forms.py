@@ -342,35 +342,32 @@ GRADED_CHECKS = {"holomorphicity": ((), (1,)),
 # the radii |lam| of the spectral circles over which the default scan takes its sup
 CIRCLE_RADII = (0.5, 1.0, 2.0)
 
-# grid rows per tile of the graded pass, like liealg._BATCH a measured constant: on
-# the benchmark's n = 128 rungs, tiles of 16, 24, 32, 48 and 64 rows put the peak
-# resident memory at 55.1, 55.2, 55.3, 55.6 and 57.7 MB (58.2 MB untiled), and below
-# 32 rows the fixed cost of each tile made the pass slower
+# lines per tile of the tiled passes (the graded pass and the frame chain), like
+# liealg._BATCH a measured constant: on the benchmark's n = 128 rungs, tiles of 16,
+# 24, 32, 48 and 64 rows put the graded pass's peak resident memory at 55.1, 55.2,
+# 55.3, 55.6 and 57.7 MB (58.2 MB untiled), and below 32 rows the fixed cost of
+# each tile made the pass slower
 _TILE_ROWS = 32
 
 
-def _row_tiles(grid: SurfaceGrid):
-    """(rows, keep, dest, wraps) for each tile of grid rows that the graded pass
-    runs over: the u rows the tile reads, a slice or, for a wrapped halo, an index
-    array; the slice of those rows that it writes to the grid rows `dest`; and
-    whether its u stencil wraps.  A grid no taller than _TILE_ROWS is one tile that
-    wraps as the grid does.  Otherwise a tile reads one halo row on each side, the
-    wrapped neighbour on a periodic axis, and at an open edge the rows that the
-    one-sided stencil reads, so every kept row has the whole grid's u stencil."""
-    nu = grid.nu
-    if nu <= _TILE_ROWS:
-        yield slice(None), slice(None), slice(None), grid.periodic_u
-        return
-    for lo in range(0, nu, _TILE_ROWS):
-        hi = min(lo + _TILE_ROWS, nu)
+def _tiles(n, periodic):
+    """(lines, keep, dest) for each tile of at most _TILE_ROWS lines of an axis of n
+    lines: the lines the tile reads, a slice or, where a halo wraps, an index array,
+    and the slice `keep` of those that it writes to the lines `dest`.  A tile reads
+    one halo line on each side, the wrapped neighbour on a periodic axis, and at an
+    open edge the lines that the one-sided stencil reads, so it reads at least 3
+    lines and `_centred(..., periodic=False)` over them gives every kept line the
+    whole axis's stencil."""
+    for lo in range(0, n, _TILE_ROWS):
+        hi = min(lo + _TILE_ROWS, n)
         start, stop = lo - 1, hi + 1
-        if grid.periodic_u:
-            rows = slice(start, stop) if 0 <= start and stop <= nu else np.arange(start, stop) % nu
+        if periodic:
+            lines = slice(start, stop) if 0 <= start and stop <= n else np.arange(start, stop) % n
         else:
-            # the last row's one-sided stencil reads the two rows before it
-            start, stop = max(min(start, nu - 3), 0), min(stop, nu)
-            rows = slice(start, stop)
-        yield rows, slice(lo - start, hi - start), slice(lo, hi), False
+            # the last line's one-sided stencil reads the two lines before it
+            start, stop = max(min(start, n - 3), 0), min(stop, n)
+            lines = slice(start, stop)
+        yield lines, slice(lo - start, hi - start), slice(lo, hi)
 
 
 def _components(alpha: LieValuedOneForm):
@@ -416,27 +413,27 @@ def _sq_norm(x):
     return sq[..., ::2] + sq[..., 1::2] if np.iscomplexobj(x) else sq
 
 
-def _dz_derivative(grid, wraps, x, conj=False):
+def _dz_derivative(grid, x, conj=False):
     """D x = du x + i dv x, or D-bar x = du x - i dv x with `conj`, of (..., rows, nv)
-    planes over grid rows whose u stencil wraps when `wraps`."""
+    planes over the lines of a row tile of `_tiles`, whose u stencil does not wrap."""
     out = partial_v(grid, x, -1)
     out *= -1j if conj else 1j
-    out += _centred(x, grid.hu, -2, wraps)
+    out += _centred(x, grid.hu, -2, False)
     return out
 
 
-def _laurent(grid, wraps, gb: liealg.GradedBasis, P, Q):
+def _laurent(grid, gb: liealg.GradedBasis, P, Q):
     """The Laurent coefficients (k, F_k) in graded coordinates, (d_k, rows, nv) each,
     for k = 2, 1, 0, -1, -2 (F_-2 in g_2), each formed when the previous one is taken,
     from the dz coefficients P_2, P_1, P_0 and Q_2, Q_0, Q_-1 (F_2 reads only P_2, Q_0)
-    over grid rows whose u stencil wraps when `wraps`."""
+    over the lines of a row tile of `_tiles`."""
     a, Q0 = P[2], Q[0]
-    F = _dz_derivative(grid, wraps, a)
+    F = _dz_derivative(grid, a)
     F += 2 * gb.bracket(0, 2, Q0, a)
     F *= 1j
     yield 2, F
     b, e, d, P0 = P[1], Q[2], Q[-1], P[0]
-    F = _dz_derivative(grid, wraps, b)
+    F = _dz_derivative(grid, b)
     F -= 2 * gb.bracket(2, -1, a, d)
     F -= 2 * gb.bracket(1, 0, b, Q0)
     F *= 1j
@@ -445,16 +442,16 @@ def _laurent(grid, wraps, gb: liealg.GradedBasis, P, Q):
     F += gb.bracket(2, 2, a, e)
     F += gb.bracket(1, -1, b, d)
     F *= -2
-    F += _dz_derivative(grid, wraps, P0)
-    F -= _dz_derivative(grid, wraps, Q0, conj=True)
+    F += _dz_derivative(grid, P0)
+    F -= _dz_derivative(grid, Q0, conj=True)
     F *= 1j
     yield 0, F
-    F = _dz_derivative(grid, wraps, d, conj=True)
+    F = _dz_derivative(grid, d, conj=True)
     F += 2 * gb.bracket(1, 2, b, e)
     F += 2 * gb.bracket(0, -1, P0, d)
     F *= -1j
     yield -1, F
-    F = _dz_derivative(grid, wraps, e, conj=True)
+    F = _dz_derivative(grid, e, conj=True)
     F += 2 * gb.bracket(0, 2, P0, e)
     F *= -1j
     yield -2, F
@@ -472,19 +469,25 @@ def laurent_curvature(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism) -
     On (du, dv) each wedge is one bracket of dz coefficients (see the formulas
     above `GRADED_CHECKS`); F_2 is the covariant-closure two-form.  Each F_k lies
     in one grade (F_-2 in g_2), so the coefficients are formed in the
-    grade-adapted basis, by the core of `graded_checks` with the whole grid as
-    its one tile, and mapped back; returns {k: (nu, nv, d) array} for
-    k = 2, 1, 0, -1, -2.
+    grade-adapted basis, by the core of `graded_checks` over the same row tiles,
+    and mapped back; returns {k: (nu, nv, d) array} for k = 2, 1, 0, -1, -2.
     """
     if aut.algebra is not alpha.algebra:
         raise AlgebraMismatch("automorphism acts on a different algebra")
     gb, grid = aut.graded, alpha.grid
-    P, Q = _dz_coefficients(*_components(alpha), gb, *GRADED_CHECKS["zero_curvature_scan"])
-    return {k: gb.vector(Fk, liealg._grade_sum(k, 0))
-            for k, Fk in _laurent(grid, grid.periodic_u, gb, P, Q)}
+    u, v = _components(alpha)
+    grades = GRADED_CHECKS["zero_curvature_scan"]
+    out = {}
+    for lines, keep, dest in _tiles(grid.nu, grid.periodic_u):
+        P, Q = _dz_coefficients(u[:, lines], v[:, lines], gb, *grades)
+        for k, Fk in _laurent(grid, gb, P, Q):
+            if k not in out:
+                out[k] = np.empty((grid.nu, grid.nv, alpha.algebra.dim), complex)
+            out[k][dest] = gb.vector(Fk[:, keep], liealg._grade_sum(k, 0))
+    return out
 
 
-def _tile_planes(grid, wraps, gb: liealg.GradedBasis, u, v, names, lam_samples):
+def _tile_planes(grid, gb: liealg.GradedBasis, u, v, names, lam_samples):
     """(key, plane) for each real per-point plane that the reports of the graded
     checks `names` read, over the grid rows of alpha's components u and v (see
     `_dz_coefficients`): 2|Q_1|^2 ("holomorphicity"), s_k = |F_k|^2 (k), and for the
@@ -498,7 +501,7 @@ def _tile_planes(grid, wraps, gb: liealg.GradedBasis, u, v, names, lam_samples):
     if names.isdisjoint(("covariant_closure", "zero_curvature_scan")):
         return
     F = {}
-    for k, Fk in _laurent(grid, wraps, gb, P, Q):
+    for k, Fk in _laurent(grid, gb, P, Q):
         yield k, _sq_norm(Fk)
         if "zero_curvature_scan" not in names:
             return
@@ -541,7 +544,7 @@ def graded_checks(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism, names
     `zero_curvature_scan` (on the circles of CIRCLE_RADII, or at `lam_samples`) are
     this pass for one check each.
 
-    The pass runs over tiles of grid rows (`_row_tiles`): each tile forms its dz
+    The pass runs over tiles of grid rows (`_tiles`): each tile forms its dz
     coefficients and Laurent coefficients, with the u stencil of the whole grid,
     and writes only the real per-point planes of `_tile_planes` into whole-grid
     planes, from which the reports are taken as `masked_report` takes them."""
@@ -559,9 +562,8 @@ def graded_checks(alpha: LieValuedOneForm, aut: liealg.GradedAutomorphism, names
     grid, gb = alpha.grid, aut.graded
     u, v = _components(alpha)
     planes = {}
-    for rows, keep, dest, wraps in _row_tiles(grid):
-        for key, plane in _tile_planes(grid, wraps, gb, u[:, rows], v[:, rows], names,
-                                       lam_samples):
+    for lines, keep, dest in _tiles(grid.nu, grid.periodic_u):
+        for key, plane in _tile_planes(grid, gb, u[:, lines], v[:, lines], names, lam_samples):
             if key not in planes:
                 planes[key] = np.empty((grid.nu, grid.nv))
             planes[key][dest] = plane[keep]

@@ -417,14 +417,6 @@ class SymmetricSplit:
     k_basis: np.ndarray   # (dk, d) orthonormal rows spanning k
     p_basis: np.ndarray   # (dp, d) orthonormal rows spanning p
 
-    @property
-    def dim_k(self) -> int:
-        return self.k_basis.shape[0]
-
-    @property
-    def dim_p(self) -> int:
-        return self.p_basis.shape[0]
-
 
 def _complex_image(P):
     """Orthonormal basis (rows) of the image of a (near-)projector matrix."""

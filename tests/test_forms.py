@@ -508,6 +508,15 @@ def test_scan_equals_sampled_oracle_on_clifford_tori(kind):
     assert assert_circle_sup_bounds_samples(alpha, aut)[0].final_sup <= 1e-10
 
 
+@pytest.mark.parametrize("n", [24, 67])
+def test_scan_equals_sampled_oracle_on_perturbed_torus(n):
+    # a periodic non-solution, one tile at n = 24 and three at n = 67: the oracle's
+    # `partial_u` wraps, so it checks the tiles' wrapped halo rows on a large scan
+    alpha, aut = adapted_frame_form("perturbed_torus", n)
+    assert alpha.grid.periodic_u
+    assert assert_scan_matches_oracle(alpha, aut, EIGHTH_ROOTS).final_sup >= 1e-2
+
+
 def exp_frame_alpha(so5, n, seed):
     rng = np.random.default_rng(seed)
     xi, eta = rng.standard_normal(10), rng.standard_normal(10)
@@ -627,8 +636,8 @@ def test_laurent_top_slot_is_covariant_closure(so5, source):
 
 def test_graded_pass_brackets_single_coefficients(monkeypatch):
     # a (1,0) or (0,1) part is its one dz or dz-bar coefficient, so each wedge
-    # of the Laurent pass is one block bracket of component-first (d_k, nu, nv)
-    # operands
+    # of the Laurent pass is one block bracket of component-first (d_k, rows, nv)
+    # operands; the periodic n = 16 grid is one tile of 16 + 2 wrapped halo rows
     alpha, aut = adapted_frame_form("clifford_torus", 16)
     calls = []
 
@@ -640,7 +649,7 @@ def test_graded_pass_brackets_single_coefficients(monkeypatch):
     forms.laurent_curvature(alpha, aut)
     width = {k: len(range(aut.dim)[aut.graded.slices[k]]) for k in liealg.GRADES}
     assert len(calls) == 9 and len({(j, k) for j, k, _, _ in calls}) == 8
-    assert all(xs == (width[j], 16, 16) and ys == (width[k], 16, 16) for j, k, xs, ys in calls)
+    assert all(xs == (width[j], 18, 16) and ys == (width[k], 18, 16) for j, k, xs, ys in calls)
     calls.clear()
     ellsys.covariant_closure_residual(alpha, aut)
     assert len(calls) == 1

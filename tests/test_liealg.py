@@ -368,8 +368,8 @@ def test_graded_bracket_equals_bracket_coords(name, seed):
 # -------------------------------------------------------------- symmetric split
 
 def test_split_dimensions(so5, su2):
-    assert (so5.split.dim_k, so5.split.dim_p) == (6, 4)
-    assert (su2.split.dim_k, su2.split.dim_p) == (1, 2)
+    assert (so5.split.k_basis.shape[0], so5.split.p_basis.shape[0]) == (6, 4)
+    assert (su2.split.k_basis.shape[0], su2.split.p_basis.shape[0]) == (1, 2)
 
 
 def test_split_bracket_relations(so5):
