@@ -52,6 +52,9 @@ n = 64, 128, 256 and 512:
   α = g⁻¹dg (`ellsys.frame_from_geometry`), over n = 64, 128, 256 and 512, it
   times
   - `frame_to_connection`: α from g;
+  - `connection_from_geometry`: the same α from the field and its lift, each
+    row tile's frame columns formed from the field's planes, with no
+    whole-grid g;
   - `_dz_coefficients`: the graded dz coefficients P and Q of α that the
     scan reads, over the whole grid as one tile;
   - `_laurent`: the Laurent pass, all five coefficients F_k, each dropped
@@ -155,7 +158,8 @@ def graded_stages(n):
     """name -> zero-argument call, for the frame-route stages at grid size n."""
     from twistorsys import ellsys, forms, immersion as im
     fld = im.build_immersion(GRADED_FIXTURE, n=n)
-    frame, alpha = ellsys.frame_from_geometry(fld, im.twistor_lift(fld))
+    tw = im.twistor_lift(fld)
+    frame, alpha = ellsys.frame_from_geometry(fld, tw)
     aut = fld.space.algebra_fixture().aut
     gb, grid = aut.graded, alpha.grid
     grades = forms.GRADED_CHECKS["zero_curvature_scan"]
@@ -164,6 +168,7 @@ def graded_stages(n):
     pairs = [(0, 2, Q0, a), (2, -1, a, d), (1, 0, b, Q0), (0, 0, P0, Q0), (2, 2, a, e),
              (1, -1, b, d), (1, 2, b, e), (0, -1, P0, d), (0, 2, P0, e)]
     return {"frame_to_connection": lambda: ellsys.frame_to_connection(frame),
+            "connection_from_geometry": lambda: ellsys.connection_from_geometry(fld, tw),
             "_dz_coefficients": lambda: forms._dz_coefficients(*forms._components(alpha), gb,
                                                                *grades),
             # each coefficient dropped as the next is formed, as the scan takes them

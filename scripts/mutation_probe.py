@@ -14,7 +14,7 @@ the 6-sphere lift of `octo` and its residual, the centred stencil, the
 component-plane norm and the graded pass of `forms` (its tiles of grid
 rows, the dz coefficients, the dz derivatives, the Laurent coefficients, the
 per-tile planes, the scan and the pass's own reports), the frame's g^-1 dg
-with its term list in `fixtures`, the
+(the tiled driver and both its doors) with its term list in `fixtures`, the
 trapezoidal steps, the development, the plaquette pass and the gauge
 action of `ellsys`, the 1-norms and Taylor polynomial
 of `liealg.matrix_exp`, and the sparse bilinear kernel of `liealg` behind
@@ -59,8 +59,8 @@ TARGETS = {
                    "maslov_identity_residual", "hamiltonian_stationary_residual"),
     "forms": ("_centred", "_tiles", "_dz_coefficients", "_sq_norm", "_dz_derivative",
               "_laurent", "_tile_planes", "_scan", "graded_checks", "curvature_residual"),
-    "ellsys": ("frame_to_connection", "_avg", "develop_frame", "plaquette_defects",
-               "gauge_transform"),
+    "ellsys": ("_connection", "frame_to_connection", "connection_from_geometry", "_avg",
+               "develop_frame", "plaquette_defects", "gauge_transform"),
     "fixtures": ("AlgebraFixture._connection_terms",),
     "liealg": ("matrix_exp", "_taylor", "_sparse_product", "LieAlgebraRep.bracket_coords",
                "GradedBasis.bracket"),

@@ -150,7 +150,9 @@ class RungContext:
             grid = forms.SurfaceGrid(nu=self.n, nv=self.n, hu=1.0 / (self.n - 1),
                                      hv=1.0 / (self.n - 1))
             return ellsys.exp_frame_form(grid, fx, xi, eta), fx.aut
-        alpha = ellsys.frame_from_geometry(self.field, self.tw, self.space)[1]
+        alpha = ellsys.connection_from_geometry(self.field, self.tw, self.space)
+        if all(CHECKS[c][1] is FRAME for c in self.scenario["checks"]):
+            del self.field, self.tw   # frame checks read alpha alone
         return alpha, self.space.algebra_fixture().aut
 
     @functools.cached_property

@@ -85,43 +85,43 @@ def exp_frame_form(grid: SurfaceGrid, fixture: AlgebraFixture, xi, eta) -> LieVa
     return LieValuedOneForm(grid, alg, a_u.copy(), a_v.copy())
 
 
-def frame_to_connection(frame: FrameField) -> LieValuedOneForm:
-    """alpha = g^-1 dg by centered differences, projected to the fixture basis.
+def _connection(grid: SurfaceGrid, fixture: AlgebraFixture, planes) -> LieValuedOneForm:
+    """alpha = g^-1 dg by centered differences, projected to the fixture basis, over
+    the row tiles of `forms._tiles`, from planes(lines), g's (n, n, lines, nv) planes
+    over a tile's lines; a tile's u stencil, open over its halo, is the whole grid's.
 
-    g^-1 is taken as g^T, which it is in SO(5), and the projection is folded
-    into the product: with G[l, a] the (nu, nv) plane of g's entry (l, a),
-        alpha_k = sum_(a, b) pinv[k, a, b] (g^T dg)[a, b],
-        (g^T dg)[a, b] = sum_l G[l, a] dG[l, b],
-    so each entry that pinv reads is one grid dot product over the rows of g,
-    added to each alpha_k with its weight (the fixture's `_connection_terms`),
-    column by column in b, so only one column's derivative is alive at a time.
-    For an affine frame [[F, phi], [0, 1]], g^T dg shares the first four rows
-    [F^T dF, F^T dphi] of g^-1 dg, and pinv's last row is exactly 0, so no
-    entry of that row is read; the constant last row of g differentiates to 0,
-    so the sums leave it out.  The discrete logarithmic derivative of exact
-    group frames sits O(h^2) off the algebra, so the projection is unchecked;
-    that error is part of the stencil error.  g is read as (n, n, nu, nv)
-    planes: those of `frame_from_geometry` as they are, a grid-first g such as
-    `develop_frame`'s through one copy (on a strided view the products take
-    two to three times as long).  alpha is stored component first, as
-    (d, nu, nv) planes behind (nu, nv, d) views.
+    g^-1 is taken as g^T, which it is in SO(5), and the projection is folded into
+    the product: alpha_k = sum_(a, b) pinv[k, a, b] (g^T dg)[a, b], and each entry
+    (g^T dg)[a, b] = sum_l G[l, a] dG[l, b] that pinv reads is one grid dot product,
+    added to each alpha_k with its weight (`_connection_terms`), column by column in b.
+    An affine frame's constant last row differentiates to 0 and pinv's last row is 0,
+    so the sums leave that row out.  The discrete logarithmic derivative sits O(h^2)
+    off the algebra, part of the stencil error, so the projection is unchecked.
+    alpha is stored component first, as (d, nu, nv) planes behind (nu, nv, d) views.
     """
-    grid, fixture = frame.grid, frame.fixture
-    G = np.ascontiguousarray(np.moveaxis(frame.g, (0, 1), (-2, -1)))
     rows, terms = fixture._connection_terms
-    # one block per direction: a single (2, d, nu, nv) block left the allocator's
-    # heap larger for later stages (frame_development's peak RSS 0.5-1.6 MB higher)
-    components = []
-    for partial, axis in ((forms.partial_u, -2), (forms.partial_v, -1)):
-        out = np.zeros((fixture.algebra.dim, grid.nu, grid.nv))
-        for b, column in terms.items():
-            dG = partial(grid, G[:rows, b], axis)
-            for a, weights in column.items():
-                gTdg = immersion._grid_dot(G[:rows, a], dG)
-                for k, c in weights:
-                    out[k] += c * gTdg
-        components.append(immersion._pointwise(out))
-    return LieValuedOneForm(grid, fixture.algebra, *components)
+    # one block per direction: one (2, d, nu, nv) block raised frame_development's peak RSS
+    out_u, out_v = (np.zeros((fixture.algebra.dim, grid.nu, grid.nv)) for _ in range(2))
+    for lines, keep, dest in forms._tiles(grid.nu, grid.periodic_u):
+        G = planes(lines)[:rows]
+        for out, partial in ((out_u, lambda x: forms._centred(x, grid.hu, -2, False)[:, keep]),
+                             (out_v, lambda x: forms.partial_v(grid, x[:, keep], -1))):
+            for b, column in terms.items():
+                dG = partial(G[:, b])
+                for a, weights in column.items():
+                    gTdg = immersion._grid_dot(G[:, a, keep], dG)
+                    for k, c in weights:
+                        out[k, dest] += c * gTdg
+        del G, dG   # before the next tile's planes are formed
+    return LieValuedOneForm(grid, fixture.algebra, *map(immersion._pointwise, (out_u, out_v)))
+
+
+def frame_to_connection(frame: FrameField) -> LieValuedOneForm:
+    """alpha = g^-1 dg of a sampled frame by `_connection`, each row tile of g copied
+    to contiguous planes once (on a strided view, such as that of `develop_frame`'s
+    grid-first g, the products take two to three times as long)."""
+    G = np.moveaxis(frame.g, (0, 1), (-2, -1))
+    return _connection(frame.grid, frame.fixture, lambda lines: np.ascontiguousarray(G[..., lines, :]))
 
 
 # -------------------------------------------------------------- development
@@ -263,19 +263,11 @@ def stabilizer_gauge_field(fixture: AlgebraFixture, grid: SurfaceGrid, f, xi=Non
 
 # ------------------------------------------------------- frames from geometry
 
-def frame_from_geometry(field: immersion.ImmersionField, tw: immersion.TwistorField,
-                        space: symspace.ModelSpace | None = None):
-    """Adapted frames g carrying the reference point and reference complex
-    structure to (phi, j); returns (FrameField, alpha = g^-1 dg).
-
-    Flat targets use the affine group in homogeneous 5x5 form with the
-    frame block (e1, j e1, n1, j n1) and phi in the last column; the round
-    4-sphere uses SO(5) with the same frame block and phi/r in the last
-    column (the fixture base point).  g is written as (5, 5, nu, nv) planes;
-    `FrameField.g` is their grid-first view.
-    """
+def _adapted_frame(field: immersion.ImmersionField, tw: immersion.TwistorField, space):
+    """(fixture, planes) of the frames of `frame_from_geometry`: planes(lines) writes
+    g's columns e1, j e1, n1, j n1 and the base point over some grid lines, j e1 and
+    j n1 from the first columns of the frame components of j, as (5, 5, lines, nv)."""
     space = space or field.space
-    fixture = space.algebra_fixture()
     if field.meta.get("frame_discontinuity"):
         raise immersion.FrameDiscontinuity(
             "fixture frames jump; use a smaller patch or an analytic-frame fixture")
@@ -283,18 +275,33 @@ def frame_from_geometry(field: immersion.ImmersionField, tw: immersion.TwistorFi
         raise immersion.NotImmersed("cannot frame across branch points")
     if field.ambient_dim != space.ambient_dim:
         raise ValueError("immersion and model space disagree on the ambient dimension")
+    m, sphere = field.ambient_dim, space.kind == "sphere4"
 
-    # columns e1, j e1, n1, j n1 and the base point, with j e1 and j n1 from the
-    # first columns of the frame components of j, each written as it is formed
-    F, m = field.frame_planes, field.ambient_dim
-    G = np.zeros((5, 5, field.grid.nu, field.grid.nv))
-    G[:m, 0], G[:m, 2], G[:m, 4] = F[0], F[2], field.phi_planes
-    G[:m, 1] = immersion._plane_product(tw.j_T_planes[None, :, 0], F[:2])[0]
-    G[:m, 3] = immersion._plane_product(tw.j_N_planes[None, :, 0], F[2:])[0]
-    if space.kind == "sphere4":
-        G[:m, 4] /= space.radius
-    else:
-        G[4, 4] = 1.0
-    frame = FrameField(grid=field.grid, fixture=fixture, g=immersion._pointwise(G))
-    alpha = frame_to_connection(frame)
-    return frame, alpha
+    def planes(lines):
+        F = field.frame_planes[..., lines, :]
+        G = np.zeros((5, 5) + F.shape[-2:])
+        G[:m, 0], G[:m, 2], G[4, 4] = F[0], F[2], not sphere
+        np.divide(field.phi_planes[..., lines, :], space.radius if sphere else 1.0, out=G[:m, 4])
+        G[:m, 1] = immersion._plane_product(tw.j_T_planes[None, :, 0][..., lines, :], F[:2])[0]
+        G[:m, 3] = immersion._plane_product(tw.j_N_planes[None, :, 0][..., lines, :], F[2:])[0]
+        return G
+    return space.algebra_fixture(), planes
+
+
+def frame_from_geometry(field: immersion.ImmersionField, tw: immersion.TwistorField,
+                        space: symspace.ModelSpace | None = None):
+    """Adapted frames g carrying the reference point and complex structure to
+    (phi, j), and alpha = g^-1 dg: the affine group in homogeneous 5x5 form on flat
+    targets, SO(5) on the round 4-sphere, each with the frame block (e1, j e1, n1,
+    j n1) and in the last column phi, or phi/r on the sphere (the fixture base point).
+    `FrameField.g` is the grid-first view of (5, 5, nu, nv) planes."""
+    fixture, planes = _adapted_frame(field, tw, space)
+    frame = FrameField(field.grid, fixture, immersion._pointwise(planes(slice(None))))
+    return frame, frame_to_connection(frame)
+
+
+def connection_from_geometry(field: immersion.ImmersionField, tw: immersion.TwistorField,
+                             space: symspace.ModelSpace | None = None) -> LieValuedOneForm:
+    """alpha of `frame_from_geometry`, bit for bit, with no whole-grid g: each row
+    tile's frame columns are formed from the field's planes."""
+    return _connection(field.grid, *_adapted_frame(field, tw, space))

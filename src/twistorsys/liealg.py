@@ -176,7 +176,7 @@ def _vec(mats):
 def _frobenius(M):
     """Frobenius norms of a stack of real matrices, each summed as np.linalg.norm
     sums a single matrix (a dot product of the flattened entries)."""
-    flat = M.reshape(M.shape[:-2] + (-1,))
+    flat = M.reshape(M.shape[:-2] + (M.shape[-2] * M.shape[-1],))
     return np.sqrt(np.vecdot(flat, flat))
 
 

@@ -53,7 +53,7 @@ def test_every_octonion_stage_runs(bench_stages):
 
 def test_every_graded_stage_runs(bench_stages):
     calls = bench_stages.graded_stages(16)
-    assert set(calls) == {"frame_to_connection", "_dz_coefficients", "_laurent", "brackets",
-                          "zero_curvature_scan", "graded_checks"}
+    assert set(calls) == {"frame_to_connection", "connection_from_geometry", "_dz_coefficients",
+                          "_laurent", "brackets", "zero_curvature_scan", "graded_checks"}
     for call in calls.values():
         call()

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import twistorsys
-from twistorsys import cli, fixtures
+from twistorsys import cli, fixtures, immersion
 
 
 def write_scenario(tmp_path, name="scen", **overrides):
@@ -370,3 +370,27 @@ def test_tolerance_override(tmp_path):
     path2 = write_scenario(tmp_path, name="scen2", checks=["flatness"],
                            tolerances={"bogus": 1.0})
     assert cli.run(path2, out_dir=tmp_path / "rep", echo=quiet) == 2
+
+
+def test_frame_only_rung_releases_its_field_and_lift():
+    scen = {"fixture": {"kind": "clifford_torus_s4"}, "model_space": {"kind": "sphere4"},
+            "checks": ["covariant_closure", "flatness"]}
+    ctx = cli.RungContext(scen, 16)
+    ctx.alpha
+    assert "field" not in vars(ctx) and "tw" not in vars(ctx)
+    ctx = cli.RungContext(dict(scen, checks=["covariant_closure", "divergence_identity"]), 16)
+    ctx.alpha
+    assert "field" in vars(ctx) and "tw" in vars(ctx)
+
+
+def test_mixed_rung_builds_its_field_once(tmp_path, monkeypatch):
+    # clifford_system's checks: frame checks first, then one that reads the field
+    checks = ["holomorphicity", "covariant_closure", "flatness", "zero_curvature_scan",
+              "divergence_identity"]
+    scen = cli.load_scenario(write_scenario(tmp_path, checks=checks))
+    calls = []
+    build = immersion.build_immersion
+    monkeypatch.setattr(immersion, "build_immersion",
+                        lambda *args, **kwargs: calls.append(kwargs["n"]) or build(*args, **kwargs))
+    cli.run_scenario(scen)
+    assert calls == [16, 24, 32]

@@ -569,6 +569,75 @@ def test_group_inverse_equals_lapack_inverse(source):
         assert np.all(err <= 1e-14 * g_norm * np.linalg.norm(dg, axis=(-2, -1)))
 
 
+def bits(a):
+    """a's float64 values as their bit patterns, which tell -0.0 from 0.0."""
+    return a.view(np.uint64)
+
+
+def whole_grid_connection(frame):
+    """(a_u, a_v) of alpha = g^-1 dg in one pass over the whole grid's (n, n, nu, nv)
+    planes, the computation that `ellsys._connection` runs one row tile at a time."""
+    grid, fixture = frame.grid, frame.fixture
+    G = np.ascontiguousarray(np.moveaxis(frame.g, (0, 1), (-2, -1)))
+    rows, terms = fixture._connection_terms
+    components = []
+    for partial, axis in ((forms.partial_u, -2), (forms.partial_v, -1)):
+        out = np.zeros((fixture.algebra.dim, grid.nu, grid.nv))
+        for b, column in terms.items():
+            dG = partial(grid, G[:rows, b], axis)
+            for a, weights in column.items():
+                gTdg = im._grid_dot(G[:rows, a], dG)
+                for k, c in weights:
+                    out[k] += c * gTdg
+        components.append(np.moveaxis(out, 0, -1))
+    return components
+
+
+def whole_grid_adapted_frame(fld, tw):
+    """The (nu, nv, 5, 5) adapted frames of `frame_from_geometry`, every column
+    formed over the whole grid at once."""
+    F, m = fld.frame_planes, fld.ambient_dim
+    G = np.zeros((5, 5, fld.grid.nu, fld.grid.nv))
+    G[:m, 0], G[:m, 2], G[:m, 4] = F[0], F[2], fld.phi_planes
+    G[:m, 1] = im._plane_product(tw.j_T_planes[None, :, 0], F[:2])[0]
+    G[:m, 3] = im._plane_product(tw.j_N_planes[None, :, 0], F[2:])[0]
+    if fld.space.kind == "sphere4":
+        G[:m, 4] /= fld.space.radius
+    else:
+        G[4, 4] = 1.0
+    return np.moveaxis(G, (0, 1), (-2, -1))
+
+
+@pytest.mark.parametrize("n", [16, 33, 65, 67])
+@pytest.mark.parametrize("kind", ["clifford_torus", "clifford_torus_s4", "round_sphere"])
+def test_tiled_connection_equals_whole_grid_on_adapted_frames(kind, n):
+    # one tile (16), an open last tile of one line (33 and 65 on the sphere's
+    # chart), wrapped halos on the periodic tori; both doors and the frame's own
+    fld = im.build_immersion(kind, n=n)
+    tw = im.twistor_lift(fld, +1)
+    frame, alpha = ellsys.frame_from_geometry(fld, tw)
+    assert np.array_equal(bits(frame.g), bits(whole_grid_adapted_frame(fld, tw)))
+    ref_u, ref_v = whole_grid_connection(frame)
+    for form in (alpha, ellsys.frame_to_connection(frame), ellsys.connection_from_geometry(fld, tw)):
+        assert np.array_equal(bits(form.a_u), bits(ref_u))
+        assert np.array_equal(bits(form.a_v), bits(ref_v))
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("name", ALGEBRA_FIXTURES)
+def test_tiled_connection_equals_whole_grid_on_developed_frames(name, periodic):
+    # grid-first developed frames, copied to planes one tile at a time, on grids
+    # of several tiles with nu != nv
+    fx = load_algebra_fixture(name)
+    xi, eta = np.random.default_rng(5).standard_normal((2, fx.algebra.dim))
+    grid = SurfaceGrid(nu=70, nv=45, hu=0.02, hv=0.015, periodic_u=periodic, periodic_v=periodic)
+    frame = ellsys.develop_frame(ellsys.exp_frame_form(grid, fx, xi, eta), fx)
+    alpha = ellsys.frame_to_connection(frame)
+    ref_u, ref_v = whole_grid_connection(frame)
+    assert np.array_equal(bits(alpha.a_u), bits(ref_u))
+    assert np.array_equal(bits(alpha.a_v), bits(ref_v))
+
+
 @pytest.mark.parametrize("name", [n for n in ALGEBRA_FIXTURES if load_algebra_fixture(n).affine])
 def test_affine_coordinates_ignore_the_last_matrix_row(name):
     # frame_to_connection relies on this: g^T dg and g^-1 dg differ only there

@@ -688,8 +688,10 @@ FRAME_CHECKS = ["holomorphicity", "covariant_closure", "flatness", "zero_curvatu
 def test_frame_rung_peak_memory(kind, space):
     # one n = 128 rung of the frame checks in clifford_system order, in grid
     # planes of 8 n^2 bytes above what each stage starts with: building alpha
-    # holds g (25 planes), alpha (20), one column of dg and a few grid dot
-    # products, above the field and lift; above alpha, the checks' one graded pass
+    # holds alpha (20 planes) and one row tile's frame columns (6.6), their
+    # products and, on a wrapped tile, the field's gathered rows (6.6), above the
+    # field and lift (34.4 and 36.0 measured; a whole-grid g put it at 55.5 and
+    # 57.5); above alpha, the checks' one graded pass
     # peaks at 32.9 planes over its row tiles (see test_scan_rung_peak_memory; its
     # holomorphicity plane and Q_1 add to the scan's), and flatness at 30.1
     n = 128
@@ -709,8 +711,31 @@ def test_frame_rung_peak_memory(kind, space):
         checks = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert build / (8 * n * n) <= 60.0
+    assert build / (8 * n * n) <= 42.0
     assert checks / (8 * n * n) <= 34.0
+
+
+def test_frame_only_rung_peak_memory():
+    # a whole frame-only clifford_torus_s4 rung at n = 128 from an empty context, in
+    # grid planes of 8 n^2 bytes (72.2 measured): the field and lift (36.2 planes)
+    # are held while alpha (20) is built one row tile of frame columns at a time,
+    # and dropped once it exists, so the graded pass and flatness run above alpha
+    # alone; building the whole 5x5 frame beside the field set a 93.7-plane peak
+    n = 128
+    scen = {"fixture": {"kind": "clifford_torus_s4"}, "model_space": {"kind": "sphere4"},
+            "checks": FRAME_CHECKS}
+    warm = cli.RungContext(scen, 16)   # first-call set-up outside the trace
+    for name in FRAME_CHECKS:
+        cli.CHECKS[name][0](warm)
+    tracemalloc.start()
+    try:
+        ctx = cli.RungContext(scen, n)
+        for name in FRAME_CHECKS:
+            cli.CHECKS[name][0](ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * n * n) <= 83.0
 
 
 def test_one_rung_forms_the_dz_coefficients_once(monkeypatch):

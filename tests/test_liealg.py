@@ -672,6 +672,13 @@ def test_matrix_exp_empty_and_negative_zero():
     assert not np.any(np.signbit(out))
 
 
+def test_frobenius_of_an_empty_stack():
+    assert liealg._frobenius(np.zeros((0, 5, 5))).shape == (0,)
+    assert liealg._frobenius(np.zeros((3, 0, 5, 5))).shape == (3, 0)
+    M = np.random.default_rng(0).standard_normal((4, 5, 5))
+    assert liealg._frobenius(M) == pytest.approx([np.linalg.norm(m) for m in M], rel=1e-15)
+
+
 def _exp_tail(theta, m):
     """sum_{k>m} theta^k / k! in exact rationals, summed to k = m + 40."""
     t = Fraction(theta)
