@@ -28,7 +28,10 @@ n = 64, 128, 256 and 512:
     uncached computation of the lift's `div_minus`, which forms the slots of
     II₋ it reads;
   - `divergence_identity_residual` and `maslov_identity_residual`: the
-    residual and its report, with the cached inputs above already read.
+    residual and its report, with the cached inputs above already read;
+  - `surface`: the streamed surface pass of a whole rung of the fixture's
+    `geometry_ladder` checks (`cli.RungContext.surface`), which samples the
+    fixture one row tile at a time and never forms the whole field above.
 - *frame_stages*: on the `so5_s4` connection `exp_frame_form` of a seeded
   pair of unit directions over the open n x n unit grid, it times
   - `matrix_exp`: one call on the stack of every trapezoidal edge step
@@ -47,7 +50,9 @@ n = 64, 128, 256 and 512:
   - `_gram_schmidt_frames`: the tangent and normal frames alone;
   - `canonical_q`: the 6-sphere valued lift q and its two gates;
   - `twistor_from_q`: the lift j = L_q of that q in frames, j_T and j_N;
-  - `lift_residual`: the `octonion_lift` check on that q.
+  - `lift_residual`: the `octonion_lift` check on that q;
+  - `surface`: the streamed `octonion_lift` rung (`cli.RungContext.surface`),
+    the rounds that fix the Gram-Schmidt axes over its row tiles included.
 - *graded_stages*: on the adapted frames g of `clifford_torus` and their
   α = g⁻¹dg (`ellsys.frame_from_geometry`), over n = 64, 128, 256 and 512, it
   times
@@ -89,6 +94,11 @@ import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = {"round_sphere": None, "product_torus": "complex2"}
+# the checks of each fixture's geometry_ladder scenario, which the streamed pass runs
+RUNG_CHECKS = {"round_sphere": ["vertical_harmonicity", "holomorphic_H", "divergence_identity",
+                                "codazzi_identity"],
+               "product_torus": ["maslov_identity", "hamiltonian_stationary",
+                                 "vertical_harmonicity", "divergence_identity"]}
 SIZES = (64, 128, 256, 512)
 REPEATS = 20
 MEM_N = 256
@@ -101,10 +111,12 @@ GRADED_FIXTURE = "clifford_torus"
 def stages(im, lagrangian, fld, tw):
     """name -> zero-argument call, for the stages that apply to this field, whose
     cached geometry it reads once first."""
-    from twistorsys import ellsys
+    from twistorsys import cli, ellsys
     fld.II, fld.H, fld.connection_planes, fld.grad_H, tw.div_minus
     frame = ellsys.frame_from_geometry(fld, tw)[0]
     kind, params, n = fld.meta["kind"], fld.meta["params"], fld.grid.nu
+    rung = {"fixture": {"kind": kind, "params": params},
+            "model_space": {"kind": fld.space.kind}, "checks": RUNG_CHECKS[kind]}
     out = {
         "build_immersion": lambda: im.build_immersion(kind, params, n=n, space=fld.space),
         "twistor_lift": lambda: im.twistor_lift(fld, +1),
@@ -115,6 +127,7 @@ def stages(im, lagrangian, fld, tw):
         "II_minus": lambda: collections.deque(map(tw.II_minus_slot, range(2)), maxlen=0),
         "_hom_covariant_divergence": lambda: im.TwistorField.div_minus.func(tw),
         "divergence_identity_residual": lambda: im.divergence_identity_residual(fld, tw),
+        "surface": lambda: cli.RungContext(rung, n).surface,
     }
     if fld.space.kahler is not None:
         out["maslov_identity_residual"] = lambda: lagrangian.maslov_identity_residual(fld, tw)
@@ -143,15 +156,18 @@ def frame_stages(n):
 
 def octonion_stages(n):
     """name -> zero-argument call, for the R^8 lift stages at grid size n."""
-    from twistorsys import immersion as im, octo
+    from twistorsys import cli, immersion as im, octo
     fld = im.build_immersion(OCTONION_FIXTURE, n=n)
     q = octo.canonical_q(fld)
+    rung = {"fixture": {"kind": OCTONION_FIXTURE}, "model_space": {"kind": "euclidean8"},
+            "checks": ["octonion_lift"]}
     return {"build_immersion": lambda: im.build_immersion(OCTONION_FIXTURE, n=n),
             "_gram_schmidt_frames": lambda: im._gram_schmidt_frames(fld.dphi_planes,
                                                                     fld.branch_mask),
             "canonical_q": lambda: octo.canonical_q(fld),
             "twistor_from_q": lambda: octo.twistor_from_q(fld, q),
-            "lift_residual": lambda: octo.lift_residual(fld, q)}
+            "lift_residual": lambda: octo.lift_residual(fld, q),
+            "surface": lambda: cli.RungContext(rung, n).surface}
 
 
 def graded_stages(n):

@@ -19,11 +19,16 @@ trapezoidal steps, the development, the plaquette pass and the gauge
 action of `ellsys`, the 1-norms and Taylor polynomial
 of `liealg.matrix_exp`, and the sparse bilinear kernel of `liealg` behind
 every bracket and plane product, with its one grid-last door `bracket_coords`
-and the graded block bracket (a method is named `Class.method`).  Two operators make the
+and the graded block bracket, and the streamed surface rung: the sampler, the
+tile stream with its Gram-Schmidt rounds and build gates, each surface check's
+pointwise function and the pass `cli.RungContext.surface` (a method is named
+`Class.method`).  Two operators make the
 mutants: *flip* turns each binary `+` or `-` and each `+=` or `-=` there into
 one mutant with that single operator flipped, and *scale* multiplies by 2 the
-pointwise argument of each `masked_report` call there, one mutant per check
-(`forms.curvature_residual` is a target for its call alone).  The probe
+pointwise argument of each `masked_report` call there, and the plane that each
+surface check's `*_pointwise` function returns, which both the public residual
+and the streamed pass read: one mutant per check (`forms.curvature_residual` is
+a target for its call alone).  The probe
 copies what the suite reads (`src/`, `tests/`, `scenarios/`, `scripts/`,
 `perfbench/`) to a temporary directory, writes one mutant at a time into the
 copy, and runs the tier-1 suite there (`pytest -x`), so the checkout is never
@@ -48,15 +53,17 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = pathlib.Path("src") / "twistorsys"
 COPIED = ("src", "tests", "scenarios", "scripts", "perfbench", "pyproject.toml")
 TARGETS = {
-    "immersion": ("_gram_schmidt_frames", "_max_neighbor_jump", "_plane_product",
+    "immersion": ("_sample", "surface_tiles", "_normal_axes", "_conformality", "_build_gates",
+                  "_gram_schmidt_frames", "_max_neighbor_jump", "_plane_product",
                   "_connection_product", "second_fundamental_form",
                   "mean_curvature", "_column_det", "frame_connection", "_anticommuting",
                   "normal_connection_derivative", "_hom_covariant_divergence", "_grad_H_hom",
-                  "vertical_harmonicity_residual", "holomorphic_H_residual",
-                  "divergence_identity_residual", "codazzi_identity_residual",
-                  "curvature_commutator_residual", "TwistorField.j_ambient"),
-    "lagrangian": ("lagrangian_residual", "lagrangian_twistor_residual", "maslov_form",
-                   "maslov_identity_residual", "hamiltonian_stationary_residual"),
+                  "vertical_harmonicity_pointwise", "holomorphic_H_pointwise",
+                  "divergence_identity_pointwise", "codazzi_identity_pointwise",
+                  "curvature_commutator_pointwise", "TwistorField.j_ambient"),
+    "cli": ("RungContext.surface",),
+    "lagrangian": ("lagrangian_pointwise", "lagrangian_twistor_pointwise", "maslov_form",
+                   "maslov_identity_pointwise", "hamiltonian_stationary_pointwise"),
     "forms": ("_centred", "_tiles", "_dz_coefficients", "_sq_norm", "_dz_derivative",
               "_laurent", "_tile_planes", "_scan", "graded_checks", "curvature_residual"),
     "ellsys": ("_connection", "frame_to_connection", "connection_from_geometry", "_avg",
@@ -64,10 +71,11 @@ TARGETS = {
     "fixtures": ("AlgebraFixture._connection_terms",),
     "liealg": ("matrix_exp", "_taylor", "_sparse_product", "LieAlgebraRep.bracket_coords",
                "GradedBasis.bracket"),
-    "octo": ("canonical_lift", "canonical_q", "twistor_from_q", "lift_residual"),
+    "octo": ("canonical_lift", "canonical_q", "twistor_from_q", "lift_pointwise"),
 }
 FLIP = {"+": "-", "-": "+"}
 SCALED = "masked_report"   # the call whose pointwise argument (the third) the scale operator doubles
+POINTWISE = "_pointwise"   # a surface check's pointwise function, whose returned plane it doubles
 TIMEOUT_S = 900
 
 
@@ -106,6 +114,8 @@ def mutants(module):
             if isinstance(node, ast.Call) and _callee(node) == SCALED:
                 scaled.append(node.args[2])
                 continue
+            if isinstance(node, ast.Return) and name.endswith(POINTWISE):
+                scaled.append(node.value)
             if isinstance(node, ast.BinOp):
                 left, right = node.left, node.right
             elif isinstance(node, ast.AugAssign):

@@ -111,6 +111,25 @@ def classify(report: forms.ResidualReport, expect: str, tol: Tolerances):
     raise ScenarioError(f"unknown expectation {expect!r}")
 
 
+class _Tile:
+    """A row tile of a surface rung: its field, with the lift and the octonion lift
+    that a check reads built when it first reads them."""
+
+    def __init__(self, field, sign):
+        self.field, self.sign = field, sign
+
+    @functools.cached_property
+    def octonion_lift(self):
+        """The 6-sphere valued lift q of `octo.canonical_q`."""
+        return octo.canonical_q(self.field)
+
+    @functools.cached_property
+    def tw(self):
+        if self.field.ambient_dim == 8:
+            return octo.twistor_from_q(self.field, self.octonion_lift)
+        return immersion.twistor_lift(self.field, self.sign)
+
+
 class RungContext:
     """Everything the checks can ask for at a single ladder rung."""
 
@@ -124,23 +143,6 @@ class RungContext:
         return symspace.model_space(ms["kind"], **ms.get("params", {}))
 
     @functools.cached_property
-    def field(self):
-        fixture = self.scenario["fixture"]
-        return immersion.build_immersion(fixture["kind"], fixture.get("params", {}), n=self.n,
-                                         space=self.space)
-
-    @functools.cached_property
-    def octonion_lift(self):
-        """The 6-sphere valued lift q of `octo.canonical_q`."""
-        return octo.canonical_q(self.field)
-
-    @functools.cached_property
-    def tw(self):
-        if self.field.ambient_dim == 8:
-            return octo.twistor_from_q(self.field, self.octonion_lift)
-        return immersion.twistor_lift(self.field, self.scenario.get("lift_sign", +1))
-
-    @functools.cached_property
     def _form_and_aut(self):
         """(alpha, the grading of its algebra): exp_frame's analytic form, or g^-1 dg
         of the surface's adapted frames."""
@@ -150,10 +152,10 @@ class RungContext:
             grid = forms.SurfaceGrid(nu=self.n, nv=self.n, hu=1.0 / (self.n - 1),
                                      hv=1.0 / (self.n - 1))
             return ellsys.exp_frame_form(grid, fx, xi, eta), fx.aut
-        alpha = ellsys.connection_from_geometry(self.field, self.tw, self.space)
-        if all(CHECKS[c][1] is FRAME for c in self.scenario["checks"]):
-            del self.field, self.tw   # frame checks read alpha alone
-        return alpha, self.space.algebra_fixture().aut
+        field = immersion.build_immersion(fixture["kind"], fixture.get("params", {}), n=self.n,
+                                          space=self.space)
+        tw = immersion.twistor_lift(field, self.scenario.get("lift_sign", +1))
+        return ellsys.connection_from_geometry(field, tw, self.space), self.space.algebra_fixture().aut
 
     @functools.cached_property
     def graded(self):
@@ -161,6 +163,35 @@ class RungContext:
         `forms.graded_checks` pass."""
         names = [c for c in self.scenario["checks"] if c in forms.GRADED_CHECKS]
         return forms.graded_checks(self.alpha, self.aut, names, self.lambda_samples())
+
+    @functools.cached_property
+    def surface(self):
+        """{name: report} of every surface check of the scenario, from one pass over the
+        row tiles of `immersion.surface_tiles`: each check writes its pointwise planes
+        over a tile's kept lines into whole-grid planes, and its report is taken from
+        them under the whole grid's masks once the whole-grid gates that the tiles
+        reduce have passed, judged in the order that the checks first read them."""
+        fixture, sign = self.scenario["fixture"], self.scenario.get("lift_sign", +1)
+        names = [c for c in self.scenario["checks"] if c in SURFACE_CHECKS]
+        gates, planes = {}, {}
+        grid, tiles = immersion.surface_tiles(fixture["kind"], fixture.get("params", {}), self.n,
+                                              self.space, gates)
+        branch = np.empty((grid.nu, grid.nv), bool)
+        for field, keep, dest in tiles:
+            tile = _Tile(field, sign)
+            for name in names:
+                plane = SURFACE_CHECKS[name][0](tile)
+                if name not in planes:
+                    planes[name] = np.empty(plane.shape[:-2] + branch.shape)
+                planes[name][..., dest, :] = plane[..., keep, :]
+            branch[dest] = field.branch_mask[keep]
+            del field, tile, plane   # before the next tile is sampled
+        for verdict, stats in gates.items():
+            verdict(*stats)
+        return {name: (SURFACE_CHECKS[name][3:] or (forms.masked_report,))[0](
+                    name, grid.h, planes.pop(name),
+                    immersion._report_mask(grid, branch, SURFACE_CHECKS[name][1]))
+                for name in names}
 
     @property
     def alpha(self):
@@ -201,26 +232,36 @@ FRAME = {"exp_frame", *symspace.FRAME_GROUPS}
 SURFACE = set(symspace.MODEL_SPACES)
 KAHLER = {kind for kind, make in symspace.MODEL_SPACES.items() if make().kahler is not None}
 
+# surface check -> (its pointwise plane or planes on a row tile t, the margin of its
+# report mask, what it needs, and, when not `forms.masked_report`, its report from the
+# whole-grid planes); each function is looked up when called
+SURFACE_CHECKS = {
+    "vertical_harmonicity": (
+        lambda t: immersion.vertical_harmonicity_pointwise(t.field, t.tw), 2, SURFACE),
+    "holomorphic_H": (lambda t: immersion.holomorphic_H_pointwise(t.field, t.tw), 2, SURFACE),
+    "divergence_identity": (
+        lambda t: immersion.divergence_identity_pointwise(t.field, t.tw), 2, SURFACE),
+    "codazzi_identity": (lambda t: immersion.codazzi_identity_pointwise(t.field), 2, SURFACE),
+    "curvature_commutator": (
+        lambda t: immersion.curvature_commutator_pointwise(t.field, t.tw), 0, SURFACE),
+    "lagrangian": (lambda t: lagrangian.lagrangian_pointwise(t.field), 0, KAHLER),
+    "lagrangian_twistor": (lambda t: lagrangian.lagrangian_twistor_pointwise(t.field, t.tw), 0,
+                           KAHLER, lambda *a: lagrangian.lagrangian_twistor_report(*a)),
+    "maslov_identity": (lambda t: lagrangian.maslov_identity_pointwise(t.field, t.tw), 2, KAHLER),
+    "hamiltonian_stationary": (
+        lambda t: lagrangian.hamiltonian_stationary_pointwise(t.field), 2, KAHLER),
+    "octonion_lift": (lambda t: octo.lift_pointwise(t.field, t.octonion_lift), 0, {"euclidean8"},
+                      lambda *a: octo.lift_report(*a)),
+}
+
 # check name -> (check of a RungContext, what it needs)
 CHECKS = {
     "holomorphicity": (lambda c: c.graded["holomorphicity"], FRAME),
     "covariant_closure": (lambda c: c.graded["covariant_closure"], FRAME),
     "flatness": (lambda c: forms.curvature_residual(c.alpha), FRAME),
     "zero_curvature_scan": (lambda c: c.graded["zero_curvature_scan"], FRAME),
-    "vertical_harmonicity": (
-        lambda c: immersion.vertical_harmonicity_residual(c.field, c.tw), SURFACE),
-    "holomorphic_H": (lambda c: immersion.holomorphic_H_residual(c.field, c.tw), SURFACE),
-    "divergence_identity": (
-        lambda c: immersion.divergence_identity_residual(c.field, c.tw), SURFACE),
-    "codazzi_identity": (lambda c: immersion.codazzi_identity_residual(c.field), SURFACE),
-    "curvature_commutator": (
-        lambda c: immersion.curvature_commutator_residual(c.field, c.tw), SURFACE),
-    "lagrangian": (lambda c: lagrangian.lagrangian_residual(c.field), KAHLER),
-    "lagrangian_twistor": (lambda c: lagrangian.lagrangian_twistor_residual(c.field, c.tw), KAHLER),
-    "maslov_identity": (lambda c: lagrangian.maslov_identity_residual(c.field, c.tw), KAHLER),
-    "hamiltonian_stationary": (
-        lambda c: lagrangian.hamiltonian_stationary_residual(c.field), KAHLER),
-    "octonion_lift": (lambda c: octo.lift_residual(c.field, c.octonion_lift), {"euclidean8"}),
+    **{name: (lambda c, name=name: c.surface[name], needs)
+       for name, (_, _, needs, *_) in SURFACE_CHECKS.items()},
 }
 
 

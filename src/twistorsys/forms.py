@@ -95,7 +95,7 @@ def _centred(f, h, axis, periodic):
     at periodic edges, numpy's second-order one-sided differences at open ones."""
     f = np.asarray(f)
     out = np.empty(f.shape, np.result_type(f, 1.0))
-    g, o = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
+    g, o = f.swapaxes(axis, 0), out.swapaxes(axis, 0)   # only axis 0 of each is read
     interior = o[1:-1]
     if axis % f.ndim == f.ndim - 1 and f.flags.c_contiguous:
         # along the contiguous last axis, one shift of the flat array: the two
@@ -350,22 +350,23 @@ CIRCLE_RADII = (0.5, 1.0, 2.0)
 _TILE_ROWS = 32
 
 
-def _tiles(n, periodic):
+def _tiles(n, periodic, halo=1):
     """(lines, keep, dest) for each tile of at most _TILE_ROWS lines of an axis of n
     lines: the lines the tile reads, a slice or, where a halo wraps, an index array,
     and the slice `keep` of those that it writes to the lines `dest`.  A tile reads
-    one halo line on each side, the wrapped neighbour on a periodic axis, and at an
-    open edge the lines that the one-sided stencil reads, so it reads at least 3
-    lines and `_centred(..., periodic=False)` over them gives every kept line the
-    whole axis's stencil."""
+    `halo` lines on each side, the wrapped neighbours on a periodic axis, and at an
+    open edge the lines that `halo` nested one-sided stencils read; it reads at least
+    8 lines (a SurfaceGrid's least, and more than the 2 halo + 1 that those stencils
+    read for halo <= 3), so that `halo` nested `_centred(..., periodic=False)` over
+    them give every kept line the whole axis's stencils."""
     for lo in range(0, n, _TILE_ROWS):
         hi = min(lo + _TILE_ROWS, n)
-        start, stop = lo - 1, hi + 1
+        stop = hi + halo if periodic else min(hi + halo, n)
+        start = min(lo - halo, stop - 8)
         if periodic:
             lines = slice(start, stop) if 0 <= start and stop <= n else np.arange(start, stop) % n
         else:
-            # the last line's one-sided stencil reads the two lines before it
-            start, stop = max(min(start, n - 3), 0), min(stop, n)
+            start = max(start, 0)
             lines = slice(start, stop)
         yield lines, slice(lo - start, hi - start), slice(lo, hi)
 

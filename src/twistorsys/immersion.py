@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import liealg, symspace
+from . import forms, liealg, symspace
 from .forms import ResidualReport, SurfaceGrid, _sq_norm, masked_report, partial_u, partial_v
 
 
@@ -100,6 +100,10 @@ class ImmersionField:
     frame_planes: np.ndarray       # (2 + q, m, nu, nv) orthonormal e1, e2, then the normal frame
     branch_mask: np.ndarray = None
     meta: dict = field(default_factory=dict)
+    # the grid lines its gates reduce over (`_gate`), a row tile's kept lines, and where
+    # a row tile records those reductions: None raises at once
+    rows: slice = field(default_factory=lambda: slice(None))
+    gates: dict = None
 
     def __post_init__(self):
         if self.branch_mask is None:
@@ -137,18 +141,41 @@ class ImmersionField:
         return normal_connection_derivative(self, self.H)
 
     def report_mask(self, margin: int = 1):
-        mask = self.grid.interior_mask(margin)
-        if self.branch_mask.any():
-            bad = _dilate(self.branch_mask, max(margin, 1) + 1)
-            mask = mask & ~bad
-        return mask
+        return _report_mask(self.grid, self.branch_mask, margin)
 
     def conformality_residual(self) -> float:
-        U, V = self.dphi_planes
-        nu2, nv2, cross = _grid_dot(U, U), _grid_dot(V, V), _grid_dot(U, V)
-        scale = max(float(np.mean(nu2)), 1e-30)
-        mask = ~self.branch_mask
-        return float(np.max(np.maximum(np.abs(nu2 - nv2), 2.0 * np.abs(cross))[mask]) / scale)
+        _, total, worst = _conformality(self)
+        return float(worst) / max(float(total) / self.branch_mask.size, 1e-30)
+
+
+def _report_mask(grid, branch, margin):
+    """The points of `grid` where `margin` nested centered stencils are edge-free, less
+    those near a point of the (nu, nv) mask `branch`."""
+    mask = grid.interior_mask(margin)
+    if branch.any():
+        mask &= ~_dilate(branch, max(margin, 1) + 1)
+    return mask
+
+
+def _conformality(field: ImmersionField):
+    """(degenerate points, the sum of |d_u phi|^2, and the largest of ||d_u phi|^2 -
+    |d_v phi|^2| and 2 |<d_u phi, d_v phi>| off them) over the field's lines `rows`:
+    the terms of its grid's branch share and conformality residual (`_build_gates`)."""
+    U, V = field.dphi_planes[..., field.rows, :]
+    nu2, nv2, cross = _grid_dot(U, U), _grid_dot(V, V), _grid_dot(U, V)
+    branch = field.branch_mask[field.rows]
+    return (np.count_nonzero(branch), np.sum(nu2),
+            np.max(np.maximum(np.abs(nu2 - nv2), 2.0 * np.abs(cross))[~branch], initial=0.0))
+
+
+def _gate(field: ImmersionField, verdict, *stats):
+    """verdict(*stats), which raises when a whole-grid gate fails, the stats being maxima
+    over the field's lines `rows`.  A row tile's field only records them in its pass's
+    `gates`, each stat the max over the tiles so far and each gate in the order it is
+    first read, to be judged once the pass is done; it returns None."""
+    if field.gates is None:
+        return verdict(*stats)
+    field.gates[verdict] = np.maximum(field.gates.get(verdict, stats), stats)
 
 
 @dataclass
@@ -447,38 +474,109 @@ def build_immersion(kind, params=None, n=32, space=None) -> ImmersionField:
         raise KeyError(f"unknown fixture kind {kind!r}")
     p = fixture_params(kind, params)
     grid = _grid(n, *FIXTURES[kind].domain(p))
-    # the open mesh: builders broadcast a (nu, 1) column of u against a (1, nv) row of v
-    shape = (grid.nu, grid.nv)
-    phi, dphi, frames = FIXTURES[kind].builder(p, *np.meshgrid(grid.u_coords(), grid.v_coords(),
-                                                               indexing="ij", sparse=True))
-    if space is None:
-        space = symspace.model_space(FIXTURES[kind].space)
+    out = _sample(kind, p, grid, space or symspace.model_space(FIXTURES[kind].space))
+    missing = len(out.meta.get("normal_axes", range(out.normal_rank))) < out.normal_rank
+    out.meta["conformality_residual"] = _build_gates(kind, p, _conformality(out), grid, missing)
+    return out
+
+
+def _sample(kind, p, grid, space, lines=None, rows=slice(None), skip=()) -> ImmersionField:
+    """The field of fixture `kind` with params p on `grid`, or, for grid lines `lines`
+    (a slice or an index array) of it, on an open-u grid of those lines whose gates
+    reduce over their lines `rows`.  The builder samples the open mesh of the grid's u
+    coordinates (a (nu, 1) column) against its v coordinates (a (1, nv) row), and each
+    plane is written once (`_planes`); Gram-Schmidt frames skip the axes in `skip`."""
+    u = grid.u_coords() if lines is None else grid.u_coords()[lines]
+    phi, dphi, frames = FIXTURES[kind].builder(p, u[:, None], grid.v_coords()[None])
     m = len(phi)
     if space.ambient_dim != m:
         raise ValueError(f"fixture {kind!r} is {m}-dimensional, "
                          f"model space expects {space.ambient_dim}")
-
+    if lines is not None:
+        grid = SurfaceGrid(nu=len(u), nv=grid.nv, hu=grid.hu, hv=grid.hv,
+                           periodic_v=grid.periodic_v, u0=u[0], v0=grid.v0)
+    shape = (grid.nu, grid.nv)
     # rebound, so that each builder plane is freed once it is written
     phi, dphi = _planes([phi], shape)[0], _planes(dphi, shape)
     conf = np.sum(dphi[0] ** 2, axis=0)
     branch = conf < 1e-10
-    if np.mean(branch) > 0.1:
-        raise BranchPoint(f"fixture {kind!r}: {np.mean(branch):.0%} of the grid is degenerate")
-
+    meta = {"kind": kind, "params": p, "frame_discontinuity": False}
     if frames is None:
-        frames, disc = _gram_schmidt_frames(dphi, branch)
+        frames, meta["normal_axes"] = _gram_schmidt_frames(dphi, branch, skip)
+        if lines is None:   # read by the frame route alone, which samples the whole grid
+            meta["frame_discontinuity"] = _frame_jump(frames, len(meta["normal_axes"])) > 0.5
     else:
-        frames, disc = _planes(frames, shape), False
+        frames = _planes(frames, shape)
+    return ImmersionField(grid=grid, space=space, phi_planes=phi, dphi_planes=dphi,
+                          conformal_factor=conf, frame_planes=frames, branch_mask=branch,
+                          meta=meta, rows=rows)
 
-    out = ImmersionField(grid=grid, space=space, phi_planes=phi, dphi_planes=dphi,
-                         conformal_factor=conf, frame_planes=frames, branch_mask=branch,
-                         meta={"kind": kind, "params": p,
-                               "frame_discontinuity": disc})
-    resid = out.conformality_residual()
-    out.meta["conformality_residual"] = resid
+
+def _build_gates(kind, p, stats, grid, missing=False):
+    """Raise the whole-grid gates of `build_immersion` from `_conformality`'s stats
+    over the whole grid: BranchPoint when over a tenth of it is degenerate,
+    FrameDiscontinuity when Gram-Schmidt is `missing` normal axes, NotConformal above
+    a conformality residual of 1e-6 unless allowed; returns that residual."""
+    points = grid.nu * grid.nv
+    if stats[0] / points > 0.1:
+        raise BranchPoint(f"fixture {kind!r}: {stats[0] / points:.0%} of the grid is degenerate")
+    if missing:
+        raise FrameDiscontinuity("could not complete a stable normal frame from the axes")
+    resid = float(stats[2]) / max(float(stats[1]) / points, 1e-30)
     if resid > 1e-6 and not p["allow_nonconformal"]:
         raise NotConformal(f"fixture {kind!r} conformality residual {resid:.3e} > 1.0e-06")
-    return out
+    return resid
+
+
+def surface_tiles(kind, params, n, space, gates):
+    """(grid, tiles): the grid of `build_immersion(kind, params, n, space)` and an
+    iterator over the (field, keep, dest) of its row tiles (`forms._tiles` with two
+    halo lines, the stencil depth of II -> div II_minus, H -> nabla_perp H and
+    beta -> d * beta), each field sampled by `_sample` over its tile's lines, with
+    its gates recorded in `gates`, and dropped before the next tile is sampled.  A
+    Gram-Schmidt fixture takes the whole grid's normal axes (`_normal_axes`).  The
+    iterator raises `build_immersion`'s gates, reduced over the tiles, after the last."""
+    p = fixture_params(kind, params)
+    grid = _grid(n, *FIXTURES[kind].domain(p))
+    tiles = list(forms._tiles(n, grid.periodic_u, 2))
+
+    def stream():
+        corner = np.full((1, 1), grid.u0), np.full((1, 1), grid.v0)
+        skip = () if FIXTURES[kind].builder(p, *corner)[2] else _normal_axes(kind, p, grid,
+                                                                                space, tiles)
+        stats = (0, 0.0, 0.0)
+        for lines, keep, dest in tiles:
+            tile = _sample(kind, p, grid, space, lines, keep, skip)
+            tile.gates = gates
+            branched, total, worst = _conformality(tile)
+            stats = (stats[0] + branched, stats[1] + total, max(stats[2], worst))
+            yield tile, keep, dest
+            del tile
+        _build_gates(kind, p, stats, grid)
+    return grid, stream()
+
+
+def _normal_axes(kind, p, grid, space, tiles):
+    """The axes that Gram-Schmidt skips on the whole grid, from its row tiles: each
+    tile runs its own greedy.  When they all take the same axes, so does the whole
+    grid; otherwise the first axis on which they differ has a norm below 0.35 on some
+    tile, so the whole grid rejects it, and the next round skips it: at most m rounds.
+    Raises BranchPoint or FrameDiscontinuity when the axes taken are too few."""
+    skip, taken, branched, m = [], [None] * len(tiles), 0, space.ambient_dim
+    while True:
+        for i, (lines, keep, _) in enumerate(tiles):
+            # a tile that rejected the axis skipped last takes the same axes again
+            if taken[i] is None or skip[-1] in taken[i]:
+                tile = _sample(kind, p, grid, space, lines, keep, skip)
+                taken[i] = tile.meta["normal_axes"]
+                branched += 0 if skip else np.count_nonzero(tile.branch_mask[keep])
+                del tile   # before the next tile is sampled
+        differ = [a for a in range(m) if len({a in axes for axes in taken}) > 1]
+        if not differ:
+            if len(taken[0]) < m - 2:
+                _build_gates(kind, p, (branched, 0.0, 0.0), grid, missing=True)
+            return skip
+        skip.append(differ[0])
 
 
 # <a, b> at every grid point of two component-first (m, nu, nv) fields
@@ -515,21 +613,23 @@ def _connection_product(W, X, out):
     return liealg._sparse_product(terms, W, X, out)
 
 
-def _gram_schmidt_frames(dphi, branch):
-    """(frames, whether a frame jumps by more than 0.5 between neighbours) by modified
-    Gram-Schmidt on the component planes of dphi (2, m, nu, nv): the (m, m, nu, nv)
-    frames of `ImmersionField`, e1, e2 and then the normal frame from the coordinate
-    axes in order."""
+def _gram_schmidt_frames(dphi, branch, skip=()):
+    """(frames, the axes taken) by modified Gram-Schmidt on the component planes of
+    dphi (2, m, nu, nv): the (m, m, nu, nv) frames of `ImmersionField`, e1, e2 and
+    then the normal frame from the coordinate axes not in `skip`, in order, each
+    taken when its norm off the frame so far is at least 0.35 off the points of
+    `branch`.  When fewer than m - 2 axes are taken, the frames past them are not set."""
     U, V = dphi
     frames = np.empty((len(U),) + U.shape)
     e1, e2, normal = frames[0], frames[1], frames[2:]
     np.divide(U, np.sqrt(np.maximum(_grid_dot(U, U), 1e-30)), out=e1)
     np.subtract(V, _grid_dot(V, e1) * e1, out=e2)
     e2 /= np.maximum(np.sqrt(_grid_dot(e2, e2)), 1e-30)
-    found, jump = 0, _max_neighbor_jump(e1)
+    axes = []
     for axis in range(len(e1)):
-        if found == len(normal):
-            break
+        found = len(axes)
+        if found == len(normal) or axis in skip:
+            continue
         # the axis minus its projection e1[axis] e1, reduced in place by the rest
         cand = normal[found]
         np.multiply(e1, -e1[axis], out=cand)
@@ -537,16 +637,19 @@ def _gram_schmidt_frames(dphi, branch):
         for prev in (e2, *normal[:found]):
             cand -= _grid_dot(cand, prev) * prev
         norms = np.sqrt(_grid_dot(cand, cand))
-        if np.min(norms[~branch]) < 0.35:
+        if np.min(norms[~branch], initial=np.inf) < 0.35:
             continue
         # sign is coherent by construction: the component along the generating
         # axis equals |cand|^2 before normalisation, hence positive everywhere
         cand /= np.maximum(norms, 1e-30)
-        jump = max(jump, _max_neighbor_jump(cand))
-        found += 1
-    if found < len(normal):
-        raise FrameDiscontinuity("could not complete a stable normal frame from the axes")
-    return frames, jump > 0.5
+        axes.append(axis)
+    return frames, axes
+
+
+def _frame_jump(frames, taken):
+    """The largest |f(p) - f(p')| over neighbouring grid points p, p', for f the e1 and
+    the first `taken` normals of Gram-Schmidt frames."""
+    return max(map(_max_neighbor_jump, (frames[0], *frames[2:2 + taken])))
 
 
 def _max_neighbor_jump(f):
@@ -601,18 +704,26 @@ def twistor_lift(field: ImmersionField, sign: int = +1) -> TwistorField:
         raise NotImmersed("canonical lifts need normal rank 2")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    cols = list(field.frame_planes)
+    rows = field.rows
+    cols = list(field.frame_planes[..., rows, :])
     if field.space.kind == "sphere4":
-        cols = [field.phi_planes / field.space.radius] + cols
-    det = _column_det(cols)
-    mask = field.report_mask(0)
-    if np.min(np.abs(det[mask])) < 1e-6:
+        cols = [field.phi_planes[..., rows, :] / field.space.radius] + cols
+    det = _column_det(cols)[field.report_mask(0)[rows]]
+    signs = sign * np.sign(det)
+    eps = _gate(field, _orientation, np.max(-np.abs(det), initial=-np.inf),
+                np.max(-signs, initial=-np.inf), np.max(signs, initial=-np.inf))
+    # a row tile takes the sign of its own points, which its pass's gate makes one
+    return _frame_rotation_lift(field, sign, +1, eps or (int(signs.max()) if signs.size else 1))
+
+
+def _orientation(det, low, high):
+    """The normal rotation sense of `twistor_lift` from the maxima of -|det| and of
+    -s and s, s the orientation sign at each point."""
+    if -det < 1e-6:
         raise NotImmersed("degenerate adapted frame")
-    signs = sign * np.sign(det[mask])
-    eps = signs.min()
-    if eps != signs.max():
+    if -low != high:
         raise FrameDiscontinuity("orientation flips across the grid")
-    return _frame_rotation_lift(field, sign, +1, int(eps))
+    return int(high)
 
 
 def flip_tangent_orientation(field: ImmersionField, tw: TwistorField) -> TwistorField:
@@ -742,17 +853,26 @@ def normal_connection_derivative(field: ImmersionField, H):
             _connection_product(wn_v, H, partial_v(grid, H, axis=-1)))
 
 
+def vertical_harmonicity_pointwise(field: ImmersionField, tw: TwistorField):
+    """|d^(nabla, nabla_perp) * II_minus| at each grid point."""
+    return np.sqrt(_sq_norm(tw.div_minus))
+
+
 def vertical_harmonicity_residual(field: ImmersionField, tw: TwistorField) -> ResidualReport:
     """Norm of d^(nabla, nabla_perp) * II_minus over the interior."""
-    return masked_report("vertical_harmonicity", field.grid.h, np.sqrt(_sq_norm(tw.div_minus)),
-                         field.report_mask(2))
+    return masked_report("vertical_harmonicity", field.grid.h,
+                         vertical_harmonicity_pointwise(field, tw), field.report_mask(2))
+
+
+def holomorphic_H_pointwise(field: ImmersionField, tw: TwistorField):
+    """|nabla_perp_du H + j nabla_perp_dv H| (the anti-holomorphic part) at each grid point."""
+    G_u, G_v = field.grad_H
+    return np.sqrt(_sq_norm(G_u + _plane_product(tw.j_N_planes, G_v)))
 
 
 def holomorphic_H_residual(field: ImmersionField, tw: TwistorField) -> ResidualReport:
     """Norm of nabla_perp_du H + j nabla_perp_dv H (the anti-holomorphic part)."""
-    G_u, G_v = field.grad_H
-    resid = G_u + _plane_product(tw.j_N_planes, G_v)
-    return masked_report("holomorphic_H", field.grid.h, np.sqrt(_sq_norm(resid)),
+    return masked_report("holomorphic_H", field.grid.h, holomorphic_H_pointwise(field, tw),
                          field.report_mask(2))
 
 
@@ -766,17 +886,30 @@ def _grad_H_hom(field: ImmersionField):
     return out
 
 
+def divergence_identity_pointwise(field: ImmersionField, tw: TwistorField):
+    """|* d * II_minus - 2 pi_minus(nabla_perp H)| at each grid point."""
+    resid = _anticommuting(tw, _grad_H_hom(field))
+    resid *= -2.0
+    resid += 1.0 / np.maximum(field.conformal_factor, 1e-30) * tw.div_minus
+    return np.sqrt(_sq_norm(resid))
+
+
 def divergence_identity_residual(field: ImmersionField, tw: TwistorField) -> ResidualReport:
     """Pointwise identity  * d * II_minus = 2 pi_minus(nabla_perp H).
 
     Holds for every conformal immersion into the shipped space forms,
     solutions and non-solutions alike.
     """
-    resid = _anticommuting(tw, _grad_H_hom(field))
-    resid *= -2.0
-    resid += 1.0 / np.maximum(field.conformal_factor, 1e-30) * tw.div_minus
-    return masked_report("divergence_identity", field.grid.h, np.sqrt(_sq_norm(resid)),
-                         field.report_mask(2))
+    return masked_report("divergence_identity", field.grid.h,
+                         divergence_identity_pointwise(field, tw), field.report_mask(2))
+
+
+def codazzi_identity_pointwise(field: ImmersionField):
+    """|* d * II - 2 nabla_perp H| at each grid point."""
+    resid = _hom_covariant_divergence(field, field.II.planes)
+    resid *= 1.0 / np.maximum(field.conformal_factor, 1e-30)
+    resid -= 2.0 * _grad_H_hom(field)
+    return np.sqrt(_sq_norm(resid))
 
 
 def codazzi_identity_residual(field: ImmersionField) -> ResidualReport:
@@ -787,17 +920,18 @@ def codazzi_identity_residual(field: ImmersionField) -> ResidualReport:
     so its normal part is zero and the identity reads * d * II = 2 nabla_perp H
     for every curvature constant c: this residual does not test c.
     """
-    resid = _hom_covariant_divergence(field, field.II.planes)
-    resid *= 1.0 / np.maximum(field.conformal_factor, 1e-30)
-    resid -= 2.0 * _grad_H_hom(field)
-    return masked_report("codazzi_identity", field.grid.h, np.sqrt(_sq_norm(resid)),
+    return masked_report("codazzi_identity", field.grid.h, codazzi_identity_pointwise(field),
                          field.report_mask(2))
+
+
+def curvature_commutator_pointwise(field: ImmersionField, tw: TwistorField):
+    """|[R(dphi e1, dphi e2), j]| at each grid point."""
+    Rop = symspace.curvature_operator(field.space, *map(_pointwise, field.frame_planes[:2]))
+    return liealg._frobenius(Rop @ tw.j_ambient - tw.j_ambient @ Rop)
 
 
 def curvature_commutator_residual(field: ImmersionField, tw: TwistorField) -> ResidualReport:
     """Pointwise |[R(dphi e1, dphi e2), j]| in the field's model space:
     algebraic, no differencing."""
-    Rop = symspace.curvature_operator(field.space, *map(_pointwise, field.frame_planes[:2]))
-    comm = Rop @ tw.j_ambient - tw.j_ambient @ Rop
-    return masked_report("curvature_commutator", field.grid.h, liealg._frobenius(comm),
-                         field.report_mask(0))
+    return masked_report("curvature_commutator", field.grid.h,
+                         curvature_commutator_pointwise(field, tw), field.report_mask(0))

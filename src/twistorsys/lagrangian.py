@@ -40,11 +40,32 @@ def _pullback_omega(field: immersion.ImmersionField, J):
     return immersion._grid_dot(immersion._plane_product(J, d_u), d_v)
 
 
+def lagrangian_pointwise(field: immersion.ImmersionField):
+    """|omega(du phi, dv phi)|, the only pullback component, at each grid point."""
+    return np.abs(_pullback_omega(field, _require_kahler(field)))
+
+
 def lagrangian_residual(field: immersion.ImmersionField) -> ResidualReport:
     """Pointwise |omega(du phi, dv phi)|, the only pullback component."""
+    return masked_report("lagrangian", field.grid.h, lagrangian_pointwise(field),
+                         field.report_mask(0))
+
+
+def lagrangian_twistor_pointwise(field: immersion.ImmersionField, tw: immersion.TwistorField):
+    """(|{j, J^N}|_F, |omega(du phi, dv phi)|) at each grid point, as (2, nu, nv)."""
     J = _require_kahler(field)
-    pw = np.abs(_pullback_omega(field, J))
-    return masked_report("lagrangian", field.grid.h, pw, field.report_mask(0))
+    return np.stack([liealg._frobenius(tw.j_ambient @ J + J @ tw.j_ambient),
+                     np.abs(_pullback_omega(field, J))])
+
+
+def lagrangian_twistor_report(name, h, parts, mask) -> ResidualReport:
+    """`lagrangian_twistor_residual`'s report from its pointwise parts over `mask`."""
+    anti, lag = parts
+    rep = masked_report(name, h, np.maximum(anti, lag), mask)
+    anti_sup, lag_sup = float(np.max(anti[mask])), float(np.max(lag[mask]))
+    rep.meta.update(anticommutator_sup=anti_sup, lagrangian_sup=lag_sup,
+                    consistent=max(anti_sup, lag_sup) <= 1e-8 or min(anti_sup, lag_sup) >= 1e-3)
+    return rep
 
 
 def lagrangian_twistor_residual(field: immersion.ImmersionField,
@@ -55,15 +76,8 @@ def lagrangian_twistor_residual(field: immersion.ImmersionField,
     bundle of structures anticommuting with the ambient one.  `meta` gives
     the sup of each, and `consistent`: both at most 1e-8 or both at least 1e-3.
     """
-    J = _require_kahler(field)
-    anti = liealg._frobenius(tw.j_ambient @ J + J @ tw.j_ambient)
-    lag = np.abs(_pullback_omega(field, J))
-    mask = field.report_mask(0)
-    rep = masked_report("lagrangian_twistor", field.grid.h, np.maximum(anti, lag), mask)
-    anti_sup, lag_sup = float(np.max(anti[mask])), float(np.max(lag[mask]))
-    rep.meta.update(anticommutator_sup=anti_sup, lagrangian_sup=lag_sup,
-                    consistent=max(anti_sup, lag_sup) <= 1e-8 or min(anti_sup, lag_sup) >= 1e-3)
-    return rep
+    return lagrangian_twistor_report("lagrangian_twistor", field.grid.h,
+                                     lagrangian_twistor_pointwise(field, tw), field.report_mask(0))
 
 
 def maslov_form(field: immersion.ImmersionField):
@@ -72,25 +86,33 @@ def maslov_form(field: immersion.ImmersionField):
     Checks the defining contraction beta(X) = omega(H, dphi X) = <J^N H, dphi X>
     against the closed form -omega(dphi X, H) = -<J^N dphi X, H> of a skew omega,
     raising MaslovCrossCheckFailed when they differ by more than 1e-10 on the u
-    slot; raises NotLagrangian when the pullback of omega exceeds 1e-6.
+    slot; raises NotLagrangian when the pullback of omega exceeds 1e-6.  Both gates
+    reduce over the field's lines `rows` (`immersion._gate`).
     """
     J = _require_kahler(field)
-    if lagrangian_residual(field).final_sup > 1e-6:
-        raise NotLagrangian("Maslov form needs a Lagrangian immersion")
+    rows = field.rows
+    lag = lagrangian_pointwise(field)[rows][field.report_mask(0)[rows]]
     dot, product = immersion._grid_dot, immersion._plane_product
     H_amb = product(field.H[None], field.frame_planes[2:])[0]   # sum_p H_p n_p
     JH = product(J, H_amb)
     d_u, d_v = field.dphi_planes
     beta_u, beta_v = dot(JH, d_u), dot(JH, d_v)
-    err = float(np.max(np.abs(beta_u + dot(product(J, d_u), H_amb)), initial=0.0))
-    if err > 1e-10:
-        raise MaslovCrossCheckFailed(f"omega(H, dphi du) + omega(dphi du, H) = {err:.3e}")
+    err = np.abs(beta_u + dot(product(J, d_u), H_amb))[rows]
+    immersion._gate(field, _maslov_gates, np.max(lag, initial=-np.inf), np.max(err, initial=0.0))
     return beta_u, beta_v
 
 
-def maslov_identity_residual(field: immersion.ImmersionField,
-                             tw: immersion.TwistorField) -> ResidualReport:
-    """Norm of II_minus(X, .) + beta(X) J^N|T over slots X in (e1, e2)."""
+def _maslov_gates(lag, err):
+    """`maslov_form`'s gates, from the largest pullback of omega and cross-check error."""
+    if lag > 1e-6:
+        raise NotLagrangian("Maslov form needs a Lagrangian immersion")
+    if err > 1e-10:
+        raise MaslovCrossCheckFailed(f"omega(H, dphi du) + omega(dphi du, H) = {err:.3e}")
+
+
+def maslov_identity_pointwise(field: immersion.ImmersionField, tw: immersion.TwistorField):
+    """The larger over slots X in (e1, e2) of |II_minus(X, .) + beta(X) J^N|T| at each
+    grid point."""
     J = _require_kahler(field)
     beta_u, beta_v = maslov_form(field)
     F = field.frame_planes
@@ -103,14 +125,24 @@ def maslov_identity_residual(field: immersion.ImmersionField,
     del Je
     inv = 1.0 / np.maximum(field.lam, 1e-30)
     # II_minus(e_a, .) + beta(e_a) J^N|T, one slot at a time
-    pw = np.sqrt(np.maximum(*(_sq_norm(tw.II_minus_slot(a) + beta * inv * JNT)
-                              for a, beta in enumerate((beta_u, beta_v)))))
-    return masked_report("maslov_identity", field.grid.h, pw, field.report_mask(2))
+    return np.sqrt(np.maximum(*(_sq_norm(tw.II_minus_slot(a) + beta * inv * JNT)
+                                for a, beta in enumerate((beta_u, beta_v)))))
+
+
+def maslov_identity_residual(field: immersion.ImmersionField,
+                             tw: immersion.TwistorField) -> ResidualReport:
+    """Norm of II_minus(X, .) + beta(X) J^N|T over slots X in (e1, e2)."""
+    return masked_report("maslov_identity", field.grid.h, maslov_identity_pointwise(field, tw),
+                         field.report_mask(2))
+
+
+def hamiltonian_stationary_pointwise(field: immersion.ImmersionField):
+    """|du beta_u + dv beta_v| at each grid point."""
+    beta_u, beta_v = maslov_form(field)
+    return np.abs(partial_u(field.grid, beta_u) + partial_v(field.grid, beta_v))
 
 
 def hamiltonian_stationary_residual(field: immersion.ImmersionField) -> ResidualReport:
     """Divergence-form co-closedness of the Maslov form: du beta_u + dv beta_v."""
-    beta_u, beta_v = maslov_form(field)
-    div = partial_u(field.grid, beta_u) + partial_v(field.grid, beta_v)
-    return masked_report("hamiltonian_stationary", field.grid.h, np.abs(div),
-                         field.report_mask(2))
+    return masked_report("hamiltonian_stationary", field.grid.h,
+                         hamiltonian_stationary_pointwise(field), field.report_mask(2))

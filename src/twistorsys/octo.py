@@ -102,24 +102,32 @@ def canonical_q(field: immersion.ImmersionField):
     q = e2 * conj(e1) for the oriented orthonormal tangent basis (e1, e2);
     this order makes left multiplication rotate dphi(du) onto dphi(dv),
     which the function asserts (LiftPropertyViolated above a relative
-    residual of 1e-8) as q * dphi_u = dphi_v, since L_q x = q x.
+    residual of 1e-8) as q * dphi_u = dphi_v, since L_q x = q x.  Its gates
+    reduce over the field's lines `rows` (`immersion._gate`).
     """
     if field.ambient_dim != 8:
         raise ValueError("the octonion lift lives in R^8")
-    if field.branch_mask.any():
-        raise immersion.NotImmersed("octonion lift across branch points")
     e1, e2 = field.frame_planes[:2]
     q = multiply(e2, conjugate(e1))
-    qerr = max(float(np.max(np.abs(norm(q) - 1.0))), float(np.max(np.abs(q[0]))))
+    dphi_u, dphi_v = field.dphi_planes
+    rows = field.rows
+    immersion._gate(field, _lift_gates, float(field.branch_mask[rows].any()),
+                    max(np.max(np.abs(norm(q[:, rows]) - 1.0)), np.max(np.abs(q[0, rows]))),
+                    np.max(norm((multiply(q, dphi_u) - dphi_v)[:, rows])),
+                    np.max(field.lam[rows]))
+    return q
+
+
+def _lift_gates(branched, qerr, resid, scale):
+    """`canonical_q`'s gates, from whether a point is degenerate and the largest
+    ||q| - 1| or |q_0|, |q dphi_u - dphi_v| and lambda."""
+    if branched:
+        raise immersion.NotImmersed("octonion lift across branch points")
     if qerr > 1e-8:
         raise immersion.NotImmersed(f"tangent frame degenerate: q off S^6 by {qerr:.3e}")
-    dphi_u, dphi_v = field.dphi_planes
-    resid = multiply(q, dphi_u) - dphi_v
-    scale = float(np.max(field.lam))
-    rel = float(np.max(norm(resid))) / max(scale, 1e-30)
+    rel = float(resid) / max(float(scale), 1e-30)
     if rel > 1e-8:
         raise LiftPropertyViolated(f"j dphi(du) != dphi(dv) (relative residual {rel:.3e})")
-    return q
 
 
 def twistor_from_q(field: immersion.ImmersionField, q) -> immersion.TwistorField:
@@ -139,6 +147,27 @@ def twistor_from_q(field: immersion.ImmersionField, q) -> immersion.TwistorField
                                   j_N_planes=block(range(2, len(F))), eps=0)
 
 
+# the parts of `lift_pointwise`, in the order that `lift_report` names the largest
+_LIFT_PARTS = ("reframing_drift", "unit_norm", "real_part")
+
+
+def lift_pointwise(field: immersion.ImmersionField, q):
+    """The reframing drift D, ||q| - 1| and |q_0| of the lift q at each grid point, as
+    (3, nu, nv) (see `lift_residual`)."""
+    e1, e2 = field.frame_planes[:2]
+    A = q + multiply(e1, conjugate(e2))
+    B = multiply(e2, conjugate(e2)) - multiply(e1, conjugate(e1))
+    return np.stack([norm(A) + 0.5 * norm(B), np.abs(norm(q) - 1.0), np.abs(q[0])])
+
+
+def lift_report(name, h, parts, mask) -> ResidualReport:
+    """`lift_residual`'s report from the parts of `lift_pointwise` over `mask`."""
+    rep = masked_report(name, h, np.maximum.reduce(parts), mask)
+    sups = {part: float(np.max(plane[mask])) for part, plane in zip(_LIFT_PARTS, parts)}
+    rep.meta.update(reframing_drift=sups["reframing_drift"], sup_component=max(sups, key=sups.get))
+    return rep
+
+
 def lift_residual(field: immersion.ImmersionField, q) -> ResidualReport:
     """Pointwise the largest of ||q| - 1|, |q_0| and the reframing drift D of the lift q.
 
@@ -147,14 +176,5 @@ def lift_residual(field: immersion.ImmersionField, q) -> ResidualReport:
     so D = |A| + |B|/2 bounds the drift at every angle.  `meta` gives the sup of D as
     `reframing_drift` and names the part that gave the sup as `sup_component`.
     """
-    e1, e2 = field.frame_planes[:2]
-    A = q + multiply(e1, conjugate(e2))
-    B = multiply(e2, conjugate(e2)) - multiply(e1, conjugate(e1))
-    parts = {"reframing_drift": norm(A) + 0.5 * norm(B),
-             "unit_norm": np.abs(norm(q) - 1.0), "real_part": np.abs(q[0])}
-    mask = field.report_mask(0)
-    rep = masked_report("octonion_lift", field.grid.h, np.maximum.reduce(list(parts.values())),
-                        mask)
-    sups = {name: float(np.max(part[mask])) for name, part in parts.items()}
-    rep.meta.update(reframing_drift=sups["reframing_drift"], sup_component=max(sups, key=sups.get))
-    return rep
+    return lift_report("octonion_lift", field.grid.h, lift_pointwise(field, q),
+                       field.report_mask(0))

@@ -31,7 +31,7 @@ def test_every_stage_runs_where_it_applies(bench_stages, kind, space, maslov):
     tw = im.twistor_lift(fld, +1)
     calls = bench_stages.stages(im, lagrangian, fld, tw)
     assert ("maslov_identity_residual" in calls) == maslov
-    assert len(calls) == 9 + maslov
+    assert "surface" in calls and len(calls) == 10 + maslov
     for call in calls.values():
         call()
 
@@ -46,7 +46,7 @@ def test_every_frame_stage_runs(bench_stages):
 def test_every_octonion_stage_runs(bench_stages):
     calls = bench_stages.octonion_stages(16)
     assert set(calls) == {"build_immersion", "_gram_schmidt_frames", "canonical_q",
-                          "twistor_from_q", "lift_residual"}
+                          "twistor_from_q", "lift_residual", "surface"}
     for call in calls.values():
         call()
 

@@ -260,6 +260,75 @@ def test_every_accepted_combination_exits_cleanly(tmp_path):
     assert accepted > 0
 
 
+def _whole_field_report(scen, check, n):
+    """The public residual of `check` on `build_immersion`'s whole field at n, or the
+    class of the exception that its field, lift or residual raises."""
+    from twistorsys import lagrangian, octo
+    fixture = scen["fixture"]
+    try:
+        fld = immersion.build_immersion(fixture["kind"], fixture.get("params", {}), n=n,
+                                        space=cli.symspace.model_space(scen["model_space"]["kind"]))
+        q = lambda: octo.canonical_q(fld)
+        tw = lambda: (octo.twistor_from_q(fld, q()) if fld.ambient_dim == 8
+                      else immersion.twistor_lift(fld, scen.get("lift_sign", 1)))
+        with_lift = {"vertical_harmonicity": immersion.vertical_harmonicity_residual,
+                     "holomorphic_H": immersion.holomorphic_H_residual,
+                     "divergence_identity": immersion.divergence_identity_residual,
+                     "curvature_commutator": immersion.curvature_commutator_residual,
+                     "lagrangian_twistor": lagrangian.lagrangian_twistor_residual,
+                     "maslov_identity": lagrangian.maslov_identity_residual}
+        alone = {"codazzi_identity": immersion.codazzi_identity_residual,
+                 "lagrangian": lagrangian.lagrangian_residual,
+                 "hamiltonian_stationary": lagrangian.hamiltonian_stationary_residual}
+        if check in with_lift:
+            rep = with_lift[check](fld, tw())
+        elif check in alone:
+            rep = alone[check](fld)
+        else:
+            rep = octo.lift_residual(fld, q())
+    except Exception as exc:
+        return type(exc)
+    return rep.as_dict(), rep.meta
+
+
+def test_streamed_reports_equal_whole_field_reports(tmp_path):
+    # every surface fixture x model space x surface check (and lift sign) that
+    # load_scenario accepts: the rung's report, streamed in row tiles, is the
+    # public residual's on build_immersion's whole field, sups, l2s and meta to
+    # the bit, and a rung that raises raises the class the whole field raises.
+    # n = 16 is one tile; 40 and 67 are two and three, open and periodic, and on
+    # octonion_graph the tiles first disagree on the Gram-Schmidt axes, so two
+    # rounds reject axes 0 and 1 that some tiles took
+    compared, raised = 0, set()
+    for kind in immersion.list_fixture_kinds():
+        for ms_kind in cli.symspace.MODEL_SPACES:
+            for check in cli.SURFACE_CHECKS:
+                for sign in (1, -1):
+                    path = write_scenario(tmp_path, fixture={"kind": kind},
+                                          model_space={"kind": ms_kind}, checks=[check],
+                                          lift_sign=sign)
+                    try:
+                        scen = cli.load_scenario(path)
+                    except cli.ScenarioError:
+                        continue
+                    for n in (16, 40, 67) if sign == 1 else (40,):
+                        want = _whole_field_report(scen, check, n)
+                        try:
+                            rep = cli.run_scenario(dict(scen, grid_ladder=[n]))[0][1]
+                            got = rep.as_dict(), rep.meta
+                        except Exception as exc:
+                            got = type(exc)
+                            raised.add(got.__name__)
+                        assert got == want, (kind, ms_kind, check, sign, n)
+                        compared += 1
+    assert compared > 500
+    assert raised == {"NotConformal", "NotLagrangian"}
+    p = immersion.fixture_params("octonion_graph")
+    grid = immersion._grid(67, *immersion.FIXTURES["octonion_graph"].domain(p))
+    assert immersion._normal_axes("octonion_graph", p, grid, cli.symspace.model_space("euclidean8"),
+                                  list(cli.forms._tiles(67, False, 2))) == [0, 1]
+
+
 @pytest.mark.parametrize("kind, check", [("clifford_torus_s4", "covariant_closure"),
                                          ("product_torus", "maslov_identity")])
 def test_omitted_model_space_is_the_fixtures_own(tmp_path, kind, check):
@@ -373,14 +442,40 @@ def test_tolerance_override(tmp_path):
 
 
 def test_frame_only_rung_releases_its_field_and_lift():
+    # alpha's build drops the field and lift it reads, on a frame-only and on a
+    # mixed rung alike: a rung caches alpha and its surface reports, no geometry
     scen = {"fixture": {"kind": "clifford_torus_s4"}, "model_space": {"kind": "sphere4"},
             "checks": ["covariant_closure", "flatness"]}
-    ctx = cli.RungContext(scen, 16)
-    ctx.alpha
-    assert "field" not in vars(ctx) and "tw" not in vars(ctx)
-    ctx = cli.RungContext(dict(scen, checks=["covariant_closure", "divergence_identity"]), 16)
-    ctx.alpha
-    assert "field" in vars(ctx) and "tw" in vars(ctx)
+    for checks in (scen["checks"], ["covariant_closure", "divergence_identity"]):
+        ctx = cli.RungContext(dict(scen, checks=checks), 16)
+        ctx.alpha
+        assert set(vars(ctx)) == {"scenario", "n", "space", "_form_and_aut"}
+    for name in checks:
+        cli.CHECKS[name][0](ctx)
+    assert set(vars(ctx)) == {"scenario", "n", "space", "_form_and_aut", "graded", "surface"}
+
+
+@pytest.mark.parametrize("kind, space, checks", [
+    ("round_sphere", "euclidean4", ["vertical_harmonicity", "codazzi_identity"]),
+    ("product_torus", "complex2", ["maslov_identity", "hamiltonian_stationary"]),
+    ("octonion_graph", "euclidean8", ["octonion_lift", "holomorphic_H"])])
+def test_surface_only_rung_never_builds_a_whole_field(tmp_path, monkeypatch, kind, space, checks):
+    # a surface-only rung samples its fixture one row tile at a time: it never
+    # calls build_immersion, and no field it forms spans more than one tile's
+    # lines (32 kept lines and two halo lines on each side)
+    def whole(*args, **kwargs):
+        raise AssertionError("a surface-only rung built a whole-grid field")
+    monkeypatch.setattr(immersion, "build_immersion", whole)
+    rows = []
+    init = immersion.ImmersionField.__post_init__
+    monkeypatch.setattr(immersion.ImmersionField, "__post_init__",
+                        lambda self: rows.append(self.grid.nu) or init(self))
+    n = 130
+    scen = cli.load_scenario(write_scenario(tmp_path, fixture={"kind": kind},
+                                            model_space={"kind": space}, grid_ladder=[n],
+                                            checks=checks, expect="exact"))
+    cli.run_scenario(scen)
+    assert rows and max(rows) <= 36 < n
 
 
 def test_mixed_rung_builds_its_field_once(tmp_path, monkeypatch):

@@ -555,6 +555,32 @@ def graded_reports(alpha, aut, lams):
             for name, rep in reports.items()}
 
 
+def _nested_stencil(f, h, depth, periodic):
+    for _ in range(depth):
+        f = forms._centred(f, h, 0, periodic)
+    return f
+
+
+@given(st.one_of(st.integers(8, 200), st.sampled_from([33, 34, 65, 66, 97, 98, 129, 130, 193])),
+       st.booleans(), st.sampled_from([1, 2]), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_tiles_keep_every_line_once_with_the_whole_axis_stencils(n, periodic, halo, seed):
+    # each line is kept by exactly one tile, every tile reads at least the 8 lines
+    # of a SurfaceGrid, and `halo` nested open stencils over a tile's lines give its
+    # kept lines the whole axis's nested stencils, bit for bit
+    f = np.random.default_rng(seed).standard_normal((n, 5))
+    whole = _nested_stencil(f, 0.1, halo, periodic)
+    kept = np.zeros(n, int)
+    for lines, keep, dest in forms._tiles(n, periodic, halo):
+        read = np.arange(n)[lines]
+        assert len(read) >= 8 and (periodic or isinstance(lines, slice))
+        assert np.array_equal(read[keep], np.arange(n)[dest])
+        kept[dest] += 1
+        tile = _nested_stencil(f[lines], 0.1, halo, False)
+        assert np.array_equal(tile[keep].view(np.int64), whole[dest].view(np.int64))
+    assert np.all(kept == 1)
+
+
 @pytest.mark.parametrize("kind, n", [("clifford_torus", 33), ("clifford_torus", 100),
                                      ("clifford_torus_s4", 33), ("round_sphere", 33),
                                      ("round_sphere", 100), ("exp_frame", 33),
@@ -693,18 +719,22 @@ def test_frame_rung_peak_memory(kind, space):
     # field and lift (34.4 and 36.0 measured; a whole-grid g put it at 55.5 and
     # 57.5); above alpha, the checks' one graded pass
     # peaks at 32.9 planes over its row tiles (see test_scan_rung_peak_memory; its
-    # holomorphicity plane and Q_1 add to the scan's), and flatness at 30.1
+    # holomorphicity plane and Q_1 add to the scan's), and flatness at 30.1; the
+    # rung builds alpha through the same door, from a field and lift it then drops
     n = 128
     scen = {"fixture": {"kind": kind}, "model_space": {"kind": space}, "checks": FRAME_CHECKS}
     warm = cli.RungContext(scen, 16)   # first-call set-up outside the trace
     for name in FRAME_CHECKS:
         cli.CHECKS[name][0](warm)
     ctx = cli.RungContext(scen, n)
-    ctx.field, ctx.tw
+    field = im.build_immersion(kind, n=n, space=ctx.space)
+    tw = im.twistor_lift(field)
     tracemalloc.start()
     try:
-        ctx.alpha
+        ctx._form_and_aut = (ellsys.connection_from_geometry(field, tw, ctx.space),
+                             ctx.space.algebra_fixture().aut)
         build, held = tracemalloc.get_traced_memory()[::-1]
+        del field, tw
         tracemalloc.reset_peak()
         for name in FRAME_CHECKS:
             cli.CHECKS[name][0](ctx)

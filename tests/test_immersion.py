@@ -161,10 +161,12 @@ def test_gram_schmidt_frames_match_the_last_axis_loop(kind, n):
     branch = np.sum(dphi[0] ** 2, axis=0) < 1e-10
     if kind == "graph":   # a sign flip over half the grid: e1 jumps by 2
         dphi = np.where(np.arange(n)[:, None] < n // 2, -dphi, dphi)
-    frames, disc = im._gram_schmidt_frames(dphi, branch)
+    frames, axes = im._gram_schmidt_frames(dphi, branch)
+    disc = im._frame_jump(frames, len(axes)) > 0.5
     *ref, ref_disc = _last_axis_gram_schmidt(im._pointwise(dphi[0]), im._pointwise(dphi[1]),
                                              branch)
     assert disc is ref_disc and disc == (kind != "octonion_graph")
+    assert len(axes) == dphi.shape[1] - 2
     assert frames.shape == (dphi.shape[1],) + dphi.shape[1:] and frames.flags.c_contiguous
     for f, r in zip((frames[0], frames[1], frames[2:]), ref):
         f = im._pointwise(f)
@@ -446,6 +448,61 @@ def test_orientation_flip_is_a_frame_discontinuity():
         im.twistor_lift(dataclasses.replace(fld, frame_planes=F), +1)
 
 
+@pytest.mark.parametrize("change, error", [("flip", im.FrameDiscontinuity),
+                                           ("degenerate", im.NotImmersed)])
+def test_streamed_lift_gates_reduce_over_every_tile(monkeypatch, change, error):
+    # a normal frame that turns over, or folds onto n1, on the last of three row
+    # tiles alone: each tile's own points pass, and the rung raises what the
+    # whole field's lift raises once its pass has reduced the gates of every tile
+    n = 67
+
+    def builder(p, U, V):
+        phi, dphi, frames = im._clifford_torus(p, U, V)
+        last = U >= (64 - 0.5) * 2 * math.pi / n   # the last tile's kept lines
+        turned = [-c for c in frames[3]] if change == "flip" else frames[2]
+        frames[3] = [np.where(last, a, c) for a, c in zip(turned, frames[3])]
+        return phi, dphi, frames
+
+    monkeypatch.setitem(im.FIXTURES, "turned_torus",
+                        im.FIXTURES["clifford_torus"]._replace(builder=builder))
+    with pytest.raises(error):
+        im.twistor_lift(im.build_immersion("turned_torus", n=n))
+    scen = {"name": "turned_torus", "fixture": {"kind": "turned_torus"},
+            "model_space": {"kind": "euclidean4"}, "grid_ladder": [n],
+            "checks": ["codazzi_identity", "vertical_harmonicity"], "expect": "converge"}
+    with pytest.raises(error):
+        cli.run_scenario(scen)
+    cli.run_scenario(dict(scen, checks=["codazzi_identity"]))   # it reads no lift
+
+
+@pytest.mark.parametrize("frames", ["analytic", "gram_schmidt"])
+def test_streamed_branch_share_is_the_whole_grids(monkeypatch, frames):
+    # a chart whose derivatives vanish on the lines u < -1/2, a quarter of the grid
+    # spread over two of three row tiles, raises BranchPoint streamed as whole; with
+    # Gram-Schmidt frames the tangent plane is the (0, 1) plane on u < 1/4 and the
+    # (2, 3) plane beyond, so no axis fits the whole grid, and the branch share
+    # is judged first there too
+    n = 67
+
+    def builder(p, U, V):
+        live = (U > -0.5) * 1.0
+        if frames == "analytic":
+            return [U, V, 0.0, 0.0], ([live, 0.0, 0.0, 0.0], [0.0, live, 0.0, 0.0]), \
+                im._coordinate_plane(U, V, 4, (0, 1))[2]
+        low = live * (U < 0.25)
+        return ([U, V, 0.0, 0.0], ([low, 0.0, live - low, 0.0], [0.0, low, 0.0, live - low]),
+                None)
+
+    monkeypatch.setitem(im.FIXTURES, "folded_plane", im.FIXTURES["plane"]._replace(builder=builder))
+    with pytest.raises(im.BranchPoint):
+        im.build_immersion("folded_plane", n=n)
+    scen = {"name": "folded_plane", "fixture": {"kind": "folded_plane"},
+            "model_space": {"kind": "euclidean4"}, "grid_ladder": [n],
+            "checks": ["codazzi_identity"], "expect": "converge"}
+    with pytest.raises(im.BranchPoint):
+        cli.run_scenario(scen)
+
+
 def test_degenerate_frame_is_not_immersed():
     fld = im.build_immersion("clifford_torus", n=16)
     F = fld.frame_planes.copy()
@@ -455,26 +512,31 @@ def test_degenerate_frame_is_not_immersed():
 
 
 def test_vertical_geometry_computed_once_per_lift(monkeypatch):
-    # three checks on one rung share one divergence of II_minus, and none of
-    # them forms the ambient j or stores II_minus: the j-conjugation runs once
-    # per slot of II that a reader takes (two for the divergence, two for the
-    # Maslov identity) and once on nabla_perp H
+    # three checks on one rung share one divergence of II_minus per row tile, and
+    # none of them forms the ambient j or stores II_minus: on each tile the
+    # j-conjugation runs once per slot of II that a reader takes (two for the
+    # divergence, two for the Maslov identity) and once on nabla_perp H
     calls = {"_anticommuting": 0, "_hom_covariant_divergence": 0}
     for fname in calls:
         def counted(*args, _orig=getattr(im, fname), _name=fname, **kwargs):
             calls[_name] += 1
             return _orig(*args, **kwargs)
         monkeypatch.setattr(im, fname, counted)
-    scen = {"name": "product_torus", "fixture": {"kind": "product_torus", "params": {}},
-            "model_space": {"kind": "complex2"}, "grid_ladder": [32],
-            "checks": ["maslov_identity", "vertical_harmonicity", "divergence_identity"],
-            "expect": "converge"}
-    ctx = cli.RungContext(scen, 32)
-    for name in scen["checks"]:
-        cli.CHECKS[name][0](ctx)
-    assert calls == {"_anticommuting": 5, "_hom_covariant_divergence": 1}
-    fields = {f.name for f in dataclasses.fields(ctx.tw)}
-    assert set(vars(ctx.tw)) - fields == {"div_minus"}
+    lifts = []
+    lift = im.twistor_lift
+    monkeypatch.setattr(im, "twistor_lift", lambda *a: lifts.append(lift(*a)) or lifts[-1])
+    for n, tiles in ((32, 1), (67, 3)):   # the periodic chart's row tiles
+        scen = {"name": "product_torus", "fixture": {"kind": "product_torus", "params": {}},
+                "model_space": {"kind": "complex2"}, "grid_ladder": [n],
+                "checks": ["maslov_identity", "vertical_harmonicity", "divergence_identity"],
+                "expect": "converge"}
+        calls.update(dict.fromkeys(calls, 0))
+        lifts.clear()
+        cli.run_scenario(scen)
+        assert calls == {"_anticommuting": 5 * tiles, "_hom_covariant_divergence": tiles}
+        assert len(lifts) == tiles
+        for tw in lifts:
+            assert set(vars(tw)) - {f.name for f in dataclasses.fields(tw)} == {"div_minus"}
 
 
 # --------------------------------------------------------------------- split II
@@ -687,19 +749,22 @@ def test_residuals_independent_of_cache_state():
 
 
 def test_geometry_computed_once_per_rung(monkeypatch):
+    # every check of a rung reads one II and one frame connection per row tile:
+    # one tile at n <= 32, and ceil(n / 32) on the open chart beyond
     calls = {"second_fundamental_form": 0, "frame_connection": 0}
     for fname in calls:
         def counted(*args, _orig=getattr(im, fname), _name=fname, **kwargs):
             calls[_name] += 1
             return _orig(*args, **kwargs)
         monkeypatch.setattr(im, fname, counted)
-    ladder = [16, 24, 32]
+    ladder = [16, 24, 32, 40, 97]
     scen = {"name": "round_sphere", "fixture": {"kind": "round_sphere", "params": {}},
             "model_space": {"kind": "euclidean4"}, "grid_ladder": ladder,
             "checks": ["vertical_harmonicity", "holomorphic_H", "divergence_identity",
                        "codazzi_identity"], "expect": "converge"}
     cli.run_scenario(scen)
-    assert calls == {"second_fundamental_form": len(ladder), "frame_connection": len(ladder)}
+    tiles = 1 + 1 + 1 + 2 + 4
+    assert calls == {"second_fundamental_form": tiles, "frame_connection": tiles}
 
 
 def _rung_peak_planes(kind, space, params, checks, n=128):
@@ -718,22 +783,42 @@ def _rung_peak_planes(kind, space, params, checks, n=128):
     return peak / (8 * n * n)
 
 
+ROUND_SPHERE = ["vertical_harmonicity", "holomorphic_H", "divergence_identity", "codazzi_identity"]
+
+
 def test_round_sphere_rung_peak_memory():
-    # one n = 128 rung of the benchmark's round_sphere scenario: the field and
-    # its cached geometry hold about 51 planes, and no stage may add more than
-    # about one slot or one column of derivatives or products on top of them;
-    # II_minus is never held whole
-    checks = ["vertical_harmonicity", "holomorphic_H", "divergence_identity", "codazzi_identity"]
-    assert _rung_peak_planes("round_sphere", "euclidean4", {"r": 1.0}, checks) <= 66.0
+    # one n = 128 rung of the benchmark's round_sphere scenario, streamed in row
+    # tiles of 32 + 2 x 2 halo lines (0.28 of the grid): a tile's field, lift and
+    # geometry, with the slot of II_minus or the column of derivatives a stage
+    # forms, beside the rung's four whole-grid check planes and its branch mask
+    # (23.0 planes measured; the whole field and its cached geometry set 63.7)
+    assert _rung_peak_planes("round_sphere", "euclidean4", {"r": 1.0}, ROUND_SPHERE) <= 25.0
+
+
+def test_streamed_round_sphere_rung_peak_memory():
+    # the same rung at n = 256, where a tile is 0.14 of the grid: 13.4 planes
+    # measured, against 62.5 for the whole field
+    assert _rung_peak_planes("round_sphere", "euclidean4", {"r": 1.0}, ROUND_SPHERE,
+                             n=256) <= 15.0
 
 
 def test_product_torus_rung_peak_memory():
-    # the benchmark's product_torus rung, in its check order: the Maslov identity
+    # the benchmark's product_torus rung, in its check order, streamed in row
+    # tiles (21.7 planes measured, 61.2 for the whole field): the Maslov identity
     # and the divergence of II_minus each form one slot of II_minus at a time
     checks = ["maslov_identity", "hamiltonian_stationary", "vertical_harmonicity",
               "divergence_identity"]
     assert _rung_peak_planes("product_torus", "complex2", {"r1": 1.0, "r2": 0.6},
-                             checks) <= 64.0
+                             checks) <= 24.0
+
+
+def test_octonion_graph_rung_peak_memory():
+    # the benchmark's octonion_graph rung at n = 128: a tile's 8 chart, 16
+    # derivative and 64 frame planes (0.28 of the grid each), its lift q and the
+    # reframing drift's products, beside the check's three whole-grid planes
+    # (39.8 planes measured; the whole field set 130.2); the rounds that fix the
+    # Gram-Schmidt axes hold one tile at a time
+    assert _rung_peak_planes("octonion_graph", "euclidean8", {}, ["octonion_lift"]) <= 43.0
 
 
 @pytest.mark.parametrize("checks, lifts", [(["octonion_lift"], 0),
