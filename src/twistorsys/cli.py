@@ -188,10 +188,12 @@ class RungContext:
             del field, tile, plane   # before the next tile is sampled
         for verdict, stats in gates.items():
             verdict(*stats)
-        return {name: (SURFACE_CHECKS[name][3:] or (forms.masked_report,))[0](
-                    name, grid.h, planes.pop(name),
-                    immersion._report_mask(grid, branch, SURFACE_CHECKS[name][1]))
-                for name in names}
+        out = {}
+        for name in names:
+            _, margin, _, *report = SURFACE_CHECKS[name]
+            out[name] = (report[0] if report else forms.masked_report)(
+                name, grid.h, planes.pop(name), immersion._report_mask(grid, branch, margin))
+        return out
 
     @property
     def alpha(self):
