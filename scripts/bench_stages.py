@@ -52,7 +52,7 @@ n = 64, 128, 256 and 512:
   - `twistor_from_q`: the lift j = L_q of that q in frames, j_T and j_N;
   - `lift_residual`: the `octonion_lift` check on that q;
   - `surface`: the streamed `octonion_lift` rung (`cli.RungContext.surface`),
-    the rounds that fix the Gram-Schmidt axes over its row tiles included.
+    the tile runs that fix the Gram-Schmidt axes included.
 - *graded_stages*: on the adapted frames g of `clifford_torus` and their
   α = g⁻¹dg (`ellsys.frame_from_geometry`), over n = 64, 128, 256 and 512, it
   times

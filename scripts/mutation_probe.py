@@ -20,7 +20,7 @@ action of `ellsys`, the 1-norms and Taylor polynomial
 of `liealg.matrix_exp`, and the sparse bilinear kernel of `liealg` behind
 every bracket and plane product, with its one grid-last door `bracket_coords`
 and the graded block bracket, and the streamed surface rung: the sampler, the
-tile stream with its Gram-Schmidt rounds and build gates, each surface check's
+tile stream with its Gram-Schmidt axes and build gates, each surface check's
 pointwise function and the pass `cli.RungContext.surface` (a method is named
 `Class.method`).  Two operators make the
 mutants: *flip* turns each binary `+` or `-` and each `+=` or `-=` there into

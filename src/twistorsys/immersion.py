@@ -143,10 +143,6 @@ class ImmersionField:
     def report_mask(self, margin: int = 1):
         return _report_mask(self.grid, self.branch_mask, margin)
 
-    def conformality_residual(self) -> float:
-        _, total, worst = _conformality(self)
-        return float(worst) / max(float(total) / self.branch_mask.size, 1e-30)
-
 
 def _report_mask(grid, branch, margin):
     """The points of `grid` where `margin` nested centered stencils are edge-free, less
@@ -557,26 +553,29 @@ def surface_tiles(kind, params, n, space, gates):
 
 
 def _normal_axes(kind, p, grid, space, tiles):
-    """The axes that Gram-Schmidt skips on the whole grid, from its row tiles: each
-    tile runs its own greedy.  When they all take the same axes, so does the whole
-    grid; otherwise the first axis on which they differ has a norm below 0.35 on some
-    tile, so the whole grid rejects it, and the next round skips it: at most m rounds.
-    Raises BranchPoint or FrameDiscontinuity when the axes taken are too few."""
-    skip, taken, branched, m = [], [None] * len(tiles), 0, space.ambient_dim
-    while True:
-        for i, (lines, keep, _) in enumerate(tiles):
-            # a tile that rejected the axis skipped last takes the same axes again
-            if taken[i] is None or skip[-1] in taken[i]:
+    """The axes that Gram-Schmidt skips on the whole grid, decided in order from its
+    row tiles' own greedy runs.  The whole grid takes an axis when every tile takes it
+    after the axes that the whole grid took before it.  A tile whose run took just
+    those decides the axis, so one that rejects it rejects it for the whole grid; only
+    when each of them takes it do the other tiles run again, skipping the axes skipped
+    so far.  Raises BranchPoint or FrameDiscontinuity when the axes taken are too few."""
+    runs, skip, taken, branched = [None] * len(tiles), [], [], 0
+    for axis in range(space.ambient_dim):
+        stale = [i for i, run in enumerate(runs)
+                 if run is None or [a for a in run if a < axis] != taken]
+        if all(axis in run for i, run in enumerate(runs) if i not in stale):
+            for i in stale:
+                lines, keep, _ = tiles[i]
                 tile = _sample(kind, p, grid, space, lines, keep, skip)
-                taken[i] = tile.meta["normal_axes"]
-                branched += 0 if skip else np.count_nonzero(tile.branch_mask[keep])
+                if runs[i] is None:
+                    branched += np.count_nonzero(tile.branch_mask[keep])
+                runs[i] = tile.meta["normal_axes"]
                 del tile   # before the next tile is sampled
-        differ = [a for a in range(m) if len({a in axes for axes in taken}) > 1]
-        if not differ:
-            if len(taken[0]) < m - 2:
-                _build_gates(kind, p, (branched, 0.0, 0.0), grid, missing=True)
-            return skip
-        skip.append(differ[0])
+            stale = []
+        (skip if stale or any(axis not in run for run in runs) else taken).append(axis)
+    if len(taken) < space.ambient_dim - 2:
+        _build_gates(kind, p, (branched, 0.0, 0.0), grid, missing=True)
+    return skip
 
 
 # <a, b> at every grid point of two component-first (m, nu, nv) fields

@@ -297,8 +297,9 @@ def test_streamed_reports_equal_whole_field_reports(tmp_path):
     # public residual's on build_immersion's whole field, sups, l2s and meta to
     # the bit, and a rung that raises raises the class the whole field raises.
     # n = 16 is one tile; 40 and 67 are two and three, open and periodic, and on
-    # octonion_graph the tiles first disagree on the Gram-Schmidt axes, so two
-    # rounds reject axes 0 and 1 that some tiles took
+    # octonion_graph the tiles first disagree on the Gram-Schmidt axes: the tiles
+    # that reject axes 0 and 1 reject them for the whole grid, and the one that took
+    # them runs again without them
     compared, raised = 0, set()
     for kind in immersion.list_fixture_kinds():
         for ms_kind in cli.symspace.MODEL_SPACES:
@@ -323,10 +324,16 @@ def test_streamed_reports_equal_whole_field_reports(tmp_path):
                         compared += 1
     assert compared > 500
     assert raised == {"NotConformal", "NotLagrangian"}
+    # the whole grid's axes at the benchmark's n = 128 and 256 too, where the first
+    # and last tiles take axes 0 and 1
     p = immersion.fixture_params("octonion_graph")
-    grid = immersion._grid(67, *immersion.FIXTURES["octonion_graph"].domain(p))
-    assert immersion._normal_axes("octonion_graph", p, grid, cli.symspace.model_space("euclidean8"),
-                                  list(cli.forms._tiles(67, False, 2))) == [0, 1]
+    for n in (67, 128, 256):
+        grid = immersion._grid(n, *immersion.FIXTURES["octonion_graph"].domain(p))
+        skip = immersion._normal_axes("octonion_graph", p, grid,
+                                      cli.symspace.model_space("euclidean8"),
+                                      list(cli.forms._tiles(n, False, 2)))
+        assert skip == [0, 1]
+        assert immersion.build_immersion("octonion_graph", n=n).meta["normal_axes"] == [2, 3, 4, 5, 6, 7]
 
 
 @pytest.mark.parametrize("kind, check", [("clifford_torus_s4", "covariant_closure"),

@@ -67,7 +67,7 @@ def test_clifford_conformal_factor():
     # hand oracle: |du phi|^2 = 1/2 for the 1/sqrt(2) normalisation
     fld = im.build_immersion("clifford_torus", n=16)
     assert np.max(np.abs(fld.conformal_factor - 0.5)) <= 1e-14
-    assert fld.conformality_residual() <= 1e-13
+    assert fld.meta["conformality_residual"] <= 1e-13
 
 
 def test_fixture_catalog_is_conformal():
@@ -76,7 +76,7 @@ def test_fixture_catalog_is_conformal():
             continue
         params = {"potential": "cubic"} if kind == "lagrangian_graph" else {}
         fld = im.build_immersion(kind, params, n=16)
-        assert fld.conformality_residual() <= 1e-6, kind
+        assert fld.meta["conformality_residual"] <= 1e-6, kind
         # adapted frames are orthonormal and orthogonal to the tangent
         F = im._pointwise(fld.frame_planes)
         gram = np.einsum("uvam,uvbm->uvab", F, F)
@@ -816,7 +816,7 @@ def test_octonion_graph_rung_peak_memory():
     # the benchmark's octonion_graph rung at n = 128: a tile's 8 chart, 16
     # derivative and 64 frame planes (0.28 of the grid each), its lift q and the
     # reframing drift's products, beside the check's three whole-grid planes
-    # (39.8 planes measured; the whole field set 130.2); the rounds that fix the
+    # (39.8 planes measured; the whole field set 130.2); the runs that fix the
     # Gram-Schmidt axes hold one tile at a time
     assert _rung_peak_planes("octonion_graph", "euclidean8", {}, ["octonion_lift"]) <= 43.0
 
