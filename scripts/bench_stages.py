@@ -39,7 +39,7 @@ n = 64, 128, 256 and 512:
     wrapping, which are the exponentials of a development and a plaquette pass
     (both passes form them one tile at a time);
   - `develop_frame`: the development of that connection to its frame g,
-    its flatness check and steps included;
+    its steps included;
   - `plaquette_defects`: the whole plaquette pass, steps included;
   - `gauge_transform`: the action on it of the stabiliser field
     h = exp(f Xi), f = 0.3 sin(2 pi u) cos(2 pi v), with its membership test.
@@ -57,9 +57,10 @@ n = 64, 128, 256 and 512:
   α = g⁻¹dg (`ellsys.frame_from_geometry`), over n = 64, 128, 256 and 512, it
   times
   - `frame_to_connection`: α from g;
-  - `connection_from_geometry`: the same α from the field and its lift, each
-    row tile's frame columns formed from the field's planes, with no
-    whole-grid g;
+  - `rung_alpha`: the same α as a frame-only rung builds it (`cli.RungContext`
+    at n with the flatness check alone), in one pass over the fixture's row
+    tiles, each sampled with its lift and adapted frames, so no whole-grid
+    field, lift or g exists;
   - `_dz_coefficients`: the graded dz coefficients P and Q of α that the
     scan reads, over the whole grid as one tile;
   - `_laurent`: the Laurent pass, all five coefficients F_k, each dropped
@@ -172,19 +173,21 @@ def octonion_stages(n):
 
 def graded_stages(n):
     """name -> zero-argument call, for the frame-route stages at grid size n."""
-    from twistorsys import ellsys, forms, immersion as im
+    from twistorsys import cli, ellsys, forms, immersion as im
     fld = im.build_immersion(GRADED_FIXTURE, n=n)
     tw = im.twistor_lift(fld)
     frame, alpha = ellsys.frame_from_geometry(fld, tw)
     aut = fld.space.algebra_fixture().aut
     gb, grid = aut.graded, alpha.grid
+    rung = {"fixture": {"kind": GRADED_FIXTURE}, "model_space": {"kind": fld.space.kind},
+            "checks": ["flatness"]}
     grades = forms.GRADED_CHECKS["zero_curvature_scan"]
     P, Q = forms._dz_coefficients(*forms._components(alpha), gb, *grades)
     a, b, e, d, P0, Q0 = P[2], P[1], Q[2], Q[-1], P[0], Q[0]
     pairs = [(0, 2, Q0, a), (2, -1, a, d), (1, 0, b, Q0), (0, 0, P0, Q0), (2, 2, a, e),
              (1, -1, b, d), (1, 2, b, e), (0, -1, P0, d), (0, 2, P0, e)]
     return {"frame_to_connection": lambda: ellsys.frame_to_connection(frame),
-            "connection_from_geometry": lambda: ellsys.connection_from_geometry(fld, tw),
+            "rung_alpha": lambda: cli.RungContext(rung, n).alpha,
             "_dz_coefficients": lambda: forms._dz_coefficients(*forms._components(alpha), gb,
                                                                *grades),
             # each coefficient dropped as the next is formed, as the scan takes them

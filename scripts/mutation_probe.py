@@ -14,15 +14,16 @@ the 6-sphere lift of `octo` and its residual, the centred stencil, the
 component-plane norm and the graded pass of `forms` (its tiles of grid
 rows, the dz coefficients, the dz derivatives, the Laurent coefficients, the
 per-tile planes, the scan and the pass's own reports), the frame's g^-1 dg
-(the tiled driver and both its doors) with its term list in `fixtures`, the
+(the tiled driver, its door from a sampled frame, and a field's adapted
+frames with their jump and branch gates) with its term list in `fixtures`, the
 trapezoidal steps, the development, the plaquette pass and the gauge
 action of `ellsys`, the 1-norms and Taylor polynomial
 of `liealg.matrix_exp`, and the sparse bilinear kernel of `liealg` behind
 every bracket and plane product, with its one grid-last door `bracket_coords`
-and the graded block bracket, and the streamed surface rung: the sampler, the
+and the graded block bracket, and the streamed rung: the sampler, the
 tile stream with its Gram-Schmidt axes and build gates, each surface check's
-pointwise function and the pass `cli.RungContext.surface` (a method is named
-`Class.method`).  Two operators make the
+pointwise function and the one pass of a rung, `cli.RungContext._rung` (a
+method is named `Class.method`).  Two operators make the
 mutants: *flip* turns each binary `+` or `-` and each `+=` or `-=` there into
 one mutant with that single operator flipped, and *scale* multiplies by 2 the
 pointwise argument of each `masked_report` call there, and the plane that each
@@ -61,17 +62,17 @@ TARGETS = {
                   "vertical_harmonicity_pointwise", "holomorphic_H_pointwise",
                   "divergence_identity_pointwise", "codazzi_identity_pointwise",
                   "curvature_commutator_pointwise", "TwistorField.j_ambient"),
-    "cli": ("RungContext.surface",),
+    "cli": ("RungContext._rung",),
     "lagrangian": ("lagrangian_pointwise", "lagrangian_twistor_pointwise", "maslov_form",
                    "maslov_identity_pointwise", "hamiltonian_stationary_pointwise"),
     "forms": ("_centred", "_tiles", "_dz_coefficients", "_sq_norm", "_dz_derivative",
               "_laurent", "_tile_planes", "_scan", "graded_checks", "curvature_residual"),
-    "ellsys": ("_connection", "frame_to_connection", "connection_from_geometry", "_avg",
+    "ellsys": ("_connection", "frame_to_connection", "_adapted_frame", "_framing", "_avg",
                "develop_frame", "plaquette_defects", "gauge_transform"),
     "fixtures": ("AlgebraFixture._connection_terms",),
     "liealg": ("matrix_exp", "_taylor", "_sparse_product", "LieAlgebraRep.bracket_coords",
                "GradedBasis.bracket"),
-    "octo": ("canonical_lift", "canonical_q", "twistor_from_q", "lift_pointwise"),
+    "octo": ("canonical_q", "twistor_from_q", "lift_pointwise"),
 }
 FLIP = {"+": "-", "-": "+"}
 SCALED = "masked_report"   # the call whose pointwise argument (the third) the scale operator doubles

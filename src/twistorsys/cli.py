@@ -27,6 +27,7 @@ sup to stay above stay_large_min; exact requires it below exact_max.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import inspect
 import json
@@ -143,19 +144,54 @@ class RungContext:
         return symspace.model_space(ms["kind"], **ms.get("params", {}))
 
     @functools.cached_property
-    def _form_and_aut(self):
-        """(alpha, the grading of its algebra): exp_frame's analytic form, or g^-1 dg
-        of the surface's adapted frames."""
-        fixture = self.scenario["fixture"]
+    def _rung(self):
+        """(alpha, the grading of its algebra, {name: report} of the surface checks):
+        exp_frame's analytic alpha, or one pass over the row tiles of
+        `immersion.surface_tiles`, in which each tile's field and lift give its planes of
+        each surface check and, for frame checks, its adapted frames, from which
+        `ellsys._connection` forms its rows of alpha = g^-1 dg; a tile does first what the
+        scenario's first check needs.  The reports are taken under the whole grid's masks
+        once the whole-grid gates that the tiles reduce pass, in the order first read."""
+        fixture, checks = self.scenario["fixture"], self.scenario["checks"]
         if fixture["kind"] == "exp_frame":
             fx, xi, eta = exp_frame_inputs(fixture.get("params", {}))
             grid = forms.SurfaceGrid(nu=self.n, nv=self.n, hu=1.0 / (self.n - 1),
                                      hv=1.0 / (self.n - 1))
-            return ellsys.exp_frame_form(grid, fx, xi, eta), fx.aut
-        field = immersion.build_immersion(fixture["kind"], fixture.get("params", {}), n=self.n,
-                                          space=self.space)
-        tw = immersion.twistor_lift(field, self.scenario.get("lift_sign", +1))
-        return ellsys.connection_from_geometry(field, tw, self.space), self.space.algebra_fixture().aut
+            return ellsys.exp_frame_form(grid, fx, xi, eta), fx.aut, {}
+        sign = self.scenario.get("lift_sign", +1)
+        names = [c for c in checks if c in SURFACE_CHECKS]
+        framed = [c not in SURFACE_CHECKS for c in checks]
+        gates, planes = {}, {}
+        grid, fields = immersion.surface_tiles(fixture["kind"], fixture.get("params", {}), self.n,
+                                               self.space, gates)
+        branch = np.empty((grid.nu, grid.nv), bool)
+
+        def stream():
+            for field, keep, dest in fields:
+                tile = _Tile(field, sign)
+                G = ellsys._adapted_frame(field, tile.tw, self.space) if framed[0] else None
+                for name in names:
+                    plane = SURFACE_CHECKS[name][0](tile)
+                    if name not in planes:
+                        planes[name] = np.empty(plane.shape[:-2] + branch.shape)
+                    planes[name][..., dest, :] = plane[..., keep, :]
+                branch[dest] = field.branch_mask[keep]
+                if G is None and any(framed):
+                    G = ellsys._adapted_frame(field, tile.tw, self.space)
+                del field, tile   # before the next tile is sampled
+                yield G, keep, dest
+                del G
+        tiles, frame = stream(), self.space.algebra_fixture() if any(framed) else None
+        alpha = frame and ellsys._connection(grid, frame, tiles)
+        collections.deque(tiles, 0)   # the pass of a rung without frame checks
+        for verdict, stats in gates.items():
+            verdict(*stats)
+        out = {}
+        for name in names:
+            _, margin, _, *report = SURFACE_CHECKS[name]
+            out[name] = (report[0] if report else forms.masked_report)(
+                name, grid.h, planes.pop(name), immersion._report_mask(grid, branch, margin))
+        return alpha, frame and frame.aut, out
 
     @functools.cached_property
     def graded(self):
@@ -164,44 +200,10 @@ class RungContext:
         names = [c for c in self.scenario["checks"] if c in forms.GRADED_CHECKS]
         return forms.graded_checks(self.alpha, self.aut, names, self.lambda_samples())
 
-    @functools.cached_property
-    def surface(self):
-        """{name: report} of every surface check of the scenario, from one pass over the
-        row tiles of `immersion.surface_tiles`: each check writes its pointwise planes
-        over a tile's kept lines into whole-grid planes, and its report is taken from
-        them under the whole grid's masks once the whole-grid gates that the tiles
-        reduce have passed, judged in the order that the checks first read them."""
-        fixture, sign = self.scenario["fixture"], self.scenario.get("lift_sign", +1)
-        names = [c for c in self.scenario["checks"] if c in SURFACE_CHECKS]
-        gates, planes = {}, {}
-        grid, tiles = immersion.surface_tiles(fixture["kind"], fixture.get("params", {}), self.n,
-                                              self.space, gates)
-        branch = np.empty((grid.nu, grid.nv), bool)
-        for field, keep, dest in tiles:
-            tile = _Tile(field, sign)
-            for name in names:
-                plane = SURFACE_CHECKS[name][0](tile)
-                if name not in planes:
-                    planes[name] = np.empty(plane.shape[:-2] + branch.shape)
-                planes[name][..., dest, :] = plane[..., keep, :]
-            branch[dest] = field.branch_mask[keep]
-            del field, tile, plane   # before the next tile is sampled
-        for verdict, stats in gates.items():
-            verdict(*stats)
-        out = {}
-        for name in names:
-            _, margin, _, *report = SURFACE_CHECKS[name]
-            out[name] = (report[0] if report else forms.masked_report)(
-                name, grid.h, planes.pop(name), immersion._report_mask(grid, branch, margin))
-        return out
-
-    @property
-    def alpha(self):
-        return self._form_and_aut[0]
-
-    @property
-    def aut(self):
-        return self._form_and_aut[1]
+    # the rung's alpha, the grading of its algebra and its surface reports
+    alpha = property(lambda self: self._rung[0])
+    aut = property(lambda self: self._rung[1])
+    surface = property(lambda self: self._rung[2])
 
     def lambda_samples(self):
         raw = self.scenario.get("lambda_samples")

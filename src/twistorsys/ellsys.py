@@ -85,10 +85,11 @@ def exp_frame_form(grid: SurfaceGrid, fixture: AlgebraFixture, xi, eta) -> LieVa
     return LieValuedOneForm(grid, alg, a_u.copy(), a_v.copy())
 
 
-def _connection(grid: SurfaceGrid, fixture: AlgebraFixture, planes) -> LieValuedOneForm:
+def _connection(grid: SurfaceGrid, fixture: AlgebraFixture, tiles) -> LieValuedOneForm:
     """alpha = g^-1 dg by centered differences, projected to the fixture basis, over
-    the row tiles of `forms._tiles`, from planes(lines), g's (n, n, lines, nv) planes
-    over a tile's lines; a tile's u stencil, open over its halo, is the whole grid's.
+    row tiles (G, keep, dest): G is g's (n, n, lines, nv) planes over a tile's lines,
+    whose slice `keep` it writes to the grid rows `dest`; a tile's u stencil, open
+    over its halo, is the whole grid's.
 
     g^-1 is taken as g^T, which it is in SO(5), and the projection is folded into
     the product: alpha_k = sum_(a, b) pinv[k, a, b] (g^T dg)[a, b], and each entry
@@ -102,8 +103,8 @@ def _connection(grid: SurfaceGrid, fixture: AlgebraFixture, planes) -> LieValued
     rows, terms = fixture._connection_terms
     # one block per direction: one (2, d, nu, nv) block raised frame_development's peak RSS
     out_u, out_v = (np.zeros((fixture.algebra.dim, grid.nu, grid.nv)) for _ in range(2))
-    for lines, keep, dest in forms._tiles(grid.nu, grid.periodic_u):
-        G = planes(lines)[:rows]
+    for G, keep, dest in tiles:
+        G = G[:rows]
         for out, partial in ((out_u, lambda x: forms._centred(x, grid.hu, -2, False)[:, keep]),
                              (out_v, lambda x: forms.partial_v(grid, x[:, keep], -1))):
             for b, column in terms.items():
@@ -120,8 +121,10 @@ def frame_to_connection(frame: FrameField) -> LieValuedOneForm:
     """alpha = g^-1 dg of a sampled frame by `_connection`, each row tile of g copied
     to contiguous planes once (on a strided view, such as that of `develop_frame`'s
     grid-first g, the products take two to three times as long)."""
-    G = np.moveaxis(frame.g, (0, 1), (-2, -1))
-    return _connection(frame.grid, frame.fixture, lambda lines: np.ascontiguousarray(G[..., lines, :]))
+    grid, G = frame.grid, np.moveaxis(frame.g, (0, 1), (-2, -1))
+    tiles = forms._tiles(grid.nu, grid.periodic_u)
+    return _connection(grid, frame.fixture, ((np.ascontiguousarray(G[..., lines, :]), keep, dest)
+                                             for lines, keep, dest in tiles))
 
 
 # -------------------------------------------------------------- development
@@ -263,29 +266,34 @@ def stabilizer_gauge_field(fixture: AlgebraFixture, grid: SurfaceGrid, f, xi=Non
 
 # ------------------------------------------------------- frames from geometry
 
-def _adapted_frame(field: immersion.ImmersionField, tw: immersion.TwistorField, space):
-    """(fixture, planes) of the frames of `frame_from_geometry`: planes(lines) writes
-    g's columns e1, j e1, n1, j n1 and the base point over some grid lines, j e1 and
-    j n1 from the first columns of the frame components of j, as (5, 5, lines, nv)."""
+def _adapted_frame(field: immersion.ImmersionField, tw: immersion.TwistorField, space=None):
+    """g's (5, 5, nu, nv) planes of `frame_from_geometry` over the field's grid: the
+    columns e1, j e1, n1, j n1 and the base point, j e1 and j n1 from the first
+    columns of the frame components of j.  Its gates reduce over the field's lines
+    `rows` (`immersion._gate`): the Gram-Schmidt frame jump, then branch points."""
     space = space or field.space
-    if field.meta.get("frame_discontinuity"):
-        raise immersion.FrameDiscontinuity(
-            "fixture frames jump; use a smaller patch or an analytic-frame fixture")
-    if field.branch_mask.any():
-        raise immersion.NotImmersed("cannot frame across branch points")
+    taken = field.meta.get("normal_axes")
+    jump = 0.0 if taken is None else immersion._frame_jump(
+        field.frame_planes[..., field.meta["jump_lines"], :], len(taken))
+    immersion._gate(field, _framing, jump, field.branch_mask[field.rows].any())
     if field.ambient_dim != space.ambient_dim:
         raise ValueError("immersion and model space disagree on the ambient dimension")
-    m, sphere = field.ambient_dim, space.kind == "sphere4"
+    m, sphere, F = field.ambient_dim, space.kind == "sphere4", field.frame_planes
+    G = np.zeros((5, 5) + F.shape[-2:])
+    G[:m, 0], G[:m, 2], G[4, 4] = F[0], F[2], not sphere
+    np.divide(field.phi_planes, space.radius if sphere else 1.0, out=G[:m, 4])
+    immersion._plane_product(tw.j_T_planes[None, :, 0], F[:2], G[None, :m, 1])
+    immersion._plane_product(tw.j_N_planes[None, :, 0], F[2:], G[None, :m, 3])
+    return G
 
-    def planes(lines):
-        F = field.frame_planes[..., lines, :]
-        G = np.zeros((5, 5) + F.shape[-2:])
-        G[:m, 0], G[:m, 2], G[4, 4] = F[0], F[2], not sphere
-        np.divide(field.phi_planes[..., lines, :], space.radius if sphere else 1.0, out=G[:m, 4])
-        G[:m, 1] = immersion._plane_product(tw.j_T_planes[None, :, 0][..., lines, :], F[:2])[0]
-        G[:m, 3] = immersion._plane_product(tw.j_N_planes[None, :, 0][..., lines, :], F[2:])[0]
-        return G
-    return space.algebra_fixture(), planes
+
+def _framing(jump, branched):
+    """`_adapted_frame`'s gates: the largest Gram-Schmidt frame jump, then branch points."""
+    if jump > 0.5:
+        raise immersion.FrameDiscontinuity(
+            "fixture frames jump; use a smaller patch or an analytic-frame fixture")
+    if branched:
+        raise immersion.NotImmersed("cannot frame across branch points")
 
 
 def frame_from_geometry(field: immersion.ImmersionField, tw: immersion.TwistorField,
@@ -295,13 +303,6 @@ def frame_from_geometry(field: immersion.ImmersionField, tw: immersion.TwistorFi
     targets, SO(5) on the round 4-sphere, each with the frame block (e1, j e1, n1,
     j n1) and in the last column phi, or phi/r on the sphere (the fixture base point).
     `FrameField.g` is the grid-first view of (5, 5, nu, nv) planes."""
-    fixture, planes = _adapted_frame(field, tw, space)
-    frame = FrameField(field.grid, fixture, immersion._pointwise(planes(slice(None))))
+    fixture = (space or field.space).algebra_fixture()
+    frame = FrameField(field.grid, fixture, immersion._pointwise(_adapted_frame(field, tw, space)))
     return frame, frame_to_connection(frame)
-
-
-def connection_from_geometry(field: immersion.ImmersionField, tw: immersion.TwistorField,
-                             space: symspace.ModelSpace | None = None) -> LieValuedOneForm:
-    """alpha of `frame_from_geometry`, bit for bit, with no whole-grid g: each row
-    tile's frame columns are formed from the field's planes."""
-    return _connection(field.grid, *_adapted_frame(field, tw, space))

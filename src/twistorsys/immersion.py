@@ -496,11 +496,12 @@ def _sample(kind, p, grid, space, lines=None, rows=slice(None), skip=()) -> Imme
     phi, dphi = _planes([phi], shape)[0], _planes(dphi, shape)
     conf = np.sum(dphi[0] ** 2, axis=0)
     branch = conf < 1e-10
-    meta = {"kind": kind, "params": p, "frame_discontinuity": False}
+    meta = {"kind": kind, "params": p}
     if frames is None:
         frames, meta["normal_axes"] = _gram_schmidt_frames(dphi, branch, skip)
-        if lines is None:   # read by the frame route alone, which samples the whole grid
-            meta["frame_discontinuity"] = _frame_jump(frames, len(meta["normal_axes"])) > 0.5
+        # the lines whose pairs `_frame_jump` reads: `rows` and the next line, unless it wraps
+        stop = rows.stop and rows.stop + (rows.stop < len(u) and u[rows.stop] > u[rows.stop - 1])
+        meta["jump_lines"] = slice(rows.start, stop)
     else:
         frames = _planes(frames, shape)
     return ImmersionField(grid=grid, space=space, phi_planes=phi, dphi_planes=dphi,
@@ -529,7 +530,7 @@ def surface_tiles(kind, params, n, space, gates):
     iterator over the (field, keep, dest) of its row tiles (`forms._tiles` with two
     halo lines, the stencil depth of II -> div II_minus, H -> nabla_perp H and
     beta -> d * beta), each field sampled by `_sample` over its tile's lines, with
-    its gates recorded in `gates`, and dropped before the next tile is sampled.  A
+    its gates recorded in `gates`, and held by the iterator only until yielded.  A
     Gram-Schmidt fixture takes the whole grid's normal axes (`_normal_axes`).  The
     iterator raises `build_immersion`'s gates, reduced over the tiles, after the last."""
     p = fixture_params(kind, params)
@@ -542,12 +543,11 @@ def surface_tiles(kind, params, n, space, gates):
                                                                                 space, tiles)
         stats = (0, 0.0, 0.0)
         for lines, keep, dest in tiles:
-            tile = _sample(kind, p, grid, space, lines, keep, skip)
-            tile.gates = gates
-            branched, total, worst = _conformality(tile)
+            tile = [_sample(kind, p, grid, space, lines, keep, skip)]
+            tile[0].gates = gates
+            branched, total, worst = _conformality(tile[0])
             stats = (stats[0] + branched, stats[1] + total, max(stats[2], worst))
-            yield tile, keep, dest
-            del tile
+            yield tile.pop(), keep, dest   # so that no local holds it past the yield
         _build_gates(kind, p, stats, grid)
     return grid, stream()
 

@@ -90,12 +90,6 @@ def left_mult_structure(q):
     return np.einsum("i...,ijk->kj...", q, OCTONION_TABLE)
 
 
-def canonical_lift(field: immersion.ImmersionField):
-    """(q, the TwistorField of j = L_q) of `canonical_q` and `twistor_from_q`."""
-    q = canonical_q(field)
-    return q, twistor_from_q(field, q)
-
-
 def canonical_q(field: immersion.ImmersionField):
     """The 6-sphere valued lift q of a conformal immersion into R^8, an (8, nu, nv) field.
 

@@ -248,7 +248,7 @@ def test_octonion_suite():
                        float(np.max(np.abs(L @ L + np.eye(8)))),
                        float(np.max(np.abs(L.T @ L - np.eye(8)))))
     fld = im.build_immersion("octonion_graph", n=16)
-    q_field, _ = octo.canonical_lift(fld)
+    q_field = octo.canonical_q(fld)
     e1, e2 = fld.frame_planes[:2]
     drift = 0.0
     for _ in range(100):

@@ -1,4 +1,5 @@
 """Scenario runner: parsing, exit codes, reports, determinism."""
+import collections
 import json
 import os
 import pathlib
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 import twistorsys
-from twistorsys import cli, fixtures, immersion
+from twistorsys import cli, fixtures, immersion, lagrangian
 
 
 def write_scenario(tmp_path, name="scen", **overrides):
@@ -449,29 +450,42 @@ def test_tolerance_override(tmp_path):
 
 
 def test_frame_only_rung_releases_its_field_and_lift():
-    # alpha's build drops the field and lift it reads, on a frame-only and on a
+    # the rung's pass drops each tile's field and lift, on a frame-only and on a
     # mixed rung alike: a rung caches alpha and its surface reports, no geometry
     scen = {"fixture": {"kind": "clifford_torus_s4"}, "model_space": {"kind": "sphere4"},
             "checks": ["covariant_closure", "flatness"]}
     for checks in (scen["checks"], ["covariant_closure", "divergence_identity"]):
         ctx = cli.RungContext(dict(scen, checks=checks), 16)
         ctx.alpha
-        assert set(vars(ctx)) == {"scenario", "n", "space", "_form_and_aut"}
+        assert set(vars(ctx)) == {"scenario", "n", "space", "_rung"}
     for name in checks:
         cli.CHECKS[name][0](ctx)
-    assert set(vars(ctx)) == {"scenario", "n", "space", "_form_and_aut", "graded", "surface"}
+    assert set(vars(ctx)) == {"scenario", "n", "space", "_rung", "graded"}
+    assert set(ctx.surface) == {"divergence_identity"}
+
+
+SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def shipped_checks(name):
+    """(fixture kind, model space, checks) of a shipped scenario."""
+    scen = json.loads((SCENARIOS / f"{name}.json").read_text())
+    return scen["fixture"]["kind"], scen["model_space"]["kind"], scen["checks"]
 
 
 @pytest.mark.parametrize("kind, space, checks", [
     ("round_sphere", "euclidean4", ["vertical_harmonicity", "codazzi_identity"]),
     ("product_torus", "complex2", ["maslov_identity", "hamiltonian_stationary"]),
-    ("octonion_graph", "euclidean8", ["octonion_lift", "holomorphic_H"])])
+    ("octonion_graph", "euclidean8", ["octonion_lift", "holomorphic_H"]),
+    ("clifford_torus_s4", "sphere4",
+     ["holomorphicity", "covariant_closure", "flatness", "zero_curvature_scan"]),
+    shipped_checks("clifford_system"), shipped_checks("sphere_geometry")])
 def test_surface_only_rung_never_builds_a_whole_field(tmp_path, monkeypatch, kind, space, checks):
-    # a surface-only rung samples its fixture one row tile at a time: it never
-    # calls build_immersion, and no field it forms spans more than one tile's
-    # lines (32 kept lines and two halo lines on each side)
+    # a rung, surface-only, frame-only or mixed, samples its fixture one row tile at
+    # a time: it never calls build_immersion, and no field it forms spans more than
+    # one tile's lines (32 kept lines and two halo lines on each side)
     def whole(*args, **kwargs):
-        raise AssertionError("a surface-only rung built a whole-grid field")
+        raise AssertionError("a rung built a whole-grid field")
     monkeypatch.setattr(immersion, "build_immersion", whole)
     rows = []
     init = immersion.ImmersionField.__post_init__
@@ -485,14 +499,34 @@ def test_surface_only_rung_never_builds_a_whole_field(tmp_path, monkeypatch, kin
     assert rows and max(rows) <= 36 < n
 
 
+def test_a_rung_raises_what_its_first_check_needs_first(tmp_path):
+    # branched_disk in complex2 fails both alpha's frame-jump gate and the Maslov
+    # form's Lagrangian gate: its one tile pass forms what the scenario's first
+    # check needs first, so the gate that fails first is the one that check reads
+    for checks, error in ((["flatness", "maslov_identity"], immersion.FrameDiscontinuity),
+                          (["maslov_identity", "flatness"], lagrangian.NotLagrangian)):
+        scen = cli.load_scenario(write_scenario(tmp_path, fixture={"kind": "branched_disk"},
+                                                model_space={"kind": "complex2"}, checks=checks))
+        with pytest.raises(error):
+            cli.run_scenario(scen)
+
+
 def test_mixed_rung_builds_its_field_once(tmp_path, monkeypatch):
-    # clifford_system's checks: frame checks first, then one that reads the field
+    # clifford_system's checks, frame checks first and then one that reads the
+    # field: a rung samples each of its row tiles (one at n = 16, three at 67) once,
+    # for alpha and the surface check together, plus, on a Gram-Schmidt fixture
+    # (graph), the tile runs that fix its normal axes, one per tile here
     checks = ["holomorphicity", "covariant_closure", "flatness", "zero_curvature_scan",
               "divergence_identity"]
-    scen = cli.load_scenario(write_scenario(tmp_path, checks=checks))
     calls = []
-    build = immersion.build_immersion
-    monkeypatch.setattr(immersion, "build_immersion",
-                        lambda *args, **kwargs: calls.append(kwargs["n"]) or build(*args, **kwargs))
-    cli.run_scenario(scen)
-    assert calls == [16, 24, 32]
+    sample = immersion._sample
+    monkeypatch.setattr(immersion, "_sample",
+                        lambda kind, p, grid, *args: calls.append(grid.nu)
+                        or sample(kind, p, grid, *args))
+    for kind, params, samples in (("clifford_torus", {}, {16: 1, 67: 3}),
+                                  ("graph", {"allow_nonconformal": True}, {16: 2, 67: 6})):
+        calls.clear()
+        cli.run_scenario(cli.load_scenario(write_scenario(
+            tmp_path, fixture={"kind": kind, "params": params}, grid_ladder=[16, 67],
+            checks=checks)))
+        assert collections.Counter(calls) == samples, kind

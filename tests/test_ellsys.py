@@ -1,10 +1,11 @@
 """System residuals on frames, development, gauge action."""
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from twistorsys import ellsys, forms, immersion as im, liealg
+from twistorsys import cli, ellsys, forms, immersion as im, liealg, symspace
 from twistorsys.fixtures import ALGEBRA_FIXTURES, load_algebra_fixture
 from twistorsys.forms import LieValuedOneForm, SurfaceGrid
 
@@ -608,19 +609,118 @@ def whole_grid_adapted_frame(fld, tw):
     return np.moveaxis(G, (0, 1), (-2, -1))
 
 
+def rung_alpha(kind, space, n, sign=+1, params=None):
+    """alpha of a frame-only rung: one pass over the fixture's row tiles."""
+    scen = {"fixture": {"kind": kind, "params": params or {}}, "model_space": {"kind": space},
+            "checks": ["flatness"], "lift_sign": sign}
+    return cli.RungContext(scen, n).alpha
+
+
 @pytest.mark.parametrize("n", [16, 33, 65, 67])
 @pytest.mark.parametrize("kind", ["clifford_torus", "clifford_torus_s4", "round_sphere"])
 def test_tiled_connection_equals_whole_grid_on_adapted_frames(kind, n):
     # one tile (16), an open last tile of one line (33 and 65 on the sphere's
-    # chart), wrapped halos on the periodic tori; both doors and the frame's own
+    # chart), wrapped halos on the periodic tori; the rung's pass, the frame's
+    # door and the frame's own
     fld = im.build_immersion(kind, n=n)
     tw = im.twistor_lift(fld, +1)
     frame, alpha = ellsys.frame_from_geometry(fld, tw)
     assert np.array_equal(bits(frame.g), bits(whole_grid_adapted_frame(fld, tw)))
     ref_u, ref_v = whole_grid_connection(frame)
-    for form in (alpha, ellsys.frame_to_connection(frame), ellsys.connection_from_geometry(fld, tw)):
+    for form in (alpha, ellsys.frame_to_connection(frame), rung_alpha(kind, fld.space.kind, n)):
         assert np.array_equal(bits(form.a_u), bits(ref_u))
         assert np.array_equal(bits(form.a_v), bits(ref_v))
+
+
+def outcome(call):
+    """call()'s alpha as bit patterns, or the class of the exception it raises."""
+    try:
+        alpha = call()
+    except (im.ImmersionError, ValueError) as exc:
+        return type(exc)
+    return bits(alpha.a_u).tobytes(), bits(alpha.a_v).tobytes()
+
+
+# what the whole-field route raises on the fixtures whose frame rungs fail
+FAILING = {"branched_disk": im.FrameDiscontinuity, "graph": im.NotConformal}
+
+
+@pytest.mark.parametrize("kind", im.list_fixture_kinds())
+def test_rung_alpha_is_the_whole_field_route(tmp_path, kind):
+    # every fixture, frame-group model space and lift sign that load_scenario takes
+    # for a frame check: the rung's one tile pass gives alpha of frame_from_geometry
+    # on the whole field and its lift bit for bit, or raises the class it raises
+    taken = 0
+    for space in symspace.FRAME_GROUPS:
+        for sign in (1, -1):
+            path = tmp_path / "scen.json"
+            path.write_text(json.dumps({"fixture": {"kind": kind}, "model_space": {"kind": space},
+                                        "grid_ladder": [16], "checks": ["flatness"],
+                                        "expect": "converge", "lift_sign": sign}))
+            try:
+                cli.load_scenario(path)
+            except cli.ScenarioError:
+                continue
+            taken += 1
+            ms = symspace.model_space(space)
+            for n in (16, 40, 67):
+                whole = outcome(lambda: ellsys.frame_from_geometry(
+                    fld := im.build_immersion(kind, n=n, space=ms), im.twistor_lift(fld, sign),
+                    ms)[1])
+                assert outcome(lambda: rung_alpha(kind, space, n, sign)) == whole, (space, sign, n)
+                assert whole == FAILING.get(kind, whole)
+    assert taken or im.FIXTURES[kind].space == "euclidean8"
+
+
+def tile_frame_jump(kind, n, params=None):
+    """The largest Gram-Schmidt frame jump that a frame rung's row tiles record in
+    their pass's gates (`ellsys._adapted_frame`), and the whole field's."""
+    gates, params = {}, {"allow_nonconformal": True, **(params or {})}
+    space = symspace.model_space(im.FIXTURES[kind].space)
+    _, tiles = im.surface_tiles(kind, params, n, space, gates)
+    for tile, _, _ in tiles:
+        ellsys._adapted_frame(tile, im.twistor_lift(tile, +1))
+    fld = im.build_immersion(kind, params, n=n)
+    return gates[ellsys._framing][0], im._frame_jump(fld.frame_planes, len(fld.meta["normal_axes"]))
+
+
+def _flipped_graph(p, U, V):
+    # the graph with d phi turned over from grid row 32 of 67 on (u > -0.045): e1
+    # jumps by 2 across the pair of rows (31, 32) that two row tiles share
+    phi, (du, dv), frames = im._graph(p, U, V)
+    s = np.where(U > -0.045, -1.0, 1.0)
+    return phi, ([s * c for c in du], [s * c for c in dv]), frames
+
+
+def _half_turn_cylinder(p, U, V):
+    # a cylinder whose e1 = (cos au, 0, 0, sin au) turns by 2 pi a over the u period,
+    # so its Gram-Schmidt frames jump only across the pair (n - 1, 0) of lines that
+    # a periodic u axis wraps, which no neighbour pair of the grid is
+    a = 0.15
+    return ([np.sin(a * U) / a, 0.0, V, -np.cos(a * U) / a],
+            ([np.cos(a * U), 0.0, 0.0, np.sin(a * U)], [0.0, 0.0, 1.0, 0.0]), None)
+
+
+@pytest.mark.parametrize("n", [16, 40, 67])
+@pytest.mark.parametrize("kind", ["graph", "branched_disk", "flipped_graph", "half_turn"])
+def test_tiles_record_the_whole_fields_frame_jump(monkeypatch, kind, n):
+    # each tile reads its kept rows and the line after them unless that line is a
+    # wrapped halo, so the pairs its jump gate reduces over are the whole grid's
+    monkeypatch.setitem(im.FIXTURES, "flipped_graph",
+                        im.SurfaceFixture(_flipped_graph, "euclidean4", {"amplitude": 0.3},
+                                          im._box(1.0)))
+    monkeypatch.setitem(im.FIXTURES, "half_turn",
+                        im.SurfaceFixture(_half_turn_cylinder, "euclidean4", {}, im._torus))
+    tiles, whole = tile_frame_jump(kind, n)
+    assert tiles == whole
+    if kind == "flipped_graph" and n == 67:
+        assert whole > 1.9
+    if kind == "half_turn":
+        # the wrapped pair would jump by 2 sin(pi a) = 0.91 and fail the gate
+        assert whole < 0.5
+        assert outcome(lambda: rung_alpha(kind, "euclidean4", n)) == outcome(
+            lambda: ellsys.frame_from_geometry(fld := im.build_immersion(kind, n=n),
+                                               im.twistor_lift(fld))[1])
 
 
 @pytest.mark.parametrize("periodic", [False, True])

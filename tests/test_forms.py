@@ -713,28 +713,24 @@ FRAME_CHECKS = ["holomorphicity", "covariant_closure", "flatness", "zero_curvatu
                                          ("clifford_torus_s4", "sphere4")])
 def test_frame_rung_peak_memory(kind, space):
     # one n = 128 rung of the frame checks in clifford_system order, in grid
-    # planes of 8 n^2 bytes above what each stage starts with: building alpha
-    # holds alpha (20 planes) and one row tile's frame columns (6.6), their
-    # products and, on a wrapped tile, the field's gathered rows (6.6), above the
-    # field and lift (34.4 and 36.0 measured; a whole-grid g put it at 55.5 and
-    # 57.5); above alpha, the checks' one graded pass
-    # peaks at 32.9 planes over its row tiles (see test_scan_rung_peak_memory; its
-    # holomorphicity plane and Q_1 add to the scan's), and flatness at 30.1; the
-    # rung builds alpha through the same door, from a field and lift it then drops
+    # planes of 8 n^2 bytes: the rung's pass builds alpha (20 planes) from an empty
+    # context while one row tile's field (10.6 on the sphere), lift and frame
+    # columns (7.0) exist at a time, and peaks as a tile's frame columns are formed
+    # (36.8 and 39.1 measured; building alpha from a whole field and lift put 34.4
+    # and 36.0 above the 36.2-plane field and lift); above alpha, the checks' one
+    # graded pass peaks at 32.9 planes over its row tiles (see
+    # test_scan_rung_peak_memory; its holomorphicity plane and Q_1 add to the
+    # scan's), and flatness at 30.1
     n = 128
     scen = {"fixture": {"kind": kind}, "model_space": {"kind": space}, "checks": FRAME_CHECKS}
     warm = cli.RungContext(scen, 16)   # first-call set-up outside the trace
     for name in FRAME_CHECKS:
         cli.CHECKS[name][0](warm)
-    ctx = cli.RungContext(scen, n)
-    field = im.build_immersion(kind, n=n, space=ctx.space)
-    tw = im.twistor_lift(field)
     tracemalloc.start()
     try:
-        ctx._form_and_aut = (ellsys.connection_from_geometry(field, tw, ctx.space),
-                             ctx.space.algebra_fixture().aut)
+        ctx = cli.RungContext(scen, n)
+        ctx.alpha
         build, held = tracemalloc.get_traced_memory()[::-1]
-        del field, tw
         tracemalloc.reset_peak()
         for name in FRAME_CHECKS:
             cli.CHECKS[name][0](ctx)
@@ -747,10 +743,11 @@ def test_frame_rung_peak_memory(kind, space):
 
 def test_frame_only_rung_peak_memory():
     # a whole frame-only clifford_torus_s4 rung at n = 128 from an empty context, in
-    # grid planes of 8 n^2 bytes (72.2 measured): the field and lift (36.2 planes)
-    # are held while alpha (20) is built one row tile of frame columns at a time,
-    # and dropped once it exists, so the graded pass and flatness run above alpha
-    # alone; building the whole 5x5 frame beside the field set a 93.7-plane peak
+    # grid planes of 8 n^2 bytes (52.9 measured): alpha (20) is built in one pass
+    # over row tiles, each tile's field, lift and frame columns dropped before the
+    # next tile is sampled, so the rung peaks in the graded pass above alpha; a
+    # whole-grid field and lift held while alpha was built set a 72.2-plane peak,
+    # and the whole 5x5 frame beside them 93.7
     n = 128
     scen = {"fixture": {"kind": "clifford_torus_s4"}, "model_space": {"kind": "sphere4"},
             "checks": FRAME_CHECKS}
@@ -765,7 +762,7 @@ def test_frame_only_rung_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (8 * n * n) <= 83.0
+    assert peak / (8 * n * n) <= 60.8
 
 
 def test_one_rung_forms_the_dz_coefficients_once(monkeypatch):

@@ -358,7 +358,8 @@ def test_lift_invariants():
     for kind in ("clifford_torus", "round_sphere", "clifford_torus_s4", "helicoid",
                  "octonion_graph"):
         fld = im.build_immersion(kind, n=16)
-        tw = octo.canonical_lift(fld)[1] if kind == "octonion_graph" else im.twistor_lift(fld, +1)
+        tw = (octo.twistor_from_q(fld, octo.canonical_q(fld)) if kind == "octonion_graph"
+              else im.twistor_lift(fld, +1))
         j = tw.j_ambient
         # skew, squares to minus the projector onto the span of the 2 + q frame vectors
         assert np.max(np.abs(j + np.swapaxes(j, -1, -2))) <= 1e-12, kind
@@ -411,7 +412,8 @@ def test_octonion_lift_keeps_the_given_structure():
     # the octonion lift is built from its frame components alone: its ambient j is
     # formed on read, by the formula of every lift, and is L_q up to roundoff
     fld = im.build_immersion("octonion_graph", n=16)
-    q, tw = octo.canonical_lift(fld)
+    q = octo.canonical_q(fld)
+    tw = octo.twistor_from_q(fld, q)
     assert "j_ambient" not in vars(tw)
     L = np.moveaxis(octo.left_mult_structure(q), (2, 3), (0, 1))
     assert np.max(np.abs(tw.j_ambient - L)) <= 1e-15
@@ -895,7 +897,7 @@ def _close(new, ref, scale=None):
 def test_batched_contractions_match_einsum(kind, monkeypatch):
     fld = im.build_immersion(kind, n=32)
     if kind == "octonion_graph":
-        _, tw = octo.canonical_lift(fld)
+        tw = octo.twistor_from_q(fld, octo.canonical_q(fld))
         e, N = im._pointwise(fld.frame_planes[:2]), im._pointwise(fld.frame_planes[2:])
         assert fld.normal_rank == 6
         assert _close(im._pointwise(tw.j_T_planes),
@@ -990,7 +992,8 @@ def test_planes_are_contiguous_component_first():
     # each quantity is stored once, component-first, as C-contiguous planes
     for kind in ("round_sphere", "octonion_graph"):
         fld = im.build_immersion(kind, n=16)
-        tw = octo.canonical_lift(fld)[1] if kind == "octonion_graph" else im.twistor_lift(fld)
+        tw = (octo.twistor_from_q(fld, octo.canonical_q(fld)) if kind == "octonion_graph"
+              else im.twistor_lift(fld))
         assert fld.frame_planes[2:].shape == (fld.normal_rank, fld.ambient_dim, 16, 16)
         assert fld.II.planes.shape == (2, fld.normal_rank, 2, 16, 16)
         assert tw.II_minus_slot(1).shape == (fld.normal_rank, 2, 16, 16)

@@ -111,7 +111,8 @@ def test_lift_of_quaternion_line():
     # plane spanned by (1, e1): q = e1 * conj(1) = e1, and left multiplication
     # by e1 rotates 1 to e1 as the lift property demands
     fld = im.build_immersion("octonion_plane", {"axes": (0, 1)}, n=16)
-    q, tw = octo.canonical_lift(fld)
+    q = octo.canonical_q(fld)
+    tw = octo.twistor_from_q(fld, q)
     assert q.shape == (8, 16, 16)
     assert np.max(np.abs(q - E[1][:, None, None])) <= 1e-12
 
@@ -119,7 +120,8 @@ def test_lift_of_quaternion_line():
 def test_lift_of_imaginary_plane():
     # plane spanned by (e2, e3): q = e3 * conj(e2) = -e3 e2 = e1 by the table
     fld = im.build_immersion("octonion_plane", {"axes": (2, 3)}, n=16)
-    q, tw = octo.canonical_lift(fld)
+    q = octo.canonical_q(fld)
+    tw = octo.twistor_from_q(fld, q)
     oracle = octo.multiply(E[3], octo.conjugate(E[2]))
     assert np.max(np.abs(q - oracle[:, None, None])) <= 1e-12
     assert abs(octo.norm(oracle) - 1.0) <= 1e-15 and abs(oracle[0]) <= 1e-15
@@ -127,7 +129,8 @@ def test_lift_of_imaginary_plane():
 
 def test_lift_property_and_sphere_valued():
     fld = im.build_immersion("octonion_graph", n=24)
-    q, tw = octo.canonical_lift(fld)
+    q = octo.canonical_q(fld)
+    tw = octo.twistor_from_q(fld, q)
     assert np.max(np.abs(octo.norm(q) - 1.0)) <= 1e-10
     assert np.max(np.abs(q[0])) <= 1e-10
     j = tw.j_ambient
@@ -153,13 +156,13 @@ def sampled_drift(fld, q):
 def test_lift_reframing_invariance():
     # q is well defined on oriented orthonormal tangent frames
     fld = im.build_immersion("octonion_graph", n=16)
-    q, _ = octo.canonical_lift(fld)
+    q = octo.canonical_q(fld)
     assert sampled_drift(fld, q) <= 1e-10
 
 
 def test_closed_form_drift_at_exact_frames():
     fld = im.build_immersion("octonion_graph", n=16)
-    q, _ = octo.canonical_lift(fld)
+    q = octo.canonical_q(fld)
     assert octo.lift_residual(fld, q).meta["reframing_drift"] <= 1e-15
 
 
@@ -182,7 +185,7 @@ def test_closed_form_drift_bounds_the_sampled_drift(perturb, order):
 
 def test_lift_residual_l2_is_the_rms_of_its_pointwise_field():
     fld = im.build_immersion("octonion_graph", n=16)
-    q, _ = octo.canonical_lift(fld)
+    q = octo.canonical_q(fld)
     e1, e2 = fld.frame_planes[:2]
     A = octo.multiply(e2, octo.conjugate(e1)) + octo.multiply(e1, octo.conjugate(e2))
     B = octo.multiply(e2, octo.conjugate(e2)) - octo.multiply(e1, octo.conjugate(e1))
@@ -196,14 +199,14 @@ def test_lift_residual_l2_is_the_rms_of_its_pointwise_field():
 
 def test_flat_plane_lift_vertically_harmonic():
     fld = im.build_immersion("octonion_plane", n=16)
-    _, tw = octo.canonical_lift(fld)
+    tw = octo.twistor_from_q(fld, octo.canonical_q(fld))
     assert im.vertical_harmonicity_residual(fld, tw).final_sup <= 1e-12
 
 
 def test_codimension_six_split_consistent():
     # the rank-generic Hom splitting applies unchanged with q = 6
     fld = im.build_immersion("octonion_graph", n=16)
-    _, tw = octo.canonical_lift(fld)
+    tw = octo.twistor_from_q(fld, octo.canonical_q(fld))
     II = im._pointwise(fld.II.planes)
     minus = im._pointwise(np.stack([tw.II_minus_slot(a) for a in range(2)]))
     j_T, j_N = im._pointwise(tw.j_T_planes), im._pointwise(tw.j_N_planes)
@@ -219,4 +222,4 @@ def test_codimension_six_split_consistent():
 def test_lift_needs_r8():
     fld = im.build_immersion("plane", n=16)
     with pytest.raises(ValueError):
-        octo.canonical_lift(fld)
+        octo.canonical_q(fld)
